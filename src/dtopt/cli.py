@@ -79,9 +79,10 @@ def _resolve_out_dir(args, config: ExperimentConfig) -> str:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    dto_config = to_dto_config(config, seed=args.seed)
     out_dir = _resolve_out_dir(args, config)
     os.makedirs(out_dir, exist_ok=True)
-    report = run_dto(to_dto_config(config, seed=args.seed))
+    report = run_dto(dto_config)
     write_summary(report, os.path.join(out_dir, "summary.txt"))
     write_passes_csv(report, os.path.join(out_dir, "passes.csv"))
     print(f"best fitness {report.best_value!r} after {report.total_evals} function calls"

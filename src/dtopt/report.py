@@ -44,7 +44,8 @@ _IPDS = ("probe_line", "random")
 
 
 class ConfigError(ValueError):
-    """Malformed experiment config; the message carries the line number."""
+    """Malformed or out-of-range experiment config; the message names the
+    offending line or key."""
 
 
 @dataclass
@@ -72,6 +73,21 @@ class ExperimentConfig:
             raise ConfigError(f"schedule must be one of {_SCHEDULES}")
         if self.ipd not in _IPDS:
             raise ConfigError(f"ipd must be one of {_IPDS}")
+        for key in ("n_dims", "passes", "np0"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.function != "schwefel226" and self.n_dims != 2:
+            raise ConfigError(f"n_dims must be 2 for function {self.function}")
+        if self.nt < 0:
+            raise ConfigError("nt must be >= 0")
+        if not 0.0 < self.c_th <= 1.0:
+            raise ConfigError("c_th must lie in (0, 1]")
+        if self.ipd == "probe_line" and not self.gamma_sweep:
+            raise ConfigError("gamma_sweep must be non-empty for ipd = probe_line")
+        if any(not 0.0 <= g <= 1.0 for g in self.gamma_sweep):
+            raise ConfigError("every gamma in gamma_sweep must lie in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 PROFILES = {
@@ -160,12 +176,13 @@ def write_config(config: ExperimentConfig) -> str:
 
 def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfig:
     """Build the executable run description; ``seed`` overrides the config's."""
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
     objective = make_objective(config.function, config.n_dims)
     if config.ipd == "probe_line":
-        first_gamma = config.gamma_sweep[0] if config.gamma_sweep else 0.0
-        ipd = ProbeLine(first_gamma)
+        ipd = ProbeLine(config.gamma_sweep[0])
     else:
-        ipd = RandomUniform(config.seed if seed is None else seed)
+        ipd = RandomUniform(config.seed)
     cfo = CfoParams(
         n_probes=config.np0,
         n_steps=config.nt,

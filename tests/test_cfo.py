@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtopt.cfo import (
     CfoParams,
@@ -158,6 +162,105 @@ def test_acceleration_pulls_worse_toward_better():
         nonzero = toward != 0
         assert np.all(np.sign(accel[nonzero]) == np.sign(toward[nonzero]))
         assert np.array_equal(hist.accels[better, :, 1], np.zeros(n_dims))
+
+
+def _dense_accelerations(pos, fit, params):
+    """The all-pairs N x N kernel the tiled one replaced, kept as its oracle.
+
+    Returns the (probe, dim) accelerations and the (p, k) pair weights
+    g_const * max(M_k - M_p, 0)^alpha / distance^beta (zero at zero distance).
+    """
+    n_probes = pos.shape[0]
+    d2 = np.zeros((n_probes, n_probes))
+    buf = np.empty((n_probes, n_probes))
+    for axis in range(pos.shape[1]):
+        c = pos[:, axis]
+        np.subtract(c[None, :], c[:, None], out=buf)
+        np.multiply(buf, buf, out=buf)
+        d2 += buf
+    zero_pairs = d2 == 0.0
+    np.subtract(fit[None, :], fit[:, None], out=buf)  # buf[p, k] = M_k - M_p
+    np.maximum(buf, 0.0, out=buf)
+    if params.alpha == 2.0:
+        np.multiply(buf, buf, out=buf)
+    else:
+        np.power(buf, params.alpha, out=buf)
+    if params.beta != 2.0:
+        np.sqrt(d2, out=d2)
+        np.power(d2, params.beta, out=d2)
+    d2[zero_pairs] = 1.0
+    np.divide(buf, d2, out=buf)
+    buf *= params.g_const
+    buf[zero_pairs] = 0.0
+    return buf @ pos - buf.sum(axis=1, keepdims=True) * pos, buf
+
+
+_EXPONENTS = (0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """Positions, fitness and exponents for one kernel call.
+
+    Fitness is floored at a drawn quantile, so a share of the probes (all of
+    them at quantile 1) sits on one plateau; the rest are continuous or drawn
+    from a few levels, which gives ties above the floor. Positions come from
+    ``n_sites`` distinct points, so fewer sites than probes makes coincident
+    probes.
+    """
+    n = draw(st.integers(1, 200))
+    n_dims = draw(st.sampled_from([1, 2, 30]))
+    alpha = draw(st.sampled_from(_EXPONENTS))
+    beta = draw(st.sampled_from(_EXPONENTS))
+    n_levels = draw(st.sampled_from([0, 1, 3]))  # 0: continuous fitness
+    floor_quantile = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    n_sites = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n_levels:
+        fit = rng.integers(0, n_levels, n) * 37.5
+    else:
+        fit = rng.uniform(-1000.0, 1000.0, n)
+    fit = np.maximum(fit, np.quantile(fit, floor_quantile, method="lower"))
+    sites = rng.uniform(-500.0, 500.0, size=(n_sites, n_dims))
+    pos = sites[rng.integers(0, n_sites, n)]
+    return pos, fit, alpha, beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_inputs())
+@example((np.array([[3.0, -1.0]]), np.array([5.0]), 2.0, 2.0))  # N = 1
+# all-equal fitness over three tiles
+@example((np.random.default_rng(3).uniform(-9, 9, (150, 2)), np.full(150, 4.0), 1.0, 3.0))
+def test_acceleration_matches_dense_oracle(inputs):
+    pos, fit, alpha, beta = inputs
+    params = _params(n_probes=pos.shape[0], n_steps=1, alpha=alpha, beta=beta)
+    hist = SwarmHistory.allocate(*pos.shape, 1)
+    hist.positions[:, :, 1] = pos
+    hist.fitness[:, 1] = fit
+    compute_accelerations(hist, 1, params)
+    got = hist.accels[:, :, 1]
+    expected, weights = _dense_accelerations(pos, fit, params)
+    # scale[p] = sum_k w_pk (|R_k| + |R_p|), per coordinate: the size of the
+    # terms the sum cancels, which bounds any reordering of it.
+    scale = weights @ np.abs(pos) + weights.sum(axis=1, keepdims=True) * np.abs(pos)
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+def test_acceleration_memory_is_bounded():
+    # An N x N kernel would need about 1.1 GB here.
+    n = 8192
+    rng = np.random.default_rng(8)
+    hist = SwarmHistory.allocate(n, 2, 1)
+    hist.positions[:, :, 1] = rng.uniform(-500.0, 500.0, size=(n, 2))
+    hist.fitness[:, 1] = rng.uniform(0.0, 800.0, n)
+    tracemalloc.start()
+    try:
+        compute_accelerations(hist, 1, _params(n_probes=n, n_steps=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.all(np.isfinite(hist.accels[:, :, 1]))
 
 
 # ----- retrieval factor cycling -----

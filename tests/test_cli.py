@@ -100,6 +100,30 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("lines, key", [
+    ("n_dims = 0", "n_dims"),
+    ("passes = 0", "passes"),
+    ("np0 = 0", "np0"),
+    ("nt = -1", "nt"),
+    ("c_th = 2", "c_th"),
+    ("gamma_sweep = 1.5", "gamma_sweep"),
+    ("gamma_sweep =", "gamma_sweep"),
+    ("function = sgo\nn_dims = 3", "n_dims"),
+    ("ipd = random\nseed = -1", "seed"),
+])
+def test_run_out_of_range_config_is_clean_error(tmp_path, capsys, lines, key):
+    config = _write(tmp_path, "bad.cfg", lines + "\n")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_negative_seed_override_is_clean_error(capsys):
+    assert main(["run", "--profile", "schwefel2d", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_run_requires_exactly_one_source(tmp_path, capsys):
     assert main(["run"]) == 2
     config = _write(tmp_path, "exp.cfg", SMALL_PROBE_LINE)
