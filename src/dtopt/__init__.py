@@ -23,7 +23,7 @@ from .cfo import (
     step_positions,
 )
 from .driver import DtoConfig, PassRecord, RunReport, double_probes, run_dto
-from .floorscan import FloorStats, halton_point, halton_points, sample_threshold_floor
+from .floorscan import FloorStats, halton_points, sample_threshold_floor
 from .objectives import (
     DecisionSpace,
     ObjectiveKind,

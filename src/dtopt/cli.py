@@ -105,7 +105,19 @@ def _cmd_surface(args) -> int:
     return 0
 
 
+def _check_floorscan_args(args) -> None:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if args.dims < 1:
+        raise ConfigError(f"--dims must be >= 1, got {args.dims}")
+    if not np.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be finite, got {args.threshold}")
+    if not (np.isfinite(args.margin) and args.margin >= 0.0):
+        raise ConfigError(f"--margin must be finite and >= 0, got {args.margin}")
+
+
 def _cmd_floorscan(args) -> int:
+    _check_floorscan_args(args)
     func = _FLOORSCAN_FUNCS[args.function]
     space = _floorscan_space(args.function, args.dims)
     stats = sample_threshold_floor(func, space, args.threshold, args.samples, args.margin)

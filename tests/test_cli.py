@@ -221,6 +221,35 @@ def test_floorscan_repeat_identical(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("dims, line", [
+    ("2", "0.0,100000,49973,0.50027"),
+    ("30", "0.0,100000,50043,0.49956999999999996"),
+])
+def test_floorscan_golden_lines(capsys, dims, line):
+    # recorded from the digit-by-digit Halton generator; must stay byte-identical
+    assert main(["floorscan", "--function", "schwefel226", "--threshold", "0",
+                 "--samples", "100000", "--dims", dims]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "-5"], "--samples"),
+    (["--dims", "0"], "--dims"),
+    (["--margin", "-1"], "--margin"),
+    (["--margin", "nan"], "--margin"),
+    (["--margin", "inf"], "--margin"),
+    (["--threshold=nan"], "--threshold"),
+    (["--threshold=-inf"], "--threshold"),
+])
+def test_floorscan_bad_argument_is_clean_error(capsys, args, flag):
+    base = ["floorscan", "--function", "schwefel226", "--threshold", "0"]
+    assert main(base + args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.out == ""
+
+
 def test_floorscan_rejects_unknown_function():
     with pytest.raises(SystemExit):
         main(["floorscan", "--function", "mystery", "--threshold", "1.0"])
