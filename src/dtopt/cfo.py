@@ -1,15 +1,16 @@
 """Simplified parameter-free central force optimization.
 
 Probes accelerate under a gravity-like pull toward higher-fitness probes.
-The full position/acceleration/fitness history of a run is kept because the
-best/worst scans range over every time step, not just the last one. A run is
-strictly sequential; with a probe-line start there is no randomness at all.
+The full position/fitness history of a run is kept because the best/worst
+scans range over every time step, not just the last one; accelerations are
+only ever needed one step back, so just the latest (N, D) array is kept. A
+run is strictly sequential; with a probe-line start there is no randomness at
+all.
 
 The update cycle per time step: move probes ballistically from the previous
 step's accelerations, pull coordinates that left the domain back inside
 (scaled by the cycling retrieval factor), evaluate fitness (floored when a
-threshold is active), then recompute accelerations from the new fitness
-field.
+threshold is active), then compute accelerations from the new fitness field.
 """
 
 from __future__ import annotations
@@ -88,18 +89,16 @@ class CfoParams:
 
 @dataclass
 class SwarmHistory:
-    """Run history: positions and accelerations are (probe, dim, step) arrays,
-    fitness is (probe, step), steps 0..n_steps inclusive."""
+    """Run history: positions are a (probe, dim, step) array, fitness is
+    (probe, step), steps 0..n_steps inclusive."""
 
     positions: np.ndarray
-    accels: np.ndarray
     fitness: np.ndarray
 
     @classmethod
     def allocate(cls, n_probes: int, n_dims: int, n_steps: int) -> "SwarmHistory":
         return cls(
             positions=np.zeros((n_probes, n_dims, n_steps + 1)),
-            accels=np.zeros((n_probes, n_dims, n_steps + 1)),
             fitness=np.zeros((n_probes, n_steps + 1)),
         )
 
@@ -149,11 +148,12 @@ def random_ipd(n_probes: int, space: DecisionSpace, rng: np.random.Generator) ->
     return rng.uniform(space.lower, space.upper, size=(n_probes, space.n_dims))
 
 
-def step_positions(history: SwarmHistory, j: int, params: CfoParams) -> None:
-    """Ballistic move: R_j = R_{j-1} + 0.5 * A_{j-1} * dt^2."""
+def step_positions(history: SwarmHistory, j: int, accels: np.ndarray,
+                   params: CfoParams) -> None:
+    """Ballistic move: R_j = R_{j-1} + 0.5 * A_{j-1} * dt^2, where ``accels``
+    is the (probe, dim) array A_{j-1} of the previous step."""
     history.positions[:, :, j] = (
-        history.positions[:, :, j - 1]
-        + 0.5 * history.accels[:, :, j - 1] * params.delta_t**2
+        history.positions[:, :, j - 1] + 0.5 * accels * params.delta_t**2
     )
 
 
@@ -175,8 +175,8 @@ def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionS
         pos[above] = (space.upper - frep * (space.upper - prev))[above]
 
 
-def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> None:
-    """Gravity-style accelerations from the step-j fitness field.
+def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> np.ndarray:
+    """Gravity-style (probe, dim) accelerations from the step-j fitness field.
 
     Probe p feels, from each other probe k, a pull along (R_k - R_p) weighted
     by g_const * max(M_k - M_p, 0)^alpha / distance^beta; only better-fitness
@@ -196,7 +196,7 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> N
     fit = history.fitness[order, j]
     pos = history.positions[order, :, j]
     n_probes = fit.size
-    accels = np.zeros_like(pos)
+    accels = np.zeros_like(pos)  # in the history's probe order
     for r0 in range(0, n_probes, _TILE_ROWS):
         k0 = int(np.searchsorted(fit, fit[r0], side="right"))
         if k0 == n_probes:
@@ -224,8 +224,8 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> N
             np.power(d2, params.beta, out=d2)
         np.divide(buf, d2, out=buf)
         buf *= params.g_const
-        accels[r0:r1] = buf @ cols - buf.sum(axis=1, keepdims=True) * rows
-    history.accels[order, :, j] = accels
+        accels[order[r0:r1]] = buf @ cols - buf.sum(axis=1, keepdims=True) * rows
+    return accels
 
 
 def cycle_frep(frep: float) -> float:
@@ -240,27 +240,27 @@ def cycle_frep(frep: float) -> float:
     return nxt
 
 
+def _scan(history: SwarmHistory, up_to_step: int, arg_extreme) -> tuple[float, int, int]:
+    window = history.fitness[:, : up_to_step + 1]
+    flat = window.T.ravel()
+    idx = flat.size - 1 - int(arg_extreme(flat[::-1]))
+    step, probe = divmod(idx, window.shape[0])
+    return float(flat[idx]), probe, step
+
+
 def scan_best(history: SwarmHistory, up_to_step: int) -> tuple[float, int, int]:
     """Best fitness over steps 0..up_to_step, all probes; later ties win.
 
     The scan order is step-major (all probes of step 0, then step 1, ...),
     matching the >= update rule, so an equal value seen later in that order
-    takes the indices.
+    takes the indices. Returns (value, probe, step).
     """
-    window = history.fitness[:, : up_to_step + 1]
-    flat = window.T.ravel()
-    idx = flat.size - 1 - int(np.argmax(flat[::-1]))
-    step, probe = divmod(idx, window.shape[0])
-    return float(flat[idx]), probe, step
+    return _scan(history, up_to_step, np.argmax)
 
 
 def scan_worst(history: SwarmHistory, up_to_step: int) -> tuple[float, int, int]:
     """Worst fitness over steps 0..up_to_step; later ties win (<= update rule)."""
-    window = history.fitness[:, : up_to_step + 1]
-    flat = window.T.ravel()
-    idx = flat.size - 1 - int(np.argmin(flat[::-1]))
-    step, probe = divmod(idx, window.shape[0])
-    return float(flat[idx]), probe, step
+    return _scan(history, up_to_step, np.argmin)
 
 
 def reposition_floor_probes(
@@ -289,7 +289,7 @@ def reposition_floor_probes(
         and tries < max_tries
     ):
         history.positions[probe, :, step] = rng.uniform(space.lower, space.upper)
-        raw = objective.evaluate(history.positions[probe, :, step])
+        raw = objective.evaluate_batch(history.positions[None, probe, :, step])[0]
         history.fitness[probe, step] = apply_threshold(raw, threshold)
         tries += 1
     return tries
@@ -313,10 +313,10 @@ def run_cfo(
 ) -> tuple[OptResult, SwarmHistory]:
     """Run one CFO search over the objective's decision space.
 
-    ``objective`` needs ``space``, ``evaluate``, ``evaluate_batch`` and
-    ``eval_count`` (see ObjectiveSpec). When a threshold state is supplied and
-    enabled, the optimizer only ever sees the floored fitness. A probe-line
-    run is bit-reproducible; a random start derives its generator from the
+    ``objective`` needs ``space``, ``evaluate_batch`` and ``eval_count``
+    (see ObjectiveSpec). When a threshold state is supplied and enabled, the
+    optimizer only ever sees the floored fitness. A probe-line run is
+    bit-reproducible; a random start derives its generator from the
     seed in the params unless an explicit ``rng`` is passed (callers running
     several searches off one stream pass the shared generator).
     """
@@ -334,14 +334,14 @@ def run_cfo(
     else:
         history.positions[:, :, 0] = random_ipd(params.n_probes, space, rng)
     _evaluate_step(history, 0, objective, threshold, params, rng)
-    # accelerations at step 0 stay zero
+    accels = np.zeros((params.n_probes, space.n_dims))  # step 0 does not accelerate
 
     frep = params.frep_init
     for j in range(1, params.n_steps + 1):
-        step_positions(history, j, params)
+        step_positions(history, j, accels, params)
         retrieve_errant(history, j, frep, space)
         _evaluate_step(history, j, objective, threshold, params, rng)
-        compute_accelerations(history, j, params)
+        accels = compute_accelerations(history, j, params)
         frep = cycle_frep(frep)
 
     best_value, best_probe, best_step = scan_best(history, params.n_steps)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .driver import run_dto
 from .floorscan import DEFAULT_FLOOR_MARGIN, sample_threshold_floor
-from .objectives import DecisionSpace, rastrigin_offset, schwefel226, sgo
+from .objectives import BENCHMARKS, benchmark_dims, make_objective
 from .report import (
     PROFILES,
     ConfigError,
@@ -30,29 +30,6 @@ from .report import (
 __all__ = ["main"]
 
 OUTPUT_DIR_ENV = "DTO_OUTPUT_DIR"
-
-
-def _ramp(points):
-    # 1-D diagnostic objective f(x) = x on [0, 1]
-    return np.asarray(points, dtype=float)[..., 0]
-
-
-_FLOORSCAN_FUNCS = {
-    "schwefel226": schwefel226,
-    "rastrigin_offset": rastrigin_offset,
-    "sgo": sgo,
-    "ramp": _ramp,
-}
-
-
-def _floorscan_space(function: str, dims: int) -> DecisionSpace:
-    if function == "ramp":
-        return DecisionSpace.cube(1, 0.0, 1.0)
-    if function == "schwefel226":
-        return DecisionSpace.cube(dims, -500.0, 500.0)
-    if function == "rastrigin_offset":
-        return DecisionSpace.cube(2, -5.12, 5.12)
-    return DecisionSpace.cube(2, -50.0, 50.0)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -90,17 +67,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_threshold(threshold: float | None) -> None:
+    if threshold is not None and not np.isfinite(threshold):
+        raise ConfigError(f"--threshold must be finite, got {threshold}")
+
+
 def _cmd_surface(args) -> int:
     config = _load_config(args)
     if config.n_dims != 2:
         raise ConfigError("surface grids require n_dims = 2")
+    _check_threshold(args.threshold)
+    objective = make_objective(config.function, config.n_dims)
     out_dir = _resolve_out_dir(args, config)
     os.makedirs(out_dir, exist_ok=True)
-    func = _FLOORSCAN_FUNCS[config.function]
-    space = _floorscan_space(config.function, config.n_dims)
     data_path = os.path.join(out_dir, "surface.dat")
     command_path = os.path.join(out_dir, "surface.gp")
-    write_surface(func, space, args.threshold, data_path, command_path)
+    write_surface(objective.func, objective.space, args.threshold, data_path, command_path)
     print(f"wrote {data_path} and {command_path}")
     return 0
 
@@ -108,19 +90,22 @@ def _cmd_surface(args) -> int:
 def _check_floorscan_args(args) -> None:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    if args.dims < 1:
+    if args.dims is not None and args.dims < 1:
         raise ConfigError(f"--dims must be >= 1, got {args.dims}")
-    if not np.isfinite(args.threshold):
-        raise ConfigError(f"--threshold must be finite, got {args.threshold}")
+    try:
+        benchmark_dims(args.function, args.dims)
+    except ValueError as exc:
+        raise ConfigError(f"--dims: {exc}") from exc
+    _check_threshold(args.threshold)
     if not (np.isfinite(args.margin) and args.margin >= 0.0):
         raise ConfigError(f"--margin must be finite and >= 0, got {args.margin}")
 
 
 def _cmd_floorscan(args) -> int:
     _check_floorscan_args(args)
-    func = _FLOORSCAN_FUNCS[args.function]
-    space = _floorscan_space(args.function, args.dims)
-    stats = sample_threshold_floor(func, space, args.threshold, args.samples, args.margin)
+    objective = make_objective(args.function, args.dims)
+    stats = sample_threshold_floor(objective.func, objective.space, args.threshold,
+                                   args.samples, args.margin)
     print(f"{fmt(stats.threshold_used)},{stats.n_samples},{stats.n_on_floor},{fmt(stats.p_above)}")
     return 0
 
@@ -152,12 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     floor_p = sub.add_parser("floorscan",
                              help="quasirandom floor-fraction estimate, printed as one CSV line")
-    floor_p.add_argument("--function", required=True, choices=sorted(_FLOORSCAN_FUNCS))
+    floor_p.add_argument("--function", required=True, choices=sorted(BENCHMARKS))
     floor_p.add_argument("--threshold", type=float, required=True)
     floor_p.add_argument("--samples", type=int, default=10_000)
     floor_p.add_argument("--margin", type=float, default=DEFAULT_FLOOR_MARGIN)
-    floor_p.add_argument("--dims", type=int, default=2,
-                         help="dimensionality (schwefel226 only)")
+    floor_p.add_argument("--dims", type=int, default=None,
+                         help="dimensionality; defaults to the function's own (2 for "
+                              "schwefel226, which alone accepts others)")
     floor_p.set_defaults(func=_cmd_floorscan)
     return parser
 

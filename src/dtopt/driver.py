@@ -1,11 +1,12 @@
 """The pass loop: rising thresholds, probe doubling, and run reporting.
 
-Pass 1 searches the raw landscape. After every pass the threshold is
-recomputed from the best/worst fitness seen so far, the probe count is
-doubled (to keep exploring the progressively flatter landscape), and the
-floor is switched on for all later passes. With a probe-line start each pass
-runs one search per gamma value in the sweep; with a random start each pass
-is a single search drawing from one seeded stream.
+Pass 1 searches the raw landscape. After every pass the schedule's
+``next_threshold`` sets the threshold from the fitness seen so far, the
+probe count is doubled (to keep exploring the progressively flatter
+landscape), and the floor is switched on for all later passes. With a
+probe-line start each pass runs one search per gamma value in the sweep;
+with a random start each pass is a single search drawing from one seeded
+stream.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ import numpy as np
 
 from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, run_cfo
 from .objectives import ObjectiveSpec
-from .threshold import (
-    LinearRamp,
-    Schedule,
-    ThresholdState,
-    update_threshold_best_fitness,
-    update_threshold_linear,
-)
+from .threshold import Schedule, ThresholdState
 
-__all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto", "double_probes", "DEFAULT_GAMMA_SWEEP"]
+__all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto", "DEFAULT_GAMMA_SWEEP"]
 
 DEFAULT_GAMMA_SWEEP = tuple(i / 10 for i in range(11))
 
@@ -66,10 +61,6 @@ class RunReport:
     best_value: float
     total_evals: int
     passes: list[PassRecord]
-
-
-def double_probes(n_probes: int) -> int:
-    return 2 * n_probes
 
 
 def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
@@ -116,12 +107,9 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
             best_fitness=pass_best,
             cumulative_evals=objective.eval_count - evals_start,
         ))
-        if isinstance(config.schedule, LinearRamp):
-            state.t_current = update_threshold_linear(pass_index, state)
-        else:
-            state.t_current = update_threshold_best_fitness(pass_best)
+        state.t_current = config.schedule.next_threshold(pass_index, state, pass_best)
         if config.probe_doubling:
-            n_probes = double_probes(n_probes)
+            n_probes *= 2
         state.enabled = True
 
     return RunReport(

@@ -1,39 +1,39 @@
-"""Benchmark objective functions and decision-space bookkeeping.
+"""Objective functions, the benchmark table and decision-space bookkeeping.
 
-Three maximization test functions ship with the domains and known optima used
-by the reference experiments: Schwefel problem 2.26 (any dimension), an
-offset Rastrigin variant with each per-coordinate term squared (2-D only),
-and the SGO quartic (2-D only). Every evaluation routed through an
-:class:`ObjectiveSpec` bumps its counter by exactly one per point, so total
-function-call budgets can be audited in one place.
+``BENCHMARKS`` is the one description of the shipped benchmark set: per
+function its batch callable, its domain, its fixed dimension (if any) and its
+known optimum. It holds Schwefel problem 2.26 (any dimension), an offset
+Rastrigin variant with each per-coordinate term squared (2-D only), the SGO
+quartic (2-D only) and ``ramp``, a 1-D diagnostic f(x) = x on [0, 1].
+
+An :class:`ObjectiveSpec` wraps any batch callable, shipped or not, bound to
+its decision space. Every evaluation routed through it bumps its counter by
+exactly one per point, so total function-call budgets can be audited in one
+place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
+    "BENCHMARKS",
+    "Benchmark",
     "DecisionSpace",
-    "ObjectiveKind",
     "ObjectiveSpec",
+    "benchmark_dims",
     "make_objective",
     "schwefel226",
     "rastrigin_offset",
     "sgo",
-    "SCHWEFEL_MAX_PER_DIM",
-    "SCHWEFEL_ARGMAX_COORD",
+    "ramp",
 ]
 
-# Known optima for the shipped benchmarks.
-SCHWEFEL_MAX_PER_DIM = 418.9829
-SCHWEFEL_ARGMAX_COORD = 420.9687
 RASTRIGIN_OFFSET_MAX = 10.123
 RASTRIGIN_OFFSET_ARGMAX = (-1.25, 3.25)
-SGO_MAX = 130.8323226
-SGO_ARGMAX = (-2.8362075, -2.8362075)
 
 
 @dataclass
@@ -70,10 +70,15 @@ def schwefel226(x):
 
     Accepts a single point (shape ``(n,)``) or a batch (shape ``(m, n)``) and
     reduces over the last axis. Single global maximum of 418.9829 per
-    dimension at 420.9687 repeated.
+    dimension at 420.9687 repeated. Works in one temporary the size of x and
+    leaves x unmodified.
     """
     x = np.asarray(x, dtype=float)
-    return (x * np.sin(np.sqrt(np.abs(x)))).sum(axis=-1)
+    y = np.abs(x)
+    np.sqrt(y, out=y)
+    np.sin(y, out=y)
+    y *= x
+    return y.sum(axis=-1)
 
 
 def rastrigin_offset(x):
@@ -99,84 +104,91 @@ def sgo(x):
     return -t.sum(axis=-1)
 
 
-class ObjectiveKind(str, Enum):
-    SCHWEFEL226 = "schwefel226"
-    RASTRIGIN_OFFSET = "rastrigin_offset"
-    SGO = "sgo"
+def ramp(x):
+    """1-D diagnostic objective f(x) = x; its floor fraction at T is T on [0, 1]."""
+    return np.asarray(x, dtype=float)[..., 0]
 
 
-_FUNCTIONS = {
-    ObjectiveKind.SCHWEFEL226: schwefel226,
-    ObjectiveKind.RASTRIGIN_OFFSET: rastrigin_offset,
-    ObjectiveKind.SGO: sgo,
+@dataclass(frozen=True)
+class Benchmark:
+    """One shipped function on its standard domain [lower, upper]^n.
+
+    ``n_dims`` is the fixed dimension, or None for a function defined in any
+    dimension. Such a function is separable: its known maximum is
+    ``max_value`` per dimension, at ``argmax`` repeated on every axis.
+    """
+
+    func: Callable[[np.ndarray], np.ndarray]
+    lower: float
+    upper: float
+    n_dims: int | None
+    max_value: float
+    argmax: tuple[float, ...]
+
+
+BENCHMARKS = {
+    "schwefel226": Benchmark(schwefel226, -500.0, 500.0, None, 418.9829, (420.9687,)),
+    "rastrigin_offset": Benchmark(rastrigin_offset, -5.12, 5.12, 2,
+                                  RASTRIGIN_OFFSET_MAX, RASTRIGIN_OFFSET_ARGMAX),
+    "sgo": Benchmark(sgo, -50.0, 50.0, 2, 130.8323226, (-2.8362075, -2.8362075)),
+    "ramp": Benchmark(ramp, 0.0, 1.0, 1, 1.0, (1.0,)),
 }
 
-_TWO_D_ONLY = (ObjectiveKind.RASTRIGIN_OFFSET, ObjectiveKind.SGO)
+
+def benchmark_dims(name: str, n_dims: int | None = None) -> int:
+    """Dimension benchmark ``name`` runs in: its fixed one, else n_dims (default 2).
+
+    Raises ValueError for an unknown name or an n_dims that conflicts with a
+    fixed dimension.
+    """
+    if name not in BENCHMARKS:
+        raise ValueError(f"unknown benchmark {name!r}; expected one of {tuple(BENCHMARKS)}")
+    fixed = BENCHMARKS[name].n_dims
+    if fixed is None:
+        return 2 if n_dims is None else n_dims
+    if n_dims not in (None, fixed):
+        raise ValueError(f"{name} is fixed at {fixed} dimension(s), got {n_dims}")
+    return fixed
 
 
 @dataclass
 class ObjectiveSpec:
-    """A benchmark function bound to its decision space, with call accounting.
+    """A batch objective bound to its decision space, with call accounting.
 
-    ``eval_count`` grows by exactly one per evaluated point, batched or not.
-    One instance must not be shared across concurrent runs.
+    ``func`` maps an ``(m, n)`` batch to m fitnesses; any such callable
+    works. ``eval_count`` grows by exactly one per evaluated point. One
+    instance must not be shared across concurrent runs.
     """
 
-    kind: ObjectiveKind
+    func: Callable[[np.ndarray], np.ndarray]
     space: DecisionSpace
     known_max_value: float | None = None
     known_max_location: np.ndarray | None = None
     eval_count: int = 0
 
     def __post_init__(self):
-        self.kind = ObjectiveKind(self.kind)
-        if self.kind in _TWO_D_ONLY and self.space.n_dims != 2:
-            raise ValueError(f"{self.kind.value} requires a 2-D decision space")
         if self.known_max_location is not None:
             self.known_max_location = np.asarray(self.known_max_location, dtype=float)
-
-    def evaluate(self, x) -> float:
-        """Raw fitness of one point; increments the call counter by 1."""
-        self.eval_count += 1
-        return float(_FUNCTIONS[self.kind](x))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Raw fitness of an ``(m, n)`` batch; increments the counter by m."""
         points = np.asarray(points, dtype=float)
         self.eval_count += points.shape[0]
-        return np.asarray(_FUNCTIONS[self.kind](points), dtype=float)
+        return np.asarray(self.func(points), dtype=float)
 
 
-_DEFAULT_BOUNDS = {
-    ObjectiveKind.SCHWEFEL226: (-500.0, 500.0),
-    ObjectiveKind.RASTRIGIN_OFFSET: (-5.12, 5.12),
-    ObjectiveKind.SGO: (-50.0, 50.0),
-}
+def make_objective(name: str, n_dims: int | None = None) -> ObjectiveSpec:
+    """ObjectiveSpec for a ``BENCHMARKS`` entry on its standard domain.
 
-
-def make_objective(kind: ObjectiveKind | str, n_dims: int | None = None) -> ObjectiveSpec:
-    """Build an ObjectiveSpec on the benchmark's standard domain.
-
-    ``n_dims`` applies to Schwefel 2.26 only (default 2); the other two
-    functions are fixed at two dimensions.
+    ``n_dims`` only matters for an entry without a fixed dimension (default
+    2); see benchmark_dims.
     """
-    kind = ObjectiveKind(kind)
-    if kind in _TWO_D_ONLY:
-        if n_dims not in (None, 2):
-            raise ValueError(f"{kind.value} requires n_dims = 2")
-        n_dims = 2
-    elif n_dims is None:
-        n_dims = 2
-    lo, hi = _DEFAULT_BOUNDS[kind]
-    space = DecisionSpace.cube(n_dims, lo, hi)
-    if kind is ObjectiveKind.SCHWEFEL226:
-        known_value = SCHWEFEL_MAX_PER_DIM * n_dims
-        known_loc = np.full(n_dims, SCHWEFEL_ARGMAX_COORD)
-    elif kind is ObjectiveKind.RASTRIGIN_OFFSET:
-        known_value = RASTRIGIN_OFFSET_MAX
-        known_loc = np.array(RASTRIGIN_OFFSET_ARGMAX)
-    else:
-        known_value = SGO_MAX
-        known_loc = np.array(SGO_ARGMAX)
-    return ObjectiveSpec(kind=kind, space=space, known_max_value=known_value,
-                         known_max_location=known_loc)
+    n_dims = benchmark_dims(name, n_dims)
+    bench = BENCHMARKS[name]
+    repeats = n_dims if bench.n_dims is None else 1
+    return ObjectiveSpec(
+        func=bench.func,
+        space=DecisionSpace.cube(n_dims, bench.lower, bench.upper),
+        known_max_value=bench.max_value * repeats,
+        known_max_location=bench.argmax * repeats,
+    )

@@ -13,12 +13,13 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory
 from .driver import DEFAULT_GAMMA_SWEEP, DtoConfig, RunReport
-from .objectives import DecisionSpace, make_objective
+from .objectives import BENCHMARKS, DecisionSpace, benchmark_dims, make_objective
 from .threshold import BestFitness, LinearRamp
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
 
 SURFACE_GRID_POINTS = 100
 
-_FUNCTIONS = ("schwefel226", "rastrigin_offset", "sgo")
 _SCHEDULES = ("linear", "best_fitness")
 _IPDS = ("probe_line", "random")
 
@@ -48,9 +48,12 @@ class ConfigError(ValueError):
     offending line or key."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """File-facing run description; see to_dto_config for the executable form."""
+    """File-facing run description; see to_dto_config for the executable form.
+
+    Frozen: derive a variant with ``dataclasses.replace``, which validates it.
+    """
 
     function: str = "schwefel226"
     n_dims: int = 2
@@ -67,8 +70,8 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        if self.function not in _FUNCTIONS:
-            raise ConfigError(f"function must be one of {_FUNCTIONS}")
+        if self.function not in BENCHMARKS:
+            raise ConfigError(f"function must be one of {tuple(BENCHMARKS)}")
         if self.schedule not in _SCHEDULES:
             raise ConfigError(f"schedule must be one of {_SCHEDULES}")
         if self.ipd not in _IPDS:
@@ -76,8 +79,10 @@ class ExperimentConfig:
         for key in ("n_dims", "passes", "np0"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if self.function != "schwefel226" and self.n_dims != 2:
-            raise ConfigError(f"n_dims must be 2 for function {self.function}")
+        try:
+            benchmark_dims(self.function, self.n_dims)
+        except ValueError as exc:
+            raise ConfigError(f"n_dims: {exc}") from exc
         if self.nt < 0:
             raise ConfigError("nt must be >= 0")
         if not 0.0 < self.c_th <= 1.0:
@@ -90,7 +95,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
 
 
-PROFILES = {
+PROFILES = MappingProxyType({
     # Reference 2-D Schwefel run: random start, 10 passes, 106,392 calls total.
     "schwefel2d": ExperimentConfig(
         function="schwefel226", n_dims=2, passes=10, c_th=0.98, schedule="linear",
@@ -102,7 +107,7 @@ PROFILES = {
         function="schwefel226", n_dims=30, passes=6, c_th=0.6, schedule="linear",
         nt=15, np0=4, ipd="probe_line",
     ),
-}
+})
 
 
 def _parse_bool(raw: str) -> bool:

@@ -3,7 +3,9 @@
 The floor replaces every fitness below the current threshold T with T itself,
 removing local maxima from the searchable landscape while leaving everything
 above T untouched. Two schedules are shipped: a linear ramp over the observed
-fitness range (the default) and a follow-the-best-fitness rule.
+fitness range (the default) and a follow-the-best-fitness rule. Each one
+computes the threshold for the next pass with
+``next_threshold(k, state, pass_best)``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ __all__ = [
     "LinearRamp",
     "BestFitness",
     "ThresholdState",
-    "unit_step",
     "apply_threshold",
-    "update_threshold_linear",
-    "update_threshold_best_fitness",
     "BEST_SENTINEL",
     "WORST_SENTINEL",
 ]
@@ -42,10 +41,26 @@ class LinearRamp:
         if self.num_passes < 1:
             raise ValueError("num_passes must be a positive integer")
 
+    def next_threshold(self, k: int, state: ThresholdState, pass_best: float) -> float:
+        """Threshold after completed pass k: F_min + (c_th * k / P) * (F* - F_min).
+
+        The returned value governs pass k + 1. Requires at least one completed
+        pass so that f_star and f_min hold real fitnesses.
+        """
+        if k < 1:
+            raise ValueError("pass index k must be >= 1")
+        if state.f_star == BEST_SENTINEL or state.f_min == WORST_SENTINEL:
+            raise RuntimeError("threshold update before any completed pass")
+        fraction = self.c_th * k / self.num_passes
+        return state.f_min + fraction * (state.f_star - state.f_min)
+
 
 @dataclass
 class BestFitness:
     """Each new threshold is the best fitness the completed pass returned."""
+
+    def next_threshold(self, k: int, state: ThresholdState, pass_best: float) -> float:
+        return pass_best
 
 
 Schedule = LinearRamp | BestFitness
@@ -67,40 +82,14 @@ class ThresholdState:
     f_min: float = WORST_SENTINEL
 
 
-def unit_step(z: float) -> int:
-    """1 for z >= 0, else 0."""
-    return 1 if z >= 0 else 0
-
-
 def apply_threshold(f_val, state: ThresholdState):
     """Floor a fitness value (scalar or array) at the active threshold.
 
     Disabled states pass the value through unchanged. Enabled states return
-    (f - T) * U(f - T) + T, which reduces branch-by-branch to max(f, T); the
-    max form keeps the identity exact in floating point.
+    (f - T) * U(f - T) + T, with U the unit step (1 for z >= 0, else 0),
+    which reduces branch-by-branch to max(f, T); the max form keeps the
+    identity exact in floating point.
     """
     if not state.enabled:
         return f_val
     return np.maximum(f_val, state.t_current)
-
-
-def update_threshold_linear(k: int, state: ThresholdState) -> float:
-    """Threshold after completed pass k: F_min + (c_th * k / P) * (F* - F_min).
-
-    The returned value governs pass k + 1. Requires at least one completed
-    pass so that f_star and f_min hold real fitnesses.
-    """
-    sched = state.schedule
-    if not isinstance(sched, LinearRamp):
-        raise TypeError("linear update requires a LinearRamp schedule")
-    if k < 1:
-        raise ValueError("pass index k must be >= 1")
-    if state.f_star == BEST_SENTINEL or state.f_min == WORST_SENTINEL:
-        raise RuntimeError("threshold update before any completed pass")
-    fraction = sched.c_th * k / sched.num_passes
-    return state.f_min + fraction * (state.f_star - state.f_min)
-
-
-def update_threshold_best_fitness(g_star_k: float) -> float:
-    """Schedule that pins the next threshold at the completed pass's best fitness."""
-    return g_star_k

@@ -17,8 +17,7 @@ from dtopt.driver import DtoConfig, run_dto
 from dtopt.floorscan import sample_threshold_floor
 from dtopt.objectives import DecisionSpace, make_objective, schwefel226, sgo
 from dtopt.report import PROFILES, to_dto_config
-from dtopt.threshold import BestFitness, LinearRamp, ThresholdState, \
-    apply_threshold, update_threshold_linear
+from dtopt.threshold import BestFitness, LinearRamp, ThresholdState, apply_threshold
 
 # Thresholds of the reference 2-D run, passes 2..10; spacing stabilizes once
 # the observed fitness range stops moving.
@@ -83,7 +82,7 @@ def test_criterion_4_linear_ramp_spacing():
     # frozen range: successive thresholds differ by exactly c_th*(F*-F_min)/P
     state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
                            f_star=837.9658, f_min=-448.84)
-    thresholds = [update_threshold_linear(k, state) for k in range(1, 11)]
+    thresholds = [state.schedule.next_threshold(k, state, state.f_star) for k in range(1, 11)]
     diffs = np.diff(thresholds)
     expected = 0.98 * (state.f_star - state.f_min) / 10
     if not np.all(np.abs(diffs - expected) <= 1e-12 * abs(expected)):
@@ -95,7 +94,8 @@ def test_criterion_4_linear_ramp_spacing():
     implied_range = float(np.mean(ref_diffs)) * 10 / 0.98
     state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
                            f_star=implied_range / 2, f_min=-implied_range / 2)
-    model = np.diff([update_threshold_linear(k, state) for k in range(1, 11)])
+    model = np.diff([state.schedule.next_threshold(k, state, state.f_star)
+                     for k in range(1, 11)])
     if not np.all(np.abs(model - np.mean(ref_diffs)) <= 1e-9):
         failures.append("schedule does not reproduce the reference spacing")
     _criterion(4, "linear ramp spacing constant, ~126.1 on the reference range", failures)
@@ -165,9 +165,10 @@ def test_criterion_6_cfo_micro_oracles():
     hist = SwarmHistory.allocate(2, 1, 1)
     hist.positions[:, 0, 1] = [0.0, 1.0]
     hist.fitness[:, 1] = [0.0, 5.0]
-    compute_accelerations(hist, 1, CfoParams(n_probes=2, n_steps=1, ipd=ProbeLine(0.0)))
-    if hist.accels[0, 0, 1] != 50.0 or hist.accels[1, 0, 1] != 0.0:
-        failures.append(f"two-probe accel {hist.accels[:, 0, 1]} != [50, 0]")
+    accels = compute_accelerations(hist, 1, CfoParams(n_probes=2, n_steps=1,
+                                                      ipd=ProbeLine(0.0)))
+    if accels[0, 0] != 50.0 or accels[1, 0] != 0.0:
+        failures.append(f"two-probe accel {accels[:, 0]} != [50, 0]")
 
     # evaluation budget is exactly (n_steps + 1) * n_probes
     rng = np.random.default_rng(6)

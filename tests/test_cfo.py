@@ -83,8 +83,8 @@ def test_random_ipd_differs_across_seeds():
 def test_step_positions_arithmetic():
     hist = SwarmHistory.allocate(3, 1, 1)
     hist.positions[:, 0, 0] = [0.0, 5.0, 10.0]
-    hist.accels[:, 0, 0] = [2.0, 0.0, -4.0]
-    step_positions(hist, 1, _params(n_probes=3, n_steps=1))
+    accels = np.array([[2.0], [0.0], [-4.0]])
+    step_positions(hist, 1, accels, _params(n_probes=3, n_steps=1))
     assert np.array_equal(hist.positions[:, 0, 1], [1.0, 5.0, 8.0])
 
 
@@ -123,26 +123,27 @@ def test_acceleration_hand_trace_two_probes():
     hist = SwarmHistory.allocate(2, 1, 1)
     hist.positions[:, 0, 1] = [0.0, 1.0]
     hist.fitness[:, 1] = [0.0, 5.0]
-    compute_accelerations(hist, 1, _params(n_probes=2, n_steps=1))
-    assert hist.accels[0, 0, 1] == 50.0
-    assert hist.accels[1, 0, 1] == 0.0
+    accels = compute_accelerations(hist, 1, _params(n_probes=2, n_steps=1))
+    assert accels.shape == (2, 1)
+    assert accels[0, 0] == 50.0
+    assert accels[1, 0] == 0.0
 
 
 def test_acceleration_equal_fitness_is_zero():
     hist = SwarmHistory.allocate(5, 3, 1)
     hist.positions[:, :, 1] = np.random.default_rng(1).uniform(-1, 1, size=(5, 3))
     hist.fitness[:, 1] = 7.0
-    compute_accelerations(hist, 1, _params(n_probes=5, n_steps=1))
-    assert np.array_equal(hist.accels[:, :, 1], np.zeros((5, 3)))
+    accels = compute_accelerations(hist, 1, _params(n_probes=5, n_steps=1))
+    assert np.array_equal(accels, np.zeros((5, 3)))
 
 
 def test_acceleration_coincident_probes_finite():
     hist = SwarmHistory.allocate(3, 2, 1)
     hist.positions[:, :, 1] = 0.25  # all probes at the same point
     hist.fitness[:, 1] = [1.0, 2.0, 3.0]
-    compute_accelerations(hist, 1, _params(n_probes=3, n_steps=1))
-    assert np.all(np.isfinite(hist.accels[:, :, 1]))
-    assert np.array_equal(hist.accels[:, :, 1], np.zeros((3, 2)))
+    accels = compute_accelerations(hist, 1, _params(n_probes=3, n_steps=1))
+    assert np.all(np.isfinite(accels))
+    assert np.array_equal(accels, np.zeros((3, 2)))
 
 
 def test_acceleration_pulls_worse_toward_better():
@@ -155,13 +156,13 @@ def test_acceleration_pulls_worse_toward_better():
         while fits[0] == fits[1]:
             fits = rng.uniform(-5, 5, size=2)
         hist.fitness[:, 1] = fits
-        compute_accelerations(hist, 1, _params(n_probes=2, n_steps=1))
+        accels = compute_accelerations(hist, 1, _params(n_probes=2, n_steps=1))
         worse, better = (0, 1) if fits[0] < fits[1] else (1, 0)
         toward = hist.positions[better, :, 1] - hist.positions[worse, :, 1]
-        accel = hist.accels[worse, :, 1]
+        accel = accels[worse]
         nonzero = toward != 0
         assert np.all(np.sign(accel[nonzero]) == np.sign(toward[nonzero]))
-        assert np.array_equal(hist.accels[better, :, 1], np.zeros(n_dims))
+        assert np.array_equal(accels[better], np.zeros(n_dims))
 
 
 def _dense_accelerations(pos, fit, params):
@@ -237,8 +238,7 @@ def test_acceleration_matches_dense_oracle(inputs):
     hist = SwarmHistory.allocate(*pos.shape, 1)
     hist.positions[:, :, 1] = pos
     hist.fitness[:, 1] = fit
-    compute_accelerations(hist, 1, params)
-    got = hist.accels[:, :, 1]
+    got = compute_accelerations(hist, 1, params)
     expected, weights = _dense_accelerations(pos, fit, params)
     # scale[p] = sum_k w_pk (|R_k| + |R_p|), per coordinate: the size of the
     # terms the sum cancels, which bounds any reordering of it.
@@ -255,12 +255,12 @@ def test_acceleration_memory_is_bounded():
     hist.fitness[:, 1] = rng.uniform(0.0, 800.0, n)
     tracemalloc.start()
     try:
-        compute_accelerations(hist, 1, _params(n_probes=n, n_steps=1))
+        accels = compute_accelerations(hist, 1, _params(n_probes=n, n_steps=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    assert np.all(np.isfinite(hist.accels[:, :, 1]))
+    assert np.all(np.isfinite(accels))
 
 
 # ----- retrieval factor cycling -----
@@ -321,10 +321,6 @@ class _StubObjective:
         self.cutoff = cutoff
         self.space = DecisionSpace.cube(2, 0.0, 1.0)
         self.eval_count = 0
-
-    def evaluate(self, x):
-        self.eval_count += 1
-        return 1.0 if x[0] >= self.cutoff else 0.0
 
     def evaluate_batch(self, points):
         points = np.asarray(points, dtype=float)
@@ -450,7 +446,8 @@ def test_run_cfo_result_provenance():
     assert result.best_value >= result.worst_value
     assert np.array_equal(result.best_coords,
                           hist.positions[result.best_probe, :, result.best_step])
-    assert np.array_equal(hist.accels[:, :, 0], np.zeros((4, 2)))
+    # step 0 does not accelerate, so the first move leaves every probe in place
+    assert np.array_equal(hist.positions[:, :, 1], hist.positions[:, :, 0])
 
 
 def test_cfo_params_defaults():

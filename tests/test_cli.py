@@ -191,6 +191,15 @@ def test_surface_threshold_floors_grid(tmp_path):
     assert min(z_vals) == 686.126
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_surface_rejects_non_finite_threshold(tmp_path, capsys, value):
+    out = tmp_path / "surf"
+    assert main(["surface", "--profile", "schwefel2d", f"--threshold={value}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --threshold must be finite")
+    assert not out.exists()
+
+
 def test_surface_refuses_non_2d(tmp_path, capsys):
     assert main(["surface", "--profile", "schwefel30d", "--out", str(tmp_path)]) == 2
     assert "n_dims" in capsys.readouterr().err
@@ -241,6 +250,9 @@ def test_floorscan_golden_lines(capsys, dims, line):
     (["--margin", "inf"], "--margin"),
     (["--threshold=nan"], "--threshold"),
     (["--threshold=-inf"], "--threshold"),
+    (["--function", "sgo", "--dims", "7"], "--dims"),
+    (["--function", "rastrigin_offset", "--dims", "3"], "--dims"),
+    (["--function", "ramp", "--dims", "7"], "--dims"),
 ])
 def test_floorscan_bad_argument_is_clean_error(capsys, args, flag):
     base = ["floorscan", "--function", "schwefel226", "--threshold", "0"]
@@ -248,6 +260,16 @@ def test_floorscan_bad_argument_is_clean_error(capsys, args, flag):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and flag in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("function, dims", [("schwefel226", 2), ("sgo", 2), ("ramp", 1)])
+def test_floorscan_dims_default_is_the_function_own(capsys, function, dims):
+    # an explicit --dims equal to the default is accepted and changes nothing
+    base = ["floorscan", "--function", function, "--threshold", "0", "--samples", "500"]
+    assert main(base) == 0
+    default = capsys.readouterr().out
+    assert main(base + ["--dims", str(dims)]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_floorscan_rejects_unknown_function():

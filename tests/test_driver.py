@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
-from dtopt.driver import DtoConfig, double_probes, run_dto
+from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import make_objective
 from dtopt.threshold import BestFitness, LinearRamp
 
@@ -148,13 +148,15 @@ def test_report_consistency_raw_fitness_at_best_coords():
 
 
 def test_double_probes():
-    assert double_probes(4) == 8
-    assert double_probes(1024) == 2048
-    counts = [4]
-    for _ in range(9):
-        counts.append(double_probes(counts[-1]))
-    assert counts == [4 * 2**k for k in range(10)]
-    assert sum(counts) == 4092  # 106,392 / 26 evaluation sites per probe
+    sizes = []
+
+    def observer(pass_index, threshold, result, history):
+        sizes.append(history.n_probes)
+
+    report = run_dto(_random_config(num_passes=10, np0=4, nt=0), observer=observer)
+    assert sizes == [4 * 2**k for k in range(10)]
+    assert sum(sizes) == 4092  # 106,392 / 26 evaluation sites per probe
+    assert report.total_evals == expected_evals(1, 0, sizes)
 
 
 def test_gamma_sweep_validation():

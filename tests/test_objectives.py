@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtopt.objectives import (
+    BENCHMARKS,
     DecisionSpace,
-    ObjectiveKind,
     ObjectiveSpec,
+    benchmark_dims,
     make_objective,
     rastrigin_offset,
     schwefel226,
@@ -38,6 +41,25 @@ def test_schwefel_batch_matches_single():
     batched = schwefel226(batch)
     singles = np.array([schwefel226(row) for row in batch])
     assert np.array_equal(batched, singles)
+
+
+def _schwefel_oracle(x):
+    # the one-line form, which allocates a temporary per step
+    return (x * np.sin(np.sqrt(np.abs(x)))).sum(axis=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(7,), (1, 30), (33, 5), (2048, 2), (1000, 30)]),
+       st.sampled_from([1.0, 500.0, 1e12]), st.integers(0, 2**32 - 1))
+@example((250_000, 2), 500.0, 0)
+def test_schwefel_in_place_bit_identical_to_oracle(shape, scale, seed):
+    x = np.random.default_rng(seed).uniform(-scale, scale, size=shape)
+    x.flat[0] = -0.0
+    before = x.copy()
+    got = np.asarray(schwefel226(x))
+    expected = np.asarray(_schwefel_oracle(before))
+    assert np.array_equal(x.view(np.int64), before.view(np.int64))  # x untouched
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_schwefel_permutation_symmetry():
@@ -91,7 +113,7 @@ def test_rastrigin_offset_rejects_other_dims():
     with pytest.raises(ValueError):
         rastrigin_offset([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        ObjectiveSpec(ObjectiveKind.RASTRIGIN_OFFSET, DecisionSpace.cube(3, -5.12, 5.12))
+        make_objective("rastrigin_offset", 3)
 
 
 def test_sgo_known_max():
@@ -118,19 +140,44 @@ def test_eval_count_tracks_every_evaluation():
     rng = np.random.default_rng(0)
     n_single = 13
     for _ in range(n_single):
-        obj.evaluate(rng.uniform(-500, 500, size=3))
+        obj.evaluate_batch(rng.uniform(-500, 500, size=(1, 3)))
     assert obj.eval_count == n_single
     obj.evaluate_batch(rng.uniform(-500, 500, size=(29, 3)))
     assert obj.eval_count == n_single + 29
 
 
-@pytest.mark.parametrize("kind", ["schwefel226", "rastrigin_offset", "sgo"])
-def test_known_optimum_beats_uniform_samples(kind):
-    obj = make_objective(kind, 30 if kind == "schwefel226" else None)
+def test_user_objective_counts_every_point():
+    obj = ObjectiveSpec(lambda x: -(x**2).sum(axis=1), DecisionSpace.cube(3, -1.0, 1.0))
+    assert obj.known_max_value is None and obj.known_max_location is None
+    rng = np.random.default_rng(1)
+    for m in (1, 5, 0, 17):
+        values = obj.evaluate_batch(rng.uniform(-1.0, 1.0, size=(m, 3)))
+        assert values.shape == (m,)
+    assert obj.eval_count == 23
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_known_optimum_beats_uniform_samples(name):
+    obj = make_objective(name, 30 if BENCHMARKS[name].n_dims is None else None)
+    n_dims = obj.space.n_dims
     rng = np.random.default_rng(42)
-    samples = rng.uniform(obj.space.lower, obj.space.upper, size=(1000, obj.space.n_dims))
-    best_at_known = obj.evaluate(obj.known_max_location)
+    samples = rng.uniform(obj.space.lower, obj.space.upper, size=(1000, n_dims))
+    best_at_known = obj.evaluate_batch(obj.known_max_location[None, :])[0]
+    assert best_at_known == pytest.approx(obj.known_max_value, abs=1e-3 * n_dims)
     assert np.all(best_at_known >= obj.evaluate_batch(samples))
+    assert obj.eval_count == 1001
+
+
+def test_benchmark_dims_rule():
+    assert benchmark_dims("schwefel226") == 2
+    assert benchmark_dims("schwefel226", 30) == 30
+    assert benchmark_dims("sgo") == benchmark_dims("sgo", 2) == 2
+    assert benchmark_dims("ramp") == 1
+    for name, n_dims in (("sgo", 3), ("rastrigin_offset", 1), ("ramp", 2)):
+        with pytest.raises(ValueError, match=name):
+            benchmark_dims(name, n_dims)
+    with pytest.raises(ValueError, match="unknown"):
+        make_objective("rosenbrock")
 
 
 def test_decision_space_diag_length():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,25 @@ def test_profiles_match_reference_experiments():
     assert (p30.passes, p30.c_th, p30.nt, p30.np0, p30.ipd) == (6, 0.6, 15, 4, "probe_line")
     assert p30.gamma_sweep == tuple(i / 10 for i in range(11))
     assert p30.n_dims == 30
+
+
+def test_profiles_are_immutable():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PROFILES["schwefel2d"].nt = 3
+    with pytest.raises(TypeError):
+        PROFILES["schwefel2d"] = ExperimentConfig()
+    with pytest.raises(TypeError):
+        del PROFILES["schwefel30d"]
+    assert PROFILES["schwefel2d"].nt == 25
+    assert sorted(PROFILES) == ["schwefel2d", "schwefel30d"]
+
+
+def test_config_dimension_follows_the_benchmark_table():
+    assert parse_config("function = ramp\nn_dims = 1\n").n_dims == 1
+    assert parse_config("function = schwefel226\nn_dims = 7\n").n_dims == 7
+    for text in ("function = ramp\n", "function = rastrigin_offset\nn_dims = 30\n"):
+        with pytest.raises(ConfigError, match="n_dims"):
+            parse_config(text)
 
 
 def test_to_dto_config_seed_override():

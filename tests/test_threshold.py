@@ -8,20 +8,11 @@ from dtopt.threshold import (
     LinearRamp,
     ThresholdState,
     apply_threshold,
-    unit_step,
-    update_threshold_best_fitness,
-    update_threshold_linear,
 )
 
 
 def _enabled_state(t):
     return ThresholdState(schedule=BestFitness(), enabled=True, t_current=t)
-
-
-def test_unit_step_values():
-    assert unit_step(0.0) == 1
-    assert unit_step(-1.0) == 0
-    assert unit_step(2.5) == 1
 
 
 def test_apply_threshold_branches():
@@ -57,36 +48,44 @@ def test_argmax_preserved_below_max():
         assert int(np.argmax(floored)) == int(np.argmax(sample))
 
 
+def _linear(k, state):
+    # LinearRamp ignores the pass best; pass one that would change any result
+    return state.schedule.next_threshold(k, state, pass_best=1e6)
+
+
 def test_linear_update_examples():
     state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
                            f_star=800.0, f_min=-1000.0)
-    assert update_threshold_linear(1, state) == pytest.approx(-823.6, abs=1e-9)
+    assert _linear(1, state) == pytest.approx(-823.6, abs=1e-9)
 
     state = ThresholdState(schedule=LinearRamp(c_th=0.6, num_passes=6),
                            f_star=100.0, f_min=0.0)
-    assert update_threshold_linear(3, state) == pytest.approx(30.0, abs=1e-12)
+    assert _linear(3, state) == pytest.approx(30.0, abs=1e-12)
 
 
 def test_linear_update_zero_range_collapses():
     state = ThresholdState(schedule=LinearRamp(c_th=0.7, num_passes=5),
                            f_star=42.5, f_min=42.5)
     for k in range(1, 6):
-        assert update_threshold_linear(k, state) == 42.5
+        assert _linear(k, state) == 42.5
 
 
 def test_linear_update_requires_completed_pass():
     state = ThresholdState(schedule=LinearRamp(c_th=0.5, num_passes=4))
     with pytest.raises(RuntimeError):
-        update_threshold_linear(1, state)
+        _linear(1, state)
     state.f_star = 10.0  # f_min still at its sentinel
     with pytest.raises(RuntimeError):
-        update_threshold_linear(1, state)
+        _linear(1, state)
+    state.f_min = 0.0
+    with pytest.raises(ValueError):
+        _linear(0, state)
 
 
 def test_linear_update_constant_spacing_when_frozen():
     state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
                            f_star=837.9658, f_min=-574.94)
-    thresholds = [update_threshold_linear(k, state) for k in range(1, 11)]
+    thresholds = [_linear(k, state) for k in range(1, 11)]
     diffs = np.diff(thresholds)
     expected = 0.98 * (state.f_star - state.f_min) / 10
     assert np.all(np.abs(diffs - expected) <= 1e-12 * abs(expected))
@@ -97,13 +96,14 @@ def test_linear_cap_below_peak():
     # with c_th < 1 the floor never reaches the best fitness
     state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
                            f_star=837.9658, f_min=-962.0)
-    assert update_threshold_linear(10, state) < state.f_star
+    assert _linear(10, state) < state.f_star
 
 
 def test_best_fitness_update_passthrough():
-    assert update_threshold_best_fitness(580.297) == 580.297
-    assert update_threshold_best_fitness(0.0) == 0.0
-    assert update_threshold_best_fitness(-5.5) == -5.5
+    # the pass best wins over the pass index and the run-wide best and worst
+    state = ThresholdState(schedule=BestFitness(), f_star=900.0, f_min=-900.0)
+    for k, pass_best in enumerate((580.297, 0.0, -5.5), start=1):
+        assert state.schedule.next_threshold(k, state, pass_best) == pass_best
 
 
 def test_sentinels():
