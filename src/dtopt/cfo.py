@@ -139,7 +139,9 @@ def probe_line_ipd(n_probes: int, space: DecisionSpace, gamma: float) -> np.ndar
         for axis in range(space.n_dims):
             step = (space.upper[axis] - space.lower[axis]) / (per_axis - 1)
             for slot in range(per_axis):
-                positions[slot + per_axis * axis, axis] = space.lower[axis] + slot * step
+                # lower + slot * step can round past upper (per_axis = 16 on [-500, 500])
+                positions[slot + per_axis * axis, axis] = min(space.lower[axis] + slot * step,
+                                                              space.upper[axis])
     return positions
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import make_objective
+from dtopt.report import ExperimentConfig, render_passes_csv, render_summary, to_dto_config
 from dtopt.threshold import BestFitness, LinearRamp
 
 
@@ -172,3 +175,47 @@ def test_probe_line_run_deterministic():
     assert report_a.best_value == report_b.best_value
     assert np.array_equal(report_a.best_coords, report_b.best_coords)
     assert [r.threshold for r in report_a.passes] == [r.threshold for r in report_b.passes]
+
+
+# ----- run invariants over random small configs -----
+
+_small_configs = st.builds(
+    ExperimentConfig,
+    n_dims=st.integers(1, 3),
+    passes=st.integers(1, 4),
+    c_th=st.floats(0.05, 1.0),
+    schedule=st.sampled_from(["linear", "best_fitness"]),
+    nt=st.integers(0, 6),
+    np0=st.integers(1, 4),
+    ipd=st.sampled_from(["probe_line", "random"]),
+    gamma_sweep=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(tuple),
+    seed=st.integers(0, 2**31),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_small_configs)
+# 16 probes on one axis of [-500, 500]: lower + 15 * step rounds past upper
+@example(config=ExperimentConfig(n_dims=1, passes=4, nt=0, np0=2, gamma_sweep=(0.0,)))
+def test_run_invariants_hold_on_random_configs(config):
+    dto_config = to_dto_config(config)
+    space = dto_config.objective.space
+    searches = 0
+
+    def observer(pass_index, threshold, result, history):
+        nonlocal searches
+        searches += 1
+        if threshold is not None:
+            assert np.all(history.fitness >= threshold)
+        lower, upper = space.lower[None, :, None], space.upper[None, :, None]
+        assert np.all((history.positions >= lower) & (history.positions <= upper))
+
+    report = run_dto(dto_config, observer=observer)
+    runs_per_pass = len(config.gamma_sweep) if config.ipd == "probe_line" else 1
+    assert searches == config.passes * runs_per_pass
+    assert report.total_evals == (config.np0 * (2**config.passes - 1) * (config.nt + 1)
+                                  * runs_per_pass)
+
+    again = run_dto(to_dto_config(config))
+    assert render_summary(again) == render_summary(report)
+    assert render_passes_csv(again) == render_passes_csv(report)

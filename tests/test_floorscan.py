@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dtopt.floorscan as floorscan
 from dtopt.floorscan import FloorStats, halton_points, sample_threshold_floor
 from dtopt.objectives import DecisionSpace, schwefel226
 
@@ -64,8 +67,13 @@ def test_halton_rejects_negative_index():
 @settings(max_examples=150, deadline=None)
 @given(start=st.integers(0, 2_000_000), n_points=st.integers(0, 4096),
        n_dims=st.integers(1, 30))
-@example(start=0, n_points=4096, n_dims=1)        # stop = 2**12
-@example(start=0, n_points=4097, n_dims=1)        # stop = 2**12 + 1
+# The block is the smallest b**k with b**(2k) >= n_points; the row digits
+# run up to stop = start + n_points.
+@example(start=0, n_points=4096, n_dims=1)        # n_points = 2**12: block 2**6
+@example(start=0, n_points=4097, n_dims=1)        # n_points = 2**12 + 1: block 2**7
+@example(start=5_000, n_points=729, n_dims=2)     # n_points = 3**6: block 3**3
+@example(start=5_000, n_points=730, n_dims=2)     # n_points = 3**6 + 1: block 3**4
+@example(start=1_999_999, n_points=1, n_dims=30)  # n_points = 1: block 1, all digits per row
 @example(start=1_048_576 - 4096, n_points=4096, n_dims=2)   # stop = 2**20
 @example(start=1_048_576 - 4095, n_points=4096, n_dims=2)   # stop = 2**20 + 1
 @example(start=1_594_323 - 100, n_points=100, n_dims=2)     # stop = 3**13
@@ -88,17 +96,88 @@ def test_halton_points_returns_fresh_writable_array():
     assert np.all(halton_points(10, 2) >= 0.0)
 
 
+def _chunk_rows(n_dims):
+    return max(floorscan._MIN_CHUNK_ROWS, floorscan._CHUNK_VALUES // n_dims)
+
+
+def _one_shot_stats(func, space, threshold, n_samples, margin=floorscan.DEFAULT_FLOOR_MARGIN):
+    """Every sample in one batch: the oracle for the streamed estimate."""
+    points = space.lower + halton_points(n_samples, space.n_dims) * (space.upper - space.lower)
+    g = np.maximum(func(points), threshold)
+    n_on_floor = int(np.count_nonzero(g - threshold <= margin))
+    return FloorStats(n_samples, n_on_floor, 1.0 - n_on_floor / n_samples, threshold, margin)
+
+
 def test_sample_points_are_affine_image_of_halton():
     space = DecisionSpace(np.array([-500.0, -5.12, 0.1]), np.array([500.0, 5.12, 0.7]))
+    n_samples = 2 * _chunk_rows(3) + 5
     seen = []
 
     def record(points):
         seen.append(points.copy())
         return np.zeros(len(points))
 
-    sample_threshold_floor(record, space, threshold=0.0, n_samples=3000)
-    expected = space.lower + halton_points(3000, 3) * (space.upper - space.lower)
-    assert np.array_equal(seen[0].view(np.int64), expected.view(np.int64))
+    sample_threshold_floor(record, space, threshold=0.0, n_samples=n_samples)
+    assert len(seen) > 1
+    expected = space.lower + halton_points(n_samples, 3) * (space.upper - space.lower)
+    assert np.array_equal(np.concatenate(seen).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("n_dims", [1, 2, 30, 64])
+@pytest.mark.parametrize("extra", ["-1", "0", "+1", "*3+7"])
+def test_streamed_stats_match_one_shot_at_chunk_boundaries(n_dims, extra):
+    chunk = _chunk_rows(n_dims)
+    n_samples = {"-1": chunk - 1, "0": chunk, "+1": chunk + 1, "*3+7": 3 * chunk + 7}[extra]
+    space = DecisionSpace.cube(n_dims, -500.0, 500.0)
+    threshold = 0.0 if n_dims > 1 else 200.0
+    stats = sample_threshold_floor(schwefel226, space, threshold, n_samples)
+    assert stats == _one_shot_stats(schwefel226, space, threshold, n_samples)
+    assert 0 < stats.n_on_floor < n_samples
+
+
+def test_streamed_memory_is_bounded():
+    # The 200,000 x 30 points alone would take 48 MB in one batch.
+    space = DecisionSpace.cube(30, -500.0, 500.0)
+    tracemalloc.start()
+    try:
+        stats = sample_threshold_floor(schwefel226, space, 0.0, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert stats.n_samples == 200_000
+
+
+def test_infinite_values_count_by_sign():
+    def signed_inf(points):
+        return np.where(points[:, 0] < 0.5, -np.inf, np.inf)
+
+    stats = sample_threshold_floor(signed_inf, UNIT_1D, threshold=0.25, n_samples=1000)
+    assert stats.n_on_floor == int(np.count_nonzero(halton_points(1000, 1)[:, 0] < 0.5)) == 500
+    assert sample_threshold_floor(lambda p: np.full(len(p), np.inf), UNIT_1D,
+                                  0.25, 1000).n_on_floor == 0
+    assert sample_threshold_floor(lambda p: np.full(len(p), -np.inf), UNIT_1D,
+                                  0.25, 1000).n_on_floor == 1000
+
+
+def test_nan_value_is_an_error_naming_the_count():
+    def nan_above_09(points):
+        return np.where(points[:, 0] > 0.9, np.nan, points[:, 0])
+
+    expected_bad = int(np.count_nonzero(halton_points(1000, 1)[:, 0] > 0.9))
+    with pytest.raises(ValueError, match=f"NaN for {expected_bad} of the 1000 samples"):
+        sample_threshold_floor(nan_above_09, UNIT_1D, threshold=0.5, n_samples=1000)
+
+
+@pytest.mark.parametrize("bad_result", [
+    lambda p: p,                       # shape (m, 1)
+    lambda p: p[:-1, 0],               # one value short
+    lambda p: 0.5,                     # a scalar
+    lambda p: np.zeros((len(p), 2)),   # two values per sample
+])
+def test_result_not_one_value_per_sample_is_an_error(bad_result):
+    with pytest.raises(ValueError, match=r"func must return shape \(1000,\)"):
+        sample_threshold_floor(bad_result, UNIT_1D, threshold=0.5, n_samples=1000)
 
 
 def test_ramp_midpoint_estimate():
