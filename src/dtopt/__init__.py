@@ -5,7 +5,7 @@ with a rising threshold, driven by a central force optimization inner search,
 plus a quasirandom estimator of how much landscape the floor has flattened.
 """
 
-from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, run_cfo
+from .cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from .driver import DtoConfig, PassRecord, RunReport, run_dto
 from .floorscan import FloorStats, sample_threshold_floor
 from .objectives import BENCHMARKS, DecisionSpace, ObjectiveSpec, make_objective

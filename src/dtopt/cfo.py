@@ -46,6 +46,12 @@ FLOOR_MARGIN = 0.005  # minimum clearance a repositioned probe must reach
 MAX_REPOSITION_TRIES = 10_000
 _TILE_ROWS = 64  # probes per row tile of the acceleration kernel
 
+# Parameter-free CFO fixes G = 2, dt = 1 and alpha = beta = 2 (the kernel
+# squares the fitness gap and divides by the squared distance; a move adds
+# 0.5 * A), and starts the retrieval factor at 0.5.
+_G_CONST = 2.0
+_FREP_INIT = 0.5
+
 
 @dataclass
 class ProbeLine:
@@ -71,11 +77,6 @@ class CfoParams:
     n_probes: int
     n_steps: int
     ipd: ProbeLine | RandomUniform
-    g_const: float = 2.0
-    delta_t: float = 1.0
-    alpha: float = 2.0
-    beta: float = 2.0
-    frep_init: float = 0.5
     floor_repositioning: bool = False
 
     def __post_init__(self):
@@ -83,8 +84,6 @@ class CfoParams:
             raise ValueError("n_probes must be >= 1")
         if self.n_steps < 0:
             raise ValueError("n_steps must be >= 0")
-        if not 0.05 <= self.frep_init <= 1.0:
-            raise ValueError("frep_init must lie in [0.05, 1]")
 
 
 @dataclass
@@ -118,8 +117,6 @@ class OptResult:
     worst_value: float
     best_probe: int
     best_step: int
-    worst_probe: int
-    worst_step: int
     evals_used: int
 
 
@@ -152,11 +149,9 @@ def random_ipd(n_probes: int, space: DecisionSpace, rng: np.random.Generator) ->
 
 def step_positions(history: SwarmHistory, j: int, accels: np.ndarray,
                    params: CfoParams) -> None:
-    """Ballistic move: R_j = R_{j-1} + 0.5 * A_{j-1} * dt^2, where ``accels``
-    is the (probe, dim) array A_{j-1} of the previous step."""
-    history.positions[:, :, j] = (
-        history.positions[:, :, j - 1] + 0.5 * accels * params.delta_t**2
-    )
+    """Ballistic move with dt = 1: R_j = R_{j-1} + 0.5 * A_{j-1}, where
+    ``accels`` is the (probe, dim) array A_{j-1} of the previous step."""
+    history.positions[:, :, j] = history.positions[:, :, j - 1] + 0.5 * accels
 
 
 def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionSpace) -> None:
@@ -181,9 +176,9 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     """Gravity-style (probe, dim) accelerations from the step-j fitness field.
 
     Probe p feels, from each other probe k, a pull along (R_k - R_p) weighted
-    by g_const * max(M_k - M_p, 0)^alpha / distance^beta; only better-fitness
-    probes attract. Pairs at zero distance contribute nothing, which keeps
-    coincident probes finite and motionless.
+    by 2 * max(M_k - M_p, 0)^2 / distance^2; only better-fitness probes
+    attract. Pairs at zero distance contribute nothing, which keeps
+    coincident probes finite and motionless. ``params`` sets nothing here.
 
     The probes are visited in ascending fitness order (a stable sort), in
     tiles of ``_TILE_ROWS`` rows. A tile only meets the columns whose fitness
@@ -213,19 +208,13 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
             d2 += buf
         np.subtract(fit[None, k0:], fit[r0:r1, None], out=buf)  # buf[p, k] = M_k - M_p
         np.maximum(buf, 0.0, out=buf)
-        if params.alpha == 2.0:
-            np.multiply(buf, buf, out=buf)
-        else:
-            np.power(buf, params.alpha, out=buf)
+        np.multiply(buf, buf, out=buf)
         zero_pairs = d2 == 0.0
         if zero_pairs.any():
             d2[zero_pairs] = 1.0
             buf[zero_pairs] = 0.0
-        if params.beta != 2.0:  # beta == 2 divides by the squared distance directly
-            np.sqrt(d2, out=d2)
-            np.power(d2, params.beta, out=d2)
         np.divide(buf, d2, out=buf)
-        buf *= params.g_const
+        buf *= _G_CONST
         accels[order[r0:r1]] = buf @ cols - buf.sum(axis=1, keepdims=True) * rows
     return accels
 
@@ -291,17 +280,31 @@ def reposition_floor_probes(
         and tries < max_tries
     ):
         history.positions[probe, :, step] = rng.uniform(space.lower, space.upper)
-        raw = objective.evaluate_batch(history.positions[None, probe, :, step])[0]
-        history.fitness[probe, step] = apply_threshold(raw, threshold)
+        history.fitness[probe, step] = _fitness(
+            objective, history.positions[None, probe, :, step], threshold, step)[0]
         tries += 1
     return tries
 
 
-def _evaluate_step(history, j, objective, threshold, params, rng):
-    raw = objective.evaluate_batch(history.positions[:, :, j])
+def _fitness(objective, points, threshold, step):
+    """Evaluate a batch of points and floor it at the threshold, if any.
+
+    A NaN or +-inf value raises ValueError naming the step and the count; no
+    threshold can be set from it. The check precedes the floor, which would
+    hide a -inf.
+    """
+    raw = objective.evaluate_batch(points)
+    if not np.isfinite(raw).all():
+        bad = np.count_nonzero(~np.isfinite(raw))
+        raise ValueError(f"step {step}: the objective returned {bad} non-finite "
+                         f"value(s) (NaN or +-inf) in a batch of {raw.size}")
     if threshold is not None:
         raw = apply_threshold(raw, threshold)
-    history.fitness[:, j] = raw
+    return raw
+
+
+def _evaluate_step(history, j, objective, threshold, params, rng):
+    history.fitness[:, j] = _fitness(objective, history.positions[:, :, j], threshold, j)
     if params.floor_repositioning:
         for p in range(history.n_probes):
             reposition_floor_probes(history, p, j, threshold, objective, rng)
@@ -338,7 +341,7 @@ def run_cfo(
     _evaluate_step(history, 0, objective, threshold, params, rng)
     accels = np.zeros((params.n_probes, space.n_dims))  # step 0 does not accelerate
 
-    frep = params.frep_init
+    frep = _FREP_INIT
     for j in range(1, params.n_steps + 1):
         step_positions(history, j, accels, params)
         retrieve_errant(history, j, frep, space)
@@ -347,15 +350,13 @@ def run_cfo(
         frep = cycle_frep(frep)
 
     best_value, best_probe, best_step = scan_best(history, params.n_steps)
-    worst_value, worst_probe, worst_step = scan_worst(history, params.n_steps)
+    worst_value, _, _ = scan_worst(history, params.n_steps)
     result = OptResult(
         best_coords=history.positions[best_probe, :, best_step].copy(),
         best_value=best_value,
         worst_value=worst_value,
         best_probe=best_probe,
         best_step=best_step,
-        worst_probe=worst_probe,
-        worst_step=worst_step,
         evals_used=objective.eval_count - evals_before,
     )
     return result, history

@@ -71,9 +71,12 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
     fitness. ``observer``, when given, is called after every inner search with
     the pass index, the threshold active during that pass (None on pass 1),
     the search result, and its full history.
+
+    A NaN or +-inf objective value ends the run in ValueError naming the
+    pass, the search (its gamma or seed), the step and the count.
     """
     objective = config.objective
-    state = ThresholdState(schedule=config.schedule)
+    state = ThresholdState()
     rng = None
     if isinstance(config.cfo.ipd, RandomUniform):
         rng = np.random.default_rng(config.cfo.ipd.seed)
@@ -92,7 +95,12 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
         else:
             runs = [replace(config.cfo, n_probes=n_probes)]
         for params in runs:
-            result, history = run_cfo(params, objective, state, rng=rng)
+            try:
+                result, history = run_cfo(params, objective, state, rng=rng)
+            except ValueError as exc:
+                search = (f"gamma {params.ipd.gamma}" if isinstance(params.ipd, ProbeLine)
+                          else f"seed {params.ipd.seed}")
+                raise ValueError(f"pass {pass_index}, search at {search}: {exc}") from exc
             if result.worst_value <= state.f_min:
                 state.f_min = result.worst_value
             if result.best_value >= state.f_star:
@@ -107,7 +115,8 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
             best_fitness=pass_best,
             cumulative_evals=objective.eval_count - evals_start,
         ))
-        state.t_current = config.schedule.next_threshold(pass_index, state, pass_best)
+        state.t_current = config.schedule.next_threshold(
+            pass_index, config.num_passes, state, pass_best)
         if config.probe_doubling:
             n_probes *= 2
         state.enabled = True

@@ -27,7 +27,6 @@ __all__ = [
     "ConfigError",
     "PROFILES",
     "parse_config",
-    "write_config",
     "to_dto_config",
     "fmt",
     "write_summary",
@@ -162,23 +161,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def write_config(config: ExperimentConfig) -> str:
-    """Render a config as text; parse_config(write_config(c)) == c."""
-    lines = []
-    for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if f.name == "gamma_sweep":
-            rendered = ",".join(fmt(g) for g in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = fmt(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
-
-
 def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfig:
     """Build the executable run description; ``seed`` overrides the config's."""
     if seed is not None:
@@ -195,7 +177,7 @@ def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfi
         floor_repositioning=config.floor_repositioning,
     )
     if config.schedule == "linear":
-        schedule = LinearRamp(c_th=config.c_th, num_passes=config.passes)
+        schedule = LinearRamp(c_th=config.c_th)
     else:
         schedule = BestFitness()
     return DtoConfig(

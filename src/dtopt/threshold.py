@@ -5,7 +5,7 @@ removing local maxima from the searchable landscape while leaving everything
 above T untouched. Two schedules are shipped: a linear ramp over the observed
 fitness range (the default) and a follow-the-best-fitness rule. Each one
 computes the threshold for the next pass with
-``next_threshold(k, state, pass_best)``.
+``next_threshold(k, num_passes, state, pass_best)``.
 """
 
 from __future__ import annotations
@@ -33,16 +33,15 @@ class LinearRamp:
     """Threshold rises linearly with completed passes, capped at c_th of the range."""
 
     c_th: float
-    num_passes: int
 
     def __post_init__(self):
         if not 0.0 < self.c_th <= 1.0:
             raise ValueError("c_th must lie in (0, 1]")
-        if self.num_passes < 1:
-            raise ValueError("num_passes must be a positive integer")
 
-    def next_threshold(self, k: int, state: ThresholdState, pass_best: float) -> float:
-        """Threshold after completed pass k: F_min + (c_th * k / P) * (F* - F_min).
+    def next_threshold(self, k: int, num_passes: int, state: ThresholdState,
+                       pass_best: float) -> float:
+        """Threshold after completed pass k of P = num_passes:
+        F_min + (c_th * k / P) * (F* - F_min).
 
         The returned value governs pass k + 1. Requires at least one completed
         pass so that f_star and f_min hold real fitnesses.
@@ -51,7 +50,7 @@ class LinearRamp:
             raise ValueError("pass index k must be >= 1")
         if state.f_star == BEST_SENTINEL or state.f_min == WORST_SENTINEL:
             raise RuntimeError("threshold update before any completed pass")
-        fraction = self.c_th * k / self.num_passes
+        fraction = self.c_th * k / num_passes
         return state.f_min + fraction * (state.f_star - state.f_min)
 
 
@@ -59,7 +58,8 @@ class LinearRamp:
 class BestFitness:
     """Each new threshold is the best fitness the completed pass returned."""
 
-    def next_threshold(self, k: int, state: ThresholdState, pass_best: float) -> float:
+    def next_threshold(self, k: int, num_passes: int, state: ThresholdState,
+                       pass_best: float) -> float:
         return pass_best
 
 
@@ -75,7 +75,6 @@ class ThresholdState:
     fitness observed over all passes so far.
     """
 
-    schedule: Schedule
     enabled: bool = False
     t_current: float = BEST_SENTINEL
     f_star: float = BEST_SENTINEL

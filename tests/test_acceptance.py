@@ -17,7 +17,7 @@ from dtopt.driver import DtoConfig, run_dto
 from dtopt.floorscan import sample_threshold_floor
 from dtopt.objectives import DecisionSpace, make_objective, schwefel226, sgo
 from dtopt.report import PROFILES, to_dto_config
-from dtopt.threshold import BestFitness, LinearRamp, ThresholdState, apply_threshold
+from dtopt.threshold import LinearRamp, ThresholdState, apply_threshold
 
 # Thresholds of the reference 2-D run, passes 2..10; spacing stabilizes once
 # the observed fitness range stops moving.
@@ -80,9 +80,9 @@ def test_criterion_3_benchmark_spot_values():
 def test_criterion_4_linear_ramp_spacing():
     failures = []
     # frozen range: successive thresholds differ by exactly c_th*(F*-F_min)/P
-    state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
-                           f_star=837.9658, f_min=-448.84)
-    thresholds = [state.schedule.next_threshold(k, state, state.f_star) for k in range(1, 11)]
+    ramp = LinearRamp(c_th=0.98)
+    state = ThresholdState(f_star=837.9658, f_min=-448.84)
+    thresholds = [ramp.next_threshold(k, 10, state, state.f_star) for k in range(1, 11)]
     diffs = np.diff(thresholds)
     expected = 0.98 * (state.f_star - state.f_min) / 10
     if not np.all(np.abs(diffs - expected) <= 1e-12 * abs(expected)):
@@ -92,10 +92,8 @@ def test_criterion_4_linear_ramp_spacing():
     if not np.all(np.abs(ref_diffs - 126.11) <= 0.05):
         failures.append(f"reference spacing {ref_diffs} not ~126.1")
     implied_range = float(np.mean(ref_diffs)) * 10 / 0.98
-    state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
-                           f_star=implied_range / 2, f_min=-implied_range / 2)
-    model = np.diff([state.schedule.next_threshold(k, state, state.f_star)
-                     for k in range(1, 11)])
+    state = ThresholdState(f_star=implied_range / 2, f_min=-implied_range / 2)
+    model = np.diff([ramp.next_threshold(k, 10, state, state.f_star) for k in range(1, 11)])
     if not np.all(np.abs(model - np.mean(ref_diffs)) <= 1e-9):
         failures.append("schedule does not reproduce the reference spacing")
     _criterion(4, "linear ramp spacing constant, ~126.1 on the reference range", failures)
@@ -123,8 +121,7 @@ def test_criterion_5_floor_invariant_suite():
             ipd = RandomUniform(seed=int(rng.integers(0, 2**31)))
         config = DtoConfig(
             num_passes=num_passes,
-            schedule=LinearRamp(c_th=float(rng.uniform(0.3, 1.0)),
-                                num_passes=num_passes),
+            schedule=LinearRamp(c_th=float(rng.uniform(0.3, 1.0))),
             cfo=CfoParams(n_probes=int(rng.integers(2, 6)),
                           n_steps=int(rng.integers(1, 5)), ipd=ipd),
             objective=make_objective("schwefel226", n_dims),
@@ -137,7 +134,7 @@ def test_criterion_5_floor_invariant_suite():
     # apply_threshold is exactly max(f, T) on a million random pairs
     f_vals = rng.uniform(-1e9, 1e9, size=1_000_000)
     t_vals = rng.uniform(-1e9, 1e9, size=1_000_000)
-    state = ThresholdState(schedule=BestFitness(), enabled=True)
+    state = ThresholdState(enabled=True)
     mismatches = 0
     for f, t in zip(f_vals, t_vals):
         state.t_current = t

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from dtopt.cfo import (
     step_positions,
 )
 from dtopt.objectives import DecisionSpace, make_objective
-from dtopt.threshold import BestFitness, ThresholdState
+from dtopt.threshold import ThresholdState
 
 
 def _params(n_probes=4, n_steps=5, **kw):
@@ -165,11 +166,11 @@ def test_acceleration_pulls_worse_toward_better():
         assert np.array_equal(accels[better], np.zeros(n_dims))
 
 
-def _dense_accelerations(pos, fit, params):
+def _dense_accelerations(pos, fit):
     """The all-pairs N x N kernel the tiled one replaced, kept as its oracle.
 
     Returns the (probe, dim) accelerations and the (p, k) pair weights
-    g_const * max(M_k - M_p, 0)^alpha / distance^beta (zero at zero distance).
+    2 * max(M_k - M_p, 0)^2 / distance^2 (zero at zero distance).
     """
     n_probes = pos.shape[0]
     d2 = np.zeros((n_probes, n_probes))
@@ -182,26 +183,17 @@ def _dense_accelerations(pos, fit, params):
     zero_pairs = d2 == 0.0
     np.subtract(fit[None, :], fit[:, None], out=buf)  # buf[p, k] = M_k - M_p
     np.maximum(buf, 0.0, out=buf)
-    if params.alpha == 2.0:
-        np.multiply(buf, buf, out=buf)
-    else:
-        np.power(buf, params.alpha, out=buf)
-    if params.beta != 2.0:
-        np.sqrt(d2, out=d2)
-        np.power(d2, params.beta, out=d2)
+    np.multiply(buf, buf, out=buf)
     d2[zero_pairs] = 1.0
     np.divide(buf, d2, out=buf)
-    buf *= params.g_const
+    buf *= 2.0
     buf[zero_pairs] = 0.0
     return buf @ pos - buf.sum(axis=1, keepdims=True) * pos, buf
 
 
-_EXPONENTS = (0.5, 1.0, 2.0, 3.0)
-
-
 @st.composite
 def _kernel_inputs(draw):
-    """Positions, fitness and exponents for one kernel call.
+    """Positions and fitness for one kernel call.
 
     Fitness is floored at a drawn quantile, so a share of the probes (all of
     them at quantile 1) sits on one plateau; the rest are continuous or drawn
@@ -211,8 +203,6 @@ def _kernel_inputs(draw):
     """
     n = draw(st.integers(1, 200))
     n_dims = draw(st.sampled_from([1, 2, 30]))
-    alpha = draw(st.sampled_from(_EXPONENTS))
-    beta = draw(st.sampled_from(_EXPONENTS))
     n_levels = draw(st.sampled_from([0, 1, 3]))  # 0: continuous fitness
     floor_quantile = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
     n_sites = draw(st.integers(1, n))
@@ -224,22 +214,21 @@ def _kernel_inputs(draw):
     fit = np.maximum(fit, np.quantile(fit, floor_quantile, method="lower"))
     sites = rng.uniform(-500.0, 500.0, size=(n_sites, n_dims))
     pos = sites[rng.integers(0, n_sites, n)]
-    return pos, fit, alpha, beta
+    return pos, fit
 
 
 @settings(max_examples=200, deadline=None)
 @given(_kernel_inputs())
-@example((np.array([[3.0, -1.0]]), np.array([5.0]), 2.0, 2.0))  # N = 1
+@example((np.array([[3.0, -1.0]]), np.array([5.0])))  # N = 1
 # all-equal fitness over three tiles
-@example((np.random.default_rng(3).uniform(-9, 9, (150, 2)), np.full(150, 4.0), 1.0, 3.0))
+@example((np.random.default_rng(3).uniform(-9, 9, (150, 2)), np.full(150, 4.0)))
 def test_acceleration_matches_dense_oracle(inputs):
-    pos, fit, alpha, beta = inputs
-    params = _params(n_probes=pos.shape[0], n_steps=1, alpha=alpha, beta=beta)
+    pos, fit = inputs
     hist = SwarmHistory.allocate(*pos.shape, 1)
     hist.positions[:, :, 1] = pos
     hist.fitness[:, 1] = fit
-    got = compute_accelerations(hist, 1, params)
-    expected, weights = _dense_accelerations(pos, fit, params)
+    got = compute_accelerations(hist, 1, _params(n_probes=pos.shape[0], n_steps=1))
+    expected, weights = _dense_accelerations(pos, fit)
     # scale[p] = sum_k w_pk (|R_k| + |R_p|), per coordinate: the size of the
     # terms the sum cancels, which bounds any reordering of it.
     scale = weights @ np.abs(pos) + weights.sum(axis=1, keepdims=True) * np.abs(pos)
@@ -332,7 +321,7 @@ def test_reposition_noop_when_threshold_disabled():
     obj = _StubObjective(0.5)
     hist = SwarmHistory.allocate(1, 2, 0)
     hist.fitness[0, 0] = 0.0
-    state = ThresholdState(schedule=BestFitness(), enabled=False, t_current=0.5)
+    state = ThresholdState(enabled=False, t_current=0.5)
     tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(0))
     assert tries == 0 and obj.eval_count == 0
     assert reposition_floor_probes(hist, 0, 0, None, obj, np.random.default_rng(0)) == 0
@@ -341,7 +330,7 @@ def test_reposition_noop_when_threshold_disabled():
 def test_reposition_skips_probe_above_margin():
     obj = _StubObjective(0.5)
     hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(schedule=BestFitness(), enabled=True, t_current=0.5)
+    state = ThresholdState(enabled=True, t_current=0.5)
     hist.fitness[0, 0] = 1.0  # 0.5 above the floor
     before = hist.positions[0, :, 0].copy()
     assert reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(0)) == 0
@@ -351,7 +340,7 @@ def test_reposition_skips_probe_above_margin():
 def test_reposition_lifts_probe_off_floor():
     obj = _StubObjective(0.5)
     hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(schedule=BestFitness(), enabled=True, t_current=0.5)
+    state = ThresholdState(enabled=True, t_current=0.5)
     hist.fitness[0, 0] = 0.5  # on the floor (raw 0 floored up to T)
     tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(12))
     assert tries >= 1
@@ -363,7 +352,7 @@ def test_reposition_lifts_probe_off_floor():
 def test_reposition_gives_up_after_max_tries():
     obj = _StubObjective(2.0)  # cutoff outside the domain: nothing clears the floor
     hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(schedule=BestFitness(), enabled=True, t_current=0.5)
+    state = ThresholdState(enabled=True, t_current=0.5)
     hist.fitness[0, 0] = 0.5
     tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(3),
                                     max_tries=500)
@@ -442,7 +431,7 @@ def test_run_cfo_result_provenance():
     params = CfoParams(n_probes=4, n_steps=8, ipd=ProbeLine(0.7))
     result, hist = run_cfo(params, obj)
     assert result.best_value == hist.fitness[result.best_probe, result.best_step]
-    assert result.worst_value == hist.fitness[result.worst_probe, result.worst_step]
+    assert result.worst_value == hist.fitness.min()
     assert result.best_value >= result.worst_value
     assert np.array_equal(result.best_coords,
                           hist.positions[result.best_probe, :, result.best_step])
@@ -451,10 +440,10 @@ def test_run_cfo_result_provenance():
 
 
 def test_cfo_params_defaults():
-    params = _params()
-    assert (params.g_const, params.delta_t, params.alpha, params.beta) == (2.0, 1.0, 2.0, 2.0)
-    assert params.frep_init == 0.5
-    assert params.floor_repositioning is False
+    # parameter-free CFO: G, dt, alpha, beta and the first retrieval factor are fixed
+    assert [f.name for f in dataclasses.fields(CfoParams)] == [
+        "n_probes", "n_steps", "ipd", "floor_repositioning"]
+    assert _params().floor_repositioning is False
 
 
 def test_cfo_params_validation():
@@ -462,5 +451,3 @@ def test_cfo_params_validation():
         CfoParams(n_probes=0, n_steps=1, ipd=ProbeLine(0.5))
     with pytest.raises(ValueError):
         CfoParams(n_probes=2, n_steps=1, ipd=ProbeLine(1.5))
-    with pytest.raises(ValueError):
-        CfoParams(n_probes=2, n_steps=1, ipd=ProbeLine(0.5), frep_init=0.01)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from dtopt.driver import DtoConfig, run_dto
-from dtopt.objectives import make_objective
+from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
 from dtopt.report import ExperimentConfig, render_passes_csv, render_summary, to_dto_config
 from dtopt.threshold import BestFitness, LinearRamp
 
@@ -20,7 +20,7 @@ def _probe_line_config(num_passes=3, np0=2, nt=3, gamma_sweep=(0.0, 0.5, 1.0),
     first_gamma = gamma_sweep[0] if gamma_sweep else 0.0
     return DtoConfig(
         num_passes=num_passes,
-        schedule=LinearRamp(c_th=c_th, num_passes=num_passes),
+        schedule=LinearRamp(c_th=c_th),
         cfo=CfoParams(n_probes=np0, n_steps=nt, ipd=ProbeLine(first_gamma)),
         objective=make_objective("schwefel226", n_dims),
         probe_doubling=doubling,
@@ -31,7 +31,7 @@ def _probe_line_config(num_passes=3, np0=2, nt=3, gamma_sweep=(0.0, 0.5, 1.0),
 def _random_config(num_passes=4, np0=3, nt=2, seed=5, c_th=0.9):
     return DtoConfig(
         num_passes=num_passes,
-        schedule=LinearRamp(c_th=c_th, num_passes=num_passes),
+        schedule=LinearRamp(c_th=c_th),
         cfo=CfoParams(n_probes=np0, n_steps=nt, ipd=RandomUniform(seed=seed)),
         objective=make_objective("schwefel226", 2),
     )
@@ -162,6 +162,11 @@ def test_double_probes():
     assert report.total_evals == expected_evals(1, 0, sizes)
 
 
+def test_num_passes_validation():
+    with pytest.raises(ValueError, match="num_passes"):
+        _random_config(num_passes=0)
+
+
 def test_gamma_sweep_validation():
     with pytest.raises(ValueError):
         _probe_line_config(gamma_sweep=())
@@ -219,3 +224,55 @@ def test_run_invariants_hold_on_random_configs(config):
     again = run_dto(to_dto_config(config))
     assert render_summary(again) == render_summary(report)
     assert render_passes_csv(again) == render_passes_csv(report)
+
+
+# ----- non-finite objective values -----
+
+def _schwefel_turning_bad(value, after, batch_rows=None):
+    """2-D Schwefel whose first value of a batch becomes ``value`` once
+    ``after`` points have been evaluated, only in batches of ``batch_rows``
+    rows when that is given."""
+    seen = 0
+
+    def func(points):
+        nonlocal seen
+        out = schwefel226(points)
+        if seen >= after and batch_rows in (None, len(points)):
+            out[0] = value
+        seen += len(points)
+        return out
+
+    return ObjectiveSpec(func, DecisionSpace.cube(2, -500.0, 500.0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("ipd, bad_pass, search", [
+    ("random", 1, "seed 5"),
+    ("random", 2, "seed 5"),
+    ("probe_line", 1, "gamma 0.0"),
+    ("probe_line", 2, "gamma 0.5"),  # the second search of pass 2
+])
+def test_non_finite_objective_value_names_pass_search_step_and_count(value, ipd, bad_pass,
+                                                                     search):
+    np0, nt = 4, 3
+    if ipd == "random":
+        config = _random_config(num_passes=3, np0=np0, nt=nt, seed=5)
+        after = 0 if bad_pass == 1 else np0 * (nt + 1)
+    else:
+        config = _probe_line_config(num_passes=3, np0=np0, nt=nt)
+        after = 0 if bad_pass == 1 else 3 * np0 * (nt + 1) + 2 * np0 * (nt + 1)
+    config.objective = _schwefel_turning_bad(value, after)
+    message = f"pass {bad_pass}, search at {search}: step 0: .* 1 non-finite"
+    with pytest.raises(ValueError, match=message):
+        run_dto(config)
+
+
+def test_non_finite_value_in_a_floor_redraw_is_an_error():
+    # only the one-row batches of floor repositioning see the NaN
+    config = _random_config(num_passes=3, np0=8, nt=3, seed=5)
+    config.cfo = CfoParams(n_probes=8, n_steps=3, ipd=RandomUniform(seed=5),
+                           floor_repositioning=True)
+    config.objective = _schwefel_turning_bad(np.nan, 0, batch_rows=1)
+    with pytest.raises(ValueError, match=r"pass 2, search at seed 5: step \d+: .* 1 non-finite "
+                                         r".* batch of 1$"):
+        run_dto(config)

@@ -18,7 +18,6 @@ from dtopt.report import (
     render_surface,
     render_surface_command,
     to_dto_config,
-    write_config,
 )
 
 
@@ -37,17 +36,31 @@ def _sample_report():
 
 # ----- config files -----
 
-def test_config_roundtrip_exact():
-    config = ExperimentConfig(function="schwefel226", n_dims=30, passes=6, c_th=0.6,
-                              schedule="linear", nt=15, np0=4, ipd="probe_line",
-                              gamma_sweep=(0.0, 0.25, 1.0), seed=99,
-                              probe_doubling=False, floor_repositioning=True,
-                              output_dir="out/x")
-    assert parse_config(write_config(config)) == config
-
-
-def test_config_defaults_roundtrip():
-    assert parse_config(write_config(ExperimentConfig())) == ExperimentConfig()
+def test_config_text_sets_every_key():
+    text = """
+function = ramp
+n_dims = 1
+passes = 3
+c_th = 0.25
+schedule = best_fitness
+nt = 7
+np0 = 5
+ipd = random
+gamma_sweep = 0.125, 0.5
+seed = 99
+probe_doubling = false
+floor_repositioning = yes
+output_dir = out/x
+"""
+    expected = ExperimentConfig(function="ramp", n_dims=1, passes=3, c_th=0.25,
+                                schedule="best_fitness", nt=7, np0=5, ipd="random",
+                                gamma_sweep=(0.125, 0.5), seed=99, probe_doubling=False,
+                                floor_repositioning=True, output_dir="out/x")
+    assert parse_config(text) == expected
+    defaults = ExperimentConfig()
+    assert all(getattr(expected, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(ExperimentConfig))
+    assert parse_config("") == defaults
 
 
 def test_unknown_key_reports_line_number():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from dtopt.threshold import (
 
 
 def _enabled_state(t):
-    return ThresholdState(schedule=BestFitness(), enabled=True, t_current=t)
+    return ThresholdState(enabled=True, t_current=t)
 
 
 def test_apply_threshold_branches():
@@ -22,7 +24,7 @@ def test_apply_threshold_branches():
 
 
 def test_apply_threshold_disabled_passthrough():
-    state = ThresholdState(schedule=BestFitness(), enabled=False, t_current=1e9)
+    state = ThresholdState(enabled=False, t_current=1e9)
     assert apply_threshold(-123.0, state) == -123.0
 
 
@@ -48,44 +50,40 @@ def test_argmax_preserved_below_max():
         assert int(np.argmax(floored)) == int(np.argmax(sample))
 
 
-def _linear(k, state):
+def _linear(c_th, k, num_passes, state):
     # LinearRamp ignores the pass best; pass one that would change any result
-    return state.schedule.next_threshold(k, state, pass_best=1e6)
+    return LinearRamp(c_th).next_threshold(k, num_passes, state, pass_best=1e6)
 
 
 def test_linear_update_examples():
-    state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
-                           f_star=800.0, f_min=-1000.0)
-    assert _linear(1, state) == pytest.approx(-823.6, abs=1e-9)
+    state = ThresholdState(f_star=800.0, f_min=-1000.0)
+    assert _linear(0.98, 1, 10, state) == pytest.approx(-823.6, abs=1e-9)
 
-    state = ThresholdState(schedule=LinearRamp(c_th=0.6, num_passes=6),
-                           f_star=100.0, f_min=0.0)
-    assert _linear(3, state) == pytest.approx(30.0, abs=1e-12)
+    state = ThresholdState(f_star=100.0, f_min=0.0)
+    assert _linear(0.6, 3, 6, state) == pytest.approx(30.0, abs=1e-12)
 
 
 def test_linear_update_zero_range_collapses():
-    state = ThresholdState(schedule=LinearRamp(c_th=0.7, num_passes=5),
-                           f_star=42.5, f_min=42.5)
+    state = ThresholdState(f_star=42.5, f_min=42.5)
     for k in range(1, 6):
-        assert _linear(k, state) == 42.5
+        assert _linear(0.7, k, 5, state) == 42.5
 
 
 def test_linear_update_requires_completed_pass():
-    state = ThresholdState(schedule=LinearRamp(c_th=0.5, num_passes=4))
+    state = ThresholdState()
     with pytest.raises(RuntimeError):
-        _linear(1, state)
+        _linear(0.5, 1, 4, state)
     state.f_star = 10.0  # f_min still at its sentinel
     with pytest.raises(RuntimeError):
-        _linear(1, state)
+        _linear(0.5, 1, 4, state)
     state.f_min = 0.0
     with pytest.raises(ValueError):
-        _linear(0, state)
+        _linear(0.5, 0, 4, state)
 
 
 def test_linear_update_constant_spacing_when_frozen():
-    state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
-                           f_star=837.9658, f_min=-574.94)
-    thresholds = [_linear(k, state) for k in range(1, 11)]
+    state = ThresholdState(f_star=837.9658, f_min=-574.94)
+    thresholds = [_linear(0.98, k, 10, state) for k in range(1, 11)]
     diffs = np.diff(thresholds)
     expected = 0.98 * (state.f_star - state.f_min) / 10
     assert np.all(np.abs(diffs - expected) <= 1e-12 * abs(expected))
@@ -94,29 +92,30 @@ def test_linear_update_constant_spacing_when_frozen():
 
 def test_linear_cap_below_peak():
     # with c_th < 1 the floor never reaches the best fitness
-    state = ThresholdState(schedule=LinearRamp(c_th=0.98, num_passes=10),
-                           f_star=837.9658, f_min=-962.0)
-    assert _linear(10, state) < state.f_star
+    state = ThresholdState(f_star=837.9658, f_min=-962.0)
+    assert _linear(0.98, 10, 10, state) < state.f_star
 
 
 def test_best_fitness_update_passthrough():
-    # the pass best wins over the pass index and the run-wide best and worst
-    state = ThresholdState(schedule=BestFitness(), f_star=900.0, f_min=-900.0)
+    # the pass best wins over the pass index, the pass count and the run-wide
+    # best and worst
+    state = ThresholdState(f_star=900.0, f_min=-900.0)
     for k, pass_best in enumerate((580.297, 0.0, -5.5), start=1):
-        assert state.schedule.next_threshold(k, state, pass_best) == pass_best
+        assert BestFitness().next_threshold(k, 3, state, pass_best) == pass_best
 
 
 def test_sentinels():
-    state = ThresholdState(schedule=BestFitness())
+    state = ThresholdState()
     assert state.f_star == BEST_SENTINEL == -1e300
     assert state.f_min == WORST_SENTINEL == 1e300
     assert not state.enabled
+    assert [f.name for f in dataclasses.fields(ThresholdState)] == [
+        "enabled", "t_current", "f_star", "f_min"]
 
 
 def test_linear_ramp_validation():
     with pytest.raises(ValueError):
-        LinearRamp(c_th=0.0, num_passes=10)
+        LinearRamp(c_th=0.0)
     with pytest.raises(ValueError):
-        LinearRamp(c_th=1.2, num_passes=10)
-    with pytest.raises(ValueError):
-        LinearRamp(c_th=0.5, num_passes=0)
+        LinearRamp(c_th=1.2)
+    assert [f.name for f in dataclasses.fields(LinearRamp)] == ["c_th"]
