@@ -9,8 +9,8 @@ all.
 
 The update cycle per time step: move probes ballistically from the previous
 step's accelerations, pull coordinates that left the domain back inside
-(scaled by the cycling retrieval factor), evaluate fitness (floored when a
-threshold is active), then compute accelerations from the new fitness field.
+(scaled by the cycling retrieval factor), evaluate the floored fitness, then
+compute accelerations from the new fitness field.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import DecisionSpace
-from .threshold import ThresholdState, apply_threshold
+from .threshold import FLOOR_MARGIN, ThresholdState, apply_threshold
 
 __all__ = [
     "ProbeLine",
@@ -38,12 +38,9 @@ __all__ = [
     "scan_worst",
     "reposition_floor_probes",
     "run_cfo",
-    "FLOOR_MARGIN",
-    "MAX_REPOSITION_TRIES",
 ]
 
-FLOOR_MARGIN = 0.005  # minimum clearance a repositioned probe must reach
-MAX_REPOSITION_TRIES = 10_000
+_MAX_REPOSITION_TRIES = 10_000
 _TILE_ROWS = 64  # probes per row tile of the acceleration kernel
 
 # Parameter-free CFO fixes G = 2, dt = 1 and alpha = beta = 2 (the kernel
@@ -258,26 +255,23 @@ def reposition_floor_probes(
     history: SwarmHistory,
     probe: int,
     step: int,
-    threshold: ThresholdState | None,
+    threshold: ThresholdState,
     objective,
     rng: np.random.Generator,
-    margin: float = FLOOR_MARGIN,
-    max_tries: int = MAX_REPOSITION_TRIES,
 ) -> int:
-    """Redraw a probe sitting on the floor until it clears the margin.
+    """Redraw a probe sitting on the floor until it clears FLOOR_MARGIN.
 
-    No-op when no threshold is active. Each redraw re-evaluates the probe
+    Under the -inf threshold of a first pass every fitness clears the
+    margin, so nothing is redrawn. Each redraw re-evaluates the probe
     (incrementing the objective's counter) and overwrites its position and
-    fitness at the given step; after max_tries the last position stands.
-    Returns the number of redraws used.
+    fitness at the given step; after _MAX_REPOSITION_TRIES the last position
+    stands. Returns the number of redraws used.
     """
-    if threshold is None or not threshold.enabled:
-        return 0
     space = objective.space
     tries = 0
     while (
-        history.fitness[probe, step] - threshold.t_current < margin
-        and tries < max_tries
+        history.fitness[probe, step] - threshold.t_current < FLOOR_MARGIN
+        and tries < _MAX_REPOSITION_TRIES
     ):
         history.positions[probe, :, step] = rng.uniform(space.lower, space.upper)
         history.fitness[probe, step] = _fitness(
@@ -287,7 +281,7 @@ def reposition_floor_probes(
 
 
 def _fitness(objective, points, threshold, step):
-    """Evaluate a batch of points and floor it at the threshold, if any.
+    """Evaluate a batch of points and floor it at the threshold.
 
     A NaN or +-inf value raises ValueError naming the step and the count; no
     threshold can be set from it. The check precedes the floor, which would
@@ -298,9 +292,7 @@ def _fitness(objective, points, threshold, step):
         bad = np.count_nonzero(~np.isfinite(raw))
         raise ValueError(f"step {step}: the objective returned {bad} non-finite "
                          f"value(s) (NaN or +-inf) in a batch of {raw.size}")
-    if threshold is not None:
-        raw = apply_threshold(raw, threshold)
-    return raw
+    return apply_threshold(raw, threshold)
 
 
 def _evaluate_step(history, j, objective, threshold, params, rng):
@@ -319,13 +311,15 @@ def run_cfo(
     """Run one CFO search over the objective's decision space.
 
     ``objective`` needs ``space``, ``evaluate_batch`` and ``eval_count``
-    (see ObjectiveSpec). When a threshold state is supplied and enabled, the
-    optimizer only ever sees the floored fitness. A probe-line run is
-    bit-reproducible; a random start derives its generator from the
-    seed in the params unless an explicit ``rng`` is passed (callers running
-    several searches off one stream pass the shared generator).
+    (see ObjectiveSpec). The optimizer only ever sees the fitness floored at
+    ``threshold``; without one the floor is -inf, which floors nothing. A
+    probe-line run is bit-reproducible; a random start derives its generator
+    from the seed in the params unless an explicit ``rng`` is passed (callers
+    running several searches off one stream pass the shared generator).
     """
     space = objective.space
+    if threshold is None:
+        threshold = ThresholdState()
     if rng is None:
         if isinstance(params.ipd, RandomUniform):
             rng = np.random.default_rng(params.ipd.seed)

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .driver import run_dto
-from .floorscan import DEFAULT_FLOOR_MARGIN, sample_threshold_floor
+from .floorscan import sample_threshold_floor
 from .objectives import BENCHMARKS, benchmark_dims, make_objective
 from .report import (
     PROFILES,
@@ -26,6 +26,7 @@ from .report import (
     write_summary,
     write_surface,
 )
+from .threshold import FLOOR_MARGIN
 
 __all__ = ["main"]
 
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     floor_p.add_argument("--function", required=True, choices=sorted(BENCHMARKS))
     floor_p.add_argument("--threshold", type=float, required=True)
     floor_p.add_argument("--samples", type=int, default=10_000)
-    floor_p.add_argument("--margin", type=float, default=DEFAULT_FLOOR_MARGIN)
+    floor_p.add_argument("--margin", type=float, default=FLOOR_MARGIN)
     floor_p.add_argument("--dims", type=int, default=None,
                          help="dimensionality; defaults to the function's own (2 for "
                               "schwefel226, which alone accepts others)")

@@ -1,9 +1,9 @@
 """The pass loop: rising thresholds, probe doubling, and run reporting.
 
-Pass 1 searches the raw landscape. After every pass the schedule's
-``next_threshold`` sets the threshold from the fitness seen so far, the
-probe count is doubled (to keep exploring the progressively flatter
-landscape), and the floor is switched on for all later passes. With a
+Pass 1 searches the raw landscape, under a -inf threshold that floors
+nothing. After every pass the schedule's ``next_threshold`` sets the
+threshold from the fitness seen so far, and the probe count is doubled (to
+keep exploring the progressively flatter landscape). With a
 probe-line start each pass runs one search per gamma value in the sweep;
 with a random start each pass is a single search drawing from one seeded
 stream.
@@ -82,7 +82,6 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
         rng = np.random.default_rng(config.cfo.ipd.seed)
 
     n_probes = config.cfo.n_probes
-    best_coords: np.ndarray | None = None
     passes: list[PassRecord] = []
     evals_start = objective.eval_count
 
@@ -119,7 +118,6 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
             pass_index, config.num_passes, state, pass_best)
         if config.probe_doubling:
             n_probes *= 2
-        state.enabled = True
 
     return RunReport(
         best_coords=best_coords,

@@ -31,10 +31,9 @@ from typing import Callable
 import numpy as np
 
 from .objectives import DecisionSpace
+from .threshold import FLOOR_MARGIN
 
 __all__ = ["FloorStats", "halton_points", "sample_threshold_floor"]
-
-DEFAULT_FLOOR_MARGIN = 0.005
 
 # A chunk of sample_threshold_floor holds _CHUNK_VALUES coordinates (1 MB),
 # but at least _MIN_CHUNK_ROWS points: each column of a chunk has a fixed
@@ -126,7 +125,7 @@ def sample_threshold_floor(
     space: DecisionSpace,
     threshold: float,
     n_samples: int,
-    margin: float = DEFAULT_FLOOR_MARGIN,
+    margin: float = FLOOR_MARGIN,
 ) -> FloorStats:
     """Estimate the above-floor fraction of a thresholded landscape.
 

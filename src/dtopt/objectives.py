@@ -48,6 +48,8 @@ class DecisionSpace:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("every bound must be finite (no NaN or +-inf)")
         if not np.all(self.lower < self.upper):
             raise ValueError("every lower bound must lie strictly below its upper bound")
 

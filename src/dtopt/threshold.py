@@ -2,9 +2,10 @@
 
 The floor replaces every fitness below the current threshold T with T itself,
 removing local maxima from the searchable landscape while leaving everything
-above T untouched. Two schedules are shipped: a linear ramp over the observed
-fitness range (the default) and a follow-the-best-fitness rule. Each one
-computes the threshold for the next pass with
+above T untouched. T = -inf is no floor at all: the first pass searches the
+raw landscape under it. Two schedules are shipped: a linear ramp over the
+observed fitness range (the default) and a follow-the-best-fitness rule. Each
+one computes the threshold for the next pass with
 ``next_threshold(k, num_passes, state, pass_best)``.
 """
 
@@ -19,13 +20,12 @@ __all__ = [
     "BestFitness",
     "ThresholdState",
     "apply_threshold",
-    "BEST_SENTINEL",
-    "WORST_SENTINEL",
+    "FLOOR_MARGIN",
 ]
 
-# Any real fitness replaces these on the first >= / <= comparison.
-BEST_SENTINEL = -1e300
-WORST_SENTINEL = 1e300
+# A fitness within this distance of the threshold sits on the floor: a
+# repositioned probe must clear it, and floor sampling counts below it.
+FLOOR_MARGIN = 0.005
 
 
 @dataclass
@@ -44,11 +44,11 @@ class LinearRamp:
         F_min + (c_th * k / P) * (F* - F_min).
 
         The returned value governs pass k + 1. Requires at least one completed
-        pass so that f_star and f_min hold real fitnesses.
+        pass so that f_star and f_min hold real, finite fitnesses.
         """
         if k < 1:
             raise ValueError("pass index k must be >= 1")
-        if state.f_star == BEST_SENTINEL or state.f_min == WORST_SENTINEL:
+        if not (np.isfinite(state.f_star) and np.isfinite(state.f_min)):
             raise RuntimeError("threshold update before any completed pass")
         fraction = self.c_th * k / num_passes
         return state.f_min + fraction * (state.f_star - state.f_min)
@@ -70,25 +70,27 @@ Schedule = LinearRamp | BestFitness
 class ThresholdState:
     """Mutable floor state owned by a single run.
 
-    ``enabled`` stays false during the first pass so the initial search sees
+    The threshold starts at -inf, which floors nothing, so the first pass sees
     the raw landscape. ``f_star`` and ``f_min`` track the best and worst
-    fitness observed over all passes so far.
+    fitness observed over all passes so far, from -inf and +inf.
     """
 
-    enabled: bool = False
-    t_current: float = BEST_SENTINEL
-    f_star: float = BEST_SENTINEL
-    f_min: float = WORST_SENTINEL
+    t_current: float = -np.inf
+    f_star: float = -np.inf
+    f_min: float = np.inf
+
+    @property
+    def enabled(self) -> bool:
+        """Whether a real floor has been set: false while T is -inf."""
+        return self.t_current > -np.inf
 
 
 def apply_threshold(f_val, state: ThresholdState):
-    """Floor a fitness value (scalar or array) at the active threshold.
+    """Floor a fitness value (scalar or array) at the threshold T.
 
-    Disabled states pass the value through unchanged. Enabled states return
-    (f - T) * U(f - T) + T, with U the unit step (1 for z >= 0, else 0),
-    which reduces branch-by-branch to max(f, T); the max form keeps the
-    identity exact in floating point.
+    Returns (f - T) * U(f - T) + T, with U the unit step (1 for z >= 0, else
+    0), which reduces branch-by-branch to max(f, T); the max form keeps the
+    identity exact in floating point. At T = -inf every finite value comes
+    back bit for bit, -0.0 included.
     """
-    if not state.enabled:
-        return f_val
     return np.maximum(f_val, state.t_current)

@@ -134,7 +134,7 @@ def test_criterion_5_floor_invariant_suite():
     # apply_threshold is exactly max(f, T) on a million random pairs
     f_vals = rng.uniform(-1e9, 1e9, size=1_000_000)
     t_vals = rng.uniform(-1e9, 1e9, size=1_000_000)
-    state = ThresholdState(enabled=True)
+    state = ThresholdState()
     mismatches = 0
     for f, t in zip(f_vals, t_vals):
         state.t_current = t

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtopt.cfo import (
+    _MAX_REPOSITION_TRIES,
     CfoParams,
     ProbeLine,
     RandomUniform,
@@ -23,7 +24,7 @@ from dtopt.cfo import (
     step_positions,
 )
 from dtopt.objectives import DecisionSpace, make_objective
-from dtopt.threshold import ThresholdState
+from dtopt.threshold import FLOOR_MARGIN, ThresholdState
 
 
 def _params(n_probes=4, n_steps=5, **kw):
@@ -317,20 +318,19 @@ class _StubObjective:
         return np.where(points[:, 0] >= self.cutoff, 1.0, 0.0)
 
 
-def test_reposition_noop_when_threshold_disabled():
+def test_reposition_noop_without_floor():
+    # the default -inf threshold: every fitness clears the margin
     obj = _StubObjective(0.5)
     hist = SwarmHistory.allocate(1, 2, 0)
     hist.fitness[0, 0] = 0.0
-    state = ThresholdState(enabled=False, t_current=0.5)
-    tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(0))
+    tries = reposition_floor_probes(hist, 0, 0, ThresholdState(), obj, np.random.default_rng(0))
     assert tries == 0 and obj.eval_count == 0
-    assert reposition_floor_probes(hist, 0, 0, None, obj, np.random.default_rng(0)) == 0
 
 
 def test_reposition_skips_probe_above_margin():
     obj = _StubObjective(0.5)
     hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(enabled=True, t_current=0.5)
+    state = ThresholdState(t_current=0.5)
     hist.fitness[0, 0] = 1.0  # 0.5 above the floor
     before = hist.positions[0, :, 0].copy()
     assert reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(0)) == 0
@@ -340,24 +340,23 @@ def test_reposition_skips_probe_above_margin():
 def test_reposition_lifts_probe_off_floor():
     obj = _StubObjective(0.5)
     hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(enabled=True, t_current=0.5)
+    state = ThresholdState(t_current=0.5)
     hist.fitness[0, 0] = 0.5  # on the floor (raw 0 floored up to T)
     tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(12))
     assert tries >= 1
     assert obj.eval_count == tries
-    assert hist.fitness[0, 0] - state.t_current >= 0.005
+    assert hist.fitness[0, 0] - state.t_current >= FLOOR_MARGIN
     assert hist.positions[0, 0, 0] >= 0.5
 
 
 def test_reposition_gives_up_after_max_tries():
     obj = _StubObjective(2.0)  # cutoff outside the domain: nothing clears the floor
     hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(enabled=True, t_current=0.5)
+    state = ThresholdState(t_current=0.5)
     hist.fitness[0, 0] = 0.5
-    tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(3),
-                                    max_tries=500)
-    assert tries == 500
-    assert obj.eval_count == 500
+    tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(3))
+    assert tries == _MAX_REPOSITION_TRIES
+    assert obj.eval_count == _MAX_REPOSITION_TRIES
 
 
 # ----- whole runs -----

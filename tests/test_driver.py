@@ -276,3 +276,25 @@ def test_non_finite_value_in_a_floor_redraw_is_an_error():
     with pytest.raises(ValueError, match=r"pass 2, search at seed 5: step \d+: .* 1 non-finite "
                                          r".* batch of 1$"):
         run_dto(config)
+
+
+@pytest.mark.parametrize("schedule", [LinearRamp(0.6), BestFitness()], ids=["linear", "best"])
+@pytest.mark.parametrize("constant", [-2e300, 2e300])
+def test_constant_objective_beyond_1e300_runs_and_reports_the_constant(constant, schedule):
+    # The run-wide best and worst start at -inf and +inf, so a finite value of
+    # any size replaces them and sets the next floor
+    space = DecisionSpace.cube(2, -1.0, 1.0)
+    config = DtoConfig(
+        num_passes=3,
+        schedule=schedule,
+        cfo=CfoParams(4, 3, RandomUniform(1)),
+        objective=ObjectiveSpec(lambda x: np.full(x.shape[0], constant), space),
+    )
+    positions = []
+    report = run_dto(config, observer=lambda k, t, result, history: positions.append(
+        history.positions.transpose(0, 2, 1).reshape(-1, 2)))
+    assert report.best_value == constant
+    assert report.best_coords is not None
+    assert (np.concatenate(positions) == report.best_coords).all(axis=1).any()
+    assert [p.threshold for p in report.passes] == [None, constant, constant]
+    assert render_summary(report)

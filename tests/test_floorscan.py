@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import dtopt.floorscan as floorscan
 from dtopt.floorscan import FloorStats, halton_points, sample_threshold_floor
 from dtopt.objectives import DecisionSpace, schwefel226
+from dtopt.threshold import FLOOR_MARGIN
 
 
 def _ramp(points):
@@ -100,7 +101,7 @@ def _chunk_rows(n_dims):
     return max(floorscan._MIN_CHUNK_ROWS, floorscan._CHUNK_VALUES // n_dims)
 
 
-def _one_shot_stats(func, space, threshold, n_samples, margin=floorscan.DEFAULT_FLOOR_MARGIN):
+def _one_shot_stats(func, space, threshold, n_samples, margin=FLOOR_MARGIN):
     """Every sample in one batch: the oracle for the streamed estimate."""
     points = space.lower + halton_points(n_samples, space.n_dims) * (space.upper - space.lower)
     g = np.maximum(func(points), threshold)

@@ -189,3 +189,13 @@ def test_decision_space_diag_length():
 def test_decision_space_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         DecisionSpace(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([-np.inf, -500.0], [500.0, 500.0]),
+    ([-500.0, -500.0], [500.0, np.inf]),
+    ([-500.0, np.nan], [500.0, 500.0]),
+], ids=["infinite lower", "infinite upper", "nan"])
+def test_decision_space_rejects_non_finite_bounds(lower, upper):
+    with pytest.raises(ValueError, match="every bound must be finite"):
+        DecisionSpace(np.array(lower), np.array(upper))

@@ -1,4 +1,7 @@
+import importlib
 import types
+
+import pytest
 
 import dtopt
 
@@ -11,9 +14,41 @@ TOP_LEVEL_NAMES = {
     "parse_config", "run_cfo", "run_dto", "sample_threshold_floor", "to_dto_config",
 }
 
+# Each module's __all__, pinned the same way.
+MODULE_NAMES = {
+    "dtopt.cfo": {
+        "CfoParams", "OptResult", "ProbeLine", "RandomUniform", "SwarmHistory",
+        "compute_accelerations", "cycle_frep", "probe_line_ipd", "random_ipd",
+        "reposition_floor_probes", "retrieve_errant", "run_cfo", "scan_best", "scan_worst",
+        "step_positions",
+    },
+    "dtopt.threshold": {
+        "BestFitness", "FLOOR_MARGIN", "LinearRamp", "ThresholdState", "apply_threshold",
+    },
+    "dtopt.floorscan": {"FloorStats", "halton_points", "sample_threshold_floor"},
+    "dtopt.driver": {"DEFAULT_GAMMA_SWEEP", "DtoConfig", "PassRecord", "RunReport", "run_dto"},
+    "dtopt.report": {
+        "ConfigError", "ExperimentConfig", "PROFILES", "SURFACE_GRID_POINTS", "fmt",
+        "parse_config", "to_dto_config", "write_davg", "write_passes_csv", "write_summary",
+        "write_surface",
+    },
+    "dtopt.objectives": {
+        "BENCHMARKS", "Benchmark", "DecisionSpace", "ObjectiveSpec", "benchmark_dims",
+        "make_objective", "ramp", "rastrigin_offset", "schwefel226", "sgo",
+    },
+}
+
 
 def test_top_level_names():
     public = {name for name, value in vars(dtopt).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == TOP_LEVEL_NAMES
     assert len(public) == 21
+
+
+@pytest.mark.parametrize("module_name", sorted(MODULE_NAMES))
+def test_module_all(module_name):
+    module = importlib.import_module(module_name)
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) == MODULE_NAMES[module_name]
+    assert all(hasattr(module, name) for name in module.__all__)

@@ -3,29 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dtopt.threshold import (
-    BEST_SENTINEL,
-    WORST_SENTINEL,
-    BestFitness,
-    LinearRamp,
-    ThresholdState,
-    apply_threshold,
-)
-
-
-def _enabled_state(t):
-    return ThresholdState(enabled=True, t_current=t)
+from dtopt.threshold import BestFitness, LinearRamp, ThresholdState, apply_threshold
 
 
 def test_apply_threshold_branches():
-    assert apply_threshold(5.0, _enabled_state(3.0)) == 5.0
-    assert apply_threshold(2.0, _enabled_state(3.0)) == 3.0
-    assert apply_threshold(3.0, _enabled_state(3.0)) == 3.0
+    assert apply_threshold(5.0, ThresholdState(t_current=3.0)) == 5.0
+    assert apply_threshold(2.0, ThresholdState(t_current=3.0)) == 3.0
+    assert apply_threshold(3.0, ThresholdState(t_current=3.0)) == 3.0
 
 
-def test_apply_threshold_disabled_passthrough():
-    state = ThresholdState(enabled=False, t_current=1e9)
-    assert apply_threshold(-123.0, state) == -123.0
+def test_default_state_returns_finite_values_bit_for_bit():
+    f_vals = np.array([-0.0, 0.0, -123.0, 5e-324, -1e308, 1e308, -1e300, 2e300])
+    floored = apply_threshold(f_vals, ThresholdState())
+    assert floored.tobytes() == f_vals.tobytes()
+    assert np.signbit(apply_threshold(-0.0, ThresholdState()))
 
 
 def test_apply_threshold_equals_max_on_random_pairs():
@@ -33,9 +24,9 @@ def test_apply_threshold_equals_max_on_random_pairs():
     f_vals = rng.uniform(-1e6, 1e6, size=100_000)
     t_vals = rng.uniform(-1e6, 1e6, size=100_000)
     for f, t in zip(f_vals[:2000], t_vals[:2000]):
-        assert apply_threshold(f, _enabled_state(t)) == max(f, t)
+        assert apply_threshold(f, ThresholdState(t_current=t)) == max(f, t)
     # vectorized form agrees too
-    state = _enabled_state(0.0)
+    state = ThresholdState(t_current=0.0)
     state.t_current = 123.456
     assert np.array_equal(apply_threshold(f_vals, state), np.maximum(f_vals, 123.456))
 
@@ -45,7 +36,7 @@ def test_argmax_preserved_below_max():
     for _ in range(200):
         sample = rng.uniform(-100, 100, size=rng.integers(2, 50))
         t = sample.max() - rng.uniform(1e-6, 50)
-        state = _enabled_state(t)
+        state = ThresholdState(t_current=t)
         floored = np.array([apply_threshold(v, state) for v in sample])
         assert int(np.argmax(floored)) == int(np.argmax(sample))
 
@@ -73,7 +64,7 @@ def test_linear_update_requires_completed_pass():
     state = ThresholdState()
     with pytest.raises(RuntimeError):
         _linear(0.5, 1, 4, state)
-    state.f_star = 10.0  # f_min still at its sentinel
+    state.f_star = 10.0  # f_min still at its +inf start
     with pytest.raises(RuntimeError):
         _linear(0.5, 1, 4, state)
     state.f_min = 0.0
@@ -104,13 +95,15 @@ def test_best_fitness_update_passthrough():
         assert BestFitness().next_threshold(k, 3, state, pass_best) == pass_best
 
 
-def test_sentinels():
+def test_initial_state():
     state = ThresholdState()
-    assert state.f_star == BEST_SENTINEL == -1e300
-    assert state.f_min == WORST_SENTINEL == 1e300
-    assert not state.enabled
     assert [f.name for f in dataclasses.fields(ThresholdState)] == [
-        "enabled", "t_current", "f_star", "f_min"]
+        "t_current", "f_star", "f_min"]
+    assert (state.t_current, state.f_star, state.f_min) == (-np.inf, -np.inf, np.inf)
+    assert not state.enabled
+    assert ThresholdState(t_current=-1e308).enabled
+    with pytest.raises(AttributeError):
+        state.enabled = True
 
 
 def test_linear_ramp_validation():
