@@ -285,10 +285,17 @@ def _fitness(objective, points, threshold, step):
 
     A NaN or +-inf value raises ValueError naming the step and the count; no
     threshold can be set from it. The check precedes the floor, which would
-    hide a -inf.
+    hide a -inf. When the points themselves are not finite, the acceleration
+    step overflowed (it squares fitness gaps, so gaps above about 1.3e154
+    overflow), and the error says so instead of blaming the objective.
     """
     raw = objective.evaluate_batch(points)
     if not np.isfinite(raw).all():
+        lost = np.count_nonzero(~np.isfinite(points).all(axis=-1))
+        if lost:
+            raise ValueError(f"step {step}: {lost} of {len(points)} probe positions became "
+                             "non-finite (NaN or +-inf) because the acceleration step "
+                             "overflowed: the fitness gaps are too large to square")
         bad = np.count_nonzero(~np.isfinite(raw))
         raise ValueError(f"step {step}: the objective returned {bad} non-finite "
                          f"value(s) (NaN or +-inf) in a batch of {raw.size}")

@@ -29,9 +29,12 @@ __all__ = [
     "parse_config",
     "to_dto_config",
     "fmt",
+    "render_summary",
     "write_summary",
+    "render_passes_csv",
     "write_passes_csv",
     "write_surface",
+    "average_distance_to_best",
     "write_davg",
     "SURFACE_GRID_POINTS",
 ]

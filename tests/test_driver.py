@@ -298,3 +298,18 @@ def test_constant_objective_beyond_1e300_runs_and_reports_the_constant(constant,
     assert (np.concatenate(positions) == report.best_coords).all(axis=1).any()
     assert [p.threshold for p in report.passes] == [None, constant, constant]
     assert render_summary(report)
+
+
+def test_acceleration_overflow_is_not_blamed_on_the_objective():
+    # Fitness gaps near 3e308 overflow when the kernel squares them, and the
+    # probes move to NaN positions; the objective is finite on the whole box
+    config = DtoConfig(
+        num_passes=3,
+        schedule=LinearRamp(0.6),
+        cfo=CfoParams(4, 3, RandomUniform(1)),
+        objective=ObjectiveSpec(lambda x: 1.5e308 * x[:, 0], DecisionSpace.cube(2, -1.0, 1.0)),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^pass 1, search at seed 1: step \d+: \d+ of 4 "
+                                             r"probe positions became non-finite .* overflowed"):
+            run_dto(config)

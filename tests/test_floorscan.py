@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dtopt.floorscan as floorscan
 from dtopt.floorscan import FloorStats, halton_points, sample_threshold_floor
-from dtopt.objectives import DecisionSpace, schwefel226
+from dtopt.objectives import BENCHMARKS, DecisionSpace, schwefel226
 from dtopt.threshold import FLOOR_MARGIN
 
 
@@ -93,6 +93,7 @@ def test_halton_points_bit_identical_to_digit_loop(start, n_points, n_dims):
 def test_halton_points_returns_fresh_writable_array():
     first = halton_points(10, 2)
     assert first.flags.writeable and first.flags.owndata
+    assert first.flags.f_contiguous and not first.flags.c_contiguous
     first[:] = -1.0
     assert np.all(halton_points(10, 2) >= 0.0)
 
@@ -115,6 +116,8 @@ def test_sample_points_are_affine_image_of_halton():
     seen = []
 
     def record(points):
+        assert points.dtype == np.float64 and points.ndim == 2 and points.shape[1] == 3
+        assert points.flags.f_contiguous
         seen.append(points.copy())
         return np.zeros(len(points))
 
@@ -122,6 +125,42 @@ def test_sample_points_are_affine_image_of_halton():
     assert len(seen) > 1
     expected = space.lower + halton_points(n_samples, 3) * (space.upper - space.lower)
     assert np.array_equal(np.concatenate(seen).view(np.int64), expected.view(np.int64))
+
+
+# Each shipped function on every dimension from 1 to 7 that it allows
+_BELOW_8_DIMS = [(name, n) for name, bench in BENCHMARKS.items()
+                 for n in ([bench.n_dims] if bench.n_dims else range(1, 8))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name, n_dims", _BELOW_8_DIMS)
+def test_objective_values_do_not_depend_on_layout_below_8_dims(name, n_dims, data):
+    # sample_threshold_floor hands func column-major batches; numpy sums a
+    # row of fewer than 8 values left to right in either layout
+    bench = BENCHMARKS[name]
+    coord = st.one_of(st.sampled_from([-0.0, 0.0, bench.lower, bench.upper]),
+                      st.floats(bench.lower, bench.upper))
+    rows = data.draw(st.lists(st.lists(coord, min_size=n_dims, max_size=n_dims),
+                              min_size=1, max_size=20))
+    c_order = np.array(rows, dtype=float, order="C")
+    f_order = np.asfortranarray(c_order)
+    assert f_order.flags.f_contiguous
+    expected = bench.func(c_order)
+    assert np.array_equal(bench.func(f_order).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("n_dims", [8, 30])
+def test_schwefel_layout_changes_only_rounding_from_8_dims(n_dims):
+    # From 8 values numpy sums a C-order row pairwise and an F-order row left
+    # to right. Each term lies in [-500, 500], so the two sums differ by at
+    # most (n - 1) * eps * 500 * n: 9.7e-11 at 30 dimensions
+    space = DecisionSpace.cube(n_dims, -500.0, 500.0)
+    points = space.lower + halton_points(50_000, n_dims) * (space.upper - space.lower)
+    assert points.flags.f_contiguous
+    tolerance = (n_dims - 1) * np.finfo(float).eps * 500.0 * n_dims
+    np.testing.assert_allclose(schwefel226(points), schwefel226(np.ascontiguousarray(points)),
+                               rtol=0.0, atol=tolerance)
 
 
 @pytest.mark.parametrize("n_dims", [1, 2, 30, 64])

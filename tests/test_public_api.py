@@ -28,8 +28,9 @@ MODULE_NAMES = {
     "dtopt.floorscan": {"FloorStats", "halton_points", "sample_threshold_floor"},
     "dtopt.driver": {"DEFAULT_GAMMA_SWEEP", "DtoConfig", "PassRecord", "RunReport", "run_dto"},
     "dtopt.report": {
-        "ConfigError", "ExperimentConfig", "PROFILES", "SURFACE_GRID_POINTS", "fmt",
-        "parse_config", "to_dto_config", "write_davg", "write_passes_csv", "write_summary",
+        "ConfigError", "ExperimentConfig", "PROFILES", "SURFACE_GRID_POINTS",
+        "average_distance_to_best", "fmt", "parse_config", "render_passes_csv",
+        "render_summary", "to_dto_config", "write_davg", "write_passes_csv", "write_summary",
         "write_surface",
     },
     "dtopt.objectives": {
