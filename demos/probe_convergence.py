@@ -10,7 +10,7 @@ as the surface data.
 
 import os
 
-from dtopt.cfo import CfoParams, ProbeLine, run_cfo
+from dtopt.cfo import CfoParams, run_cfo
 from dtopt.objectives import make_objective
 from dtopt.report import average_distance_to_best, write_davg
 
@@ -18,8 +18,8 @@ out_dir = "demo_output"
 os.makedirs(out_dir, exist_ok=True)
 
 objective = make_objective("schwefel226", 2)
-params = CfoParams(n_probes=16, n_steps=25, ipd=ProbeLine(0.5))
-result, history = run_cfo(params, objective)
+params = CfoParams(n_probes=16, n_steps=25)
+result, history = run_cfo(params, objective, 0.5)  # probe-line start at gamma = 0.5
 
 print(f"best fitness {result.best_value:.5f} from probe {result.best_probe}"
       f" at step {result.best_step} ({result.evals_used} calls)")

@@ -4,8 +4,9 @@ Probes accelerate under a gravity-like pull toward higher-fitness probes.
 The full position/fitness history of a run is kept because the best/worst
 scans range over every time step, not just the last one; accelerations are
 only ever needed one step back, so just the latest (N, D) array is kept. A
-run is strictly sequential; with a probe-line start there is no randomness at
-all.
+search is strictly sequential. It starts either from a probe line at one
+diagonal fraction gamma, with no randomness at all, or from uniform random
+positions drawn from a generator the caller passes in.
 
 The update cycle per time step: move probes ballistically from the previous
 step's accelerations, pull coordinates that left the domain back inside
@@ -23,6 +24,7 @@ from .objectives import DecisionSpace
 from .threshold import FLOOR_MARGIN, ThresholdState, apply_threshold
 
 __all__ = [
+    "DEFAULT_GAMMA_SWEEP",
     "ProbeLine",
     "RandomUniform",
     "CfoParams",
@@ -49,22 +51,28 @@ _TILE_ROWS = 64  # probes per row tile of the acceleration kernel
 _G_CONST = 2.0
 _FREP_INIT = 0.5
 
+DEFAULT_GAMMA_SWEEP = tuple(i / 10 for i in range(11))
+
 
 @dataclass
 class ProbeLine:
-    """Deterministic start: probes on axis-parallel lines through the point at
-    fraction gamma along the decision-space diagonal."""
+    """Deterministic starts: one search per gamma in ``gammas``, its probes on
+    axis-parallel lines through the point at fraction gamma along the
+    decision-space diagonal."""
 
-    gamma: float
+    gammas: tuple[float, ...] = DEFAULT_GAMMA_SWEEP
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        if not self.gammas:
+            raise ValueError("gammas must be non-empty")
+        if any(not 0.0 <= g <= 1.0 for g in self.gammas):
+            raise ValueError("every gamma must lie in [0, 1]")
 
 
 @dataclass
 class RandomUniform:
-    """Stochastic start: every coordinate drawn uniformly over its bounds."""
+    """Stochastic start: every coordinate drawn uniformly over its bounds,
+    from one generator seeded with ``seed`` for the whole run."""
 
     seed: int
 
@@ -73,7 +81,6 @@ class RandomUniform:
 class CfoParams:
     n_probes: int
     n_steps: int
-    ipd: ProbeLine | RandomUniform
     floor_repositioning: bool = False
 
     def __post_init__(self):
@@ -283,19 +290,19 @@ def reposition_floor_probes(
 def _fitness(objective, points, threshold, step):
     """Evaluate a batch of points and floor it at the threshold.
 
-    A NaN or +-inf value raises ValueError naming the step and the count; no
-    threshold can be set from it. The check precedes the floor, which would
-    hide a -inf. When the points themselves are not finite, the acceleration
-    step overflowed (it squares fitness gaps, so gaps above about 1.3e154
-    overflow), and the error says so instead of blaming the objective.
+    Non-finite points raise ValueError before the objective sees them: the
+    acceleration step overflowed (it squares fitness gaps, so gaps above
+    about 1.3e154 overflow), and the error says so. A NaN or +-inf value
+    raises ValueError naming the step and the count; no threshold can be set
+    from it. That check precedes the floor, which would hide a -inf.
     """
+    if not np.isfinite(points).all():
+        lost = np.count_nonzero(~np.isfinite(points).all(axis=-1))
+        raise ValueError(f"step {step}: {lost} of {len(points)} probe positions became "
+                         "non-finite (NaN or +-inf) because the acceleration step "
+                         "overflowed: the fitness gaps are too large to square")
     raw = objective.evaluate_batch(points)
     if not np.isfinite(raw).all():
-        lost = np.count_nonzero(~np.isfinite(points).all(axis=-1))
-        if lost:
-            raise ValueError(f"step {step}: {lost} of {len(points)} probe positions became "
-                             "non-finite (NaN or +-inf) because the acceleration step "
-                             "overflowed: the fitness gaps are too large to square")
         bad = np.count_nonzero(~np.isfinite(raw))
         raise ValueError(f"step {step}: the objective returned {bad} non-finite "
                          f"value(s) (NaN or +-inf) in a batch of {raw.size}")
@@ -312,33 +319,34 @@ def _evaluate_step(history, j, objective, threshold, params, rng):
 def run_cfo(
     params: CfoParams,
     objective,
+    start: float | np.random.Generator,
     threshold: ThresholdState | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[OptResult, SwarmHistory]:
     """Run one CFO search over the objective's decision space.
 
     ``objective`` needs ``space``, ``evaluate_batch`` and ``eval_count``
-    (see ObjectiveSpec). The optimizer only ever sees the fitness floored at
-    ``threshold``; without one the floor is -inf, which floors nothing. A
-    probe-line run is bit-reproducible; a random start derives its generator
-    from the seed in the params unless an explicit ``rng`` is passed (callers
-    running several searches off one stream pass the shared generator).
+    (see ObjectiveSpec). ``start`` is either a gamma in [0, 1], for a
+    bit-reproducible probe-line start at that diagonal fraction, or the
+    generator that draws a random start and every floor redraw (callers
+    running several searches off one stream pass the same generator). A
+    probe-line search that repositions floor probes redraws from its own
+    ``default_rng(0)``. The optimizer only ever sees the fitness floored at
+    ``threshold``; without one the floor is -inf, which floors nothing.
     """
     space = objective.space
     if threshold is None:
         threshold = ThresholdState()
-    if rng is None:
-        if isinstance(params.ipd, RandomUniform):
-            rng = np.random.default_rng(params.ipd.seed)
-        elif params.floor_repositioning:
-            rng = np.random.default_rng(0)
     history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)
     evals_before = objective.eval_count
 
-    if isinstance(params.ipd, ProbeLine):
-        history.positions[:, :, 0] = probe_line_ipd(params.n_probes, space, params.ipd.gamma)
-    else:
+    if isinstance(start, np.random.Generator):
+        rng = start
         history.positions[:, :, 0] = random_ipd(params.n_probes, space, rng)
+    else:
+        if not 0.0 <= start <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
+        rng = np.random.default_rng(0) if params.floor_repositioning else None
+        history.positions[:, :, 0] = probe_line_ipd(params.n_probes, space, start)
     _evaluate_step(history, 0, objective, threshold, params, rng)
     accels = np.zeros((params.n_probes, space.n_dims))  # step 0 does not accelerate
 

@@ -3,10 +3,10 @@
 Pass 1 searches the raw landscape, under a -inf threshold that floors
 nothing. After every pass the schedule's ``next_threshold`` sets the
 threshold from the fitness seen so far, and the probe count is doubled (to
-keep exploring the progressively flatter landscape). With a
-probe-line start each pass runs one search per gamma value in the sweep;
-with a random start each pass is a single search drawing from one seeded
-stream.
+keep exploring the progressively flatter landscape). ``DtoConfig.ipd`` is
+the run's one start description: with ``ProbeLine`` each pass runs one search
+per gamma in its ``gammas``; with ``RandomUniform`` each pass is a single
+search, and every pass draws from one generator seeded once per run.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, r
 from .objectives import ObjectiveSpec
 from .threshold import Schedule, ThresholdState
 
-__all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto", "DEFAULT_GAMMA_SWEEP"]
-
-DEFAULT_GAMMA_SWEEP = tuple(i / 10 for i in range(11))
+__all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
 
 # observer(pass_index, threshold_or_None, OptResult, SwarmHistory)
 Observer = Callable[[int, float | None, OptResult, SwarmHistory], None]
@@ -34,17 +32,12 @@ class DtoConfig:
     schedule: Schedule
     cfo: CfoParams
     objective: ObjectiveSpec
+    ipd: ProbeLine | RandomUniform
     probe_doubling: bool = True
-    gamma_sweep: tuple[float, ...] = DEFAULT_GAMMA_SWEEP
 
     def __post_init__(self):
         if self.num_passes < 1:
             raise ValueError("num_passes must be >= 1")
-        if isinstance(self.cfo.ipd, ProbeLine):
-            if len(self.gamma_sweep) == 0:
-                raise ValueError("gamma_sweep must be non-empty in probe-line mode")
-            if any(not 0.0 <= g <= 1.0 for g in self.gamma_sweep):
-                raise ValueError("every gamma in the sweep must lie in [0, 1]")
 
 
 @dataclass
@@ -77,9 +70,11 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
     """
     objective = config.objective
     state = ThresholdState()
-    rng = None
-    if isinstance(config.cfo.ipd, RandomUniform):
-        rng = np.random.default_rng(config.cfo.ipd.seed)
+    # (start, label) per search of a pass; the label names it in errors
+    if isinstance(config.ipd, ProbeLine):
+        starts = [(gamma, f"gamma {gamma}") for gamma in config.ipd.gammas]
+    else:
+        starts = [(np.random.default_rng(config.ipd.seed), f"seed {config.ipd.seed}")]
 
     n_probes = config.cfo.n_probes
     passes: list[PassRecord] = []
@@ -88,17 +83,11 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
     for pass_index in range(1, config.num_passes + 1):
         threshold_used = state.t_current if state.enabled else None
         pass_best = -np.inf
-        if isinstance(config.cfo.ipd, ProbeLine):
-            runs = [replace(config.cfo, n_probes=n_probes, ipd=ProbeLine(g))
-                    for g in config.gamma_sweep]
-        else:
-            runs = [replace(config.cfo, n_probes=n_probes)]
-        for params in runs:
+        params = replace(config.cfo, n_probes=n_probes)
+        for start, search in starts:
             try:
-                result, history = run_cfo(params, objective, state, rng=rng)
+                result, history = run_cfo(params, objective, start, state)
             except ValueError as exc:
-                search = (f"gamma {params.ipd.gamma}" if isinstance(params.ipd, ProbeLine)
-                          else f"seed {params.ipd.seed}")
                 raise ValueError(f"pass {pass_index}, search at {search}: {exc}") from exc
             if result.worst_value <= state.f_min:
                 state.f_min = result.worst_value

@@ -17,8 +17,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory
-from .driver import DEFAULT_GAMMA_SWEEP, DtoConfig, RunReport
+from .cfo import DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory
+from .driver import DtoConfig, RunReport
 from .objectives import BENCHMARKS, DecisionSpace, benchmark_dims, make_objective
 from .threshold import BestFitness, LinearRamp
 
@@ -170,13 +170,12 @@ def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfi
         config = dataclasses.replace(config, seed=seed)
     objective = make_objective(config.function, config.n_dims)
     if config.ipd == "probe_line":
-        ipd = ProbeLine(config.gamma_sweep[0])
+        ipd = ProbeLine(config.gamma_sweep)
     else:
         ipd = RandomUniform(config.seed)
     cfo = CfoParams(
         n_probes=config.np0,
         n_steps=config.nt,
-        ipd=ipd,
         floor_repositioning=config.floor_repositioning,
     )
     if config.schedule == "linear":
@@ -188,8 +187,8 @@ def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfi
         schedule=schedule,
         cfo=cfo,
         objective=objective,
+        ipd=ipd,
         probe_doubling=config.probe_doubling,
-        gamma_sweep=config.gamma_sweep,
     )
 
 

@@ -44,14 +44,20 @@ class LinearRamp:
         F_min + (c_th * k / P) * (F* - F_min).
 
         The returned value governs pass k + 1. Requires at least one completed
-        pass so that f_star and f_min hold real, finite fitnesses.
+        pass so that f_star and f_min hold real, finite fitnesses. When the
+        range F* - F_min overflows (it exceeds about 1.8e308), the threshold
+        is the convex combination F_min * (1 - c) + F* * c instead, which
+        stays inside [F_min, F*].
         """
         if k < 1:
             raise ValueError("pass index k must be >= 1")
         if not (np.isfinite(state.f_star) and np.isfinite(state.f_min)):
             raise RuntimeError("threshold update before any completed pass")
         fraction = self.c_th * k / num_passes
-        return state.f_min + fraction * (state.f_star - state.f_min)
+        span = float(state.f_star) - float(state.f_min)  # Python floats overflow silently
+        if np.isfinite(span):
+            return state.f_min + fraction * span
+        return state.f_min * (1.0 - fraction) + state.f_star * fraction
 
 
 @dataclass

@@ -116,16 +116,15 @@ def test_criterion_5_floor_invariant_suite():
         n_dims = int(rng.integers(1, 4))
         num_passes = int(rng.integers(2, 5))
         if bool(rng.integers(0, 2)):
-            ipd = ProbeLine(float(rng.uniform()))
+            ipd = ProbeLine((0.0, float(rng.uniform()), 1.0))
         else:
             ipd = RandomUniform(seed=int(rng.integers(0, 2**31)))
         config = DtoConfig(
             num_passes=num_passes,
             schedule=LinearRamp(c_th=float(rng.uniform(0.3, 1.0))),
-            cfo=CfoParams(n_probes=int(rng.integers(2, 6)),
-                          n_steps=int(rng.integers(1, 5)), ipd=ipd),
+            cfo=CfoParams(n_probes=int(rng.integers(2, 6)), n_steps=int(rng.integers(1, 5))),
             objective=make_objective("schwefel226", n_dims),
-            gamma_sweep=(0.0, 0.5, 1.0),
+            ipd=ipd,
         )
         run_dto(config, observer=observer)
     if violations:
@@ -162,8 +161,7 @@ def test_criterion_6_cfo_micro_oracles():
     hist = SwarmHistory.allocate(2, 1, 1)
     hist.positions[:, 0, 1] = [0.0, 1.0]
     hist.fitness[:, 1] = [0.0, 5.0]
-    accels = compute_accelerations(hist, 1, CfoParams(n_probes=2, n_steps=1,
-                                                      ipd=ProbeLine(0.0)))
+    accels = compute_accelerations(hist, 1, CfoParams(n_probes=2, n_steps=1))
     if accels[0, 0] != 50.0 or accels[1, 0] != 0.0:
         failures.append(f"two-probe accel {accels[:, 0]} != [50, 0]")
 
@@ -173,8 +171,8 @@ def test_criterion_6_cfo_micro_oracles():
         n_probes = int(rng.integers(1, 10))
         n_steps = int(rng.integers(0, 8))
         obj = make_objective("schwefel226", int(rng.integers(1, 4)))
-        result, _ = run_cfo(CfoParams(n_probes=n_probes, n_steps=n_steps,
-                                      ipd=ProbeLine(float(rng.uniform()))), obj)
+        result, _ = run_cfo(CfoParams(n_probes=n_probes, n_steps=n_steps), obj,
+                            float(rng.uniform()))
         if result.evals_used != (n_steps + 1) * n_probes:
             failures.append(f"evals {result.evals_used} != {(n_steps + 1) * n_probes}")
             break

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from dtopt.cfo import (
     _MAX_REPOSITION_TRIES,
+    DEFAULT_GAMMA_SWEEP,
     CfoParams,
     ProbeLine,
-    RandomUniform,
     SwarmHistory,
     compute_accelerations,
     cycle_frep,
@@ -23,12 +23,11 @@ from dtopt.cfo import (
     scan_worst,
     step_positions,
 )
-from dtopt.objectives import DecisionSpace, make_objective
+from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective
 from dtopt.threshold import FLOOR_MARGIN, ThresholdState
 
 
 def _params(n_probes=4, n_steps=5, **kw):
-    kw.setdefault("ipd", ProbeLine(0.5))
     return CfoParams(n_probes=n_probes, n_steps=n_steps, **kw)
 
 
@@ -363,7 +362,7 @@ def test_reposition_gives_up_after_max_tries():
 
 def test_run_cfo_eval_count():
     obj = make_objective("schwefel226", 2)
-    result, _ = run_cfo(CfoParams(n_probes=4, n_steps=25, ipd=ProbeLine(0.5)), obj)
+    result, _ = run_cfo(CfoParams(n_probes=4, n_steps=25), obj, 0.5)
     assert result.evals_used == 104 == (25 + 1) * 4
     assert obj.eval_count == 104
 
@@ -374,15 +373,15 @@ def test_run_cfo_eval_count_random_configs():
         n_probes = int(rng.integers(1, 9))
         n_steps = int(rng.integers(0, 7))
         obj = make_objective("schwefel226", int(rng.integers(1, 4)))
-        result, _ = run_cfo(CfoParams(n_probes=n_probes, n_steps=n_steps,
-                                      ipd=ProbeLine(float(rng.uniform()))), obj)
+        result, _ = run_cfo(CfoParams(n_probes=n_probes, n_steps=n_steps), obj,
+                            float(rng.uniform()))
         assert result.evals_used == (n_steps + 1) * n_probes
 
 
 def test_run_cfo_zero_steps_returns_ipd_best():
     obj = make_objective("schwefel226", 2)
-    params = CfoParams(n_probes=4, n_steps=0, ipd=ProbeLine(0.5))
-    result, hist = run_cfo(params, obj)
+    params = CfoParams(n_probes=4, n_steps=0)
+    result, hist = run_cfo(params, obj, 0.5)
     start = probe_line_ipd(4, obj.space, 0.5)
     expected = obj.evaluate_batch(start)
     assert result.best_value == expected.max()
@@ -391,9 +390,9 @@ def test_run_cfo_zero_steps_returns_ipd_best():
 
 
 def test_run_cfo_probe_line_bit_reproducible():
-    params = CfoParams(n_probes=6, n_steps=12, ipd=ProbeLine(0.3))
-    result_a, hist_a = run_cfo(params, make_objective("schwefel226", 2))
-    result_b, hist_b = run_cfo(params, make_objective("schwefel226", 2))
+    params = CfoParams(n_probes=6, n_steps=12)
+    result_a, hist_a = run_cfo(params, make_objective("schwefel226", 2), 0.3)
+    result_b, hist_b = run_cfo(params, make_objective("schwefel226", 2), 0.3)
     assert np.array_equal(hist_a.positions, hist_b.positions)
     assert np.array_equal(hist_a.fitness, hist_b.fitness)
     assert np.array_equal(result_a.best_coords, result_b.best_coords)
@@ -403,11 +402,25 @@ def test_run_cfo_probe_line_bit_reproducible():
 
 
 def test_run_cfo_random_seed_reproducible():
-    params = CfoParams(n_probes=5, n_steps=10, ipd=RandomUniform(seed=77))
-    _, hist_a = run_cfo(params, make_objective("schwefel226", 2))
-    _, hist_b = run_cfo(params, make_objective("schwefel226", 2))
+    params = CfoParams(n_probes=5, n_steps=10)
+    _, hist_a = run_cfo(params, make_objective("schwefel226", 2), np.random.default_rng(77))
+    _, hist_b = run_cfo(params, make_objective("schwefel226", 2), np.random.default_rng(77))
     assert np.array_equal(hist_a.positions, hist_b.positions)
     assert np.array_equal(hist_a.fitness, hist_b.fitness)
+    assert np.array_equal(hist_a.positions[:, :, 0],
+                          random_ipd(5, DecisionSpace.cube(2, -500.0, 500.0),
+                                     np.random.default_rng(77)))
+
+
+def test_probe_line_floor_redraws_use_their_own_stream():
+    # each probe-line search redraws from a fresh default_rng(0), so two
+    # identical searches repeat every redraw
+    params = CfoParams(n_probes=4, n_steps=3, floor_repositioning=True)
+    state = ThresholdState(t_current=0.0)
+    runs = [run_cfo(params, make_objective("schwefel226", 2), 0.5, state) for _ in range(2)]
+    (result_a, hist_a), (result_b, hist_b) = runs
+    assert result_a.evals_used == result_b.evals_used > 4 * 4
+    assert np.array_equal(hist_a.positions, hist_b.positions)
 
 
 def test_run_cfo_history_stays_in_bounds():
@@ -415,20 +428,16 @@ def test_run_cfo_history_stays_in_bounds():
     for _ in range(30):
         n_dims = int(rng.integers(1, 4))
         obj = make_objective("schwefel226", n_dims)
-        params = CfoParams(
-            n_probes=int(rng.integers(2, 7)),
-            n_steps=int(rng.integers(1, 9)),
-            ipd=RandomUniform(seed=int(rng.integers(0, 2**32))),
-        )
-        _, hist = run_cfo(params, obj)
+        params = CfoParams(n_probes=int(rng.integers(2, 7)), n_steps=int(rng.integers(1, 9)))
+        _, hist = run_cfo(params, obj, np.random.default_rng(int(rng.integers(0, 2**32))))
         assert np.all(hist.positions >= obj.space.lower[None, :, None])
         assert np.all(hist.positions <= obj.space.upper[None, :, None])
 
 
 def test_run_cfo_result_provenance():
     obj = make_objective("schwefel226", 2)
-    params = CfoParams(n_probes=4, n_steps=8, ipd=ProbeLine(0.7))
-    result, hist = run_cfo(params, obj)
+    params = CfoParams(n_probes=4, n_steps=8)
+    result, hist = run_cfo(params, obj, 0.7)
     assert result.best_value == hist.fitness[result.best_probe, result.best_step]
     assert result.worst_value == hist.fitness.min()
     assert result.best_value >= result.worst_value
@@ -441,12 +450,43 @@ def test_run_cfo_result_provenance():
 def test_cfo_params_defaults():
     # parameter-free CFO: G, dt, alpha, beta and the first retrieval factor are fixed
     assert [f.name for f in dataclasses.fields(CfoParams)] == [
-        "n_probes", "n_steps", "ipd", "floor_repositioning"]
+        "n_probes", "n_steps", "floor_repositioning"]
     assert _params().floor_repositioning is False
 
 
 def test_cfo_params_validation():
-    with pytest.raises(ValueError):
-        CfoParams(n_probes=0, n_steps=1, ipd=ProbeLine(0.5))
-    with pytest.raises(ValueError):
-        CfoParams(n_probes=2, n_steps=1, ipd=ProbeLine(1.5))
+    with pytest.raises(ValueError, match="n_probes"):
+        CfoParams(n_probes=0, n_steps=1)
+    with pytest.raises(ValueError, match="n_steps"):
+        CfoParams(n_probes=2, n_steps=-1)
+
+
+def test_probe_line_holds_the_gamma_sweep():
+    assert ProbeLine().gammas == DEFAULT_GAMMA_SWEEP
+    assert DEFAULT_GAMMA_SWEEP == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    assert ProbeLine((0.3,)).gammas == (0.3,)
+    with pytest.raises(ValueError, match="non-empty"):
+        ProbeLine(())
+    for gammas in ((0.0, 1.5), (-0.1,), (float("nan"),)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ProbeLine(gammas)
+
+
+@pytest.mark.parametrize("gamma", [-0.1, 1.5, float("nan")])
+def test_run_cfo_rejects_gamma_outside_unit_interval(gamma):
+    obj = make_objective("schwefel226", 2)
+    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+        run_cfo(CfoParams(n_probes=4, n_steps=2), obj, gamma)
+    assert obj.eval_count == 0
+
+
+def test_nan_probe_positions_raise_before_the_objective_sees_them():
+    # Fitness gaps of 3e308 overflow the kernel, two probes move to NaN
+    # positions, and this objective would return a finite value for them
+    obj = ObjectiveSpec(lambda x: np.where(x[:, 0] > 0, 1.5e308, -1.5e308),
+                        DecisionSpace.cube(2, -1.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^step 2: 2 of 4 probe positions became "
+                                             r"non-finite .* overflowed"):
+            run_cfo(CfoParams(4, 3), obj, np.random.default_rng(1))
+    assert obj.eval_count == 2 * 4

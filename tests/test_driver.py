@@ -7,7 +7,7 @@ from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
 from dtopt.report import ExperimentConfig, render_passes_csv, render_summary, to_dto_config
-from dtopt.threshold import BestFitness, LinearRamp
+from dtopt.threshold import BestFitness, LinearRamp, ThresholdState
 
 
 def expected_evals(runs_per_pass, n_steps, probe_counts):
@@ -15,16 +15,15 @@ def expected_evals(runs_per_pass, n_steps, probe_counts):
     return runs_per_pass * (n_steps + 1) * sum(probe_counts)
 
 
-def _probe_line_config(num_passes=3, np0=2, nt=3, gamma_sweep=(0.0, 0.5, 1.0),
+def _probe_line_config(num_passes=3, np0=2, nt=3, gammas=(0.0, 0.5, 1.0),
                        n_dims=2, c_th=0.6, doubling=True):
-    first_gamma = gamma_sweep[0] if gamma_sweep else 0.0
     return DtoConfig(
         num_passes=num_passes,
         schedule=LinearRamp(c_th=c_th),
-        cfo=CfoParams(n_probes=np0, n_steps=nt, ipd=ProbeLine(first_gamma)),
+        cfo=CfoParams(n_probes=np0, n_steps=nt),
         objective=make_objective("schwefel226", n_dims),
+        ipd=ProbeLine(gammas),
         probe_doubling=doubling,
-        gamma_sweep=gamma_sweep,
     )
 
 
@@ -32,8 +31,9 @@ def _random_config(num_passes=4, np0=3, nt=2, seed=5, c_th=0.9):
     return DtoConfig(
         num_passes=num_passes,
         schedule=LinearRamp(c_th=c_th),
-        cfo=CfoParams(n_probes=np0, n_steps=nt, ipd=RandomUniform(seed=seed)),
+        cfo=CfoParams(n_probes=np0, n_steps=nt),
         objective=make_objective("schwefel226", 2),
+        ipd=RandomUniform(seed=seed),
     )
 
 
@@ -43,7 +43,7 @@ def test_paper_call_totals_closed_form():
 
 
 def test_probe_line_run_matches_eval_oracle():
-    config = _probe_line_config(num_passes=3, np0=2, nt=3, gamma_sweep=(0.0, 0.5, 1.0))
+    config = _probe_line_config(num_passes=3, np0=2, nt=3, gammas=(0.0, 0.5, 1.0))
     report = run_dto(config)
     assert report.total_evals == expected_evals(3, 3, [2, 4, 8])
 
@@ -61,11 +61,9 @@ def test_no_doubling_keeps_probe_count():
 
 
 def test_single_pass_equals_plain_cfo():
-    config = _probe_line_config(num_passes=1, np0=4, nt=5, gamma_sweep=(0.4,),
-                                c_th=0.5)
+    config = _probe_line_config(num_passes=1, np0=4, nt=5, gammas=(0.4,), c_th=0.5)
     report = run_dto(config)
-    result, _ = run_cfo(CfoParams(n_probes=4, n_steps=5, ipd=ProbeLine(0.4)),
-                        make_objective("schwefel226", 2))
+    result, _ = run_cfo(CfoParams(n_probes=4, n_steps=5), make_objective("schwefel226", 2), 0.4)
     assert report.best_value == result.best_value
     assert np.array_equal(report.best_coords, result.best_coords)
     assert report.total_evals == result.evals_used
@@ -97,7 +95,7 @@ def test_best_overall_monotone_across_invocations():
     running = np.maximum.accumulate(seen)
     assert report.best_value == running[-1]
     # the reported per-pass best is the max over that pass's sweep
-    per_pass = np.array(seen).reshape(3, len(config.gamma_sweep))
+    per_pass = np.array(seen).reshape(3, len(config.ipd.gammas))
     for rec, row in zip(report.passes, per_pass):
         assert rec.best_fitness == row.max()
 
@@ -128,9 +126,9 @@ def test_best_fitness_schedule_pins_threshold_to_pass_best():
     config = DtoConfig(
         num_passes=3,
         schedule=BestFitness(),
-        cfo=CfoParams(n_probes=4, n_steps=3, ipd=ProbeLine(0.25)),
+        cfo=CfoParams(n_probes=4, n_steps=3),
         objective=make_objective("schwefel226", 2),
-        gamma_sweep=(0.25, 0.75),
+        ipd=ProbeLine((0.25, 0.75)),
     )
     report = run_dto(config)
     assert report.passes[1].threshold == report.passes[0].best_fitness
@@ -167,11 +165,41 @@ def test_num_passes_validation():
         _random_config(num_passes=0)
 
 
-def test_gamma_sweep_validation():
-    with pytest.raises(ValueError):
-        _probe_line_config(gamma_sweep=())
-    with pytest.raises(ValueError):
-        _probe_line_config(gamma_sweep=(0.0, 1.5))
+def _run_searches(config):
+    """run_dto's report and the (result, history) of each search, in order."""
+    searches = []
+    report = run_dto(config, observer=lambda k, t, result, history: searches.append(
+        (result, history)))
+    return report, searches
+
+
+def _assert_same_search(got, expected):
+    (got_result, got_history), (result, history) = got, expected
+    assert np.array_equal(got_history.positions, history.positions)
+    assert np.array_equal(got_history.fitness, history.fitness)
+    assert got_result.best_value == result.best_value
+
+
+def test_probe_line_runs_exactly_its_gammas():
+    # One gamma, one search per pass, at that gamma: no sweep hides behind it
+    config = _probe_line_config(num_passes=3, np0=4, nt=3, gammas=(0.3,), doubling=False)
+    report, searches = _run_searches(config)
+    assert len(searches) == 3
+    assert report.total_evals == expected_evals(1, 3, [4, 4, 4])
+    _assert_same_search(searches[0], run_cfo(CfoParams(n_probes=4, n_steps=3),
+                                             make_objective("schwefel226", 2), 0.3))
+
+
+def test_random_run_equals_searches_sharing_one_generator():
+    config = _random_config(num_passes=3, np0=3, nt=2, seed=11)
+    report, searches = _run_searches(config)
+    rng = np.random.default_rng(11)
+    objective = make_objective("schwefel226", 2)
+    for record, search in zip(report.passes, searches):
+        floor = ThresholdState() if record.threshold is None else ThresholdState(record.threshold)
+        params = CfoParams(n_probes=search[1].n_probes, n_steps=2)
+        _assert_same_search(search, run_cfo(params, objective, rng, floor))
+    assert objective.eval_count == report.total_evals
 
 
 def test_probe_line_run_deterministic():
@@ -270,8 +298,7 @@ def test_non_finite_objective_value_names_pass_search_step_and_count(value, ipd,
 def test_non_finite_value_in_a_floor_redraw_is_an_error():
     # only the one-row batches of floor repositioning see the NaN
     config = _random_config(num_passes=3, np0=8, nt=3, seed=5)
-    config.cfo = CfoParams(n_probes=8, n_steps=3, ipd=RandomUniform(seed=5),
-                           floor_repositioning=True)
+    config.cfo = CfoParams(n_probes=8, n_steps=3, floor_repositioning=True)
     config.objective = _schwefel_turning_bad(np.nan, 0, batch_rows=1)
     with pytest.raises(ValueError, match=r"pass 2, search at seed 5: step \d+: .* 1 non-finite "
                                          r".* batch of 1$"):
@@ -287,7 +314,8 @@ def test_constant_objective_beyond_1e300_runs_and_reports_the_constant(constant,
     config = DtoConfig(
         num_passes=3,
         schedule=schedule,
-        cfo=CfoParams(4, 3, RandomUniform(1)),
+        cfo=CfoParams(4, 3),
+        ipd=RandomUniform(1),
         objective=ObjectiveSpec(lambda x: np.full(x.shape[0], constant), space),
     )
     positions = []
@@ -306,10 +334,32 @@ def test_acceleration_overflow_is_not_blamed_on_the_objective():
     config = DtoConfig(
         num_passes=3,
         schedule=LinearRamp(0.6),
-        cfo=CfoParams(4, 3, RandomUniform(1)),
+        cfo=CfoParams(4, 3),
+        ipd=RandomUniform(1),
         objective=ObjectiveSpec(lambda x: 1.5e308 * x[:, 0], DecisionSpace.cube(2, -1.0, 1.0)),
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"^pass 1, search at seed 1: step \d+: \d+ of 4 "
                                              r"probe positions became non-finite .* overflowed"):
             run_dto(config)
+
+
+def test_linear_ramp_over_a_range_beyond_the_largest_float():
+    # F* - F_min = 3e308 overflows; with 2 probes in 2-D every probe sits on
+    # the diagonal point, so the kernel itself never overflows
+    config = DtoConfig(
+        num_passes=3,
+        schedule=LinearRamp(0.6),
+        cfo=CfoParams(2, 3),
+        objective=ObjectiveSpec(lambda x: np.where(x[:, 0] > 0, 1.5e308, -1.5e308),
+                                DecisionSpace.cube(2, -1.0, 1.0)),
+        ipd=ProbeLine((0.0, 1.0)),
+        probe_doubling=False,
+    )
+    report = run_dto(config)
+    thresholds = [p.threshold for p in report.passes]
+    assert thresholds[0] is None
+    for t in thresholds[1:]:
+        assert -1.5e308 <= t <= 1.5e308
+    assert thresholds[1:] == pytest.approx([-9.0e307, -3.0e307], rel=1e-12)
+    assert report.best_value == 1.5e308

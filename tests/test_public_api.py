@@ -17,8 +17,8 @@ TOP_LEVEL_NAMES = {
 # Each module's __all__, pinned the same way.
 MODULE_NAMES = {
     "dtopt.cfo": {
-        "CfoParams", "OptResult", "ProbeLine", "RandomUniform", "SwarmHistory",
-        "compute_accelerations", "cycle_frep", "probe_line_ipd", "random_ipd",
+        "CfoParams", "DEFAULT_GAMMA_SWEEP", "OptResult", "ProbeLine", "RandomUniform",
+        "SwarmHistory", "compute_accelerations", "cycle_frep", "probe_line_ipd", "random_ipd",
         "reposition_floor_probes", "retrieve_errant", "run_cfo", "scan_best", "scan_worst",
         "step_positions",
     },
@@ -26,7 +26,7 @@ MODULE_NAMES = {
         "BestFitness", "FLOOR_MARGIN", "LinearRamp", "ThresholdState", "apply_threshold",
     },
     "dtopt.floorscan": {"FloorStats", "halton_points", "sample_threshold_floor"},
-    "dtopt.driver": {"DEFAULT_GAMMA_SWEEP", "DtoConfig", "PassRecord", "RunReport", "run_dto"},
+    "dtopt.driver": {"DtoConfig", "PassRecord", "RunReport", "run_dto"},
     "dtopt.report": {
         "ConfigError", "ExperimentConfig", "PROFILES", "SURFACE_GRID_POINTS",
         "average_distance_to_best", "fmt", "parse_config", "render_passes_csv",

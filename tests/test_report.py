@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dtopt.cfo import SwarmHistory
+from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory
 from dtopt.driver import PassRecord, RunReport
 from dtopt.objectives import DecisionSpace, schwefel226
 from dtopt.report import (
@@ -128,9 +128,17 @@ def test_config_dimension_follows_the_benchmark_table():
 
 def test_to_dto_config_seed_override():
     config = to_dto_config(PROFILES["schwefel2d"], seed=42)
-    assert config.cfo.ipd.seed == 42
+    assert config.ipd == RandomUniform(42)
     assert config.objective.space.n_dims == 2
     assert config.schedule.c_th == 0.98
+
+
+def test_to_dto_config_probe_line_carries_the_whole_sweep():
+    config = to_dto_config(PROFILES["schwefel30d"])
+    assert config.ipd == ProbeLine(tuple(i / 10 for i in range(11)))
+    assert config.cfo == CfoParams(n_probes=4, n_steps=15, floor_repositioning=False)
+    quick = to_dto_config(parse_config("ipd = probe_line\ngamma_sweep = 0.25, 0.5\n"))
+    assert quick.ipd.gammas == (0.25, 0.5)
 
 
 # ----- summary / CSV rendering -----

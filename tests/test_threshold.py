@@ -54,6 +54,18 @@ def test_linear_update_examples():
     assert _linear(0.6, 3, 6, state) == pytest.approx(30.0, abs=1e-12)
 
 
+def test_linear_update_over_a_range_beyond_the_largest_float():
+    # F* - F_min overflows to +inf; the convex form stays inside [F_min, F*]
+    state = ThresholdState(f_star=1.5e308, f_min=-1.5e308)
+    thresholds = [_linear(0.6, k, 3, state) for k in (1, 2, 3)]
+    assert thresholds == pytest.approx([-9.0e307, -3.0e307, 3.0e307], rel=1e-12)
+    state = ThresholdState(f_star=np.finfo(float).max, f_min=-np.finfo(float).max)
+    assert _linear(1.0, 1, 1, state) == np.finfo(float).max
+    # a finite range keeps the F_min + c * (F* - F_min) form bit for bit
+    state = ThresholdState(f_star=0.3, f_min=-0.7)
+    assert _linear(0.6, 1, 3, state) == -0.7 + (0.6 * 1 / 3) * (0.3 - -0.7)
+
+
 def test_linear_update_zero_range_collapses():
     state = ThresholdState(f_star=42.5, f_min=42.5)
     for k in range(1, 6):
