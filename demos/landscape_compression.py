@@ -9,6 +9,8 @@ emitted files with ``gnuplot -p <name>.gp``.
 
 import os
 
+import numpy as np
+
 from dtopt.objectives import DecisionSpace, schwefel226
 from dtopt.report import write_surface
 
@@ -16,13 +18,13 @@ out_dir = "demo_output"
 os.makedirs(out_dir, exist_ok=True)
 space = DecisionSpace.cube(2, -500.0, 500.0)
 
-floors = [None, -347.955, 181.693, 686.126]
+floors = [-np.inf, -347.955, 181.693, 686.126]
 for floor in floors:
-    tag = "none" if floor is None else str(floor).replace("-", "m").replace(".", "p")
+    tag = "none" if floor == -np.inf else str(floor).replace("-", "m").replace(".", "p")
     data = os.path.join(out_dir, f"surface_{tag}.dat")
     command = os.path.join(out_dir, f"surface_{tag}.gp")
     write_surface(schwefel226, space, floor, data, command)
-    label = "no floor" if floor is None else f"floor at {floor}"
+    label = "no floor" if floor == -np.inf else f"floor at {floor}"
     print(f"wrote {data} ({label})")
 
 print(f"\nrender with: gnuplot -p {out_dir}/surface_none.gp")

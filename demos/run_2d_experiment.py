@@ -9,6 +9,7 @@ maximum 837.9658 at (420.9687, 420.9687).
 """
 
 import sys
+from math import inf
 
 from dtopt import run_dto
 from dtopt.report import PROFILES, to_dto_config
@@ -22,5 +23,5 @@ print(f"total function calls: {report.total_evals}")
 print()
 print("Pass#      Threshold      Best Fitness")
 for rec in report.passes:
-    threshold = "none" if rec.threshold is None else f"{rec.threshold:.3f}"
+    threshold = "none" if rec.threshold == -inf else f"{rec.threshold:.3f}"
     print(f"{rec.pass_index:>4d}  {threshold:>15}  {rec.best_fitness:>16.5f}")

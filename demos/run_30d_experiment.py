@@ -12,6 +12,8 @@ swarm fans out and the search homes in on the global basin near
 x_i = 420.9687.
 """
 
+from math import inf
+
 from dtopt import run_dto
 from dtopt.report import PROFILES, to_dto_config
 
@@ -23,5 +25,5 @@ print(f"coordinate spread: [{report.best_coords.min():.4f}, {report.best_coords.
 print()
 print("Pass#      Threshold      Best Fitness")
 for rec in report.passes:
-    threshold = "none" if rec.threshold is None else f"{rec.threshold:.3f}"
+    threshold = "none" if rec.threshold == -inf else f"{rec.threshold:.3f}"
     print(f"{rec.pass_index:>4d}  {threshold:>15}  {rec.best_fitness:>16.5f}")

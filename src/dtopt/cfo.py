@@ -10,18 +10,19 @@ positions drawn from a generator the caller passes in.
 
 The update cycle per time step: move probes ballistically from the previous
 step's accelerations, pull coordinates that left the domain back inside
-(scaled by the cycling retrieval factor), evaluate the floored fitness, then
+(scaled by that step's retrieval factor), evaluate the floored fitness, then
 compute accelerations from the new fitness field.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objectives import DecisionSpace
-from .threshold import FLOOR_MARGIN, ThresholdState, apply_threshold
+from .threshold import ThresholdState, apply_threshold, on_floor
 
 __all__ = [
     "DEFAULT_GAMMA_SWEEP",
@@ -31,11 +32,9 @@ __all__ = [
     "SwarmHistory",
     "OptResult",
     "probe_line_ipd",
-    "random_ipd",
     "step_positions",
     "retrieve_errant",
     "compute_accelerations",
-    "cycle_frep",
     "scan_best",
     "scan_worst",
     "reposition_floor_probes",
@@ -47,9 +46,10 @@ _TILE_ROWS = 64  # probes per row tile of the acceleration kernel
 
 # Parameter-free CFO fixes G = 2, dt = 1 and alpha = beta = 2 (the kernel
 # squares the fitness gap and divides by the squared distance; a move adds
-# 0.5 * A), and starts the retrieval factor at 0.5.
+# 0.5 * A). Step j retrieves with _FREP[(j - 1) % 20]: the factor starts at
+# 0.5 and rises by 0.05 per step, wrapping from 1.0 to 0.05.
 _G_CONST = 2.0
-_FREP_INIT = 0.5
+_FREP = tuple(k / 20 for k in (*range(10, 21), *range(1, 10)))
 
 DEFAULT_GAMMA_SWEEP = tuple(i / 10 for i in range(11))
 
@@ -75,6 +75,10 @@ class RandomUniform:
     from one generator seeded with ``seed`` for the whole run."""
 
     seed: int
+
+    def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -144,11 +148,6 @@ def probe_line_ipd(n_probes: int, space: DecisionSpace, gamma: float) -> np.ndar
                 positions[slot + per_axis * axis, axis] = min(space.lower[axis] + slot * step,
                                                               space.upper[axis])
     return positions
-
-
-def random_ipd(n_probes: int, space: DecisionSpace, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-random starting positions, one draw per coordinate, probe-major."""
-    return rng.uniform(space.lower, space.upper, size=(n_probes, space.n_dims))
 
 
 def step_positions(history: SwarmHistory, j: int, accels: np.ndarray,
@@ -223,18 +222,6 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     return accels
 
 
-def cycle_frep(frep: float) -> float:
-    """Advance the retrieval factor by 0.05, wrapping past 1.0 back to 0.05.
-
-    Values are snapped to the 0.05 grid so the 20-value cycle is exact in
-    floating point.
-    """
-    nxt = round((frep + 0.05) * 20.0) / 20.0
-    if nxt > 1.0:
-        return 0.05
-    return nxt
-
-
 def _scan(history: SwarmHistory, up_to_step: int, arg_extreme) -> tuple[float, int, int]:
     window = history.fitness[:, : up_to_step + 1]
     flat = window.T.ravel()
@@ -266,18 +253,17 @@ def reposition_floor_probes(
     objective,
     rng: np.random.Generator,
 ) -> int:
-    """Redraw a probe sitting on the floor until it clears FLOOR_MARGIN.
+    """Redraw a probe while it sits on the floor (``threshold.on_floor``).
 
-    Under the -inf threshold of a first pass every fitness clears the
-    margin, so nothing is redrawn. Each redraw re-evaluates the probe
-    (incrementing the objective's counter) and overwrites its position and
-    fitness at the given step; after _MAX_REPOSITION_TRIES the last position
-    stands. Returns the number of redraws used.
+    Nothing is on the -inf floor of a first pass. Each redraw re-evaluates
+    the probe (incrementing the objective's counter) and overwrites its
+    position and fitness at the given step; after _MAX_REPOSITION_TRIES the
+    last position stands. Returns the number of redraws used.
     """
     space = objective.space
     tries = 0
     while (
-        history.fitness[probe, step] - threshold.t_current < FLOOR_MARGIN
+        on_floor(history.fitness[probe, step], threshold.t_current)
         and tries < _MAX_REPOSITION_TRIES
     ):
         history.positions[probe, :, step] = rng.uniform(space.lower, space.upper)
@@ -320,28 +306,28 @@ def run_cfo(
     params: CfoParams,
     objective,
     start: float | np.random.Generator,
-    threshold: ThresholdState | None = None,
+    threshold: ThresholdState = ThresholdState(),
 ) -> tuple[OptResult, SwarmHistory]:
     """Run one CFO search over the objective's decision space.
 
     ``objective`` needs ``space``, ``evaluate_batch`` and ``eval_count``
     (see ObjectiveSpec). ``start`` is either a gamma in [0, 1], for a
     bit-reproducible probe-line start at that diagonal fraction, or the
-    generator that draws a random start and every floor redraw (callers
-    running several searches off one stream pass the same generator). A
+    generator that draws a random start (one uniform draw per coordinate,
+    probe-major) and every floor redraw (callers running several searches
+    off one stream pass the same generator). A
     probe-line search that repositions floor probes redraws from its own
     ``default_rng(0)``. The optimizer only ever sees the fitness floored at
-    ``threshold``; without one the floor is -inf, which floors nothing.
+    ``threshold``, which it only reads; the default -inf floors nothing.
     """
     space = objective.space
-    if threshold is None:
-        threshold = ThresholdState()
     history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)
     evals_before = objective.eval_count
 
     if isinstance(start, np.random.Generator):
         rng = start
-        history.positions[:, :, 0] = random_ipd(params.n_probes, space, rng)
+        history.positions[:, :, 0] = rng.uniform(space.lower, space.upper,
+                                                 size=(params.n_probes, space.n_dims))
     else:
         if not 0.0 <= start <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
@@ -350,13 +336,11 @@ def run_cfo(
     _evaluate_step(history, 0, objective, threshold, params, rng)
     accels = np.zeros((params.n_probes, space.n_dims))  # step 0 does not accelerate
 
-    frep = _FREP_INIT
     for j in range(1, params.n_steps + 1):
         step_positions(history, j, accels, params)
-        retrieve_errant(history, j, frep, space)
+        retrieve_errant(history, j, _FREP[(j - 1) % len(_FREP)], space)
         _evaluate_step(history, j, objective, threshold, params, rng)
         accels = compute_accelerations(history, j, params)
-        frep = cycle_frep(frep)
 
     best_value, best_probe, best_step = scan_best(history, params.n_steps)
     worst_value, _, _ = scan_worst(history, params.n_steps)

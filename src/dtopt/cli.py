@@ -83,7 +83,8 @@ def _cmd_surface(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, "surface.dat")
     command_path = os.path.join(out_dir, "surface.gp")
-    write_surface(objective.func, objective.space, args.threshold, data_path, command_path)
+    threshold = -np.inf if args.threshold is None else args.threshold  # -inf: no floor
+    write_surface(objective.func, objective.space, threshold, data_path, command_path)
     print(f"wrote {data_path} and {command_path}")
     return 0
 

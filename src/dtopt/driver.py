@@ -22,8 +22,8 @@ from .threshold import Schedule, ThresholdState
 
 __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
 
-# observer(pass_index, threshold_or_None, OptResult, SwarmHistory)
-Observer = Callable[[int, float | None, OptResult, SwarmHistory], None]
+# observer(pass_index, threshold, OptResult, SwarmHistory)
+Observer = Callable[[int, float, OptResult, SwarmHistory], None]
 
 
 @dataclass
@@ -43,7 +43,7 @@ class DtoConfig:
 @dataclass
 class PassRecord:
     pass_index: int
-    threshold: float | None  # None on pass 1, which runs without a floor
+    threshold: float  # -inf on pass 1, which runs without a floor
     best_fitness: float
     cumulative_evals: int
 
@@ -62,7 +62,7 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
     The reported best value is the floored fitness recorded when the point was
     found; for a best point strictly above every floor it equals the raw
     fitness. ``observer``, when given, is called after every inner search with
-    the pass index, the threshold active during that pass (None on pass 1),
+    the pass index, the threshold active during that pass (-inf on pass 1),
     the search result, and its full history.
 
     A NaN or +-inf objective value ends the run in ValueError naming the
@@ -81,7 +81,7 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
     evals_start = objective.eval_count
 
     for pass_index in range(1, config.num_passes + 1):
-        threshold_used = state.t_current if state.enabled else None
+        threshold_used = state.t_current
         pass_best = -np.inf
         params = replace(config.cfo, n_probes=n_probes)
         for start, search in starts:

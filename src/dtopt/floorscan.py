@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .objectives import DecisionSpace
-from .threshold import FLOOR_MARGIN
+from .threshold import FLOOR_MARGIN, _check_floor, on_floor
 
 __all__ = ["FloorStats", "halton_points", "sample_threshold_floor"]
 
@@ -140,8 +140,8 @@ def sample_threshold_floor(
     """Estimate the above-floor fraction of a thresholded landscape.
 
     Maps the Halton points of indices 0 .. n_samples-1 affinely into the
-    decision space, evaluates the floored fitness g = max(f, T) at each, and
-    counts a sample as on-floor when g - T <= margin. The indices are walked
+    decision space, evaluates f at each, and counts the samples on the floor
+    by ``threshold.on_floor``: max(f, T) - T <= margin. The indices are walked
     in consecutive chunks of max(4096, 2**17 // n) points, so ``func`` is
     called once per chunk with a fresh ``(m, n)`` float64 batch, and must
     return m fitnesses. The batch is column-major (Fortran-ordered): a
@@ -157,12 +157,14 @@ def sample_threshold_floor(
     a 30-D Schwefel value can move by about 1e-12. A count can change only
     for a sample within that distance of the threshold plus the margin.
 
-    An objective value of +inf counts as above the floor and -inf as on it.
-    A NaN value, or a result that is not one value per sample, raises
-    ValueError.
+    T = -inf is no floor, and no sample is on it. Under a finite T an
+    objective value of +inf counts as above the floor and -inf as on it.
+    A NaN or +inf T, a margin that is not finite and >= 0, a NaN value, or
+    a result that is not one value per sample raises ValueError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    _check_floor(threshold, margin)
     width = space.upper - space.lower
     chunk_rows = max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // space.n_dims)
     n_on_floor = 0
@@ -179,9 +181,7 @@ def sample_threshold_floor(
         if n_nan:
             raise ValueError(f"func returned NaN for {n_nan} of the {m} samples "
                              f"at Halton indices {start}..{start + m - 1}")
-        g = np.maximum(f, threshold)
-        g -= threshold
-        n_on_floor += int(np.count_nonzero(g <= margin))
+        n_on_floor += int(np.count_nonzero(on_floor(f, threshold, margin)))
     return FloorStats(
         n_samples=n_samples,
         n_on_floor=n_on_floor,

@@ -48,6 +48,8 @@ class DecisionSpace:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
+        if self.lower.size == 0:
+            raise ValueError("a decision space needs at least one dimension")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("every bound must be finite (no NaN or +-inf)")
         if not np.all(self.lower < self.upper):
@@ -140,11 +142,13 @@ BENCHMARKS = {
 def benchmark_dims(name: str, n_dims: int | None = None) -> int:
     """Dimension benchmark ``name`` runs in: its fixed one, else n_dims (default 2).
 
-    Raises ValueError for an unknown name or an n_dims that conflicts with a
-    fixed dimension.
+    Raises ValueError for an unknown name, an n_dims below 1, or an n_dims
+    that conflicts with a fixed dimension.
     """
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {tuple(BENCHMARKS)}")
+    if n_dims is not None and n_dims < 1:
+        raise ValueError(f"n_dims must be >= 1, got {n_dims}")
     fixed = BENCHMARKS[name].n_dims
     if fixed is None:
         return 2 if n_dims is None else n_dims

@@ -20,7 +20,7 @@ import numpy as np
 from .cfo import DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory
 from .driver import DtoConfig, RunReport
 from .objectives import BENCHMARKS, DecisionSpace, benchmark_dims, make_objective
-from .threshold import BestFitness, LinearRamp
+from .threshold import BestFitness, LinearRamp, _check_floor
 
 __all__ = [
     "ExperimentConfig",
@@ -36,10 +36,9 @@ __all__ = [
     "write_surface",
     "average_distance_to_best",
     "write_davg",
-    "SURFACE_GRID_POINTS",
 ]
 
-SURFACE_GRID_POINTS = 100
+_GRID_POINTS = 100  # per axis of a surface grid
 
 _SCHEDULES = ("linear", "best_fitness")
 _IPDS = ("probe_line", "random")
@@ -198,6 +197,7 @@ def fmt(x: float) -> str:
 
 
 def render_summary(report: RunReport) -> str:
+    """The fixed-layout summary; the -inf threshold of pass 1 reads ``none``."""
     lines = [
         "RUN COMPLETED",
         "",
@@ -209,7 +209,7 @@ def render_summary(report: RunReport) -> str:
     lines.append("")
     lines.append("Pass#      Threshold      Best Fitness")
     for rec in report.passes:
-        threshold = "none" if rec.threshold is None else f"{rec.threshold:.3f}"
+        threshold = "none" if rec.threshold == -np.inf else f"{rec.threshold:.3f}"
         lines.append(f"{rec.pass_index:>4d}  {threshold:>15}  {rec.best_fitness:>16.5f}")
     return "\n".join(lines) + "\n"
 
@@ -220,9 +220,10 @@ def write_summary(report: RunReport, path) -> None:
 
 
 def render_passes_csv(report: RunReport) -> str:
+    """One CSV row per pass; the -inf threshold of pass 1 is an empty field."""
     lines = ["pass,threshold,best_fitness,cumulative_evals"]
     for rec in report.passes:
-        threshold = "" if rec.threshold is None else fmt(rec.threshold)
+        threshold = "" if rec.threshold == -np.inf else fmt(rec.threshold)
         lines.append(
             f"{rec.pass_index},{threshold},{fmt(rec.best_fitness)},{rec.cumulative_evals}"
         )
@@ -234,22 +235,21 @@ def write_passes_csv(report: RunReport, path) -> None:
         fh.write(render_passes_csv(report))
 
 
-def render_surface(func, space: DecisionSpace, threshold: float | None,
-                   n_points: int = SURFACE_GRID_POINTS) -> str:
-    """Grid of ``x1 x2 z`` rows with a blank line after each constant-x1 scanline."""
+def render_surface(func, space: DecisionSpace, threshold: float) -> str:
+    """Grid of ``x1 x2 z`` rows with a blank line after each constant-x1
+    scanline, z floored at the threshold (-inf for the raw landscape)."""
     if space.n_dims != 2:
         raise ValueError("surface grids require a 2-D decision space")
-    dx1 = (space.upper[0] - space.lower[0]) / (n_points - 1)
-    dx2 = (space.upper[1] - space.lower[1]) / (n_points - 1)
-    x2_vals = space.lower[1] + dx2 * np.arange(n_points)
+    _check_floor(threshold)
+    dx1 = (space.upper[0] - space.lower[0]) / (_GRID_POINTS - 1)
+    dx2 = (space.upper[1] - space.lower[1]) / (_GRID_POINTS - 1)
+    x2_vals = space.lower[1] + dx2 * np.arange(_GRID_POINTS)
     lines = []
-    for i in range(n_points):
+    for i in range(_GRID_POINTS):
         x1 = space.lower[0] + i * dx1
-        row_points = np.column_stack([np.full(n_points, x1), x2_vals])
-        z = np.asarray(func(row_points), dtype=float)
-        if threshold is not None:
-            z = np.maximum(z, threshold)
-        for k in range(n_points):
+        row_points = np.column_stack([np.full(_GRID_POINTS, x1), x2_vals])
+        z = np.maximum(np.asarray(func(row_points), dtype=float), threshold)
+        for k in range(_GRID_POINTS):
             lines.append(f"{fmt(x1)} {fmt(x2_vals[k])} {fmt(z[k])}")
         lines.append("")
     return "\n".join(lines) + "\n"
@@ -265,10 +265,10 @@ def render_surface_command(data_filename: str) -> str:
     )
 
 
-def write_surface(func, space: DecisionSpace, threshold: float | None,
-                  data_path, command_path=None, n_points: int = SURFACE_GRID_POINTS) -> None:
+def write_surface(func, space: DecisionSpace, threshold: float,
+                  data_path, command_path=None) -> None:
     with open(data_path, "w", newline="\n") as fh:
-        fh.write(render_surface(func, space, threshold, n_points))
+        fh.write(render_surface(func, space, threshold))
     if command_path is not None:
         with open(command_path, "w", newline="\n") as fh:
             fh.write(render_surface_command(os.path.basename(str(data_path))))

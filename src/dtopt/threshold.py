@@ -20,11 +20,12 @@ __all__ = [
     "BestFitness",
     "ThresholdState",
     "apply_threshold",
+    "on_floor",
     "FLOOR_MARGIN",
 ]
 
-# A fitness within this distance of the threshold sits on the floor: a
-# repositioned probe must clear it, and floor sampling counts below it.
+# A fitness within this distance of the threshold sits on the floor (see
+# on_floor): a repositioned probe must clear it, and floor sampling counts it.
 FLOOR_MARGIN = 0.005
 
 
@@ -87,7 +88,8 @@ class ThresholdState:
 
     @property
     def enabled(self) -> bool:
-        """Whether a real floor has been set: false while T is -inf."""
+        """Whether a real floor has been set: false while T is -inf. dtopt
+        itself never reads it; the benchmark's per-layer counters do."""
         return self.t_current > -np.inf
 
 
@@ -100,3 +102,23 @@ def apply_threshold(f_val, state: ThresholdState):
     back bit for bit, -0.0 included.
     """
     return np.maximum(f_val, state.t_current)
+
+
+def on_floor(f_val, t: float, margin: float = FLOOR_MARGIN):
+    """Whether a fitness (scalar or array) is on the floor at threshold t:
+    max(f, t) - t <= margin. Floor repositioning and floor sampling both use
+    it. Nothing is on a -inf floor, and -inf - (-inf) is never computed."""
+    if t == -np.inf:
+        return np.zeros(np.shape(f_val), dtype=bool)
+    lift = np.maximum(f_val, t)
+    lift -= t
+    return lift <= margin
+
+
+def _check_floor(t: float, margin: float = FLOOR_MARGIN) -> None:
+    """Raise ValueError unless t is a threshold (any number below +inf, with
+    -inf for no floor) and margin is finite and >= 0."""
+    if np.isnan(t) or t == np.inf:
+        raise ValueError(f"threshold must not be NaN or +inf (-inf is no floor), got {t}")
+    if not (np.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")

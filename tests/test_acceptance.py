@@ -9,9 +9,11 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
+import dtopt.cfo
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, \
-    compute_accelerations, cycle_frep, probe_line_ipd, run_cfo
+    compute_accelerations, probe_line_ipd, run_cfo
 from dtopt.cli import main
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.floorscan import sample_threshold_floor
@@ -109,7 +111,7 @@ def test_criterion_5_floor_invariant_suite():
 
     def observer(pass_index, threshold, result, history):
         nonlocal violations
-        if threshold is not None and history.fitness.min() < threshold:
+        if history.fitness.min() < threshold:
             violations += 1
 
     for _ in range(100):
@@ -155,7 +157,7 @@ def test_criterion_5_floor_invariant_suite():
     _criterion(5, "floor invariants (fuzzed runs, max identity, argmax)", failures)
 
 
-def test_criterion_6_cfo_micro_oracles():
+def test_criterion_6_cfo_micro_oracles(monkeypatch: pytest.MonkeyPatch):
     failures = []
     # hand-traced two-probe acceleration
     hist = SwarmHistory.allocate(2, 1, 1)
@@ -177,12 +179,20 @@ def test_criterion_6_cfo_micro_oracles():
             failures.append(f"evals {result.evals_used} != {(n_steps + 1) * n_probes}")
             break
 
-    # retrieval factor orbit
-    values = [0.5]
-    for _ in range(20):
-        values.append(cycle_frep(values[-1]))
-    if values[20] != 0.5 or set(values[:20]) != {k / 20 for k in range(1, 21)}:
-        failures.append("frep orbit is not the 20-value cycle")
+    # retrieval factor orbit: the factor run_cfo passes at steps 1..45
+    values = []
+    retrieve = dtopt.cfo.retrieve_errant
+
+    def recording_retrieve(history, j, frep, space):
+        values.append(frep)
+        retrieve(history, j, frep, space)
+
+    monkeypatch.setattr(dtopt.cfo, "retrieve_errant", recording_retrieve)
+    run_cfo(CfoParams(n_probes=2, n_steps=45), make_objective("schwefel226", 2), 0.5)
+    if (values[:11] != [k / 20 for k in range(10, 21)] or values[11] != 0.05
+            or values[20:] != values[:25]
+            or set(values[:20]) != {k / 20 for k in range(1, 21)}):
+        failures.append("frep orbit is not the 20-value cycle from 0.5")
 
     # probe-line layout hand trace
     layout = probe_line_ipd(4, DecisionSpace.cube(2, -500.0, 500.0), 0.5)

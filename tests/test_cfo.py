@@ -6,16 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dtopt.cfo
 from dtopt.cfo import (
     _MAX_REPOSITION_TRIES,
     DEFAULT_GAMMA_SWEEP,
     CfoParams,
     ProbeLine,
+    RandomUniform,
     SwarmHistory,
     compute_accelerations,
-    cycle_frep,
     probe_line_ipd,
-    random_ipd,
     reposition_floor_probes,
     retrieve_errant,
     run_cfo,
@@ -58,25 +58,50 @@ def test_probe_line_1d_two_probes_hit_endpoints():
         assert np.array_equal(positions, np.array([[-3.0], [7.0]]))
 
 
-def test_random_ipd_deterministic_per_seed():
+def _random_start(n_probes, space, seed):
+    """Step-0 positions of a run_cfo search drawn from default_rng(seed)."""
+    objective = ObjectiveSpec(lambda x: np.zeros(len(x)), space)
+    _, history = run_cfo(CfoParams(n_probes=n_probes, n_steps=0), objective,
+                         np.random.default_rng(seed))
+    return history.positions[:, :, 0]
+
+
+def test_random_start_deterministic_per_seed():
     space = DecisionSpace.cube(4, -2.0, 9.0)
-    a = random_ipd(8, space, np.random.default_rng(123))
-    b = random_ipd(8, space, np.random.default_rng(123))
+    a = _random_start(8, space, 123)
+    b = _random_start(8, space, 123)
     assert np.array_equal(a, b)
 
 
-def test_random_ipd_within_bounds():
+def test_random_start_is_one_probe_major_uniform_draw():
+    space = DecisionSpace.cube(4, -2.0, 9.0)
+    expected = np.random.default_rng(123).uniform(space.lower, space.upper, size=(8, 4))
+    assert np.array_equal(_random_start(8, space, 123), expected)
+
+
+def test_random_start_within_bounds():
     space = DecisionSpace(np.array([-5.0, 0.0, 3.0]), np.array([-1.0, 2.0, 30.0]))
-    positions = random_ipd(100, space, np.random.default_rng(7))
+    positions = _random_start(100, space, 7)
     assert np.all(positions >= space.lower) and np.all(positions < space.upper)
 
 
-def test_random_ipd_differs_across_seeds():
+def test_random_start_differs_across_seeds():
     space = DecisionSpace.cube(3, 0.0, 1.0)
     for seed in range(100):
-        a = random_ipd(5, space, np.random.default_rng(seed))
-        b = random_ipd(5, space, np.random.default_rng(seed + 1))
+        a = _random_start(5, space, seed)
+        b = _random_start(5, space, seed + 1)
         assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+def test_random_uniform_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        RandomUniform(seed)
+
+
+def test_random_uniform_accepts_numpy_integers():
+    assert RandomUniform(np.int64(3)).seed == 3
+    assert RandomUniform(0).seed == 0
 
 
 # ----- kinematics -----
@@ -254,18 +279,37 @@ def test_acceleration_memory_is_bounded():
 
 # ----- retrieval factor cycling -----
 
-def test_cycle_frep_examples():
-    assert cycle_frep(0.5) == 0.55
-    assert cycle_frep(0.95) == 1.0
-    assert cycle_frep(1.0) == 0.05
+def _retrieval_factors(monkeypatch, n_steps):
+    """The retrieval factor run_cfo passes to retrieve_errant at each step."""
+    factors = []
+    retrieve = dtopt.cfo.retrieve_errant
+
+    def recording_retrieve(history, j, frep, space):
+        factors.append(frep)
+        retrieve(history, j, frep, space)
+
+    monkeypatch.setattr(dtopt.cfo, "retrieve_errant", recording_retrieve)
+    run_cfo(_params(n_probes=2, n_steps=n_steps), make_objective("schwefel226", 2), 0.5)
+    return factors
 
 
-def test_cycle_frep_orbit_period_20():
-    values = [0.5]
-    for _ in range(20):
-        values.append(cycle_frep(values[-1]))
-    assert values[20] == 0.5
-    assert set(values[:20]) == {k / 20 for k in range(1, 21)}
+def test_retrieval_factor_examples(monkeypatch):
+    factors = _retrieval_factors(monkeypatch, 45)
+    assert len(factors) == 45
+    assert factors[0] == 0.5    # step 1
+    assert factors[1] == 0.55   # step 2
+    assert factors[9] == 0.95   # step 10
+    assert factors[10] == 1.0   # step 11
+    assert factors[11] == 0.05  # step 12: wraps past 1.0
+
+
+def test_retrieval_factor_orbit_period_20(monkeypatch):
+    factors = _retrieval_factors(monkeypatch, 45)
+    assert factors[20:] == factors[:25]
+    assert factors[20] == 0.5
+    assert set(factors[:20]) == {k / 20 for k in range(1, 21)}
+    # each factor is the double nearest k / 20, as the 0.05 grid requires
+    assert factors[:20] == [k / 20 for k in (*range(10, 21), *range(1, 10))]
 
 
 # ----- best/worst scans -----
@@ -348,6 +392,17 @@ def test_reposition_lifts_probe_off_floor():
     assert hist.positions[0, 0, 0] >= 0.5
 
 
+def test_reposition_redraws_a_probe_exactly_at_the_margin():
+    # max(f, T) - T <= margin is on the floor, as floor sampling counts it
+    obj = _StubObjective(0.5)
+    hist = SwarmHistory.allocate(1, 2, 0)
+    state = ThresholdState(t_current=0.0)
+    hist.fitness[0, 0] = FLOOR_MARGIN
+    tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(12))
+    assert tries >= 1 and obj.eval_count == tries
+    assert hist.fitness[0, 0] == 1.0
+
+
 def test_reposition_gives_up_after_max_tries():
     obj = _StubObjective(2.0)  # cutoff outside the domain: nothing clears the floor
     hist = SwarmHistory.allocate(1, 2, 0)
@@ -408,8 +463,7 @@ def test_run_cfo_random_seed_reproducible():
     assert np.array_equal(hist_a.positions, hist_b.positions)
     assert np.array_equal(hist_a.fitness, hist_b.fitness)
     assert np.array_equal(hist_a.positions[:, :, 0],
-                          random_ipd(5, DecisionSpace.cube(2, -500.0, 500.0),
-                                     np.random.default_rng(77)))
+                          _random_start(5, DecisionSpace.cube(2, -500.0, 500.0), 77))
 
 
 def test_probe_line_floor_redraws_use_their_own_stream():

@@ -68,15 +68,16 @@ def test_single_pass_equals_plain_cfo():
     assert np.array_equal(report.best_coords, result.best_coords)
     assert report.total_evals == result.evals_used
     assert len(report.passes) == 1
-    assert report.passes[0].threshold is None
+    assert report.passes[0].threshold == -np.inf
 
 
 def test_pass_records_shape():
     config = _probe_line_config(num_passes=4, np0=2, nt=2)
     report = run_dto(config)
     assert len(report.passes) == 4
-    assert report.passes[0].threshold is None
-    assert all(rec.threshold is not None for rec in report.passes[1:])
+    assert report.passes[0].threshold == -np.inf
+    assert all(isinstance(rec.threshold, float) for rec in report.passes)
+    assert all(np.isfinite(rec.threshold) for rec in report.passes[1:])
     assert [rec.pass_index for rec in report.passes] == [1, 2, 3, 4]
     cumulative = [rec.cumulative_evals for rec in report.passes]
     assert cumulative == sorted(cumulative)
@@ -105,9 +106,8 @@ def test_thresholded_passes_respect_floor():
 
     def observer(pass_index, threshold, result, history):
         nonlocal floors_checked
-        if threshold is not None:
-            assert history.fitness.min() >= threshold
-            floors_checked += 1
+        assert history.fitness.min() >= threshold
+        floors_checked += threshold > -np.inf
 
     run_dto(_probe_line_config(num_passes=4, np0=4, nt=3), observer=observer)
     run_dto(_random_config(num_passes=4, np0=4, nt=3), observer=observer)
@@ -142,7 +142,7 @@ def test_report_consistency_raw_fitness_at_best_coords():
         np.asarray(config.objective.evaluate_batch(report.best_coords[None, :]))[0]
     )
     final_floor = report.passes[-1].threshold
-    if final_floor is None or raw > final_floor:
+    if raw > final_floor:
         assert report.best_value == pytest.approx(raw, rel=1e-12, abs=1e-12)
     else:
         assert report.best_value == max(raw, final_floor)
@@ -196,7 +196,7 @@ def test_random_run_equals_searches_sharing_one_generator():
     rng = np.random.default_rng(11)
     objective = make_objective("schwefel226", 2)
     for record, search in zip(report.passes, searches):
-        floor = ThresholdState() if record.threshold is None else ThresholdState(record.threshold)
+        floor = ThresholdState(record.threshold)
         params = CfoParams(n_probes=search[1].n_probes, n_steps=2)
         _assert_same_search(search, run_cfo(params, objective, rng, floor))
     assert objective.eval_count == report.total_evals
@@ -238,8 +238,7 @@ def test_run_invariants_hold_on_random_configs(config):
     def observer(pass_index, threshold, result, history):
         nonlocal searches
         searches += 1
-        if threshold is not None:
-            assert np.all(history.fitness >= threshold)
+        assert np.all(history.fitness >= threshold)
         lower, upper = space.lower[None, :, None], space.upper[None, :, None]
         assert np.all((history.positions >= lower) & (history.positions <= upper))
 
@@ -324,7 +323,7 @@ def test_constant_objective_beyond_1e300_runs_and_reports_the_constant(constant,
     assert report.best_value == constant
     assert report.best_coords is not None
     assert (np.concatenate(positions) == report.best_coords).all(axis=1).any()
-    assert [p.threshold for p in report.passes] == [None, constant, constant]
+    assert [p.threshold for p in report.passes] == [-np.inf, constant, constant]
     assert render_summary(report)
 
 
@@ -358,7 +357,7 @@ def test_linear_ramp_over_a_range_beyond_the_largest_float():
     )
     report = run_dto(config)
     thresholds = [p.threshold for p in report.passes]
-    assert thresholds[0] is None
+    assert thresholds[0] == -np.inf
     for t in thresholds[1:]:
         assert -1.5e308 <= t <= 1.5e308
     assert thresholds[1:] == pytest.approx([-9.0e307, -3.0e307], rel=1e-12)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,35 @@ def test_nan_value_is_an_error_naming_the_count():
 def test_result_not_one_value_per_sample_is_an_error(bad_result):
     with pytest.raises(ValueError, match=r"func must return shape \(1000,\)"):
         sample_threshold_floor(bad_result, UNIT_1D, threshold=0.5, n_samples=1000)
+
+
+def test_margin_boundary_is_on_the_floor():
+    stats = sample_threshold_floor(lambda p: np.full(len(p), FLOOR_MARGIN), UNIT_1D,
+                                   threshold=0.0, n_samples=10)
+    assert stats.n_on_floor == 10
+
+
+def test_no_sample_is_on_a_minus_inf_floor():
+    def signed_inf(points):
+        return np.where(points[:, 0] < 0.5, -np.inf, np.inf)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no -inf - (-inf) is computed
+        for func in (signed_inf, _ramp):
+            stats = sample_threshold_floor(func, UNIT_1D, threshold=-np.inf, n_samples=1000)
+            assert (stats.n_on_floor, stats.p_above) == (0, 1.0)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf])
+def test_nan_or_plus_inf_threshold_is_an_error(threshold):
+    with pytest.raises(ValueError, match="threshold must not be NaN or \\+inf"):
+        sample_threshold_floor(_ramp, UNIT_1D, threshold=threshold, n_samples=10)
+
+
+@pytest.mark.parametrize("margin", [-1.0, np.nan, np.inf])
+def test_margin_not_finite_and_nonnegative_is_an_error(margin):
+    with pytest.raises(ValueError, match="margin must be finite and >= 0"):
+        sample_threshold_floor(_ramp, UNIT_1D, threshold=0.5, n_samples=10, margin=margin)
 
 
 def test_ramp_midpoint_estimate():

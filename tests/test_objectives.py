@@ -199,3 +199,18 @@ def test_decision_space_rejects_inverted_bounds():
 def test_decision_space_rejects_non_finite_bounds(lower, upper):
     with pytest.raises(ValueError, match="every bound must be finite"):
         DecisionSpace(np.array(lower), np.array(upper))
+
+
+def test_decision_space_rejects_zero_dimensions():
+    with pytest.raises(ValueError, match="at least one dimension"):
+        DecisionSpace([], [])
+    with pytest.raises(ValueError, match="at least one dimension"):
+        DecisionSpace.cube(0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n_dims", [0, -1])
+def test_benchmark_dims_rejects_fewer_than_one_dimension(n_dims):
+    with pytest.raises(ValueError, match=f"n_dims must be >= 1, got {n_dims}"):
+        benchmark_dims("schwefel226", n_dims)
+    with pytest.raises(ValueError, match=f"n_dims must be >= 1, got {n_dims}"):
+        make_objective("schwefel226", n_dims)

@@ -18,20 +18,19 @@ TOP_LEVEL_NAMES = {
 MODULE_NAMES = {
     "dtopt.cfo": {
         "CfoParams", "DEFAULT_GAMMA_SWEEP", "OptResult", "ProbeLine", "RandomUniform",
-        "SwarmHistory", "compute_accelerations", "cycle_frep", "probe_line_ipd", "random_ipd",
-        "reposition_floor_probes", "retrieve_errant", "run_cfo", "scan_best", "scan_worst",
-        "step_positions",
+        "SwarmHistory", "compute_accelerations", "probe_line_ipd", "reposition_floor_probes",
+        "retrieve_errant", "run_cfo", "scan_best", "scan_worst", "step_positions",
     },
     "dtopt.threshold": {
         "BestFitness", "FLOOR_MARGIN", "LinearRamp", "ThresholdState", "apply_threshold",
+        "on_floor",
     },
     "dtopt.floorscan": {"FloorStats", "halton_points", "sample_threshold_floor"},
     "dtopt.driver": {"DtoConfig", "PassRecord", "RunReport", "run_dto"},
     "dtopt.report": {
-        "ConfigError", "ExperimentConfig", "PROFILES", "SURFACE_GRID_POINTS",
-        "average_distance_to_best", "fmt", "parse_config", "render_passes_csv",
-        "render_summary", "to_dto_config", "write_davg", "write_passes_csv", "write_summary",
-        "write_surface",
+        "ConfigError", "ExperimentConfig", "PROFILES", "average_distance_to_best", "fmt",
+        "parse_config", "render_passes_csv", "render_summary", "to_dto_config", "write_davg",
+        "write_passes_csv", "write_summary", "write_surface",
     },
     "dtopt.objectives": {
         "BENCHMARKS", "Benchmark", "DecisionSpace", "ObjectiveSpec", "benchmark_dims",

@@ -27,7 +27,7 @@ def _sample_report():
         best_value=837.965574726692,
         total_evals=106392,
         passes=[
-            PassRecord(1, None, 580.2973878, 104),
+            PassRecord(1, -np.inf, 580.2973878, 104),
             PassRecord(2, -347.955, 837.8781823, 312),
             PassRecord(3, -196.617, 719.2845548, 728),
         ],
@@ -174,7 +174,7 @@ def test_passes_csv_layout():
 
 def test_surface_grid_shape_and_values():
     space = DecisionSpace.cube(2, -500.0, 500.0)
-    text = render_surface(schwefel226, space, threshold=None)
+    text = render_surface(schwefel226, space, threshold=-np.inf)
     lines = text.splitlines()
     data = [ln for ln in lines if ln]
     blanks = [ln for ln in lines if not ln]
@@ -206,9 +206,22 @@ def test_surface_huge_threshold_flattens_everything():
     assert z_vals == {"1000000.0"}
 
 
+def test_surface_without_floor_passes_every_value_through_bit_for_bit():
+    space = DecisionSpace.cube(2, -1.0, 1.0)
+    text = render_surface(lambda x: np.full(len(x), -0.0), space, threshold=-np.inf)
+    assert {ln.split()[2] for ln in text.splitlines() if ln} == {"-0.0"}
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf])
+def test_surface_rejects_a_nan_or_plus_inf_threshold(threshold):
+    space = DecisionSpace.cube(2, -500.0, 500.0)
+    with pytest.raises(ValueError, match="threshold must not be NaN or \\+inf"):
+        render_surface(schwefel226, space, threshold)
+
+
 def test_surface_requires_two_dims():
     with pytest.raises(ValueError):
-        render_surface(schwefel226, DecisionSpace.cube(3, -1, 1), None)
+        render_surface(schwefel226, DecisionSpace.cube(3, -1, 1), -np.inf)
 
 
 def test_surface_command_references_data_file():

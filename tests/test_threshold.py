@@ -1,9 +1,17 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from dtopt.threshold import BestFitness, LinearRamp, ThresholdState, apply_threshold
+from dtopt.threshold import (
+    FLOOR_MARGIN,
+    BestFitness,
+    LinearRamp,
+    ThresholdState,
+    apply_threshold,
+    on_floor,
+)
 
 
 def test_apply_threshold_branches():
@@ -105,6 +113,35 @@ def test_best_fitness_update_passthrough():
     state = ThresholdState(f_star=900.0, f_min=-900.0)
     for k, pass_best in enumerate((580.297, 0.0, -5.5), start=1):
         assert BestFitness().next_threshold(k, 3, state, pass_best) == pass_best
+
+
+# ----- the on-floor test -----
+
+def test_on_floor_includes_the_margin_boundary():
+    assert on_floor(FLOOR_MARGIN, 0.0)
+    assert on_floor(0.0, 0.0)
+    assert on_floor(-7.0, 0.0)  # below T is floored up to T
+    assert not on_floor(np.nextafter(FLOOR_MARGIN, 1.0), 0.0)
+    assert on_floor(3.5, 3.0, margin=0.5)
+    assert not on_floor(3.5, 3.0, margin=0.25)
+
+
+def test_on_floor_of_arrays_is_elementwise_max_minus_threshold():
+    rng = np.random.default_rng(8)
+    f_vals = rng.uniform(-10.0, 10.0, size=10_000)
+    for t in (-3.0, 0.0, 4.5):
+        expected = np.maximum(f_vals, t) - t <= FLOOR_MARGIN
+        assert np.array_equal(on_floor(f_vals, t), expected)
+    assert np.array_equal(on_floor(np.array([-np.inf, np.inf]), 0.0), [True, False])
+
+
+def test_nothing_is_on_a_minus_inf_floor():
+    f_vals = np.array([-np.inf, -1e308, 0.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no -inf - (-inf) is computed
+        assert np.array_equal(on_floor(f_vals, -np.inf), [False] * 4)
+        assert not on_floor(-np.inf, -np.inf)
+        assert not on_floor(np.float64(-5.0), -np.inf, margin=1e308)
 
 
 def test_initial_state():
