@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from dtopt.objectives import DecisionSpace, schwefel226
-from dtopt.report import write_surface
+from dtopt.report import render_surface, render_surface_command, write_text
 
 out_dir = "demo_output"
 os.makedirs(out_dir, exist_ok=True)
@@ -23,7 +23,8 @@ for floor in floors:
     tag = "none" if floor == -np.inf else str(floor).replace("-", "m").replace(".", "p")
     data = os.path.join(out_dir, f"surface_{tag}.dat")
     command = os.path.join(out_dir, f"surface_{tag}.gp")
-    write_surface(schwefel226, space, floor, data, command)
+    write_text(data, render_surface(schwefel226, space, floor))
+    write_text(command, render_surface_command(os.path.basename(data)))
     label = "no floor" if floor == -np.inf else f"floor at {floor}"
     print(f"wrote {data} ({label})")
 

@@ -12,7 +12,7 @@ import os
 
 from dtopt.cfo import CfoParams, run_cfo
 from dtopt.objectives import make_objective
-from dtopt.report import average_distance_to_best, write_davg
+from dtopt.report import average_distance_to_best, render_davg, write_text
 
 out_dir = "demo_output"
 os.makedirs(out_dir, exist_ok=True)
@@ -26,7 +26,7 @@ print(f"best fitness {result.best_value:.5f} from probe {result.best_probe}"
 
 davg = average_distance_to_best(history, objective.space)
 path = os.path.join(out_dir, "davg.dat")
-write_davg(history, objective.space, path)
+write_text(path, render_davg(history, objective.space))
 print(f"wrote {path}\n")
 
 print("step    <distance>/diagonal")

@@ -9,19 +9,12 @@ maximum 837.9658 at (420.9687, 420.9687).
 """
 
 import sys
-from math import inf
 
 from dtopt import run_dto
-from dtopt.report import PROFILES, to_dto_config
+from dtopt.report import PROFILES, render_summary, to_dto_config
 
 seed = int(sys.argv[1]) if len(sys.argv) > 1 else 1
 report = run_dto(to_dto_config(PROFILES["schwefel2d"], seed=seed))
 
-print(f"seed {seed}: best fitness {report.best_value:.6f} "
-      f"at ({report.best_coords[0]:.6f}, {report.best_coords[1]:.6f})")
-print(f"total function calls: {report.total_evals}")
-print()
-print("Pass#      Threshold      Best Fitness")
-for rec in report.passes:
-    threshold = "none" if rec.threshold == -inf else f"{rec.threshold:.3f}"
-    print(f"{rec.pass_index:>4d}  {threshold:>15}  {rec.best_fitness:>16.5f}")
+print(f"seed {seed} (known maximum 837.9658)\n")
+print(render_summary(report), end="")

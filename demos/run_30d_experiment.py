@@ -12,18 +12,10 @@ swarm fans out and the search homes in on the global basin near
 x_i = 420.9687.
 """
 
-from math import inf
-
 from dtopt import run_dto
-from dtopt.report import PROFILES, to_dto_config
+from dtopt.report import PROFILES, render_summary, to_dto_config
 
 report = run_dto(to_dto_config(PROFILES["schwefel30d"]))
 
-print(f"best fitness {report.best_value:.5f} (known maximum 12569.487)")
-print(f"total function calls: {report.total_evals}")
-print(f"coordinate spread: [{report.best_coords.min():.4f}, {report.best_coords.max():.4f}]")
-print()
-print("Pass#      Threshold      Best Fitness")
-for rec in report.passes:
-    threshold = "none" if rec.threshold == -inf else f"{rec.threshold:.3f}"
-    print(f"{rec.pass_index:>4d}  {threshold:>15}  {rec.best_fitness:>16.5f}")
+print("known maximum 12569.487\n")
+print(render_summary(report), end="")

@@ -54,6 +54,12 @@ _FREP = tuple(k / 20 for k in (*range(10, 21), *range(1, 10)))
 DEFAULT_GAMMA_SWEEP = tuple(i / 10 for i in range(11))
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError naming the field unless value is an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class ProbeLine:
     """Deterministic starts: one search per gamma in ``gammas``, its probes on
@@ -63,6 +69,9 @@ class ProbeLine:
     gammas: tuple[float, ...] = DEFAULT_GAMMA_SWEEP
 
     def __post_init__(self):
+        if not (isinstance(self.gammas, tuple)
+                and all(isinstance(g, numbers.Real) for g in self.gammas)):
+            raise ValueError(f"gammas must be a tuple of numbers, got {self.gammas!r}")
         if not self.gammas:
             raise ValueError("gammas must be non-empty")
         if any(not 0.0 <= g <= 1.0 for g in self.gammas):
@@ -77,8 +86,7 @@ class RandomUniform:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -88,10 +96,8 @@ class CfoParams:
     floor_repositioning: bool = False
 
     def __post_init__(self):
-        if self.n_probes < 1:
-            raise ValueError("n_probes must be >= 1")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
+        _check_count("n_probes", self.n_probes, 1)
+        _check_count("n_steps", self.n_steps, 0)
 
 
 @dataclass
@@ -150,8 +156,7 @@ def probe_line_ipd(n_probes: int, space: DecisionSpace, gamma: float) -> np.ndar
     return positions
 
 
-def step_positions(history: SwarmHistory, j: int, accels: np.ndarray,
-                   params: CfoParams) -> None:
+def step_positions(history: SwarmHistory, j: int, accels: np.ndarray) -> None:
     """Ballistic move with dt = 1: R_j = R_{j-1} + 0.5 * A_{j-1}, where
     ``accels`` is the (probe, dim) array A_{j-1} of the previous step."""
     history.positions[:, :, j] = history.positions[:, :, j - 1] + 0.5 * accels
@@ -337,7 +342,7 @@ def run_cfo(
     accels = np.zeros((params.n_probes, space.n_dims))  # step 0 does not accelerate
 
     for j in range(1, params.n_steps + 1):
-        step_positions(history, j, accels, params)
+        step_positions(history, j, accels)
         retrieve_errant(history, j, _FREP[(j - 1) % len(_FREP)], space)
         _evaluate_step(history, j, objective, threshold, params, rng)
         accels = compute_accelerations(history, j, params)

@@ -21,10 +21,12 @@ from .report import (
     ExperimentConfig,
     fmt,
     parse_config,
+    render_passes_csv,
+    render_summary,
+    render_surface,
+    render_surface_command,
     to_dto_config,
-    write_passes_csv,
-    write_summary,
-    write_surface,
+    write_text,
 )
 from .threshold import FLOOR_MARGIN
 
@@ -38,10 +40,10 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("exactly one of --config or --profile is required")
     if args.profile is not None:
         return PROFILES[args.profile]
-    try:
-        with open(args.config) as fh:
+    try:  # utf-8-sig: a byte-order mark is not part of the first key
+        with open(args.config, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     return parse_config(text)
 
@@ -61,8 +63,8 @@ def _cmd_run(args) -> int:
     out_dir = _resolve_out_dir(args, config)
     os.makedirs(out_dir, exist_ok=True)
     report = run_dto(dto_config)
-    write_summary(report, os.path.join(out_dir, "summary.txt"))
-    write_passes_csv(report, os.path.join(out_dir, "passes.csv"))
+    write_text(os.path.join(out_dir, "summary.txt"), render_summary(report))
+    write_text(os.path.join(out_dir, "passes.csv"), render_passes_csv(report))
     print(f"best fitness {report.best_value!r} after {report.total_evals} function calls"
           f" -> {out_dir}")
     return 0
@@ -84,7 +86,8 @@ def _cmd_surface(args) -> int:
     data_path = os.path.join(out_dir, "surface.dat")
     command_path = os.path.join(out_dir, "surface.gp")
     threshold = -np.inf if args.threshold is None else args.threshold  # -inf: no floor
-    write_surface(objective.func, objective.space, threshold, data_path, command_path)
+    write_text(data_path, render_surface(objective.func, objective.space, threshold))
+    write_text(command_path, render_surface_command(os.path.basename(data_path)))
     print(f"wrote {data_path} and {command_path}")
     return 0
 

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, run_cfo
+from .cfo import (CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, _check_count,
+                  run_cfo)
 from .objectives import ObjectiveSpec
 from .threshold import Schedule, ThresholdState
 
@@ -36,8 +37,7 @@ class DtoConfig:
     probe_doubling: bool = True
 
     def __post_init__(self):
-        if self.num_passes < 1:
-            raise ValueError("num_passes must be >= 1")
+        _check_count("num_passes", self.num_passes, 1)
 
 
 @dataclass

@@ -5,15 +5,16 @@ rejected with the offending line number. Two named profiles reproduce the
 reference experiments. Machine-readable outputs (CSV, surface and distance
 data) use shortest round-trip float formatting; the human-readable
 ``summary.txt`` keeps the classic fixed layout with 3-decimal thresholds and
-5-decimal fitnesses.
+5-decimal fitnesses. Each ``render_*`` function returns a file's text, and
+``write_text`` writes any of them with LF newlines.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import get_type_hints
 
 import numpy as np
 
@@ -30,18 +31,25 @@ __all__ = [
     "to_dto_config",
     "fmt",
     "render_summary",
-    "write_summary",
     "render_passes_csv",
-    "write_passes_csv",
-    "write_surface",
+    "render_surface",
+    "render_surface_command",
     "average_distance_to_best",
-    "write_davg",
+    "render_davg",
+    "write_text",
 ]
 
 _GRID_POINTS = 100  # per axis of a surface grid
 
-_SCHEDULES = ("linear", "best_fitness")
-_IPDS = ("probe_line", "random")
+# Each schedule and start name, with the object it builds from a config.
+_SCHEDULES = MappingProxyType({
+    "linear": lambda config: LinearRamp(c_th=config.c_th),
+    "best_fitness": lambda config: BestFitness(),
+})
+_IPDS = MappingProxyType({
+    "probe_line": lambda config: ProbeLine(config.gamma_sweep),
+    "random": lambda config: RandomUniform(config.seed),
+})
 
 
 class ConfigError(ValueError):
@@ -54,6 +62,8 @@ class ExperimentConfig:
     """File-facing run description; see to_dto_config for the executable form.
 
     Frozen: derive a variant with ``dataclasses.replace``, which validates it.
+    A config file's keys are these fields, and each field's type decides how
+    its value parses (see parse_config).
     """
 
     function: str = "schwefel226"
@@ -71,29 +81,22 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        if self.function not in BENCHMARKS:
-            raise ConfigError(f"function must be one of {tuple(BENCHMARKS)}")
-        if self.schedule not in _SCHEDULES:
-            raise ConfigError(f"schedule must be one of {_SCHEDULES}")
-        if self.ipd not in _IPDS:
-            raise ConfigError(f"ipd must be one of {_IPDS}")
-        for key in ("n_dims", "passes", "np0"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
+        for key, names in (("function", BENCHMARKS), ("schedule", _SCHEDULES), ("ipd", _IPDS)):
+            if getattr(self, key) not in names:
+                raise ConfigError(f"{key} must be one of {tuple(names)}")
+        for key, least in (("n_dims", 1), ("passes", 1), ("np0", 1), ("nt", 0), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}")
         try:
             benchmark_dims(self.function, self.n_dims)
         except ValueError as exc:
             raise ConfigError(f"n_dims: {exc}") from exc
-        if self.nt < 0:
-            raise ConfigError("nt must be >= 0")
         if not 0.0 < self.c_th <= 1.0:
             raise ConfigError("c_th must lie in (0, 1]")
         if self.ipd == "probe_line" and not self.gamma_sweep:
             raise ConfigError("gamma_sweep must be non-empty for ipd = probe_line")
         if any(not 0.0 <= g <= 1.0 for g in self.gamma_sweep):
             raise ConfigError("every gamma in gamma_sweep must lie in [0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
 
 
 PROFILES = MappingProxyType({
@@ -120,25 +123,20 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-_PARSERS = {
-    "function": str,
-    "n_dims": int,
-    "passes": int,
-    "c_th": float,
-    "schedule": str,
-    "nt": int,
-    "np0": int,
-    "ipd": str,
-    "gamma_sweep": lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()),
-    "seed": int,
-    "probe_doubling": _parse_bool,
-    "floor_repositioning": _parse_bool,
-    "output_dir": str,
+# The parser for each field type of ExperimentConfig; a tuple is comma-separated.
+_PARSERS_BY_TYPE = {
+    str: str,
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    tuple[float, ...]: lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()),
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines; blank lines and # comments are skipped."""
+    parsers = {key: _PARSERS_BY_TYPE[hint]
+               for key, hint in get_type_hints(ExperimentConfig).items()}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -148,47 +146,36 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip()
-        if key not in _PARSERS:
+        if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS[key](raw_value)
+            values[key] = parsers[key](raw_value.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    try:
-        return ExperimentConfig(**values)
-    except ConfigError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfig:
     """Build the executable run description; ``seed`` overrides the config's."""
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    objective = make_objective(config.function, config.n_dims)
-    if config.ipd == "probe_line":
-        ipd = ProbeLine(config.gamma_sweep)
-    else:
-        ipd = RandomUniform(config.seed)
-    cfo = CfoParams(
-        n_probes=config.np0,
-        n_steps=config.nt,
-        floor_repositioning=config.floor_repositioning,
-    )
-    if config.schedule == "linear":
-        schedule = LinearRamp(c_th=config.c_th)
-    else:
-        schedule = BestFitness()
     return DtoConfig(
         num_passes=config.passes,
-        schedule=schedule,
-        cfo=cfo,
-        objective=objective,
-        ipd=ipd,
+        schedule=_SCHEDULES[config.schedule](config),
+        cfo=CfoParams(n_probes=config.np0, n_steps=config.nt,
+                      floor_repositioning=config.floor_repositioning),
+        objective=make_objective(config.function, config.n_dims),
+        ipd=_IPDS[config.ipd](config),
         probe_doubling=config.probe_doubling,
     )
+
+
+def write_text(path, text: str) -> None:
+    """Write a rendered output file with LF newlines on every platform."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 def fmt(x: float) -> str:
@@ -214,11 +201,6 @@ def render_summary(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_summary(report: RunReport, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(render_summary(report))
-
-
 def render_passes_csv(report: RunReport) -> str:
     """One CSV row per pass; the -inf threshold of pass 1 is an empty field."""
     lines = ["pass,threshold,best_fitness,cumulative_evals"]
@@ -228,11 +210,6 @@ def render_passes_csv(report: RunReport) -> str:
             f"{rec.pass_index},{threshold},{fmt(rec.best_fitness)},{rec.cumulative_evals}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_passes_csv(report: RunReport, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(render_passes_csv(report))
 
 
 def render_surface(func, space: DecisionSpace, threshold: float) -> str:
@@ -265,15 +242,6 @@ def render_surface_command(data_filename: str) -> str:
     )
 
 
-def write_surface(func, space: DecisionSpace, threshold: float,
-                  data_path, command_path=None) -> None:
-    with open(data_path, "w", newline="\n") as fh:
-        fh.write(render_surface(func, space, threshold))
-    if command_path is not None:
-        with open(command_path, "w", newline="\n") as fh:
-            fh.write(render_surface_command(os.path.basename(str(data_path))))
-
-
 def average_distance_to_best(history: SwarmHistory, space: DecisionSpace) -> np.ndarray:
     """Per-step mean probe distance to that step's best probe, normalized by
     the decision-space diagonal; the best probe itself contributes zero."""
@@ -291,11 +259,8 @@ def average_distance_to_best(history: SwarmHistory, space: DecisionSpace) -> np.
 
 
 def render_davg(history: SwarmHistory, space: DecisionSpace) -> str:
+    """``step distance`` rows of average_distance_to_best, one per step."""
     davg = average_distance_to_best(history, space)
     lines = [f"{j} {fmt(value)}" for j, value in enumerate(davg)]
     return "\n".join(lines) + "\n"
 
-
-def write_davg(history: SwarmHistory, space: DecisionSpace, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(render_davg(history, space))

@@ -110,7 +110,7 @@ def test_step_positions_arithmetic():
     hist = SwarmHistory.allocate(3, 1, 1)
     hist.positions[:, 0, 0] = [0.0, 5.0, 10.0]
     accels = np.array([[2.0], [0.0], [-4.0]])
-    step_positions(hist, 1, accels, _params(n_probes=3, n_steps=1))
+    step_positions(hist, 1, accels)
     assert np.array_equal(hist.positions[:, 0, 1], [1.0, 5.0, 8.0])
 
 
@@ -515,6 +515,18 @@ def test_cfo_params_validation():
         CfoParams(n_probes=2, n_steps=-1)
 
 
+@pytest.mark.parametrize("n_probes, n_steps, field", [
+    (4.0, 2, "n_probes"), ("4", 2, "n_probes"), (4, 2.0, "n_steps"), (4, None, "n_steps"),
+])
+def test_cfo_params_rejects_counts_that_are_not_integers(n_probes, n_steps, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        CfoParams(n_probes, n_steps)
+
+
+def test_cfo_params_accepts_numpy_integers():
+    assert CfoParams(np.int64(4), np.int32(2)) == CfoParams(4, 2)
+
+
 def test_probe_line_holds_the_gamma_sweep():
     assert ProbeLine().gammas == DEFAULT_GAMMA_SWEEP
     assert DEFAULT_GAMMA_SWEEP == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -524,6 +536,13 @@ def test_probe_line_holds_the_gamma_sweep():
     for gammas in ((0.0, 1.5), (-0.1,), (float("nan"),)):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ProbeLine(gammas)
+
+
+@pytest.mark.parametrize("gammas", [0.3, 0.0, [0.3], "0.3", ("0.3",), (None,)],
+                         ids=["float", "zero", "list", "str", "tuple_of_str", "tuple_of_none"])
+def test_probe_line_rejects_gammas_that_are_not_a_tuple_of_numbers(gammas):
+    with pytest.raises(ValueError, match="^gammas must be a tuple of numbers"):
+        ProbeLine(gammas)
 
 
 @pytest.mark.parametrize("gamma", [-0.1, 1.5, float("nan")])

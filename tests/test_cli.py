@@ -134,6 +134,24 @@ def test_run_missing_config_file(capsys):
     assert main(["run", "--config", "/nonexistent/exp.cfg"]) == 2
 
 
+def test_run_config_with_byte_order_mark(tmp_path):
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(b"\xef\xbb\xbf" + SMALL_PROBE_LINE.encode())
+    plain = _write(tmp_path, "plain.cfg", SMALL_PROBE_LINE)
+    out_bom, out_plain = tmp_path / "bom", tmp_path / "plain"
+    assert main(["run", "--config", str(config), "--out", str(out_bom)]) == 0
+    assert main(["run", "--config", plain, "--out", str(out_plain)]) == 0
+    assert (out_bom / "passes.csv").read_bytes() == (out_plain / "passes.csv").read_bytes()
+
+
+def test_run_config_that_is_not_utf8_is_clean_error(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes("# caf\u00e9\npasses = 2\n".encode("latin-1"))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {str(config)!r}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_unwritable_output_dir(tmp_path, capsys):
     config = _write(tmp_path, "exp.cfg", SMALL_PROBE_LINE)
     blocker = tmp_path / "blocker"

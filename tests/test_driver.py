@@ -165,6 +165,12 @@ def test_num_passes_validation():
         _random_config(num_passes=0)
 
 
+@pytest.mark.parametrize("num_passes", [2.0, "2", None])
+def test_num_passes_must_be_an_integer(num_passes):
+    with pytest.raises(ValueError, match="^num_passes must be an integer >= 1"):
+        _random_config(num_passes=num_passes)
+
+
 def _run_searches(config):
     """run_dto's report and the (result, history) of each search, in order."""
     searches = []

@@ -29,8 +29,8 @@ MODULE_NAMES = {
     "dtopt.driver": {"DtoConfig", "PassRecord", "RunReport", "run_dto"},
     "dtopt.report": {
         "ConfigError", "ExperimentConfig", "PROFILES", "average_distance_to_best", "fmt",
-        "parse_config", "render_passes_csv", "render_summary", "to_dto_config", "write_davg",
-        "write_passes_csv", "write_summary", "write_surface",
+        "parse_config", "render_davg", "render_passes_csv", "render_summary", "render_surface",
+        "render_surface_command", "to_dto_config", "write_text",
     },
     "dtopt.objectives": {
         "BENCHMARKS", "Benchmark", "DecisionSpace", "ObjectiveSpec", "benchmark_dims",

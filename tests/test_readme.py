@@ -1,8 +1,12 @@
 """Every ``python`` code block in README.md runs, in a fresh interpreter with
-warnings as errors, so the documented API cannot drift from the code."""
+warnings as errors, and every ``dto`` line of its CLI block runs, so the
+documented API and commands cannot drift from the code."""
 
+import dataclasses
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +14,14 @@ from pathlib import Path
 import pytest
 
 import dtopt
+from dtopt.cli import main
+from dtopt.report import ExperimentConfig, parse_config
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+QUICK_RUN = ROOT / "demos" / "quick_run.cfg"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+COMMANDS = re.findall(r"^dto .*$", README.read_text(), re.M)
 
 
 def test_readme_has_python_blocks():
@@ -27,3 +36,24 @@ def test_readme_block_runs(code, tmp_path):
     done = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_has_cli_commands():
+    assert {shlex.split(line)[1] for line in COMMANDS} == {"run", "surface", "floorscan"}
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_cli_command_runs(line, tmp_path, monkeypatch, capsys):
+    # relative paths in the commands resolve against a copy of the repo's demos/
+    shutil.copytree(ROOT / "demos", tmp_path / "demos")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DTO_OUTPUT_DIR", raising=False)
+    assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_quick_run_config_names_every_key():
+    text = QUICK_RUN.read_text()
+    keys = [line.partition("=")[0].strip() for line in text.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    parse_config(text)
