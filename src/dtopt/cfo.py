@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import DecisionSpace
+from .objectives import DecisionSpace, _one_value_per_point
 from .threshold import ThresholdState, apply_threshold, on_floor
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "compute_accelerations",
     "scan_best",
     "scan_worst",
-    "reposition_floor_probes",
     "run_cfo",
 ]
 
@@ -250,42 +249,15 @@ def scan_worst(history: SwarmHistory, up_to_step: int) -> tuple[float, int, int]
     return _scan(history, up_to_step, np.argmin)
 
 
-def reposition_floor_probes(
-    history: SwarmHistory,
-    probe: int,
-    step: int,
-    threshold: ThresholdState,
-    objective,
-    rng: np.random.Generator,
-) -> int:
-    """Redraw a probe while it sits on the floor (``threshold.on_floor``).
-
-    Nothing is on the -inf floor of a first pass. Each redraw re-evaluates
-    the probe (incrementing the objective's counter) and overwrites its
-    position and fitness at the given step; after _MAX_REPOSITION_TRIES the
-    last position stands. Returns the number of redraws used.
-    """
-    space = objective.space
-    tries = 0
-    while (
-        on_floor(history.fitness[probe, step], threshold.t_current)
-        and tries < _MAX_REPOSITION_TRIES
-    ):
-        history.positions[probe, :, step] = rng.uniform(space.lower, space.upper)
-        history.fitness[probe, step] = _fitness(
-            objective, history.positions[None, probe, :, step], threshold, step)[0]
-        tries += 1
-    return tries
-
-
 def _fitness(objective, points, threshold, step):
     """Evaluate a batch of points and floor it at the threshold.
 
     Non-finite points raise ValueError before the objective sees them: the
     acceleration step overflowed (it squares fitness gaps, so gaps above
-    about 1.3e154 overflow), and the error says so. A NaN or +-inf value
-    raises ValueError naming the step and the count; no threshold can be set
-    from it. That check precedes the floor, which would hide a -inf.
+    about 1.3e154 overflow), and the error says so. A result that is not one
+    value per point, or holds a NaN or +-inf, raises ValueError naming the
+    step; no threshold can be set from it. Both checks precede the floor,
+    which would broadcast a wrong shape and hide a -inf.
     """
     if not np.isfinite(points).all():
         lost = np.count_nonzero(~np.isfinite(points).all(axis=-1))
@@ -293,6 +265,10 @@ def _fitness(objective, points, threshold, step):
                          "non-finite (NaN or +-inf) because the acceleration step "
                          "overflowed: the fitness gaps are too large to square")
     raw = objective.evaluate_batch(points)
+    try:
+        raw = _one_value_per_point(raw, len(points))
+    except ValueError as exc:
+        raise ValueError(f"step {step}: {exc}") from exc
     if not np.isfinite(raw).all():
         bad = np.count_nonzero(~np.isfinite(raw))
         raise ValueError(f"step {step}: the objective returned {bad} non-finite "
@@ -301,10 +277,25 @@ def _fitness(objective, points, threshold, step):
 
 
 def _evaluate_step(history, j, objective, threshold, params, rng):
-    history.fitness[:, j] = _fitness(objective, history.positions[:, :, j], threshold, j)
-    if params.floor_repositioning:
-        for p in range(history.n_probes):
-            reposition_floor_probes(history, p, j, threshold, objective, rng)
+    """Evaluate step j's batch and floor it at the threshold.
+
+    With floor repositioning on, each probe on the floor
+    (``threshold.on_floor``), in probe order, is then redrawn uniformly from
+    ``rng`` and re-evaluated alone, one counted call per redraw, until it
+    clears the floor; after _MAX_REPOSITION_TRIES redraws the last one
+    stands. Nothing is on the -inf floor of a first pass.
+    """
+    positions, fitness = history.positions[:, :, j], history.fitness[:, j]
+    fitness[:] = _fitness(objective, positions, threshold, j)
+    if not params.floor_repositioning:
+        return
+    space = objective.space
+    for p in range(history.n_probes):
+        for _ in range(_MAX_REPOSITION_TRIES):
+            if not on_floor(fitness[p], threshold.t_current):
+                break
+            positions[p] = rng.uniform(space.lower, space.upper)
+            fitness[p] = _fitness(objective, positions[None, p], threshold, j)[0]
 
 
 def run_cfo(

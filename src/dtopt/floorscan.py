@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .objectives import DecisionSpace
+from .objectives import DecisionSpace, _one_value_per_point
 from .threshold import FLOOR_MARGIN, _check_floor, on_floor
 
 __all__ = ["FloorStats", "halton_points", "sample_threshold_floor"]
@@ -173,10 +173,7 @@ def sample_threshold_floor(
         points = halton_points(m, space.n_dims, start=start)
         points *= width
         points += space.lower
-        f = np.asarray(func(points), dtype=float)
-        if f.shape != (m,):
-            raise ValueError(f"func must return shape ({m},) for a batch of {m} "
-                             f"samples, got shape {f.shape}")
+        f = _one_value_per_point(func(points), m)
         n_nan = int(np.count_nonzero(np.isnan(f)))
         if n_nan:
             raise ValueError(f"func returned NaN for {n_nan} of the {m} samples "

@@ -54,6 +54,11 @@ class DecisionSpace:
             raise ValueError("every bound must be finite (no NaN or +-inf)")
         if not np.all(self.lower < self.upper):
             raise ValueError("every lower bound must lie strictly below its upper bound")
+        with np.errstate(over="ignore"):
+            overflows = np.flatnonzero(~np.isfinite(self.upper - self.lower))
+        if overflows.size:
+            raise ValueError(f"the width upper - lower of axis {overflows[0]} overflows "
+                             "to +inf; every width must be finite")
 
     @property
     def n_dims(self) -> int:
@@ -155,6 +160,19 @@ def benchmark_dims(name: str, n_dims: int | None = None) -> int:
     if n_dims not in (None, fixed):
         raise ValueError(f"{name} is fixed at {fixed} dimension(s), got {n_dims}")
     return fixed
+
+
+def _one_value_per_point(values, n_points: int) -> np.ndarray:
+    """A batch function's result as a float array of shape (n_points,).
+
+    Raises ValueError for any other shape (a scalar, too few or too many
+    values, an (m, 1) column), which numpy would otherwise broadcast.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n_points,):
+        raise ValueError(f"func must return shape ({n_points},) for a batch of {n_points} "
+                         f"points, got shape {values.shape}")
+    return values
 
 
 @dataclass

@@ -12,9 +12,10 @@ data) use shortest round-trip float formatting; the human-readable
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -52,6 +53,40 @@ _IPDS = MappingProxyType({
 })
 
 
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+class _FieldType(NamedTuple):
+    parse: Callable[[str], object]  # a value's text in a config file
+    accepts: Callable[[object], bool]  # a value given from Python
+    noun: str  # what ``accepts`` wants, for the error
+
+
+# Each field type of ExperimentConfig: how a config file's text parses (a
+# tuple is comma-separated) and which Python values it takes. Bools are not
+# numbers here.
+_FIELD_TYPES = {
+    str: _FieldType(str, lambda v: isinstance(v, str), "a string"),
+    int: _FieldType(int, lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+                    "an integer"),
+    float: _FieldType(float, _is_number, "a number"),
+    bool: _FieldType(_parse_bool, lambda v: isinstance(v, bool), "true or false"),
+    tuple[float, ...]: _FieldType(
+        lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()),
+        lambda v: isinstance(v, tuple) and all(map(_is_number, v)), "a tuple of numbers"),
+}
+
+
 class ConfigError(ValueError):
     """Malformed or out-of-range experiment config; the message names the
     offending line or key."""
@@ -81,6 +116,10 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        for key, kind in _KEY_TYPES.items():
+            value = getattr(self, key)
+            if not kind.accepts(value):
+                raise ConfigError(f"{key} must be {kind.noun}, got {value!r}")
         for key, names in (("function", BENCHMARKS), ("schedule", _SCHEDULES), ("ipd", _IPDS)):
             if getattr(self, key) not in names:
                 raise ConfigError(f"{key} must be one of {tuple(names)}")
@@ -99,6 +138,10 @@ class ExperimentConfig:
             raise ConfigError("every gamma in gamma_sweep must lie in [0, 1]")
 
 
+# Each key's field type, from its annotation.
+_KEY_TYPES = {key: _FIELD_TYPES[hint] for key, hint in get_type_hints(ExperimentConfig).items()}
+
+
 PROFILES = MappingProxyType({
     # Reference 2-D Schwefel run: random start, 10 passes, 106,392 calls total.
     "schwefel2d": ExperimentConfig(
@@ -114,29 +157,8 @@ PROFILES = MappingProxyType({
 })
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-# The parser for each field type of ExperimentConfig; a tuple is comma-separated.
-_PARSERS_BY_TYPE = {
-    str: str,
-    int: int,
-    float: float,
-    bool: _parse_bool,
-    tuple[float, ...]: lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()),
-}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines; blank lines and # comments are skipped."""
-    parsers = {key: _PARSERS_BY_TYPE[hint]
-               for key, hint in get_type_hints(ExperimentConfig).items()}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -146,12 +168,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        if key not in parsers:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = parsers[key](raw_value.strip())
+            values[key] = _KEY_TYPES[key].parse(raw_value.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**values)

@@ -16,7 +16,6 @@ from dtopt.cfo import (
     SwarmHistory,
     compute_accelerations,
     probe_line_ipd,
-    reposition_floor_probes,
     retrieve_errant,
     run_cfo,
     scan_best,
@@ -361,56 +360,47 @@ class _StubObjective:
         return np.where(points[:, 0] >= self.cutoff, 1.0, 0.0)
 
 
+def _redraw_search(cutoff, gamma, threshold):
+    """One probe at the probe-line point (gamma, gamma) and no steps, so the
+    search evaluates that point once and then each floor redraw once.
+    Returns (redraws, history)."""
+    params = CfoParams(n_probes=1, n_steps=0, floor_repositioning=True)
+    result, hist = run_cfo(params, _StubObjective(cutoff), gamma, ThresholdState(threshold))
+    return result.evals_used - 1, hist
+
+
 def test_reposition_noop_without_floor():
-    # the default -inf threshold: every fitness clears the margin
-    obj = _StubObjective(0.5)
-    hist = SwarmHistory.allocate(1, 2, 0)
-    hist.fitness[0, 0] = 0.0
-    tries = reposition_floor_probes(hist, 0, 0, ThresholdState(), obj, np.random.default_rng(0))
-    assert tries == 0 and obj.eval_count == 0
+    # the -inf threshold: every fitness clears the margin
+    redraws, hist = _redraw_search(0.5, 0.0, -np.inf)
+    assert redraws == 0 and hist.fitness[0, 0] == 0.0
 
 
 def test_reposition_skips_probe_above_margin():
-    obj = _StubObjective(0.5)
-    hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(t_current=0.5)
-    hist.fitness[0, 0] = 1.0  # 0.5 above the floor
-    before = hist.positions[0, :, 0].copy()
-    assert reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(0)) == 0
-    assert np.array_equal(hist.positions[0, :, 0], before)
+    redraws, hist = _redraw_search(0.5, 0.5, 0.5)  # fitness 1, 0.5 above the floor
+    assert redraws == 0
+    assert np.array_equal(hist.positions[0, :, 0], [0.5, 0.5])
 
 
 def test_reposition_lifts_probe_off_floor():
-    obj = _StubObjective(0.5)
-    hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(t_current=0.5)
-    hist.fitness[0, 0] = 0.5  # on the floor (raw 0 floored up to T)
-    tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(12))
-    assert tries >= 1
-    assert obj.eval_count == tries
-    assert hist.fitness[0, 0] - state.t_current >= FLOOR_MARGIN
+    redraws, hist = _redraw_search(0.5, 0.0, 0.5)  # raw 0 floored up to T
+    assert redraws >= 1
+    assert hist.fitness[0, 0] - 0.5 >= FLOOR_MARGIN
     assert hist.positions[0, 0, 0] >= 0.5
 
 
 def test_reposition_redraws_a_probe_exactly_at_the_margin():
-    # max(f, T) - T <= margin is on the floor, as floor sampling counts it
-    obj = _StubObjective(0.5)
-    hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(t_current=0.0)
-    hist.fitness[0, 0] = FLOOR_MARGIN
-    tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(12))
-    assert tries >= 1 and obj.eval_count == tries
+    # max(f, T) - T <= margin is on the floor, as floor sampling counts it:
+    # raw 0 lies exactly FLOOR_MARGIN above T = -FLOOR_MARGIN
+    redraws, hist = _redraw_search(0.5, 0.0, -FLOOR_MARGIN)
+    assert redraws >= 1
     assert hist.fitness[0, 0] == 1.0
 
 
 def test_reposition_gives_up_after_max_tries():
-    obj = _StubObjective(2.0)  # cutoff outside the domain: nothing clears the floor
-    hist = SwarmHistory.allocate(1, 2, 0)
-    state = ThresholdState(t_current=0.5)
-    hist.fitness[0, 0] = 0.5
-    tries = reposition_floor_probes(hist, 0, 0, state, obj, np.random.default_rng(3))
-    assert tries == _MAX_REPOSITION_TRIES
-    assert obj.eval_count == _MAX_REPOSITION_TRIES
+    # cutoff outside the domain: nothing clears the floor
+    redraws, hist = _redraw_search(2.0, 0.0, 0.5)
+    assert redraws == _MAX_REPOSITION_TRIES
+    assert hist.fitness[0, 0] == 0.5
 
 
 # ----- whole runs -----
@@ -475,6 +465,30 @@ def test_probe_line_floor_redraws_use_their_own_stream():
     (result_a, hist_a), (result_b, hist_b) = runs
     assert result_a.evals_used == result_b.evals_used > 4 * 4
     assert np.array_equal(hist_a.positions, hist_b.positions)
+
+
+def test_random_start_floor_redraws_use_the_given_generator():
+    # the start and then every redraw come from the generator passed in, so
+    # it ends exactly D draws per redraw past the start draw, and a fresh
+    # generator of the same seed repeats the search
+    params = CfoParams(n_probes=4, n_steps=3, floor_repositioning=True)
+    state = ThresholdState(t_current=0.0)
+    space = DecisionSpace.cube(2, -500.0, 500.0)
+    runs = []
+    for _ in range(2):
+        rng = np.random.default_rng(8)
+        runs.append((*run_cfo(params, make_objective("schwefel226", 2), rng, state), rng))
+    (result_a, hist_a, rng_a), (result_b, hist_b, rng_b) = runs
+    redraws = result_a.evals_used - 4 * 4
+    assert redraws > 0
+    expected = np.random.default_rng(8)
+    expected.uniform(space.lower, space.upper, size=(4, 2))
+    expected.uniform(size=2 * redraws)
+    assert rng_a.bit_generator.state == expected.bit_generator.state
+    assert result_b.evals_used == result_a.evals_used
+    assert np.array_equal(hist_a.positions, hist_b.positions)
+    assert np.array_equal(hist_a.fitness, hist_b.fitness)
+    assert rng_b.bit_generator.state == rng_a.bit_generator.state
 
 
 def test_run_cfo_history_stays_in_bounds():

@@ -218,17 +218,22 @@ def test_probe_line_run_deterministic():
 
 # ----- run invariants over random small configs -----
 
-_small_configs = st.builds(
-    ExperimentConfig,
+_SMALL = dict(
     n_dims=st.integers(1, 3),
     passes=st.integers(1, 4),
-    c_th=st.floats(0.05, 1.0),
-    schedule=st.sampled_from(["linear", "best_fitness"]),
     nt=st.integers(0, 6),
     np0=st.integers(1, 4),
     ipd=st.sampled_from(["probe_line", "random"]),
     gamma_sweep=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(tuple),
     seed=st.integers(0, 2**31),
+)
+_small_configs = st.one_of(
+    st.builds(ExperimentConfig, c_th=st.floats(0.05, 1.0),
+              schedule=st.sampled_from(["linear", "best_fitness"]), **_SMALL),
+    # A redraw repeats until its probe clears the floor, up to 10,000 times
+    # per probe: a low linear floor keeps every example far from that cap.
+    st.builds(ExperimentConfig, c_th=st.floats(0.05, 0.6), schedule=st.just("linear"),
+              floor_repositioning=st.just(True), **_SMALL),
 )
 
 
@@ -236,6 +241,8 @@ _small_configs = st.builds(
 @given(config=_small_configs)
 # 16 probes on one axis of [-500, 500]: lower + 15 * step rounds past upper
 @example(config=ExperimentConfig(n_dims=1, passes=4, nt=0, np0=2, gamma_sweep=(0.0,)))
+@example(config=ExperimentConfig(n_dims=3, passes=4, nt=6, np0=4, ipd="random",
+                                 floor_repositioning=True))
 def test_run_invariants_hold_on_random_configs(config):
     dto_config = to_dto_config(config)
     space = dto_config.objective.space
@@ -251,8 +258,11 @@ def test_run_invariants_hold_on_random_configs(config):
     report = run_dto(dto_config, observer=observer)
     runs_per_pass = len(config.gamma_sweep) if config.ipd == "probe_line" else 1
     assert searches == config.passes * runs_per_pass
-    assert report.total_evals == (config.np0 * (2**config.passes - 1) * (config.nt + 1)
-                                  * runs_per_pass)
+    closed_form = config.np0 * (2**config.passes - 1) * (config.nt + 1) * runs_per_pass
+    if config.floor_repositioning:  # each floor redraw is one more call
+        assert report.total_evals >= closed_form
+    else:
+        assert report.total_evals == closed_form
 
     again = run_dto(to_dto_config(config))
     assert render_summary(again) == render_summary(report)
@@ -308,6 +318,22 @@ def test_non_finite_value_in_a_floor_redraw_is_an_error():
     with pytest.raises(ValueError, match=r"pass 2, search at seed 5: step \d+: .* 1 non-finite "
                                          r".* batch of 1$"):
         run_dto(config)
+
+
+@pytest.mark.parametrize("func, got", [
+    (lambda x: np.array([x[:, 0].sum()]), r"\(1,\)"),
+    (lambda x: -1.6, r"\(\)"),
+    (lambda x: x[:, :1], r"\(4, 1\)"),
+], ids=["one_value", "scalar", "column"])
+def test_objective_not_one_value_per_point_names_pass_search_and_step(func, got):
+    # numpy would broadcast each of these over the four probes
+    config = _probe_line_config(num_passes=2, np0=4, nt=3)
+    config.objective = ObjectiveSpec(func, DecisionSpace.cube(2, -1.0, 1.0))
+    with pytest.raises(ValueError, match=rf"^pass 1, search at gamma 0.0: step 0: func must "
+                                         rf"return shape \(4,\) for a batch of 4 points, "
+                                         rf"got shape {got}$"):
+        run_dto(config)
+    assert config.objective.eval_count == 4
 
 
 @pytest.mark.parametrize("schedule", [LinearRamp(0.6), BestFitness()], ids=["linear", "best"])

@@ -201,6 +201,16 @@ def test_decision_space_rejects_non_finite_bounds(lower, upper):
         DecisionSpace(np.array(lower), np.array(upper))
 
 
+@pytest.mark.parametrize("lower, upper, axis", [
+    ([-1e308], [1e308], 0),
+    ([0.0, -1e308], [1.0, 1e308], 1),
+])
+def test_decision_space_rejects_a_width_that_overflows(lower, upper, axis):
+    # both bounds are finite, but upper - lower is +inf
+    with pytest.raises(ValueError, match=f"width upper - lower of axis {axis} overflows"):
+        DecisionSpace(lower, upper)
+
+
 def test_decision_space_rejects_zero_dimensions():
     with pytest.raises(ValueError, match="at least one dimension"):
         DecisionSpace([], [])

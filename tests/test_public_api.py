@@ -18,7 +18,7 @@ TOP_LEVEL_NAMES = {
 MODULE_NAMES = {
     "dtopt.cfo": {
         "CfoParams", "DEFAULT_GAMMA_SWEEP", "OptResult", "ProbeLine", "RandomUniform",
-        "SwarmHistory", "compute_accelerations", "probe_line_ipd", "reposition_floor_probes",
+        "SwarmHistory", "compute_accelerations", "probe_line_ipd",
         "retrieve_errant", "run_cfo", "scan_best", "scan_worst", "step_positions",
     },
     "dtopt.threshold": {

@@ -98,6 +98,28 @@ def test_invalid_enum_values_rejected():
         parse_config("ipd = grid\n")
 
 
+@pytest.mark.parametrize("key, value, wanted", [
+    ("probe_doubling", "no", "true or false"),
+    ("floor_repositioning", 1, "true or false"),
+    ("nt", 2.0, "an integer"),
+    ("passes", "3", "an integer"),
+    ("passes", True, "an integer"),
+    ("c_th", "0.5", "a number"),
+    ("c_th", True, "a number"),
+    ("function", ["x"], "a string"),
+    ("gamma_sweep", [0.5], "a tuple of numbers"),
+    ("gamma_sweep", (0.5, "1"), "a tuple of numbers"),
+])
+def test_wrongly_typed_python_values_name_their_key(key, value, wanted):
+    with pytest.raises(ConfigError, match=rf"^{key} must be {wanted}, got "):
+        ExperimentConfig(**{key: value})
+
+
+def test_numbers_of_any_numeric_type_are_accepted():
+    config = ExperimentConfig(nt=np.int64(3), c_th=1, gamma_sweep=(0, np.float64(0.5)))
+    assert to_dto_config(config).cfo.n_steps == 3
+
+
 def test_profiles_match_reference_experiments():
     p2 = PROFILES["schwefel2d"]
     assert (p2.passes, p2.c_th, p2.nt, p2.np0, p2.ipd) == (10, 0.98, 25, 4, "random")
