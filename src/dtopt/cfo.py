@@ -31,7 +31,6 @@ __all__ = [
     "CfoParams",
     "SwarmHistory",
     "OptResult",
-    "probe_line_ipd",
     "step_positions",
     "retrieve_errant",
     "compute_accelerations",
@@ -53,23 +52,38 @@ _FREP = tuple(k / 20 for k in (*range(10, 21), *range(1, 10)))
 DEFAULT_GAMMA_SWEEP = tuple(i / 10 for i in range(11))
 
 
+# Bools are not numbers: True is no count, seed or gamma.
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, least: int) -> None:
     """Raise ValueError naming the field unless value is an integer >= least."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    if not _is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
 class ProbeLine:
-    """Deterministic starts: one search per gamma in ``gammas``, its probes on
-    axis-parallel lines through the point at fraction gamma along the
-    decision-space diagonal."""
+    """Deterministic starts: one search per gamma in ``gammas``.
+
+    Every probe starts at the diagonal point lower + gamma * (upper - lower).
+    With per_axis = n_probes // n_dims slots per axis, probe ``s + per_axis * a``
+    then has coordinate ``a`` spread evenly from lower[a] to upper[a], clamped
+    at upper[a] (lower + 15 * step rounds past it on [-500, 500]). With fewer
+    than two slots per axis there is no spread: every probe stays on the
+    diagonal point.
+    """
 
     gammas: tuple[float, ...] = DEFAULT_GAMMA_SWEEP
 
     def __post_init__(self):
         if not (isinstance(self.gammas, tuple)
-                and all(isinstance(g, numbers.Real) for g in self.gammas)):
+                and all(map(_is_number, self.gammas))):
             raise ValueError(f"gammas must be a tuple of numbers, got {self.gammas!r}")
         if not self.gammas:
             raise ValueError("gammas must be non-empty")
@@ -131,28 +145,6 @@ class OptResult:
     best_probe: int
     best_step: int
     evals_used: int
-
-
-def probe_line_ipd(n_probes: int, space: DecisionSpace, gamma: float) -> np.ndarray:
-    """Probe-line starting positions.
-
-    Every probe starts at the diagonal point lower + gamma * (upper - lower).
-    With per_axis = n_probes // n_dims slots per axis, probe ``s + per_axis * a``
-    then gets coordinate ``a`` spread evenly from lower[a] to upper[a]. When
-    fewer than two slots fit per axis the spread is skipped entirely and all
-    probes stay on the diagonal point.
-    """
-    diag_point = space.lower + gamma * (space.upper - space.lower)
-    positions = np.tile(diag_point, (n_probes, 1))
-    per_axis = n_probes // space.n_dims
-    if per_axis >= 2:
-        for axis in range(space.n_dims):
-            step = (space.upper[axis] - space.lower[axis]) / (per_axis - 1)
-            for slot in range(per_axis):
-                # lower + slot * step can round past upper (per_axis = 16 on [-500, 500])
-                positions[slot + per_axis * axis, axis] = min(space.lower[axis] + slot * step,
-                                                              space.upper[axis])
-    return positions
 
 
 def step_positions(history: SwarmHistory, j: int, accels: np.ndarray) -> None:
@@ -328,7 +320,14 @@ def run_cfo(
         if not 0.0 <= start <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         rng = np.random.default_rng(0) if params.floor_repositioning else None
-        history.positions[:, :, 0] = probe_line_ipd(params.n_probes, space, start)
+        positions = history.positions[:, :, 0]
+        positions[:] = space.lower + start * (space.upper - space.lower)
+        per_axis = params.n_probes // space.n_dims
+        if per_axis >= 2:  # the layout ProbeLine describes
+            axes, slots = np.arange(space.n_dims), np.arange(per_axis)[:, None]
+            step = (space.upper - space.lower) / (per_axis - 1)
+            positions[slots + per_axis * axes, axes] = np.minimum(space.lower + slots * step,
+                                                                  space.upper)
     _evaluate_step(history, 0, objective, threshold, params, rng)
     accels = np.zeros((params.n_probes, space.n_dims))  # step 0 does not accelerate
 

@@ -14,6 +14,7 @@ place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,8 +67,15 @@ class DecisionSpace:
 
     @property
     def diag_length(self) -> float:
-        """Euclidean length of the principal diagonal (normalizes probe spread)."""
-        return float(np.sqrt(np.sum((self.upper - self.lower) ** 2)))
+        """Euclidean length of the principal diagonal (normalizes probe spread).
+
+        Where squaring the widths overflows (above about 1.3e154) or
+        underflows to a zero sum, the scaled norm ``math.hypot`` gives it.
+        """
+        widths = self.upper - self.lower
+        with np.errstate(over="ignore"):
+            length = float(np.sqrt(np.sum(widths ** 2)))
+        return length if 0.0 < length < math.inf else math.hypot(*widths)
 
     @classmethod
     def cube(cls, n_dims: int, lower: float, upper: float) -> "DecisionSpace":

@@ -12,16 +12,17 @@ data) use shortest round-trip float formatting; the human-readable
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .cfo import DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory
+from .cfo import (DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory,
+                  _is_integer, _is_number)
 from .driver import DtoConfig, RunReport
-from .objectives import BENCHMARKS, DecisionSpace, benchmark_dims, make_objective
+from .objectives import (BENCHMARKS, DecisionSpace, _one_value_per_point, benchmark_dims,
+                         make_objective)
 from .threshold import BestFitness, LinearRamp, _check_floor
 
 __all__ = [
@@ -62,10 +63,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 class _FieldType(NamedTuple):
     parse: Callable[[str], object]  # a value's text in a config file
     accepts: Callable[[object], bool]  # a value given from Python
@@ -73,12 +70,11 @@ class _FieldType(NamedTuple):
 
 
 # Each field type of ExperimentConfig: how a config file's text parses (a
-# tuple is comma-separated) and which Python values it takes. Bools are not
-# numbers here.
+# tuple is comma-separated) and which Python values it takes, judged as
+# CfoParams and ProbeLine judge them.
 _FIELD_TYPES = {
     str: _FieldType(str, lambda v: isinstance(v, str), "a string"),
-    int: _FieldType(int, lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-                    "an integer"),
+    int: _FieldType(int, _is_integer, "an integer"),
     float: _FieldType(float, _is_number, "a number"),
     bool: _FieldType(_parse_bool, lambda v: isinstance(v, bool), "true or false"),
     tuple[float, ...]: _FieldType(
@@ -236,7 +232,11 @@ def render_passes_csv(report: RunReport) -> str:
 
 def render_surface(func, space: DecisionSpace, threshold: float) -> str:
     """Grid of ``x1 x2 z`` rows with a blank line after each constant-x1
-    scanline, z floored at the threshold (-inf for the raw landscape)."""
+    scanline, z floored at the threshold (-inf for the raw landscape).
+
+    ``func`` gets one scanline as a batch and must return one value per
+    point; any other shape raises ValueError.
+    """
     if space.n_dims != 2:
         raise ValueError("surface grids require a 2-D decision space")
     _check_floor(threshold)
@@ -247,7 +247,7 @@ def render_surface(func, space: DecisionSpace, threshold: float) -> str:
     for i in range(_GRID_POINTS):
         x1 = space.lower[0] + i * dx1
         row_points = np.column_stack([np.full(_GRID_POINTS, x1), x2_vals])
-        z = np.maximum(np.asarray(func(row_points), dtype=float), threshold)
+        z = np.maximum(_one_value_per_point(func(row_points), _GRID_POINTS), threshold)
         for k in range(_GRID_POINTS):
             lines.append(f"{fmt(x1)} {fmt(x2_vals[k])} {fmt(z[k])}")
         lines.append("")

@@ -13,11 +13,11 @@ import pytest
 
 import dtopt.cfo
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, \
-    compute_accelerations, probe_line_ipd, run_cfo
+    compute_accelerations, run_cfo
 from dtopt.cli import main
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.floorscan import sample_threshold_floor
-from dtopt.objectives import DecisionSpace, make_objective, schwefel226, sgo
+from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226, sgo
 from dtopt.report import PROFILES, to_dto_config
 from dtopt.threshold import LinearRamp, ThresholdState, apply_threshold
 
@@ -195,7 +195,8 @@ def test_criterion_6_cfo_micro_oracles(monkeypatch: pytest.MonkeyPatch):
         failures.append("frep orbit is not the 20-value cycle from 0.5")
 
     # probe-line layout hand trace
-    layout = probe_line_ipd(4, DecisionSpace.cube(2, -500.0, 500.0), 0.5)
+    flat = ObjectiveSpec(lambda x: np.zeros(len(x)), DecisionSpace.cube(2, -500.0, 500.0))
+    layout = run_cfo(CfoParams(4, 0), flat, 0.5)[1].positions[:, :, 0]
     expected = np.array([[-500.0, 0.0], [500.0, 0.0], [0.0, -500.0], [0.0, 500.0]])
     if not np.array_equal(layout, expected):
         failures.append("probe-line layout mismatch")

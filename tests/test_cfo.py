@@ -15,7 +15,6 @@ from dtopt.cfo import (
     RandomUniform,
     SwarmHistory,
     compute_accelerations,
-    probe_line_ipd,
     retrieve_errant,
     run_cfo,
     scan_best,
@@ -32,37 +31,42 @@ def _params(n_probes=4, n_steps=5, **kw):
 
 # ----- initial probe distributions -----
 
+def _start_positions(n_probes, space, start):
+    """Step-0 positions of a run_cfo search from ``start``, a gamma or a generator."""
+    objective = ObjectiveSpec(lambda x: np.zeros(len(x)), space)
+    _, history = run_cfo(CfoParams(n_probes=n_probes, n_steps=0), objective, start)
+    return history.positions[:, :, 0]
+
+
+# 4 probes on [-500, 500]^2 at gamma 0.5: two slots per axis through the centre
+_HAND_TRACE_2D = np.array([
+    [-500.0, 0.0],
+    [500.0, 0.0],
+    [0.0, -500.0],
+    [0.0, 500.0],
+])
+
+
 def test_probe_line_hand_trace_2d():
     space = DecisionSpace.cube(2, -500.0, 500.0)
-    positions = probe_line_ipd(4, space, 0.5)
-    expected = np.array([
-        [-500.0, 0.0],
-        [500.0, 0.0],
-        [0.0, -500.0],
-        [0.0, 500.0],
-    ])
-    assert np.array_equal(positions, expected)
+    assert np.array_equal(_start_positions(4, space, 0.5), _HAND_TRACE_2D)
 
 
 def test_probe_line_skips_spread_when_too_few_probes():
     space = DecisionSpace.cube(30, -500.0, 500.0)
-    positions = probe_line_ipd(4, space, 0.0)
+    positions = _start_positions(4, space, 0.0)
     assert np.array_equal(positions, np.full((4, 30), -500.0))
 
 
 def test_probe_line_1d_two_probes_hit_endpoints():
     space = DecisionSpace.cube(1, -3.0, 7.0)
     for gamma in (0.0, 0.3, 1.0):
-        positions = probe_line_ipd(2, space, gamma)
+        positions = _start_positions(2, space, gamma)
         assert np.array_equal(positions, np.array([[-3.0], [7.0]]))
 
 
 def _random_start(n_probes, space, seed):
-    """Step-0 positions of a run_cfo search drawn from default_rng(seed)."""
-    objective = ObjectiveSpec(lambda x: np.zeros(len(x)), space)
-    _, history = run_cfo(CfoParams(n_probes=n_probes, n_steps=0), objective,
-                         np.random.default_rng(seed))
-    return history.positions[:, :, 0]
+    return _start_positions(n_probes, space, np.random.default_rng(seed))
 
 
 def test_random_start_deterministic_per_seed():
@@ -92,7 +96,7 @@ def test_random_start_differs_across_seeds():
         assert not np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", None, True])
 def test_random_uniform_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         RandomUniform(seed)
@@ -427,11 +431,10 @@ def test_run_cfo_zero_steps_returns_ipd_best():
     obj = make_objective("schwefel226", 2)
     params = CfoParams(n_probes=4, n_steps=0)
     result, hist = run_cfo(params, obj, 0.5)
-    start = probe_line_ipd(4, obj.space, 0.5)
-    expected = obj.evaluate_batch(start)
+    expected = obj.evaluate_batch(_HAND_TRACE_2D)
     assert result.best_value == expected.max()
     assert result.evals_used == 4
-    assert np.array_equal(hist.positions[:, :, 0], start)
+    assert np.array_equal(hist.positions[:, :, 0], _HAND_TRACE_2D)
 
 
 def test_run_cfo_probe_line_bit_reproducible():
@@ -531,6 +534,7 @@ def test_cfo_params_validation():
 
 @pytest.mark.parametrize("n_probes, n_steps, field", [
     (4.0, 2, "n_probes"), ("4", 2, "n_probes"), (4, 2.0, "n_steps"), (4, None, "n_steps"),
+    (True, 2, "n_probes"), (4, False, "n_steps"),
 ])
 def test_cfo_params_rejects_counts_that_are_not_integers(n_probes, n_steps, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
@@ -552,8 +556,9 @@ def test_probe_line_holds_the_gamma_sweep():
             ProbeLine(gammas)
 
 
-@pytest.mark.parametrize("gammas", [0.3, 0.0, [0.3], "0.3", ("0.3",), (None,)],
-                         ids=["float", "zero", "list", "str", "tuple_of_str", "tuple_of_none"])
+@pytest.mark.parametrize("gammas", [0.3, 0.0, [0.3], "0.3", ("0.3",), (None,), (True, 0.5)],
+                         ids=["float", "zero", "list", "str", "tuple_of_str", "tuple_of_none",
+                              "tuple_with_bool"])
 def test_probe_line_rejects_gammas_that_are_not_a_tuple_of_numbers(gammas):
     with pytest.raises(ValueError, match="^gammas must be a tuple of numbers"):
         ProbeLine(gammas)

@@ -165,7 +165,7 @@ def test_num_passes_validation():
         _random_config(num_passes=0)
 
 
-@pytest.mark.parametrize("num_passes", [2.0, "2", None])
+@pytest.mark.parametrize("num_passes", [2.0, "2", None, True])
 def test_num_passes_must_be_an_integer(num_passes):
     with pytest.raises(ValueError, match="^num_passes must be an integer >= 1"):
         _random_config(num_passes=num_passes)
@@ -230,10 +230,15 @@ _SMALL = dict(
 _small_configs = st.one_of(
     st.builds(ExperimentConfig, c_th=st.floats(0.05, 1.0),
               schedule=st.sampled_from(["linear", "best_fitness"]), **_SMALL),
-    # A redraw repeats until its probe clears the floor, up to 10,000 times
-    # per probe: a low linear floor keeps every example far from that cap.
+    # A floor redraw repeats until its probe clears the floor, up to 10,000
+    # times. When every pass-1 probe shares one point (np0 = 1, or a
+    # probe-line start with fewer than two slots per axis), F_min = F* and
+    # the floor is F* at any c_th, so near an optimum every redraw runs to
+    # that cap. Two or more probes, spread along the probe lines, give two
+    # pass-1 fitnesses and a floor at most 60 % of the way up their range.
     st.builds(ExperimentConfig, c_th=st.floats(0.05, 0.6), schedule=st.just("linear"),
-              floor_repositioning=st.just(True), **_SMALL),
+              floor_repositioning=st.just(True), **{**_SMALL, "np0": st.integers(2, 4)})
+    .filter(lambda config: config.ipd == "random" or config.np0 >= 2 * config.n_dims),
 )
 
 

@@ -186,6 +186,21 @@ def test_decision_space_diag_length():
     assert abs(space.diag_length - expected) <= 1e-12 * expected
 
 
+@pytest.mark.parametrize("lower, upper, expected", [
+    ([-8.9e307, 0.0], [8.9e307, 1.0], 1.78e308),  # a squared width overflows
+    ([0.0, 0.0], [3e-200, 4e-200], 5e-200),  # every squared width underflows to 0
+], ids=["overflow", "underflow"])
+def test_decision_space_diag_length_survives_squaring_the_widths(lower, upper, expected):
+    length = DecisionSpace(lower, upper).diag_length
+    assert abs(length - expected) <= 1e-15 * expected
+
+
+def test_decision_space_diag_length_keeps_its_bits_where_squares_are_finite():
+    space = DecisionSpace([-500.0, -5.12, 0.0], [500.0, 5.12, 1e-3])
+    widths = space.upper - space.lower
+    assert space.diag_length == float(np.sqrt(np.sum(widths**2)))
+
+
 def test_decision_space_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         DecisionSpace(np.array([0.0, 1.0]), np.array([1.0, 1.0]))

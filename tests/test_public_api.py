@@ -18,8 +18,8 @@ TOP_LEVEL_NAMES = {
 MODULE_NAMES = {
     "dtopt.cfo": {
         "CfoParams", "DEFAULT_GAMMA_SWEEP", "OptResult", "ProbeLine", "RandomUniform",
-        "SwarmHistory", "compute_accelerations", "probe_line_ipd",
-        "retrieve_errant", "run_cfo", "scan_best", "scan_worst", "step_positions",
+        "SwarmHistory", "compute_accelerations", "retrieve_errant", "run_cfo", "scan_best",
+        "scan_worst", "step_positions",
     },
     "dtopt.threshold": {
         "BestFitness", "FLOOR_MARGIN", "LinearRamp", "ThresholdState", "apply_threshold",

@@ -241,6 +241,17 @@ def test_surface_rejects_a_nan_or_plus_inf_threshold(threshold):
         render_surface(schwefel226, space, threshold)
 
 
+@pytest.mark.parametrize("func, shape", [
+    (lambda x: 1.0, r"\(\)"),
+    (lambda x: np.ones(1), r"\(1,\)"),
+    (lambda x: np.ones((len(x), 1)), r"\(100, 1\)"),
+], ids=["scalar", "one_value", "column"])
+def test_surface_rejects_a_result_that_is_not_one_value_per_point(func, shape):
+    message = rf"^func must return shape \(100,\) for a batch of 100 points, got shape {shape}$"
+    with pytest.raises(ValueError, match=message):
+        render_surface(func, DecisionSpace.cube(2, -1.0, 1.0), -np.inf)
+
+
 def test_surface_requires_two_dims():
     with pytest.raises(ValueError):
         render_surface(schwefel226, DecisionSpace.cube(3, -1, 1), -np.inf)
