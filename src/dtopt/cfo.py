@@ -41,6 +41,9 @@ __all__ = [
 
 _MAX_REPOSITION_TRIES = 10_000
 _TILE_ROWS = 64  # probes per row tile of the acceleration kernel
+_GRAM_MIN_DIMS = 8  # from here on the kernel takes squared distances in Gram form
+_NEAR = 1e-4  # Gram-form pairs with d2 <= _NEAR * (|r|^2 + |c|^2) are summed again
+_GRAM_MAX_SQ = np.finfo(float).max / 4  # keeps |r|^2 + |c|^2 + 2|r.c| finite
 
 # Parameter-free CFO fixes G = 2, dt = 1 and alpha = beta = 2 (the kernel
 # squares the fitness gap and divides by the squared distance; a move adds
@@ -184,27 +187,38 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     lies strictly above its lowest row's; every other column has zero
     weight. Once no column lies above a tile, no later tile has one either,
     so the walk stops there. A floor plateau of equal fitness thus costs one
-    short slab, and the buffers are O(_TILE_ROWS * N), never N x N. The sums
-    run in sorted order, so the results match a dense N x N evaluation to
-    the last few ULPs, not bit for bit.
+    short slab.
+
+    Below ``_GRAM_MIN_DIMS`` dimensions a tile's squared distances are summed
+    axis by axis. From there on they take the Gram form |r|^2 + |c|^2 - 2 r.c,
+    one matmul per tile, on positions centred on the swarm mean; near pairs
+    are summed again exactly (see _gram_d2). If any centred squared norm is
+    not finite, or above _GRAM_MAX_SQ, the whole call sums axis by axis.
+    Every buffer, the near-pair gather included, is O(_TILE_ROWS * N), never
+    N x N. The sums run in sorted order, so the results match a dense N x N
+    evaluation to the last few ULPs, not bit for bit.
     """
     order = np.argsort(history.fitness[:, j], kind="stable")
     fit = history.fitness[order, j]
     pos = history.positions[order, :, j]
-    n_probes = fit.size
+    n_probes, n_dims = pos.shape
     accels = np.zeros_like(pos)  # in the history's probe order
+    gram = n_dims >= _GRAM_MIN_DIMS and fit[0] < fit[-1]  # and some pair has weight
+    if gram:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cen = pos - pos.mean(axis=0)
+            sq = np.einsum("ij,ij->i", cen, cen)
+        gram = bool(np.all(sq <= _GRAM_MAX_SQ))
     for r0 in range(0, n_probes, _TILE_ROWS):
         k0 = int(np.searchsorted(fit, fit[r0], side="right"))
         if k0 == n_probes:
             break
         r1 = min(r0 + _TILE_ROWS, n_probes)
         rows, cols = pos[r0:r1], pos[k0:]
-        d2 = np.zeros((r1 - r0, n_probes - k0))
-        buf = np.empty_like(d2)
-        for axis in range(pos.shape[1]):
-            np.subtract(cols[None, :, axis], rows[:, None, axis], out=buf)
-            np.multiply(buf, buf, out=buf)
-            d2 += buf
+        buf = np.empty((r1 - r0, n_probes - k0))
+        d2 = _gram_d2(rows, cols, cen[r0:r1], cen[k0:], sq[r0:r1], sq[k0:], buf) if gram else None
+        if d2 is None:
+            d2 = _axis_d2(rows, cols, buf)
         np.subtract(fit[None, k0:], fit[r0:r1, None], out=buf)  # buf[p, k] = M_k - M_p
         np.maximum(buf, 0.0, out=buf)
         np.multiply(buf, buf, out=buf)
@@ -216,6 +230,43 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
         buf *= _G_CONST
         accels[order[r0:r1]] = buf @ cols - buf.sum(axis=1, keepdims=True) * rows
     return accels
+
+
+def _axis_d2(rows, cols, buf):
+    """Squared distances (row, col) summed axis by axis, using ``buf`` as scratch."""
+    d2 = np.zeros_like(buf)
+    for axis in range(rows.shape[1]):
+        np.subtract(cols[None, :, axis], rows[:, None, axis], out=buf)
+        np.multiply(buf, buf, out=buf)
+        d2 += buf
+    return d2
+
+
+def _gram_d2(rows, cols, cen_rows, cen_cols, sq_rows, sq_cols, buf):
+    """Squared distances (row, col) in Gram form, or None to sum axis by axis.
+
+    d2 = sq_r + sq_c - 2 cen_r.cen_c from centred positions. A near pair,
+    d2 <= _NEAR * (sq_r + sq_c), has lost too many bits to cancellation (this
+    covers negative d2 and coincident probes); it is summed again exactly
+    over the axes of ``cols - rows``, which gives 0 for coincident probes.
+    The recompute gathers (near pairs, dims) arrays, so it runs only while
+    those are no larger than ``buf``; past that the tile returns None.
+    """
+    d2 = cen_rows @ cen_cols.T
+    d2 *= -2.0
+    np.add(sq_rows[:, None], sq_cols, out=buf)
+    d2 += buf
+    buf *= _NEAR
+    near = d2 <= buf
+    n_near = np.count_nonzero(near)
+    if n_near:
+        if n_near * rows.shape[1] > buf.size:
+            return None
+        ri, ci = np.nonzero(near)
+        diff = cols[ci]
+        diff -= rows[ri]
+        d2[ri, ci] = np.einsum("ij,ij->i", diff, diff)
+    return d2
 
 
 def _scan(history: SwarmHistory, up_to_step: int, arg_extreme) -> tuple[float, int, int]:
@@ -245,17 +296,21 @@ def _fitness(objective, points, threshold, step):
     """Evaluate a batch of points and floor it at the threshold.
 
     Non-finite points raise ValueError before the objective sees them: the
-    acceleration step overflowed (it squares fitness gaps, so gaps above
-    about 1.3e154 overflow), and the error says so. A result that is not one
-    value per point, or holds a NaN or +-inf, raises ValueError naming the
-    step; no threshold can be set from it. Both checks precede the floor,
-    which would broadcast a wrong shape and hide a -inf.
+    acceleration step overflowed, and the error says so. It divides a pair's
+    squared fitness gap by its squared distance, so a gap above about
+    1.3e154 overflows, and so does a modest gap between probes a tiny
+    distance apart. A result that is not one value per point, or holds a NaN
+    or +-inf, raises ValueError naming the step; no threshold can be set
+    from it. Both checks precede the floor, which would broadcast a wrong
+    shape and hide a -inf.
     """
     if not np.isfinite(points).all():
         lost = np.count_nonzero(~np.isfinite(points).all(axis=-1))
         raise ValueError(f"step {step}: {lost} of {len(points)} probe positions became "
                          "non-finite (NaN or +-inf) because the acceleration step "
-                         "overflowed: the fitness gaps are too large to square")
+                         "overflowed: a squared fitness gap over a squared distance "
+                         "exceeded the float range (a huge fitness gap, or probes "
+                         "extremely close together)")
     raw = objective.evaluate_batch(points)
     try:
         raw = _one_value_per_point(raw, len(points))
@@ -317,8 +372,8 @@ def run_cfo(
         history.positions[:, :, 0] = rng.uniform(space.lower, space.upper,
                                                  size=(params.n_probes, space.n_dims))
     else:
-        if not 0.0 <= start <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        if not (_is_number(start) and 0.0 <= start <= 1.0):
+            raise ValueError(f"gamma must be a number in [0, 1], got {start!r}")
         rng = np.random.default_rng(0) if params.floor_repositioning else None
         positions = history.positions[:, :, 0]
         positions[:] = space.lower + start * (space.upper - space.lower)

@@ -227,31 +227,34 @@ def _kernel_inputs(draw):
     them at quantile 1) sits on one plateau; the rest are continuous or drawn
     from a few levels, which gives ties above the floor. Positions come from
     ``n_sites`` distinct points, so fewer sites than probes makes coincident
-    probes.
+    probes. The sites either spread over [-500, 500] per axis or cluster
+    within 1e-9 to 1 of a centre in that box, the cancellation worst case of
+    the Gram form, and are then scaled by 10^-100 to 10^150. The dimensions
+    straddle the kernel's switch to the Gram form at 8.
     """
     n = draw(st.integers(1, 200))
-    n_dims = draw(st.sampled_from([1, 2, 30]))
+    n_dims = draw(st.sampled_from([1, 2, 7, 8, 30, 64]))
     n_levels = draw(st.sampled_from([0, 1, 3]))  # 0: continuous fitness
     floor_quantile = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
     n_sites = draw(st.integers(1, n))
+    cluster_width = draw(st.sampled_from([None, 1.0, 1e-3, 1e-6, 1e-9]))
+    scale = 10.0 ** draw(st.integers(-100, 150))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if n_levels:
         fit = rng.integers(0, n_levels, n) * 37.5
     else:
         fit = rng.uniform(-1000.0, 1000.0, n)
     fit = np.maximum(fit, np.quantile(fit, floor_quantile, method="lower"))
-    sites = rng.uniform(-500.0, 500.0, size=(n_sites, n_dims))
-    pos = sites[rng.integers(0, n_sites, n)]
+    if cluster_width is None:
+        sites = rng.uniform(-500.0, 500.0, size=(n_sites, n_dims))
+    else:
+        centre = rng.uniform(-500.0, 500.0, n_dims)
+        sites = centre + rng.uniform(-cluster_width, cluster_width, size=(n_sites, n_dims))
+    pos = sites[rng.integers(0, n_sites, n)] * scale
     return pos, fit
 
 
-@settings(max_examples=200, deadline=None)
-@given(_kernel_inputs())
-@example((np.array([[3.0, -1.0]]), np.array([5.0])))  # N = 1
-# all-equal fitness over three tiles
-@example((np.random.default_rng(3).uniform(-9, 9, (150, 2)), np.full(150, 4.0)))
-def test_acceleration_matches_dense_oracle(inputs):
-    pos, fit = inputs
+def _assert_matches_dense_oracle(pos, fit):
     hist = SwarmHistory.allocate(*pos.shape, 1)
     hist.positions[:, :, 1] = pos
     hist.fitness[:, 1] = fit
@@ -261,6 +264,43 @@ def test_acceleration_matches_dense_oracle(inputs):
     # terms the sum cancels, which bounds any reordering of it.
     scale = weights @ np.abs(pos) + weights.sum(axis=1, keepdims=True) * np.abs(pos)
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_inputs())
+@example((np.array([[3.0, -1.0]]), np.array([5.0])))  # N = 1
+# all-equal fitness over three tiles
+@example((np.random.default_rng(3).uniform(-9, 9, (150, 2)), np.full(150, 4.0)))
+def test_acceleration_matches_dense_oracle(inputs):
+    _assert_matches_dense_oracle(*inputs)
+
+
+def test_acceleration_sums_axis_by_axis_when_squared_norms_overflow():
+    # Two clusters at -+1e160 on every axis of 30: each probe's squared norm
+    # overflows, so the Gram form would meet inf - inf, while pairs within a
+    # cluster (spread 1e150) have finite distances and real pulls. Pairs
+    # across the clusters overflow to an infinite distance and zero weight,
+    # in the kernel's axis-by-axis sums as in the oracle's.
+    rng = np.random.default_rng(11)
+    sides = np.repeat([-1.0, 1.0], 20)[:, None]
+    pos = (sides + rng.uniform(-1e-10, 1e-10, (40, 30))) * 1e160
+    fit = rng.uniform(0.0, 800.0, 40)
+    with np.errstate(over="ignore"):
+        got = _assert_matches_dense_oracle(pos, fit)
+    assert np.all(np.isfinite(got))
+    assert np.count_nonzero(got) > 0
+
+
+def _kernel_peak_bytes(hist):
+    """The kernel's accelerations for step 1 of ``hist`` and its peak traced allocation."""
+    tracemalloc.start()
+    try:
+        accels = compute_accelerations(hist, 1, _params(n_probes=hist.n_probes, n_steps=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return accels, peak
 
 
 def test_acceleration_memory_is_bounded():
@@ -270,12 +310,23 @@ def test_acceleration_memory_is_bounded():
     hist = SwarmHistory.allocate(n, 2, 1)
     hist.positions[:, :, 1] = rng.uniform(-500.0, 500.0, size=(n, 2))
     hist.fitness[:, 1] = rng.uniform(0.0, 800.0, n)
-    tracemalloc.start()
-    try:
-        accels = compute_accelerations(hist, 1, _params(n_probes=n, n_steps=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    accels, peak = _kernel_peak_bytes(hist)
+    assert peak < 32 * 2**20
+    assert np.all(np.isfinite(accels))
+
+
+def test_acceleration_memory_is_bounded_in_gram_form():
+    # A converged swarm at D = 30: all probes but one lie within 1e-9 of one
+    # point, so in the Gram form nearly every pair is near and must be summed
+    # again. Gathering all of a tile's near pairs would take 63 MB, and an
+    # N x N kernel 134 MB.
+    n = 4096
+    rng = np.random.default_rng(8)
+    hist = SwarmHistory.allocate(n, 30, 1)
+    hist.positions[:, :, 1] = 420.9687 + rng.uniform(-1e-9, 1e-9, size=(n, 30))
+    hist.positions[0, :, 1] = -500.0
+    hist.fitness[:, 1] = rng.uniform(0.0, 800.0, n)
+    accels, peak = _kernel_peak_bytes(hist)
     assert peak < 32 * 2**20
     assert np.all(np.isfinite(accels))
 
@@ -564,10 +615,11 @@ def test_probe_line_rejects_gammas_that_are_not_a_tuple_of_numbers(gammas):
         ProbeLine(gammas)
 
 
-@pytest.mark.parametrize("gamma", [-0.1, 1.5, float("nan")])
+# A bool, a str or None is no gamma, and a generator is the only other start
+@pytest.mark.parametrize("gamma", [-0.1, 1.5, float("nan"), True, "0.5", None])
 def test_run_cfo_rejects_gamma_outside_unit_interval(gamma):
     obj = make_objective("schwefel226", 2)
-    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+    with pytest.raises(ValueError, match=rf"^gamma must be a number in \[0, 1\], got {gamma!r}$"):
         run_cfo(CfoParams(n_probes=4, n_steps=2), obj, gamma)
     assert obj.eval_count == 0
 
@@ -582,3 +634,16 @@ def test_nan_probe_positions_raise_before_the_objective_sees_them():
                                              r"non-finite .* overflowed"):
             run_cfo(CfoParams(4, 3), obj, np.random.default_rng(1))
     assert obj.eval_count == 2 * 4
+
+
+def test_probes_extremely_close_together_overflow_the_kernel():
+    # Fitness gaps of about 1 over squared distances of about 1e-320: no gap
+    # is large, yet the weight overflows, and the message names both causes
+    obj = ObjectiveSpec(lambda x: x.sum(axis=1) * 1e160,
+                        DecisionSpace([0.0, 0.0], [3e-160, 3e-160]))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=r"^step 2: 7 of 8 probe positions became "
+                                             r"non-finite .* overflowed: a squared fitness gap "
+                                             r"over a squared distance .*extremely close"):
+            run_cfo(CfoParams(8, 5), obj, np.random.default_rng(1))
+    assert obj.eval_count == 2 * 8
