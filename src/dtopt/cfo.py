@@ -16,13 +16,12 @@ compute accelerations from the new fitness field.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import DecisionSpace, _one_value_per_point
-from .threshold import ThresholdState, apply_threshold, on_floor
+from .objectives import DecisionSpace, _check_bool, _check_count, _is_number, _one_value_per_point
+from .threshold import ThresholdState, _check_floor, apply_threshold, on_floor
 
 __all__ = [
     "DEFAULT_GAMMA_SWEEP",
@@ -42,8 +41,7 @@ __all__ = [
 _MAX_REPOSITION_TRIES = 10_000
 _TILE_ROWS = 64  # probes per row tile of the acceleration kernel
 _GRAM_MIN_DIMS = 8  # from here on the kernel takes squared distances in Gram form
-_NEAR = 1e-4  # Gram-form pairs with d2 <= _NEAR * (|r|^2 + |c|^2) are summed again
-_GRAM_MAX_SQ = np.finfo(float).max / 4  # keeps |r|^2 + |c|^2 + 2|r.c| finite
+_NEAR = 1e-4  # a Gram-form pair is summed again unless d2 > _NEAR * (|r|^2 + |c|^2)
 
 # Parameter-free CFO fixes G = 2, dt = 1 and alpha = beta = 2 (the kernel
 # squares the fitness gap and divides by the squared distance; a move adds
@@ -53,21 +51,6 @@ _G_CONST = 2.0
 _FREP = tuple(k / 20 for k in (*range(10, 21), *range(1, 10)))
 
 DEFAULT_GAMMA_SWEEP = tuple(i / 10 for i in range(11))
-
-
-# Bools are not numbers: True is no count, seed or gamma.
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ValueError naming the field unless value is an integer >= least."""
-    if not _is_integer(value) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -114,6 +97,7 @@ class CfoParams:
     def __post_init__(self):
         _check_count("n_probes", self.n_probes, 1)
         _check_count("n_steps", self.n_steps, 0)
+        _check_bool("floor_repositioning", self.floor_repositioning)
 
 
 @dataclass
@@ -189,26 +173,26 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     so the walk stops there. A floor plateau of equal fitness thus costs one
     short slab.
 
-    Below ``_GRAM_MIN_DIMS`` dimensions a tile's squared distances are summed
-    axis by axis. From there on they take the Gram form |r|^2 + |c|^2 - 2 r.c,
-    one matmul per tile, on positions centred on the swarm mean; near pairs
-    are summed again exactly (see _gram_d2). If any centred squared norm is
-    not finite, or above _GRAM_MAX_SQ, the whole call sums axis by axis.
-    Every buffer, the near-pair gather included, is O(_TILE_ROWS * N), never
-    N x N. The sums run in sorted order, so the results match a dense N x N
-    evaluation to the last few ULPs, not bit for bit.
+    The dimension alone picks how a tile's squared distances are built.
+    Below ``_GRAM_MIN_DIMS`` they are summed axis by axis. From there on they
+    take the Gram form |r|^2 + |c|^2 - 2 r.c, one matmul per tile, on
+    positions centred on the swarm mean, and every pair whose Gram value
+    cannot be trusted (near, or overflowed) is summed again exactly (see
+    _gram_d2). Every buffer, the chunked recompute included, is
+    O(_TILE_ROWS * N), never N x N. The sums run in sorted order, so the
+    results match a dense N x N evaluation to the last few ULPs, not bit for
+    bit.
     """
     order = np.argsort(history.fitness[:, j], kind="stable")
     fit = history.fitness[order, j]
     pos = history.positions[order, :, j]
     n_probes, n_dims = pos.shape
     accels = np.zeros_like(pos)  # in the history's probe order
-    gram = n_dims >= _GRAM_MIN_DIMS and fit[0] < fit[-1]  # and some pair has weight
-    if gram:
+    gram = n_dims >= _GRAM_MIN_DIMS
+    if gram and fit[0] < fit[-1]:  # some pair has weight, so some tile needs distances
         with np.errstate(over="ignore", invalid="ignore"):
             cen = pos - pos.mean(axis=0)
             sq = np.einsum("ij,ij->i", cen, cen)
-        gram = bool(np.all(sq <= _GRAM_MAX_SQ))
     for r0 in range(0, n_probes, _TILE_ROWS):
         k0 = int(np.searchsorted(fit, fit[r0], side="right"))
         if k0 == n_probes:
@@ -216,8 +200,9 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
         r1 = min(r0 + _TILE_ROWS, n_probes)
         rows, cols = pos[r0:r1], pos[k0:]
         buf = np.empty((r1 - r0, n_probes - k0))
-        d2 = _gram_d2(rows, cols, cen[r0:r1], cen[k0:], sq[r0:r1], sq[k0:], buf) if gram else None
-        if d2 is None:
+        if gram:
+            d2 = _gram_d2(rows, cols, cen[r0:r1], cen[k0:], sq[r0:r1], sq[k0:], buf)
+        else:
             d2 = _axis_d2(rows, cols, buf)
         np.subtract(fit[None, k0:], fit[r0:r1, None], out=buf)  # buf[p, k] = M_k - M_p
         np.maximum(buf, 0.0, out=buf)
@@ -243,29 +228,28 @@ def _axis_d2(rows, cols, buf):
 
 
 def _gram_d2(rows, cols, cen_rows, cen_cols, sq_rows, sq_cols, buf):
-    """Squared distances (row, col) in Gram form, or None to sum axis by axis.
+    """Squared distances (row, col) in Gram form, untrustworthy pairs summed exactly.
 
-    d2 = sq_r + sq_c - 2 cen_r.cen_c from centred positions. A near pair,
-    d2 <= _NEAR * (sq_r + sq_c), has lost too many bits to cancellation (this
-    covers negative d2 and coincident probes); it is summed again exactly
-    over the axes of ``cols - rows``, which gives 0 for coincident probes.
-    The recompute gathers (near pairs, dims) arrays, so it runs only while
-    those are no larger than ``buf``; past that the tile returns None.
+    d2 = sq_r + sq_c - 2 cen_r.cen_c from centred positions. Unless
+    d2 > _NEAR * (sq_r + sq_c), a pair has lost too many bits to cancellation
+    (this covers negative d2 and coincident probes), or its Gram terms
+    overflowed to +-inf or NaN. Each such pair is summed again exactly over
+    the axes of ``cols - rows``, which gives 0 for coincident probes, in
+    chunks of ``buf.size // D`` pairs, so no buffer outgrows ``buf``.
     """
-    d2 = cen_rows @ cen_cols.T
-    d2 *= -2.0
-    np.add(sq_rows[:, None], sq_cols, out=buf)
-    d2 += buf
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = cen_rows @ cen_cols.T
+        d2 *= -2.0
+        np.add(sq_rows[:, None], sq_cols, out=buf)
+        d2 += buf
     buf *= _NEAR
-    near = d2 <= buf
-    n_near = np.count_nonzero(near)
-    if n_near:
-        if n_near * rows.shape[1] > buf.size:
-            return None
-        ri, ci = np.nonzero(near)
-        diff = cols[ci]
-        diff -= rows[ri]
-        d2[ri, ci] = np.einsum("ij,ij->i", diff, diff)
+    ri, ci = np.nonzero(~(d2 > buf))
+    chunk = max(1, buf.size // rows.shape[1])
+    for i in range(0, ri.size, chunk):
+        r, c = ri[i:i + chunk], ci[i:i + chunk]
+        diff = cols[c]
+        diff -= rows[r]
+        d2[r, c] = np.einsum("ij,ij->i", diff, diff)
     return d2
 
 
@@ -361,8 +345,10 @@ def run_cfo(
     off one stream pass the same generator). A
     probe-line search that repositions floor probes redraws from its own
     ``default_rng(0)``. The optimizer only ever sees the fitness floored at
-    ``threshold``, which it only reads; the default -inf floors nothing.
+    ``threshold``, which it only reads; the default -inf floors nothing, and
+    a NaN or +inf threshold raises ValueError.
     """
+    _check_floor(threshold.t_current)
     space = objective.space
     history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)
     evals_before = objective.eval_count

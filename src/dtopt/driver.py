@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cfo import (CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, _check_count,
-                  run_cfo)
-from .objectives import ObjectiveSpec
+from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, run_cfo
+from .objectives import ObjectiveSpec, _check_bool, _check_count
 from .threshold import Schedule, ThresholdState
 
 __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
@@ -38,6 +37,7 @@ class DtoConfig:
 
     def __post_init__(self):
         _check_count("num_passes", self.num_passes, 1)
+        _check_bool("probe_doubling", self.probe_doubling)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .objectives import DecisionSpace, _one_value_per_point
+from .objectives import DecisionSpace, _check_count, _one_value_per_point
 from .threshold import FLOOR_MARGIN, _check_floor, on_floor
 
 __all__ = ["FloorStats", "halton_points", "sample_threshold_floor"]
@@ -159,11 +159,11 @@ def sample_threshold_floor(
 
     T = -inf is no floor, and no sample is on it. Under a finite T an
     objective value of +inf counts as above the floor and -inf as on it.
-    A NaN or +inf T, a margin that is not finite and >= 0, a NaN value, or
-    a result that is not one value per sample raises ValueError.
+    An ``n_samples`` that is not an integer >= 1, a NaN or +inf T, a margin
+    that is not finite and >= 0, a NaN value, or a result that is not one
+    value per sample raises ValueError.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_count("n_samples", n_samples, 1)
     _check_floor(threshold, margin)
     width = space.upper - space.lower
     chunk_rows = max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // space.n_dims)

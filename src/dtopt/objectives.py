@@ -15,6 +15,7 @@ place.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,6 +169,27 @@ def benchmark_dims(name: str, n_dims: int | None = None) -> int:
     if n_dims not in (None, fixed):
         raise ValueError(f"{name} is fixed at {fixed} dimension(s), got {n_dims}")
     return fixed
+
+
+# Bools are not numbers: True is no count, seed, gamma or c_th.
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError naming the field unless value is an integer >= least."""
+    if not _is_integer(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_bool(name: str, value) -> None:
+    """Raise ValueError naming the field unless value is True or False."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 def _one_value_per_point(values, n_points: int) -> np.ndarray:

@@ -18,11 +18,10 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .cfo import (DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory,
-                  _is_integer, _is_number)
+from .cfo import DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory
 from .driver import DtoConfig, RunReport
-from .objectives import (BENCHMARKS, DecisionSpace, _one_value_per_point, benchmark_dims,
-                         make_objective)
+from .objectives import (BENCHMARKS, DecisionSpace, _is_integer, _is_number, _one_value_per_point,
+                         benchmark_dims, make_objective)
 from .threshold import BestFitness, LinearRamp, _check_floor
 
 __all__ = [

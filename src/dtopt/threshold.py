@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objectives import _is_number
+
 __all__ = [
     "LinearRamp",
     "BestFitness",
@@ -36,8 +38,8 @@ class LinearRamp:
     c_th: float
 
     def __post_init__(self):
-        if not 0.0 < self.c_th <= 1.0:
-            raise ValueError("c_th must lie in (0, 1]")
+        if not (_is_number(self.c_th) and 0.0 < self.c_th <= 1.0):
+            raise ValueError(f"c_th must be a number in (0, 1], got {self.c_th!r}")
 
     def next_threshold(self, k: int, num_passes: int, state: ThresholdState,
                        pass_best: float) -> float:

@@ -267,29 +267,50 @@ def _assert_matches_dense_oracle(pos, fit):
     return got
 
 
+def _converged_swarm(n, n_dims):
+    """Positions and fitness of n probes, all but one within 1e-9 of the
+    origin and the last at 500 on every axis. Centred on the swarm mean, the
+    cluster's norms dwarf its distances, so in the Gram form every pair but
+    the far probe's is near. At the origin the oracle's bound, which scales
+    with |R|, sees an error in any one of those distances."""
+    rng = np.random.default_rng(8)
+    pos = rng.uniform(-1e-9, 1e-9, size=(n, n_dims))
+    pos[0] = 500.0
+    return pos, rng.uniform(0.0, 800.0, n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_kernel_inputs())
 @example((np.array([[3.0, -1.0]]), np.array([5.0])))  # N = 1
 # all-equal fitness over three tiles
 @example((np.random.default_rng(3).uniform(-9, 9, (150, 2)), np.full(150, 4.0)))
+# a converged swarm at D = 64: nearly every pair is summed again, in chunks
+# that end mid-row
+@example(_converged_swarm(200, 64))
 def test_acceleration_matches_dense_oracle(inputs):
     _assert_matches_dense_oracle(*inputs)
 
 
 def test_acceleration_sums_axis_by_axis_when_squared_norms_overflow():
-    # Two clusters at -+1e160 on every axis of 30: each probe's squared norm
-    # overflows, so the Gram form would meet inf - inf, while pairs within a
-    # cluster (spread 1e150) have finite distances and real pulls. Pairs
-    # across the clusters overflow to an infinite distance and zero weight,
-    # in the kernel's axis-by-axis sums as in the oracle's.
+    # A mixed swarm at D = 30: two clusters at -+1e160 on every axis and 20
+    # probes at ordinary coordinates. Centred on the swarm mean, each cluster
+    # probe's squared norm overflows, so its Gram terms meet inf - inf and
+    # every pair it is in is summed again exactly. Pairs within a cluster
+    # (spread 1e150) have finite distances and real pulls; pairs across the
+    # clusters, or between a cluster and an ordinary probe, overflow to an
+    # infinite distance and zero weight, in the kernel's sums as in the
+    # oracle's. The ordinary probes' centred norms are about 1e150, so their
+    # Gram distances cancel to noise and are summed again as well.
     rng = np.random.default_rng(11)
     sides = np.repeat([-1.0, 1.0], 20)[:, None]
-    pos = (sides + rng.uniform(-1e-10, 1e-10, (40, 30))) * 1e160
-    fit = rng.uniform(0.0, 800.0, 40)
+    clusters = (sides + rng.uniform(-1e-10, 1e-10, (40, 30))) * 1e160
+    pos = np.vstack([clusters, rng.uniform(-500.0, 500.0, (20, 30))])
+    fit = rng.uniform(0.0, 800.0, 60)
     with np.errstate(over="ignore"):
         got = _assert_matches_dense_oracle(pos, fit)
     assert np.all(np.isfinite(got))
-    assert np.count_nonzero(got) > 0
+    assert np.count_nonzero(got[:40]) > 0
+    assert np.count_nonzero(got[40:]) > 0
 
 
 def _kernel_peak_bytes(hist):
@@ -316,16 +337,12 @@ def test_acceleration_memory_is_bounded():
 
 
 def test_acceleration_memory_is_bounded_in_gram_form():
-    # A converged swarm at D = 30: all probes but one lie within 1e-9 of one
-    # point, so in the Gram form nearly every pair is near and must be summed
-    # again. Gathering all of a tile's near pairs would take 63 MB, and an
+    # A converged swarm at D = 30: nearly every pair must be summed again.
+    # Gathering all of a tile's near pairs at once would take 63 MB, and an
     # N x N kernel 134 MB.
     n = 4096
-    rng = np.random.default_rng(8)
     hist = SwarmHistory.allocate(n, 30, 1)
-    hist.positions[:, :, 1] = 420.9687 + rng.uniform(-1e-9, 1e-9, size=(n, 30))
-    hist.positions[0, :, 1] = -500.0
-    hist.fitness[:, 1] = rng.uniform(0.0, 800.0, n)
+    hist.positions[:, :, 1], hist.fitness[:, 1] = _converged_swarm(n, 30)
     accels, peak = _kernel_peak_bytes(hist)
     assert peak < 32 * 2**20
     assert np.all(np.isfinite(accels))
@@ -592,6 +609,14 @@ def test_cfo_params_rejects_counts_that_are_not_integers(n_probes, n_steps, fiel
         CfoParams(n_probes, n_steps)
 
 
+@pytest.mark.parametrize("flag", ["no", "", 1, 0, None])
+def test_cfo_params_floor_repositioning_must_be_true_or_false(flag):
+    # "no" and 1 would run with repositioning on
+    with pytest.raises(ValueError,
+                       match=f"^floor_repositioning must be true or false, got {flag!r}$"):
+        CfoParams(4, 2, floor_repositioning=flag)
+
+
 def test_cfo_params_accepts_numpy_integers():
     assert CfoParams(np.int64(4), np.int32(2)) == CfoParams(4, 2)
 
@@ -621,6 +646,15 @@ def test_run_cfo_rejects_gamma_outside_unit_interval(gamma):
     obj = make_objective("schwefel226", 2)
     with pytest.raises(ValueError, match=rf"^gamma must be a number in \[0, 1\], got {gamma!r}$"):
         run_cfo(CfoParams(n_probes=4, n_steps=2), obj, gamma)
+    assert obj.eval_count == 0
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_run_cfo_rejects_a_nan_or_plus_inf_threshold(t):
+    # before, NaN ran to a NaN best and +inf to an infinite one
+    obj = make_objective("schwefel226", 2)
+    with pytest.raises(ValueError, match=r"^threshold must not be NaN or \+inf"):
+        run_cfo(CfoParams(n_probes=4, n_steps=2), obj, 0.5, ThresholdState(t_current=t))
     assert obj.eval_count == 0
 
 

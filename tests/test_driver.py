@@ -171,6 +171,14 @@ def test_num_passes_must_be_an_integer(num_passes):
         _random_config(num_passes=num_passes)
 
 
+@pytest.mark.parametrize("doubling", ["no", "", 1, 0, None, np.bool_(False)])
+def test_probe_doubling_must_be_true_or_false(doubling):
+    # "no" and 1 would run with doubling on, "" and 0 with it off
+    with pytest.raises(ValueError,
+                       match=f"^probe_doubling must be true or false, got {doubling!r}$"):
+        _probe_line_config(doubling=doubling)
+
+
 def _run_searches(config):
     """run_dto's report and the (result, history) of each search, in order."""
     searches = []

@@ -303,6 +303,7 @@ def test_convergence_on_known_measure():
     assert abs(stats.p_above - 0.3) <= 2 / np.sqrt(10_000)
 
 
-def test_rejects_empty_sample():
-    with pytest.raises(ValueError):
-        sample_threshold_floor(_ramp, UNIT_1D, threshold=0.5, n_samples=0)
+@pytest.mark.parametrize("n_samples", [0, True, 1000.0, "1000"])
+def test_rejects_a_sample_count_that_is_not_a_positive_integer(n_samples):
+    with pytest.raises(ValueError, match=f"^n_samples must be an integer >= 1, got {n_samples!r}$"):
+        sample_threshold_floor(_ramp, UNIT_1D, threshold=0.5, n_samples=n_samples)

@@ -161,3 +161,9 @@ def test_linear_ramp_validation():
     with pytest.raises(ValueError):
         LinearRamp(c_th=1.2)
     assert [f.name for f in dataclasses.fields(LinearRamp)] == ["c_th"]
+
+
+@pytest.mark.parametrize("c_th", [True, "0.5", None, float("nan")])
+def test_linear_ramp_rejects_a_c_th_that_is_not_a_number_in_range(c_th):
+    with pytest.raises(ValueError, match=rf"^c_th must be a number in \(0, 1\], got {c_th!r}$"):
+        LinearRamp(c_th)
