@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .driver import run_dto
-from .floorscan import sample_threshold_floor
+from .floorscan import FLOOR_MARGIN, sample_threshold_floor
 from .objectives import BENCHMARKS, benchmark_dims, make_objective
 from .report import (
     PROFILES,
@@ -28,7 +28,6 @@ from .report import (
     to_dto_config,
     write_text,
 )
-from .threshold import FLOOR_MARGIN
 
 __all__ = ["main"]
 

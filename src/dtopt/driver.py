@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, run_cfo
-from .objectives import ObjectiveSpec, _check_bool, _check_count
+from .objectives import ObjectiveSpec, _check_bool, _check_count, _check_objective
 from .threshold import Schedule, ThresholdState
 
 __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
@@ -28,6 +28,8 @@ Observer = Callable[[int, float, OptResult, SwarmHistory], None]
 
 @dataclass
 class DtoConfig:
+    """A run's components, each checked once, when the config is built."""
+
     num_passes: int
     schedule: Schedule
     cfo: CfoParams
@@ -38,6 +40,14 @@ class DtoConfig:
     def __post_init__(self):
         _check_count("num_passes", self.num_passes, 1)
         _check_bool("probe_doubling", self.probe_doubling)
+        if not callable(getattr(self.schedule, "next_threshold", None)):
+            raise ValueError("schedule must have a callable next_threshold, "
+                             f"got {self.schedule!r}")
+        if not isinstance(self.cfo, CfoParams):
+            raise ValueError(f"cfo must be a CfoParams, got {self.cfo!r}")
+        _check_objective("objective", self.objective)
+        if not isinstance(self.ipd, (ProbeLine, RandomUniform)):
+            raise ValueError(f"ipd must be a ProbeLine or a RandomUniform, got {self.ipd!r}")
 
 
 @dataclass

@@ -37,10 +37,13 @@ from typing import Callable
 
 import numpy as np
 
-from .objectives import DecisionSpace, _check_count, _one_value_per_point
-from .threshold import FLOOR_MARGIN, _check_floor, on_floor
+from .objectives import DecisionSpace, _check_count, _is_number, _one_value_per_point
+from .threshold import _check_floor
 
-__all__ = ["FloorStats", "halton_points", "sample_threshold_floor"]
+__all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "on_floor", "sample_threshold_floor"]
+
+# A fitness within this distance of the threshold sits on the floor (see on_floor).
+FLOOR_MARGIN = 0.005
 
 # A chunk of sample_threshold_floor holds _CHUNK_VALUES coordinates (1 MB),
 # but at least _MIN_CHUNK_ROWS points: each column of a chunk has a fixed
@@ -121,6 +124,17 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     return points
 
 
+def on_floor(f_val, t: float, margin: float = FLOOR_MARGIN):
+    """Whether a fitness (scalar or array) is on the floor at threshold t:
+    max(f, t) - t <= margin. Nothing is on a -inf floor, and -inf - (-inf)
+    is never computed."""
+    if t == -np.inf:
+        return np.zeros(np.shape(f_val), dtype=bool)
+    lift = np.maximum(f_val, t)
+    lift -= t
+    return lift <= margin
+
+
 @dataclass
 class FloorStats:
     n_samples: int
@@ -141,7 +155,7 @@ def sample_threshold_floor(
 
     Maps the Halton points of indices 0 .. n_samples-1 affinely into the
     decision space, evaluates f at each, and counts the samples on the floor
-    by ``threshold.on_floor``: max(f, T) - T <= margin. The indices are walked
+    by ``on_floor``: max(f, T) - T <= margin. The indices are walked
     in consecutive chunks of max(4096, 2**17 // n) points, so ``func`` is
     called once per chunk with a fresh ``(m, n)`` float64 batch, and must
     return m fitnesses. The batch is column-major (Fortran-ordered): a
@@ -159,12 +173,14 @@ def sample_threshold_floor(
 
     T = -inf is no floor, and no sample is on it. Under a finite T an
     objective value of +inf counts as above the floor and -inf as on it.
-    An ``n_samples`` that is not an integer >= 1, a NaN or +inf T, a margin
-    that is not finite and >= 0, a NaN value, or a result that is not one
-    value per sample raises ValueError.
+    An ``n_samples`` that is not an integer >= 1, a T that is not a number
+    or is NaN or +inf, a margin that is not finite and >= 0, a NaN value, or
+    a result that is not one value per sample raises ValueError.
     """
     _check_count("n_samples", n_samples, 1)
-    _check_floor(threshold, margin)
+    _check_floor(threshold)
+    if not (_is_number(margin) and np.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
     width = space.upper - space.lower
     chunk_rows = max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // space.n_dims)
     n_on_floor = 0

@@ -156,13 +156,13 @@ BENCHMARKS = {
 def benchmark_dims(name: str, n_dims: int | None = None) -> int:
     """Dimension benchmark ``name`` runs in: its fixed one, else n_dims (default 2).
 
-    Raises ValueError for an unknown name, an n_dims below 1, or an n_dims
-    that conflicts with a fixed dimension.
+    Raises ValueError for an unknown name, an n_dims that is not an integer
+    >= 1, or an n_dims that conflicts with a fixed dimension.
     """
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {tuple(BENCHMARKS)}")
-    if n_dims is not None and n_dims < 1:
-        raise ValueError(f"n_dims must be >= 1, got {n_dims}")
+    if n_dims is not None:
+        _check_count("n_dims", n_dims, 1)
     fixed = BENCHMARKS[name].n_dims
     if fixed is None:
         return 2 if n_dims is None else n_dims
@@ -190,6 +190,16 @@ def _check_bool(name: str, value) -> None:
     """Raise ValueError naming the field unless value is True or False."""
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _check_objective(name: str, value) -> None:
+    """Raise ValueError naming the field unless value offers what a search
+    reads of an objective: ``space``, a callable ``evaluate_batch`` and
+    ``eval_count`` (see ObjectiveSpec)."""
+    if not (hasattr(value, "space") and hasattr(value, "eval_count")
+            and callable(getattr(value, "evaluate_batch", None))):
+        raise ValueError(f"{name} must have space, evaluate_batch and eval_count "
+                         f"(see ObjectiveSpec), got {value!r}")
 
 
 def _one_value_per_point(values, n_points: int) -> np.ndarray:

@@ -107,8 +107,11 @@ class ExperimentConfig:
     gamma_sweep: tuple[float, ...] = DEFAULT_GAMMA_SWEEP
     seed: int = 1
     probe_doubling: bool = True
-    floor_repositioning: bool = False
     output_dir: str = "."
+
+    # Not a field, a key or a setting: bench/workloads.closed_form_calls reads
+    # it, and it goes when that read does (ROADMAP item 1c).
+    floor_repositioning = False
 
     def __post_init__(self):
         for key, kind in _KEY_TYPES.items():
@@ -181,8 +184,7 @@ def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfi
     return DtoConfig(
         num_passes=config.passes,
         schedule=_SCHEDULES[config.schedule](config),
-        cfo=CfoParams(n_probes=config.np0, n_steps=config.nt,
-                      floor_repositioning=config.floor_repositioning),
+        cfo=CfoParams(n_probes=config.np0, n_steps=config.nt),
         objective=make_objective(config.function, config.n_dims),
         ipd=_IPDS[config.ipd](config),
         probe_doubling=config.probe_doubling,

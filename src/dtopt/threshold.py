@@ -17,18 +17,7 @@ import numpy as np
 
 from .objectives import _is_number
 
-__all__ = [
-    "LinearRamp",
-    "BestFitness",
-    "ThresholdState",
-    "apply_threshold",
-    "on_floor",
-    "FLOOR_MARGIN",
-]
-
-# A fitness within this distance of the threshold sits on the floor (see
-# on_floor): a repositioned probe must clear it, and floor sampling counts it.
-FLOOR_MARGIN = 0.005
+__all__ = ["LinearRamp", "BestFitness", "ThresholdState", "apply_threshold"]
 
 
 @dataclass
@@ -106,21 +95,10 @@ def apply_threshold(f_val, state: ThresholdState):
     return np.maximum(f_val, state.t_current)
 
 
-def on_floor(f_val, t: float, margin: float = FLOOR_MARGIN):
-    """Whether a fitness (scalar or array) is on the floor at threshold t:
-    max(f, t) - t <= margin. Floor repositioning and floor sampling both use
-    it. Nothing is on a -inf floor, and -inf - (-inf) is never computed."""
-    if t == -np.inf:
-        return np.zeros(np.shape(f_val), dtype=bool)
-    lift = np.maximum(f_val, t)
-    lift -= t
-    return lift <= margin
-
-
-def _check_floor(t: float, margin: float = FLOOR_MARGIN) -> None:
-    """Raise ValueError unless t is a threshold (any number below +inf, with
-    -inf for no floor) and margin is finite and >= 0."""
+def _check_floor(t) -> None:
+    """Raise ValueError naming the threshold unless t is a number below +inf
+    (-inf for no floor)."""
+    if not _is_number(t):
+        raise ValueError(f"threshold must be a number, got {t!r}")
     if np.isnan(t) or t == np.inf:
         raise ValueError(f"threshold must not be NaN or +inf (-inf is no floor), got {t}")
-    if not (np.isfinite(margin) and margin >= 0.0):
-        raise ValueError(f"margin must be finite and >= 0, got {margin}")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import dtopt.cfo
 from dtopt.cfo import (
-    _MAX_REPOSITION_TRIES,
     DEFAULT_GAMMA_SWEEP,
     CfoParams,
     ProbeLine,
@@ -22,11 +21,11 @@ from dtopt.cfo import (
     step_positions,
 )
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective
-from dtopt.threshold import FLOOR_MARGIN, ThresholdState
+from dtopt.threshold import ThresholdState
 
 
-def _params(n_probes=4, n_steps=5, **kw):
-    return CfoParams(n_probes=n_probes, n_steps=n_steps, **kw)
+def _params(n_probes=4, n_steps=5):
+    return CfoParams(n_probes=n_probes, n_steps=n_steps)
 
 
 # ----- initial probe distributions -----
@@ -416,65 +415,6 @@ def test_scan_order_is_step_major():
     assert scan_best(hist, 1) == (9.0, 0, 1)
 
 
-# ----- floor repositioning -----
-
-class _StubObjective:
-    """Plateau objective: fitness 1 where x[0] >= cutoff, else 0."""
-
-    def __init__(self, cutoff):
-        self.cutoff = cutoff
-        self.space = DecisionSpace.cube(2, 0.0, 1.0)
-        self.eval_count = 0
-
-    def evaluate_batch(self, points):
-        points = np.asarray(points, dtype=float)
-        self.eval_count += points.shape[0]
-        return np.where(points[:, 0] >= self.cutoff, 1.0, 0.0)
-
-
-def _redraw_search(cutoff, gamma, threshold):
-    """One probe at the probe-line point (gamma, gamma) and no steps, so the
-    search evaluates that point once and then each floor redraw once.
-    Returns (redraws, history)."""
-    params = CfoParams(n_probes=1, n_steps=0, floor_repositioning=True)
-    result, hist = run_cfo(params, _StubObjective(cutoff), gamma, ThresholdState(threshold))
-    return result.evals_used - 1, hist
-
-
-def test_reposition_noop_without_floor():
-    # the -inf threshold: every fitness clears the margin
-    redraws, hist = _redraw_search(0.5, 0.0, -np.inf)
-    assert redraws == 0 and hist.fitness[0, 0] == 0.0
-
-
-def test_reposition_skips_probe_above_margin():
-    redraws, hist = _redraw_search(0.5, 0.5, 0.5)  # fitness 1, 0.5 above the floor
-    assert redraws == 0
-    assert np.array_equal(hist.positions[0, :, 0], [0.5, 0.5])
-
-
-def test_reposition_lifts_probe_off_floor():
-    redraws, hist = _redraw_search(0.5, 0.0, 0.5)  # raw 0 floored up to T
-    assert redraws >= 1
-    assert hist.fitness[0, 0] - 0.5 >= FLOOR_MARGIN
-    assert hist.positions[0, 0, 0] >= 0.5
-
-
-def test_reposition_redraws_a_probe_exactly_at_the_margin():
-    # max(f, T) - T <= margin is on the floor, as floor sampling counts it:
-    # raw 0 lies exactly FLOOR_MARGIN above T = -FLOOR_MARGIN
-    redraws, hist = _redraw_search(0.5, 0.0, -FLOOR_MARGIN)
-    assert redraws >= 1
-    assert hist.fitness[0, 0] == 1.0
-
-
-def test_reposition_gives_up_after_max_tries():
-    # cutoff outside the domain: nothing clears the floor
-    redraws, hist = _redraw_search(2.0, 0.0, 0.5)
-    assert redraws == _MAX_REPOSITION_TRIES
-    assert hist.fitness[0, 0] == 0.5
-
-
 # ----- whole runs -----
 
 def test_run_cfo_eval_count():
@@ -527,39 +467,31 @@ def test_run_cfo_random_seed_reproducible():
                           _random_start(5, DecisionSpace.cube(2, -500.0, 500.0), 77))
 
 
-def test_probe_line_floor_redraws_use_their_own_stream():
-    # each probe-line search redraws from a fresh default_rng(0), so two
-    # identical searches repeat every redraw
-    params = CfoParams(n_probes=4, n_steps=3, floor_repositioning=True)
-    state = ThresholdState(t_current=0.0)
-    runs = [run_cfo(params, make_objective("schwefel226", 2), 0.5, state) for _ in range(2)]
-    (result_a, hist_a), (result_b, hist_b) = runs
-    assert result_a.evals_used == result_b.evals_used > 4 * 4
-    assert np.array_equal(hist_a.positions, hist_b.positions)
-
-
-def test_random_start_floor_redraws_use_the_given_generator():
-    # the start and then every redraw come from the generator passed in, so
-    # it ends exactly D draws per redraw past the start draw, and a fresh
-    # generator of the same seed repeats the search
-    params = CfoParams(n_probes=4, n_steps=3, floor_repositioning=True)
+@pytest.mark.parametrize("start", [0.5, "random"])
+def test_floored_search_stays_above_the_floor_in_bounds_and_repeats(start):
+    # T = 0 floors about half of 2-D Schwefel. Each step evaluates every probe
+    # once, a probe-line search draws nothing, and a random search draws only
+    # its start, so two searches from the same start repeat every value
+    params = CfoParams(n_probes=8, n_steps=6)
     state = ThresholdState(t_current=0.0)
     space = DecisionSpace.cube(2, -500.0, 500.0)
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(8)
-        runs.append((*run_cfo(params, make_objective("schwefel226", 2), rng, state), rng))
-    (result_a, hist_a, rng_a), (result_b, hist_b, rng_b) = runs
-    redraws = result_a.evals_used - 4 * 4
-    assert redraws > 0
-    expected = np.random.default_rng(8)
-    expected.uniform(space.lower, space.upper, size=(4, 2))
-    expected.uniform(size=2 * redraws)
-    assert rng_a.bit_generator.state == expected.bit_generator.state
-    assert result_b.evals_used == result_a.evals_used
+        result, hist = run_cfo(params, make_objective("schwefel226", 2),
+                               0.5 if start == 0.5 else rng, state)
+        assert result.evals_used == 7 * 8
+        assert np.all(hist.fitness >= 0.0) and np.any(hist.fitness == 0.0)
+        assert np.all((hist.positions >= space.lower[None, :, None])
+                      & (hist.positions <= space.upper[None, :, None]))
+        runs.append((result, hist, rng))
+    (_, hist_a, rng_a), (_, hist_b, _) = runs
     assert np.array_equal(hist_a.positions, hist_b.positions)
     assert np.array_equal(hist_a.fitness, hist_b.fitness)
-    assert rng_b.bit_generator.state == rng_a.bit_generator.state
+    expected = np.random.default_rng(8)
+    if start != 0.5:
+        expected.uniform(space.lower, space.upper, size=(8, 2))
+    assert rng_a.bit_generator.state == expected.bit_generator.state
 
 
 def test_run_cfo_history_stays_in_bounds():
@@ -588,9 +520,7 @@ def test_run_cfo_result_provenance():
 
 def test_cfo_params_defaults():
     # parameter-free CFO: G, dt, alpha, beta and the first retrieval factor are fixed
-    assert [f.name for f in dataclasses.fields(CfoParams)] == [
-        "n_probes", "n_steps", "floor_repositioning"]
-    assert _params().floor_repositioning is False
+    assert [f.name for f in dataclasses.fields(CfoParams)] == ["n_probes", "n_steps"]
 
 
 def test_cfo_params_validation():
@@ -607,14 +537,6 @@ def test_cfo_params_validation():
 def test_cfo_params_rejects_counts_that_are_not_integers(n_probes, n_steps, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
         CfoParams(n_probes, n_steps)
-
-
-@pytest.mark.parametrize("flag", ["no", "", 1, 0, None])
-def test_cfo_params_floor_repositioning_must_be_true_or_false(flag):
-    # "no" and 1 would run with repositioning on
-    with pytest.raises(ValueError,
-                       match=f"^floor_repositioning must be true or false, got {flag!r}$"):
-        CfoParams(4, 2, floor_repositioning=flag)
 
 
 def test_cfo_params_accepts_numpy_integers():
@@ -656,6 +578,29 @@ def test_run_cfo_rejects_a_nan_or_plus_inf_threshold(t):
     with pytest.raises(ValueError, match=r"^threshold must not be NaN or \+inf"):
         run_cfo(CfoParams(n_probes=4, n_steps=2), obj, 0.5, ThresholdState(t_current=t))
     assert obj.eval_count == 0
+
+
+class _NoSpace:
+    """An objective without a decision space."""
+
+    eval_count = 0
+
+    def evaluate_batch(self, points):
+        return np.zeros(len(points))
+
+
+@pytest.mark.parametrize("params, objective, field", [
+    (None, make_objective("schwefel226", 2), "params"),
+    ((4, 2), make_objective("schwefel226", 2), "params"),
+    (CfoParams(4, 2), lambda x: x, "objective"),
+    (CfoParams(4, 2), None, "objective"),
+    (CfoParams(4, 2), _NoSpace(), "objective"),
+], ids=["params_none", "params_tuple", "objective_function", "objective_none",
+        "objective_without_space"])
+def test_run_cfo_rejects_params_and_objectives_of_the_wrong_kind(params, objective, field):
+    # before, each of these ended in a bare AttributeError inside the search
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        run_cfo(params, objective, 0.5)
 
 
 def test_nan_probe_positions_raise_before_the_objective_sees_them():

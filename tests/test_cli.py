@@ -100,6 +100,15 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_run_config_naming_floor_repositioning_is_an_unknown_key(tmp_path, capsys, value):
+    # floor repositioning is gone; a config that still names it, either way, is refused
+    config = _write(tmp_path, "old.cfg", f"passes = 2\nfloor_repositioning = {value}\n")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: line 2: unknown key 'floor_repositioning'\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("lines, key", [
     ("n_dims = 0", "n_dims"),
     ("passes = 0", "passes"),

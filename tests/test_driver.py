@@ -179,6 +179,28 @@ def test_probe_doubling_must_be_true_or_false(doubling):
         _probe_line_config(doubling=doubling)
 
 
+class _NoCount:
+    """An objective that never counts its calls."""
+
+    space = DecisionSpace.cube(2, -500.0, 500.0)
+
+    def evaluate_batch(self, points):
+        return schwefel226(points)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("schedule", None), ("schedule", "linear"),
+    ("cfo", None), ("cfo", (4, 2)),
+    ("objective", None), ("objective", schwefel226), ("objective", _NoCount()),
+    ("ipd", None), ("ipd", 0.5),
+], ids=["schedule_none", "schedule_str", "cfo_none", "cfo_tuple", "objective_none",
+        "objective_function", "objective_without_count", "ipd_none", "ipd_float"])
+def test_dto_config_rejects_components_of_the_wrong_kind(field, value):
+    # before, each of these built and the run ended in a bare AttributeError
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        DtoConfig(**{**vars(_probe_line_config()), field: value})
+
+
 def _run_searches(config):
     """run_dto's report and the (result, history) of each search, in order."""
     searches = []
@@ -235,27 +257,15 @@ _SMALL = dict(
     gamma_sweep=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(tuple),
     seed=st.integers(0, 2**31),
 )
-_small_configs = st.one_of(
-    st.builds(ExperimentConfig, c_th=st.floats(0.05, 1.0),
-              schedule=st.sampled_from(["linear", "best_fitness"]), **_SMALL),
-    # A floor redraw repeats until its probe clears the floor, up to 10,000
-    # times. When every pass-1 probe shares one point (np0 = 1, or a
-    # probe-line start with fewer than two slots per axis), F_min = F* and
-    # the floor is F* at any c_th, so near an optimum every redraw runs to
-    # that cap. Two or more probes, spread along the probe lines, give two
-    # pass-1 fitnesses and a floor at most 60 % of the way up their range.
-    st.builds(ExperimentConfig, c_th=st.floats(0.05, 0.6), schedule=st.just("linear"),
-              floor_repositioning=st.just(True), **{**_SMALL, "np0": st.integers(2, 4)})
-    .filter(lambda config: config.ipd == "random" or config.np0 >= 2 * config.n_dims),
-)
+_small_configs = st.builds(ExperimentConfig, c_th=st.floats(0.05, 1.0),
+                           schedule=st.sampled_from(["linear", "best_fitness"]), **_SMALL)
 
 
 @settings(max_examples=100, deadline=None)
 @given(config=_small_configs)
 # 16 probes on one axis of [-500, 500]: lower + 15 * step rounds past upper
 @example(config=ExperimentConfig(n_dims=1, passes=4, nt=0, np0=2, gamma_sweep=(0.0,)))
-@example(config=ExperimentConfig(n_dims=3, passes=4, nt=6, np0=4, ipd="random",
-                                 floor_repositioning=True))
+@example(config=ExperimentConfig(n_dims=3, passes=4, nt=6, np0=4, ipd="random"))
 def test_run_invariants_hold_on_random_configs(config):
     dto_config = to_dto_config(config)
     space = dto_config.objective.space
@@ -271,11 +281,8 @@ def test_run_invariants_hold_on_random_configs(config):
     report = run_dto(dto_config, observer=observer)
     runs_per_pass = len(config.gamma_sweep) if config.ipd == "probe_line" else 1
     assert searches == config.passes * runs_per_pass
-    closed_form = config.np0 * (2**config.passes - 1) * (config.nt + 1) * runs_per_pass
-    if config.floor_repositioning:  # each floor redraw is one more call
-        assert report.total_evals >= closed_form
-    else:
-        assert report.total_evals == closed_form
+    assert report.total_evals == (config.np0 * (2**config.passes - 1) * (config.nt + 1)
+                                  * runs_per_pass)
 
     again = run_dto(to_dto_config(config))
     assert render_summary(again) == render_summary(report)
@@ -284,16 +291,15 @@ def test_run_invariants_hold_on_random_configs(config):
 
 # ----- non-finite objective values -----
 
-def _schwefel_turning_bad(value, after, batch_rows=None):
+def _schwefel_turning_bad(value, after):
     """2-D Schwefel whose first value of a batch becomes ``value`` once
-    ``after`` points have been evaluated, only in batches of ``batch_rows``
-    rows when that is given."""
+    ``after`` points have been evaluated."""
     seen = 0
 
     def func(points):
         nonlocal seen
         out = schwefel226(points)
-        if seen >= after and batch_rows in (None, len(points)):
+        if seen >= after:
             out[0] = value
         seen += len(points)
         return out
@@ -320,16 +326,6 @@ def test_non_finite_objective_value_names_pass_search_step_and_count(value, ipd,
     config.objective = _schwefel_turning_bad(value, after)
     message = f"pass {bad_pass}, search at {search}: step 0: .* 1 non-finite"
     with pytest.raises(ValueError, match=message):
-        run_dto(config)
-
-
-def test_non_finite_value_in_a_floor_redraw_is_an_error():
-    # only the one-row batches of floor repositioning see the NaN
-    config = _random_config(num_passes=3, np0=8, nt=3, seed=5)
-    config.cfo = CfoParams(n_probes=8, n_steps=3, floor_repositioning=True)
-    config.objective = _schwefel_turning_bad(np.nan, 0, batch_rows=1)
-    with pytest.raises(ValueError, match=r"pass 2, search at seed 5: step \d+: .* 1 non-finite "
-                                         r".* batch of 1$"):
         run_dto(config)
 
 

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dtopt.floorscan as floorscan
-from dtopt.floorscan import FloorStats, halton_points, sample_threshold_floor
+from dtopt.floorscan import (FLOOR_MARGIN, FloorStats, halton_points, on_floor,
+                             sample_threshold_floor)
 from dtopt.objectives import BENCHMARKS, DecisionSpace, schwefel226
-from dtopt.threshold import FLOOR_MARGIN
 
 
 def _ramp(points):
@@ -244,7 +244,7 @@ def test_nan_or_plus_inf_threshold_is_an_error(threshold):
         sample_threshold_floor(_ramp, UNIT_1D, threshold=threshold, n_samples=10)
 
 
-@pytest.mark.parametrize("margin", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("margin", [-1.0, np.nan, np.inf, "0.1", None])
 def test_margin_not_finite_and_nonnegative_is_an_error(margin):
     with pytest.raises(ValueError, match="margin must be finite and >= 0"):
         sample_threshold_floor(_ramp, UNIT_1D, threshold=0.5, n_samples=10, margin=margin)
@@ -307,3 +307,32 @@ def test_convergence_on_known_measure():
 def test_rejects_a_sample_count_that_is_not_a_positive_integer(n_samples):
     with pytest.raises(ValueError, match=f"^n_samples must be an integer >= 1, got {n_samples!r}$"):
         sample_threshold_floor(_ramp, UNIT_1D, threshold=0.5, n_samples=n_samples)
+
+
+# ----- the on-floor test -----
+
+def test_on_floor_includes_the_margin_boundary():
+    assert on_floor(FLOOR_MARGIN, 0.0)
+    assert on_floor(0.0, 0.0)
+    assert on_floor(-7.0, 0.0)  # below T is floored up to T
+    assert not on_floor(np.nextafter(FLOOR_MARGIN, 1.0), 0.0)
+    assert on_floor(3.5, 3.0, margin=0.5)
+    assert not on_floor(3.5, 3.0, margin=0.25)
+
+
+def test_on_floor_of_arrays_is_elementwise_max_minus_threshold():
+    rng = np.random.default_rng(8)
+    f_vals = rng.uniform(-10.0, 10.0, size=10_000)
+    for t in (-3.0, 0.0, 4.5):
+        expected = np.maximum(f_vals, t) - t <= FLOOR_MARGIN
+        assert np.array_equal(on_floor(f_vals, t), expected)
+    assert np.array_equal(on_floor(np.array([-np.inf, np.inf]), 0.0), [True, False])
+
+
+def test_nothing_is_on_a_minus_inf_floor():
+    f_vals = np.array([-np.inf, -1e308, 0.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no -inf - (-inf) is computed
+        assert np.array_equal(on_floor(f_vals, -np.inf), [False] * 4)
+        assert not on_floor(-np.inf, -np.inf)
+        assert not on_floor(np.float64(-5.0), -np.inf, margin=1e308)

@@ -235,7 +235,24 @@ def test_decision_space_rejects_zero_dimensions():
 
 @pytest.mark.parametrize("n_dims", [0, -1])
 def test_benchmark_dims_rejects_fewer_than_one_dimension(n_dims):
-    with pytest.raises(ValueError, match=f"n_dims must be >= 1, got {n_dims}"):
+    with pytest.raises(ValueError, match=f"n_dims must be an integer >= 1, got {n_dims}"):
         benchmark_dims("schwefel226", n_dims)
-    with pytest.raises(ValueError, match=f"n_dims must be >= 1, got {n_dims}"):
+    with pytest.raises(ValueError, match=f"n_dims must be an integer >= 1, got {n_dims}"):
         make_objective("schwefel226", n_dims)
+
+
+@pytest.mark.parametrize("n_dims", ["2", 2.0, True], ids=["str", "float", "bool"])
+def test_benchmark_dims_rejects_an_n_dims_that_is_not_an_integer(n_dims):
+    # before, "2" and 2.0 ended in a bare TypeError and True ran in one dimension
+    message = rf"^n_dims must be an integer >= 1, got {n_dims!r}$"
+    with pytest.raises(ValueError, match=message):
+        benchmark_dims("schwefel226", n_dims)
+    with pytest.raises(ValueError, match=message):
+        make_objective("schwefel226", n_dims)
+
+
+def test_benchmark_dims_none_is_the_default_dimension():
+    assert benchmark_dims("schwefel226", None) == benchmark_dims("schwefel226") == 2
+    assert make_objective("schwefel226", None).space.n_dims == 2
+    assert benchmark_dims("ramp", None) == 1
+    assert benchmark_dims("schwefel226", np.int64(30)) == 30

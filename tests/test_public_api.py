@@ -21,11 +21,10 @@ MODULE_NAMES = {
         "SwarmHistory", "compute_accelerations", "retrieve_errant", "run_cfo", "scan_best",
         "scan_worst", "step_positions",
     },
-    "dtopt.threshold": {
-        "BestFitness", "FLOOR_MARGIN", "LinearRamp", "ThresholdState", "apply_threshold",
-        "on_floor",
+    "dtopt.threshold": {"BestFitness", "LinearRamp", "ThresholdState", "apply_threshold"},
+    "dtopt.floorscan": {
+        "FLOOR_MARGIN", "FloorStats", "halton_points", "on_floor", "sample_threshold_floor",
     },
-    "dtopt.floorscan": {"FloorStats", "halton_points", "sample_threshold_floor"},
     "dtopt.driver": {"DtoConfig", "PassRecord", "RunReport", "run_dto"},
     "dtopt.report": {
         "ConfigError", "ExperimentConfig", "PROFILES", "average_distance_to_best", "fmt",

@@ -49,13 +49,12 @@ ipd = random
 gamma_sweep = 0.125, 0.5
 seed = 99
 probe_doubling = false
-floor_repositioning = yes
 output_dir = out/x
 """
     expected = ExperimentConfig(function="ramp", n_dims=1, passes=3, c_th=0.25,
                                 schedule="best_fitness", nt=7, np0=5, ipd="random",
                                 gamma_sweep=(0.125, 0.5), seed=99, probe_doubling=False,
-                                floor_repositioning=True, output_dir="out/x")
+                                output_dir="out/x")
     assert parse_config(text) == expected
     defaults = ExperimentConfig()
     assert all(getattr(expected, f.name) != getattr(defaults, f.name)
@@ -67,6 +66,16 @@ def test_unknown_key_reports_line_number():
     text = "function = schwefel226\nn_dims = 2\nbogus = 1\n"
     with pytest.raises(ConfigError, match="line 3.*bogus"):
         parse_config(text)
+
+
+def test_floor_repositioning_is_no_key_and_no_field():
+    # the benchmark's closed-form call count still reads the class constant
+    with pytest.raises(ConfigError, match="^line 2: unknown key 'floor_repositioning'$"):
+        parse_config("passes = 3\nfloor_repositioning = false\n")
+    assert "floor_repositioning" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert ExperimentConfig().floor_repositioning is False
+    with pytest.raises(TypeError):
+        ExperimentConfig(floor_repositioning=True)
 
 
 def test_duplicate_key_rejected():
@@ -100,7 +109,6 @@ def test_invalid_enum_values_rejected():
 
 @pytest.mark.parametrize("key, value, wanted", [
     ("probe_doubling", "no", "true or false"),
-    ("floor_repositioning", 1, "true or false"),
     ("nt", 2.0, "an integer"),
     ("passes", "3", "an integer"),
     ("passes", True, "an integer"),
@@ -158,7 +166,7 @@ def test_to_dto_config_seed_override():
 def test_to_dto_config_probe_line_carries_the_whole_sweep():
     config = to_dto_config(PROFILES["schwefel30d"])
     assert config.ipd == ProbeLine(tuple(i / 10 for i in range(11)))
-    assert config.cfo == CfoParams(n_probes=4, n_steps=15, floor_repositioning=False)
+    assert config.cfo == CfoParams(n_probes=4, n_steps=15)
     quick = to_dto_config(parse_config("ipd = probe_line\ngamma_sweep = 0.25, 0.5\n"))
     assert quick.ipd.gammas == (0.25, 0.5)
 

@@ -1,17 +1,13 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
-from dtopt.threshold import (
-    FLOOR_MARGIN,
-    BestFitness,
-    LinearRamp,
-    ThresholdState,
-    apply_threshold,
-    on_floor,
-)
+from dtopt.cfo import CfoParams, run_cfo
+from dtopt.floorscan import sample_threshold_floor
+from dtopt.objectives import make_objective
+from dtopt.report import render_surface
+from dtopt.threshold import BestFitness, LinearRamp, ThresholdState, apply_threshold
 
 
 def test_apply_threshold_branches():
@@ -115,35 +111,6 @@ def test_best_fitness_update_passthrough():
         assert BestFitness().next_threshold(k, 3, state, pass_best) == pass_best
 
 
-# ----- the on-floor test -----
-
-def test_on_floor_includes_the_margin_boundary():
-    assert on_floor(FLOOR_MARGIN, 0.0)
-    assert on_floor(0.0, 0.0)
-    assert on_floor(-7.0, 0.0)  # below T is floored up to T
-    assert not on_floor(np.nextafter(FLOOR_MARGIN, 1.0), 0.0)
-    assert on_floor(3.5, 3.0, margin=0.5)
-    assert not on_floor(3.5, 3.0, margin=0.25)
-
-
-def test_on_floor_of_arrays_is_elementwise_max_minus_threshold():
-    rng = np.random.default_rng(8)
-    f_vals = rng.uniform(-10.0, 10.0, size=10_000)
-    for t in (-3.0, 0.0, 4.5):
-        expected = np.maximum(f_vals, t) - t <= FLOOR_MARGIN
-        assert np.array_equal(on_floor(f_vals, t), expected)
-    assert np.array_equal(on_floor(np.array([-np.inf, np.inf]), 0.0), [True, False])
-
-
-def test_nothing_is_on_a_minus_inf_floor():
-    f_vals = np.array([-np.inf, -1e308, 0.0, np.inf])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no -inf - (-inf) is computed
-        assert np.array_equal(on_floor(f_vals, -np.inf), [False] * 4)
-        assert not on_floor(-np.inf, -np.inf)
-        assert not on_floor(np.float64(-5.0), -np.inf, margin=1e308)
-
-
 def test_initial_state():
     state = ThresholdState()
     assert [f.name for f in dataclasses.fields(ThresholdState)] == [
@@ -167,3 +134,21 @@ def test_linear_ramp_validation():
 def test_linear_ramp_rejects_a_c_th_that_is_not_a_number_in_range(c_th):
     with pytest.raises(ValueError, match=rf"^c_th must be a number in \(0, 1\], got {c_th!r}$"):
         LinearRamp(c_th)
+
+
+# ----- the threshold check -----
+
+@pytest.mark.parametrize("t", ["1", None])
+@pytest.mark.parametrize("entry", ["run_cfo", "sample_threshold_floor", "render_surface"])
+def test_a_threshold_that_is_not_a_number_is_named(entry, t):
+    # before, each entry point ended in numpy's bare TypeError from isnan
+    objective = make_objective("schwefel226", 2)
+    calls = {
+        "run_cfo": lambda: run_cfo(CfoParams(4, 2), objective, 0.5, ThresholdState(t_current=t)),
+        "sample_threshold_floor": lambda: sample_threshold_floor(objective.func, objective.space,
+                                                                 t, 100),
+        "render_surface": lambda: render_surface(objective.func, objective.space, t),
+    }
+    with pytest.raises(ValueError, match=rf"^threshold must be a number, got {t!r}$"):
+        calls[entry]()
+    assert objective.eval_count == 0
