@@ -101,7 +101,13 @@ class CfoParams:
 @dataclass
 class SwarmHistory:
     """Run history: positions are a (probe, dim, step) array, fitness is
-    (probe, step), steps 0..n_steps inclusive."""
+    (probe, step), steps 0..n_steps inclusive.
+
+    ``allocate`` stores both step-major, as transposed views of (step, probe,
+    dim) and (step, probe) buffers, so one step's ``positions[:, :, j]`` and
+    ``fitness[:, j]`` are C-contiguous: every per-step move, retrieval,
+    evaluation and kernel gather reads and writes one block, and the
+    step-major best/worst scans ravel without a copy."""
 
     positions: np.ndarray
     fitness: np.ndarray
@@ -109,8 +115,8 @@ class SwarmHistory:
     @classmethod
     def allocate(cls, n_probes: int, n_dims: int, n_steps: int) -> "SwarmHistory":
         return cls(
-            positions=np.zeros((n_probes, n_dims, n_steps + 1)),
-            fitness=np.zeros((n_probes, n_steps + 1)),
+            positions=np.zeros((n_steps + 1, n_probes, n_dims)).transpose(1, 2, 0),
+            fitness=np.zeros((n_steps + 1, n_probes)).T,
         )
 
     @property
@@ -169,13 +175,18 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     lies strictly above its lowest row's; every other column has zero
     weight. Once no column lies above a tile, no later tile has one either,
     so the walk stops there. A floor plateau of equal fitness thus costs one
-    short slab.
+    short slab. When a tile's rows share one fitness, as on a plateau, its
+    weights come from one row (M_k - M_p)^2 divided by the tile's d^2 in a
+    single pass. G = 2 multiplies each tile's (row, dim) result, not its
+    weights: scaling by a power of two commutes with every rounding, so the
+    bits are those of weighting each pair by 2 unless a product or sum
+    overflows or falls below the normal range.
 
     The dimension alone picks how a tile's squared distances are built.
     Below ``_GRAM_MIN_DIMS`` they are summed axis by axis. From there on they
     take the Gram form |r|^2 + |c|^2 - 2 r.c, one matmul per tile, on
-    positions centred on the swarm mean, and every pair whose Gram value
-    cannot be trusted (near, or overflowed) is summed again exactly (see
+    positions centred on the swarm mean, and every weighted pair whose Gram
+    value cannot be trusted (near, or overflowed) is summed again exactly (see
     _gram_d2). Every buffer, the chunked recompute included, is
     O(_TILE_ROWS * N), never N x N. A tile reduces as buf @ cols - rowsum *
     rows on absolute positions, which cancels in proportion to |R| over the
@@ -184,9 +195,10 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     2.6e-6 at spread 1e-6 around 420.9687 in 2-D (1.2e-9 at spread 1e-3, the
     tightest the shipped profiles converge to).
     """
-    order = np.argsort(history.fitness[:, j], kind="stable")
-    fit = history.fitness[order, j]
-    pos = history.positions[order, :, j]
+    fit = history.fitness[:, j]
+    order = np.argsort(fit, kind="stable")
+    fit = fit[order]
+    pos = history.positions[:, :, j][order]
     n_probes, n_dims = pos.shape
     accels = np.zeros_like(pos)  # in the history's probe order
     gram = n_dims >= _GRAM_MIN_DIMS
@@ -202,55 +214,72 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
         rows, cols = pos[r0:r1], pos[k0:]
         buf = np.empty((r1 - r0, n_probes - k0))
         if gram:
-            d2 = _gram_d2(rows, cols, cen[r0:r1], cen[k0:], sq[r0:r1], sq[k0:], buf)
+            d2 = _gram_d2(pos, cen, sq, fit, slice(r0, r1), slice(k0, None), buf)
         else:
             d2 = _axis_d2(rows, cols, buf)
-        np.subtract(fit[None, k0:], fit[r0:r1, None], out=buf)  # buf[p, k] = M_k - M_p
-        np.maximum(buf, 0.0, out=buf)
-        np.multiply(buf, buf, out=buf)
         zero_pairs = d2 == 0.0
-        if zero_pairs.any():
+        any_zero = zero_pairs.any()
+        if any_zero:
             d2[zero_pairs] = 1.0
+        if fit[r1 - 1] == fit[r0]:  # one fitness for every row: one weight row
+            gap = fit[k0:] - fit[r0]
+            np.divide(gap * gap, d2, out=buf)
+        else:
+            np.subtract(fit[None, k0:], fit[r0:r1, None], out=buf)  # buf[p, k] = M_k - M_p
+            np.maximum(buf, 0.0, out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.divide(buf, d2, out=buf)
+        if any_zero:
             buf[zero_pairs] = 0.0
-        np.divide(buf, d2, out=buf)
-        buf *= _G_CONST
-        accels[order[r0:r1]] = buf @ cols - buf.sum(axis=1, keepdims=True) * rows
+        tile = buf @ cols
+        tile -= buf.sum(axis=1, keepdims=True) * rows
+        tile *= _G_CONST
+        accels[order[r0:r1]] = tile
     return accels
 
 
 def _axis_d2(rows, cols, buf):
     """Squared distances (row, col) summed axis by axis, using ``buf`` as scratch."""
-    d2 = np.zeros_like(buf)
-    for axis in range(rows.shape[1]):
+    d2 = np.subtract(cols[None, :, 0], rows[:, None, 0])
+    np.multiply(d2, d2, out=d2)
+    for axis in range(1, rows.shape[1]):
         np.subtract(cols[None, :, axis], rows[:, None, axis], out=buf)
         np.multiply(buf, buf, out=buf)
         d2 += buf
     return d2
 
 
-def _gram_d2(rows, cols, cen_rows, cen_cols, sq_rows, sq_cols, buf):
-    """Squared distances (row, col) in Gram form, untrustworthy pairs summed exactly.
+def _gram_d2(pos, cen, sq, fit, r, c, buf):
+    """Squared distances between the probes of slices ``r`` (rows) and ``c``
+    (columns) of the sorted swarm, in Gram form, untrustworthy weighted pairs
+    summed exactly.
 
     d2 = sq_r + sq_c - 2 cen_r.cen_c from centred positions. Unless
     d2 > _NEAR * (sq_r + sq_c), a pair has lost too many bits to cancellation
     (this covers negative d2 and coincident probes), or its Gram terms
-    overflowed to +-inf or NaN. Each such pair is summed again exactly over
-    the axes of ``cols - rows``, which gives 0 for coincident probes, in
-    chunks of ``buf.size // D`` pairs, so no buffer outgrows ``buf``.
+    overflowed to +-inf or NaN. Each such pair with weight, M_c > M_r, is
+    summed again exactly over the axes of ``cols - rows``, which gives 0 for
+    coincident probes, in chunks of ``buf.size // D`` pairs, so no buffer
+    outgrows ``buf``. Every other such pair has zero weight; it gets +inf,
+    whose quotient is +0.0, as its exact distance would give.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = cen_rows @ cen_cols.T
+        d2 = cen[r] @ cen[c].T
         d2 *= -2.0
-        np.add(sq_rows[:, None], sq_cols, out=buf)
+        np.add(sq[r, None], sq[c], out=buf)
         d2 += buf
     buf *= _NEAR
     ri, ci = np.nonzero(~(d2 > buf))
+    weighted = fit[c][ci] > fit[r][ri]
+    d2[ri[~weighted], ci[~weighted]] = np.inf
+    ri, ci = ri[weighted], ci[weighted]
+    rows, cols = pos[r], pos[c]
     chunk = max(1, buf.size // rows.shape[1])
     for i in range(0, ri.size, chunk):
-        r, c = ri[i:i + chunk], ci[i:i + chunk]
-        diff = cols[c]
-        diff -= rows[r]
-        d2[r, c] = np.einsum("ij,ij->i", diff, diff)
+        rr, cc = ri[i:i + chunk], ci[i:i + chunk]
+        diff = cols[cc]
+        diff -= rows[rr]
+        d2[rr, cc] = np.einsum("ij,ij->i", diff, diff)
     return d2
 
 
@@ -324,13 +353,15 @@ def run_cfo(
     probe-major; callers running several searches off one stream pass the
     same generator). Each step evaluates every probe once, so a search makes
     exactly (n_steps + 1) * n_probes calls. The optimizer only ever sees the
-    fitness floored at ``threshold``, which it only reads; the default -inf
-    floors nothing, and a threshold that is not a number, or is NaN or +inf,
-    raises ValueError.
+    fitness floored at ``threshold``, a ThresholdState it only reads; the
+    default -inf floors nothing. Anything but a ThresholdState, or one whose
+    threshold is not a number, or is NaN or +inf, raises ValueError.
     """
     if not isinstance(params, CfoParams):
         raise ValueError(f"params must be a CfoParams, got {params!r}")
     _check_objective("objective", objective)
+    if not isinstance(threshold, ThresholdState):
+        raise ValueError(f"threshold must be a ThresholdState, got {threshold!r}")
     _check_floor(threshold.t_current)
     space = objective.space
     history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)

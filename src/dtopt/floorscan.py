@@ -37,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .objectives import DecisionSpace, _check_count, _is_number, _one_value_per_point
+from .objectives import (DecisionSpace, _check_count, _check_space, _is_number,
+                         _one_value_per_point)
 from .threshold import _check_floor
 
 __all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "on_floor", "sample_threshold_floor"]
@@ -115,9 +116,13 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     integer division runs only over the b**k table entries and the rows, and
     the table's size follows n_points, not start; each point costs one copy
     from the table and one broadcast addition per digit of its row q.
+
+    ``n_points`` and ``start`` must be integers >= 0 and ``n_dims`` one >= 1;
+    anything else raises ValueError naming it.
     """
-    if start < 0 or n_points < 0:
-        raise ValueError("start and n_points must be >= 0")
+    _check_count("n_points", n_points, 0)
+    _check_count("n_dims", n_dims, 1)
+    _check_count("start", start, 0)
     points = np.empty((n_points, n_dims), order="F")
     for j, base in enumerate(_first_primes(n_dims)):
         points[:, j] = _radical_inverse_column(base, start, n_points)
@@ -173,10 +178,12 @@ def sample_threshold_floor(
 
     T = -inf is no floor, and no sample is on it. Under a finite T an
     objective value of +inf counts as above the floor and -inf as on it.
-    An ``n_samples`` that is not an integer >= 1, a T that is not a number
-    or is NaN or +inf, a margin that is not finite and >= 0, a NaN value, or
-    a result that is not one value per sample raises ValueError.
+    A ``space`` that is not a DecisionSpace, an ``n_samples`` that is not an
+    integer >= 1, a T that is not a number or is NaN or +inf, a margin that
+    is not finite and >= 0, a NaN value, or a result that is not one value
+    per sample raises ValueError.
     """
+    _check_space("space", space)
     _check_count("n_samples", n_samples, 1)
     _check_floor(threshold)
     if not (_is_number(margin) and np.isfinite(margin) and margin >= 0.0):

@@ -192,14 +192,21 @@ def _check_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
+def _check_space(name: str, value) -> None:
+    """Raise ValueError naming the field unless value is a DecisionSpace."""
+    if not isinstance(value, DecisionSpace):
+        raise ValueError(f"{name} must be a DecisionSpace, got {value!r}")
+
+
 def _check_objective(name: str, value) -> None:
     """Raise ValueError naming the field unless value offers what a search
-    reads of an objective: ``space``, a callable ``evaluate_batch`` and
-    ``eval_count`` (see ObjectiveSpec)."""
-    if not (hasattr(value, "space") and hasattr(value, "eval_count")
+    reads of an objective: a DecisionSpace ``space``, a callable
+    ``evaluate_batch`` and ``eval_count`` (see ObjectiveSpec)."""
+    if not (isinstance(getattr(value, "space", None), DecisionSpace)
+            and hasattr(value, "eval_count")
             and callable(getattr(value, "evaluate_batch", None))):
-        raise ValueError(f"{name} must have space, evaluate_batch and eval_count "
-                         f"(see ObjectiveSpec), got {value!r}")
+        raise ValueError(f"{name} must have a DecisionSpace space, evaluate_batch and "
+                         f"eval_count (see ObjectiveSpec), got {value!r}")
 
 
 def _one_value_per_point(values, n_points: int) -> np.ndarray:
@@ -221,7 +228,9 @@ class ObjectiveSpec:
 
     ``func`` maps an ``(m, n)`` batch to m fitnesses; any such callable
     works. ``eval_count`` grows by exactly one per evaluated point. One
-    instance must not be shared across concurrent runs.
+    instance must not be shared across concurrent runs. A ``func`` that is
+    not callable, or a ``space`` that is not a DecisionSpace, raises
+    ValueError naming it.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -231,6 +240,9 @@ class ObjectiveSpec:
     eval_count: int = 0
 
     def __post_init__(self):
+        if not callable(self.func):
+            raise ValueError(f"func must be callable, got {self.func!r}")
+        _check_space("space", self.space)
         if self.known_max_location is not None:
             self.known_max_location = np.asarray(self.known_max_location, dtype=float)
 

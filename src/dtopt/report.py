@@ -20,8 +20,8 @@ import numpy as np
 
 from .cfo import DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory
 from .driver import DtoConfig, RunReport
-from .objectives import (BENCHMARKS, DecisionSpace, _is_integer, _is_number, _one_value_per_point,
-                         benchmark_dims, make_objective)
+from .objectives import (BENCHMARKS, DecisionSpace, _check_space, _is_integer, _is_number,
+                         _one_value_per_point, benchmark_dims, make_objective)
 from .threshold import BestFitness, LinearRamp, _check_floor
 
 __all__ = [
@@ -236,8 +236,10 @@ def render_surface(func, space: DecisionSpace, threshold: float) -> str:
     scanline, z floored at the threshold (-inf for the raw landscape).
 
     ``func`` gets one scanline as a batch and must return one value per
-    point; any other shape raises ValueError.
+    point; any other shape raises ValueError, as does a ``space`` that is
+    not a 2-D DecisionSpace.
     """
+    _check_space("space", space)
     if space.n_dims != 2:
         raise ValueError("surface grids require a 2-D decision space")
     _check_floor(threshold)

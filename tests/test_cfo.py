@@ -278,6 +278,37 @@ def _converged_swarm(n, n_dims):
     return pos, rng.uniform(0.0, 800.0, n)
 
 
+def _floored_plateau_swarm():
+    """A floored swarm of 390 probes near the origin in 2-D: in fitness order,
+    200 on the floor, 140 on a second plateau and 50 above both, so tiles
+    0-2 and 4 are plateau tiles (one weight row each) and tiles 3, 5 and 6
+    mix fitnesses. Six plateau probes share their position with a floor
+    probe, which makes coincident pairs of unequal fitness."""
+    rng = np.random.default_rng(12)
+    pos = rng.uniform(-1.0, 1.0, size=(390, 2))
+    fit = np.concatenate([np.full(200, 100.0), np.full(140, 500.0),
+                          rng.uniform(500.5, 800.0, 50)])
+    pos[200:206] = pos[:6]
+    order = rng.permutation(390)
+    return pos[order], fit[order]
+
+
+def _coincident_gram_swarm():
+    """150 probes at D = 30: 149 on 40 sites within 1e-9 of the origin and
+    one at 500 on every axis, as in _converged_swarm, so every cluster pair
+    is near in the Gram form. Probes on one site share its fitness, so
+    coincident pairs carry zero weight, while distinct sites pull each other
+    as weighted near pairs; two sites also share a fitness level."""
+    rng = np.random.default_rng(9)
+    sites = rng.uniform(-1e-9, 1e-9, size=(40, 30))
+    levels = np.round(rng.uniform(0.0, 800.0, 40))
+    levels[1] = levels[0]
+    site = rng.integers(0, 40, 150)
+    pos, fit = sites[site], levels[site]
+    pos[0], fit[0] = 500.0, 900.0
+    return pos, fit
+
+
 @settings(max_examples=200, deadline=None)
 @given(_kernel_inputs())
 @example((np.array([[3.0, -1.0]]), np.array([5.0])))  # N = 1
@@ -286,6 +317,11 @@ def _converged_swarm(n, n_dims):
 # a converged swarm at D = 64: nearly every pair is summed again, in chunks
 # that end mid-row
 @example(_converged_swarm(200, 64))
+# near the origin, where the oracle's bound, which scales with |R|, sees an
+# error in any one pair: plateau tiles at D = 2, and at D = 30 zero-weight
+# coincident pairs beside weighted near pairs
+@example(_floored_plateau_swarm())
+@example(_coincident_gram_swarm())
 def test_acceleration_matches_dense_oracle(inputs):
     _assert_matches_dense_oracle(*inputs)
 
@@ -310,6 +346,14 @@ def test_acceleration_sums_axis_by_axis_when_squared_norms_overflow():
     assert np.all(np.isfinite(got))
     assert np.count_nonzero(got[:40]) > 0
     assert np.count_nonzero(got[40:]) > 0
+
+
+def test_acceleration_reads_each_step_of_the_history_as_one_contiguous_block():
+    hist = SwarmHistory.allocate(5, 3, 4)
+    assert hist.positions.shape == (5, 3, 5) and hist.fitness.shape == (5, 5)
+    for j in range(5):
+        assert hist.positions[:, :, j].flags.c_contiguous
+        assert hist.fitness[:, j].flags.c_contiguous
 
 
 def _kernel_peak_bytes(hist):
@@ -580,6 +624,15 @@ def test_run_cfo_rejects_a_nan_or_plus_inf_threshold(t):
     assert obj.eval_count == 0
 
 
+@pytest.mark.parametrize("threshold", [0.5, -np.inf, None], ids=["float", "minus_inf", "none"])
+def test_run_cfo_rejects_a_threshold_that_is_not_a_threshold_state(threshold):
+    # before, each ended in AttributeError: no attribute 't_current'
+    obj = make_objective("schwefel226", 2)
+    with pytest.raises(ValueError, match=r"^threshold must be a ThresholdState, got "):
+        run_cfo(CfoParams(n_probes=4, n_steps=2), obj, 0.5, threshold)
+    assert obj.eval_count == 0
+
+
 class _NoSpace:
     """An objective without a decision space."""
 
@@ -589,14 +642,21 @@ class _NoSpace:
         return np.zeros(len(points))
 
 
+class _SpaceNone(_NoSpace):
+    """An objective whose space is not a DecisionSpace."""
+
+    space = None
+
+
 @pytest.mark.parametrize("params, objective, field", [
     (None, make_objective("schwefel226", 2), "params"),
     ((4, 2), make_objective("schwefel226", 2), "params"),
     (CfoParams(4, 2), lambda x: x, "objective"),
     (CfoParams(4, 2), None, "objective"),
     (CfoParams(4, 2), _NoSpace(), "objective"),
+    (CfoParams(4, 2), _SpaceNone(), "objective"),
 ], ids=["params_none", "params_tuple", "objective_function", "objective_none",
-        "objective_without_space"])
+        "objective_without_space", "objective_with_space_none"])
 def test_run_cfo_rejects_params_and_objectives_of_the_wrong_kind(params, objective, field):
     # before, each of these ended in a bare AttributeError inside the search
     with pytest.raises(ValueError, match=f"^{field} must "):

@@ -59,11 +59,21 @@ def test_halton_points_match_single_indices():
     assert np.all(block >= 0.0) and np.all(block < 1.0)
 
 
-def test_halton_rejects_negative_index():
-    with pytest.raises(ValueError):
-        halton_points(1, 1, start=-1)
-    with pytest.raises(ValueError):
-        halton_points(-1, 1)
+@pytest.mark.parametrize("args, field", [
+    ((-1, 1), "n_points"),
+    (("5", 2), "n_points"),
+    ((5.0, 2), "n_points"),
+    ((True, 2), "n_points"),
+    ((5, 2.0), "n_dims"),
+    ((5, 0), "n_dims"),
+    ((5, None), "n_dims"),
+    ((5, 2, 1.5), "start"),
+    ((5, 2, -1), "start"),
+])
+def test_halton_rejects_counts_that_are_not_integers_in_range(args, field):
+    # before, "5" and 2.0 ended in a bare TypeError and n_dims = 0 gave a (5, 0) array
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        halton_points(*args)
 
 
 @settings(max_examples=150, deadline=None)
@@ -307,6 +317,13 @@ def test_convergence_on_known_measure():
 def test_rejects_a_sample_count_that_is_not_a_positive_integer(n_samples):
     with pytest.raises(ValueError, match=f"^n_samples must be an integer >= 1, got {n_samples!r}$"):
         sample_threshold_floor(_ramp, UNIT_1D, threshold=0.5, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("space", [None, (0.0, 1.0), 1], ids=["none", "tuple", "int"])
+def test_rejects_a_space_that_is_not_a_decision_space(space):
+    # before, each ended in AttributeError inside the sampler
+    with pytest.raises(ValueError, match=r"^space must be a DecisionSpace, got "):
+        sample_threshold_floor(_ramp, space, threshold=0.5, n_samples=10)
 
 
 # ----- the on-floor test -----

@@ -156,6 +156,18 @@ def test_user_objective_counts_every_point():
     assert obj.eval_count == 23
 
 
+@pytest.mark.parametrize("func, space, field", [
+    (lambda x: x, None, "space"),
+    (lambda x: x, (np.zeros(2), np.ones(2)), "space"),
+    (None, DecisionSpace.cube(2, -1.0, 1.0), "func"),
+    ("schwefel226", DecisionSpace.cube(2, -1.0, 1.0), "func"),
+], ids=["space_none", "space_tuple", "func_none", "func_name"])
+def test_objective_spec_rejects_a_func_or_space_of_the_wrong_kind(func, space, field):
+    # before, each built, and a search over it ended in AttributeError or TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        ObjectiveSpec(func, space)
+
+
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_known_optimum_beats_uniform_samples(name):
     obj = make_objective(name, 30 if BENCHMARKS[name].n_dims is None else None)

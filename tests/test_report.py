@@ -260,6 +260,14 @@ def test_surface_rejects_a_result_that_is_not_one_value_per_point(func, shape):
         render_surface(func, DecisionSpace.cube(2, -1.0, 1.0), -np.inf)
 
 
+@pytest.mark.parametrize("space", [None, (np.zeros(2), np.ones(2)), 2],
+                         ids=["none", "tuple", "int"])
+def test_surface_rejects_a_space_that_is_not_a_decision_space(space):
+    # before, each ended in AttributeError: no attribute 'n_dims'
+    with pytest.raises(ValueError, match=r"^space must be a DecisionSpace, got "):
+        render_surface(schwefel226, space, -np.inf)
+
+
 def test_surface_requires_two_dims():
     with pytest.raises(ValueError):
         render_surface(schwefel226, DecisionSpace.cube(3, -1, 1), -np.inf)
