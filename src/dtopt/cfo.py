@@ -182,18 +182,31 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     bits are those of weighting each pair by 2 unless a product or sum
     overflows or falls below the normal range.
 
-    The dimension alone picks how a tile's squared distances are built.
-    Below ``_GRAM_MIN_DIMS`` they are summed axis by axis. From there on they
-    take the Gram form |r|^2 + |c|^2 - 2 r.c, one matmul per tile, on
-    positions centred on the swarm mean, and every weighted pair whose Gram
-    value cannot be trusted (near, or overflowed) is summed again exactly (see
-    _gram_d2). Every buffer, the chunked recompute included, is
-    O(_TILE_ROWS * N), never N x N. A tile reduces as buf @ cols - rowsum *
-    rows on absolute positions, which cancels in proportion to |R| over the
-    swarm's spread: against a per-pair dense sum on 256 Gaussian probes the
-    error is about 1e-14 of the largest acceleration near the origin, but
-    2.6e-6 at spread 1e-6 around 420.9687 in 2-D (1.2e-9 at spread 1e-3, the
-    tightest the shipped profiles converge to).
+    Every outer difference c - r, of one coordinate axis or of the fitness
+    (M_k - M_p in a mixed tile), is one rank-2 matmul [1, -r] @ [c; 1] on
+    operands built once per call (see _difference_operands): exact, so the
+    bits are np.subtract's. The dimension alone picks how a tile's squared
+    distances are built. Below ``_GRAM_MIN_DIMS`` they are summed axis by
+    axis from those differences. From there on they take the Gram form
+    |r|^2 + |c|^2 - 2 r.c, one matmul per tile, on positions centred on the
+    swarm mean, and every weighted pair whose Gram value cannot be trusted
+    (near, or overflowed) is summed again exactly (see _gram_d2).
+
+    Zero distances stay off the per-pair path. Below ``_GRAM_MIN_DIMS`` a
+    tile's own self pairs get d^2 = 1 through a diagonal view, so their zero
+    gap gives a zero weight; from there on _gram_d2 gives them +inf. Any
+    other coincident pair divides its weight by zero (to +inf, or NaN for a
+    zero gap) under one np.errstate per call, which makes its row sum
+    non-finite: only then does the tile zero its d^2 == 0 pairs and sum
+    again, which gives the bits of masking them first.
+
+    Every buffer, the chunked recompute included, is O(_TILE_ROWS * N),
+    never N x N. A tile reduces as buf @ cols - rowsum * rows on absolute
+    positions, which cancels in proportion to |R| over the swarm's spread:
+    against a per-pair dense sum on 256 Gaussian probes the error is about
+    1e-14 of the largest acceleration near the origin, but 2.6e-6 at spread
+    1e-6 around 420.9687 in 2-D (1.2e-9 at spread 1e-3, the tightest the
+    shipped profiles converge to).
     """
     fit = history.fitness[:, j]
     order = np.argsort(fit, kind="stable")
@@ -201,52 +214,71 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     pos = history.positions[:, :, j][order]
     n_probes, n_dims = pos.shape
     accels = np.zeros_like(pos)  # in the history's probe order
+    if fit[0] == fit[-1]:  # no pair has weight
+        return accels
     gram = n_dims >= _GRAM_MIN_DIMS
-    if gram and fit[0] < fit[-1]:  # some pair has weight, so some tile needs distances
+    if gram:
         with np.errstate(over="ignore", invalid="ignore"):
             cen = pos - pos.mean(axis=0)
             sq = np.einsum("ij,ij->i", cen, cen)
-    for r0 in range(0, n_probes, _TILE_ROWS):
-        k0 = int(np.searchsorted(fit, fit[r0], side="right"))
-        if k0 == n_probes:
-            break
-        r1 = min(r0 + _TILE_ROWS, n_probes)
-        rows, cols = pos[r0:r1], pos[k0:]
-        buf = np.empty((r1 - r0, n_probes - k0))
-        if gram:
-            d2 = _gram_d2(pos, cen, sq, fit, slice(r0, r1), slice(k0, None), buf)
-        else:
-            d2 = _axis_d2(rows, cols, buf)
-        zero_pairs = d2 == 0.0
-        any_zero = zero_pairs.any()
-        if any_zero:
-            d2[zero_pairs] = 1.0
-        if fit[r1 - 1] == fit[r0]:  # one fitness for every row: one weight row
-            gap = fit[k0:] - fit[r0]
-            np.divide(gap * gap, d2, out=buf)
-        else:
-            np.subtract(fit[None, k0:], fit[r0:r1, None], out=buf)  # buf[p, k] = M_k - M_p
-            np.maximum(buf, 0.0, out=buf)
-            np.multiply(buf, buf, out=buf)
-            np.divide(buf, d2, out=buf)
-        if any_zero:
-            buf[zero_pairs] = 0.0
-        tile = buf @ cols
-        tile -= buf.sum(axis=1, keepdims=True) * rows
-        tile *= _G_CONST
-        accels[order[r0:r1]] = tile
+    # the fitness last; below _GRAM_MIN_DIMS each axis before it
+    lhs, rhs = _difference_operands(fit[None] if gram else np.vstack((pos.T, fit)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # coincident pairs divide by 0
+        for r0 in range(0, n_probes, _TILE_ROWS):
+            k0 = int(np.searchsorted(fit, fit[r0], side="right"))
+            if k0 == n_probes:
+                break
+            r1 = min(r0 + _TILE_ROWS, n_probes)
+            rows, cols = pos[r0:r1], pos[k0:]
+            buf = np.empty((r1 - r0, n_probes - k0))
+            if gram:
+                d2 = _gram_d2(pos, cen, sq, fit, slice(r0, r1), slice(k0, None), buf)
+            else:
+                d2 = lhs[0, r0:r1] @ rhs[0, :, k0:]
+                d2 *= d2
+                for axis in range(1, n_dims):
+                    np.matmul(lhs[axis, r0:r1], rhs[axis, :, k0:], out=buf)
+                    buf *= buf
+                    d2 += buf
+                # each probe p >= k0 meets itself in row p - r0, column p - k0: d^2 = 1
+                d2.ravel()[(k0 - r0) * d2.shape[1]::d2.shape[1] + 1] = 1.0
+            if fit[r1 - 1] == fit[r0]:  # one fitness for every row: one weight row
+                gap = fit[k0:] - fit[r0]
+                np.divide(gap * gap, d2, out=buf)
+            else:
+                np.matmul(lhs[-1, r0:r1], rhs[-1, :, k0:], out=buf)  # buf[p, k] = M_k - M_p
+                # columns from r1 on lie above every row: no negative gap there
+                np.maximum(buf[:, :r1 - k0], 0.0, out=buf[:, :r1 - k0])
+                buf *= buf
+                np.divide(buf, d2, out=buf)
+            rowsum = buf.sum(axis=1, keepdims=True)
+            if not np.isfinite(rowsum).all():
+                buf[d2 == 0.0] = 0.0
+                rowsum = buf.sum(axis=1, keepdims=True)
+            tile = buf @ cols
+            tile -= rowsum * rows
+            tile *= _G_CONST
+            accels[order[r0:r1]] = tile
     return accels
 
 
-def _axis_d2(rows, cols, buf):
-    """Squared distances (row, col) summed axis by axis, using ``buf`` as scratch."""
-    d2 = np.subtract(cols[None, :, 0], rows[:, None, 0])
-    np.multiply(d2, d2, out=d2)
-    for axis in range(1, rows.shape[1]):
-        np.subtract(cols[None, :, axis], rows[:, None, axis], out=buf)
-        np.multiply(buf, buf, out=buf)
-        d2 += buf
-    return d2
+def _difference_operands(x):
+    """Operands of exact outer differences of the rows of ``x``, shape (m, N).
+
+    ``lhs[i, p] = [1, -x[i, p]]`` and ``rhs[i, :, k] = [x[i, k], 1]``, so the
+    rank-2 product ``lhs[i, r] @ rhs[i, :, c]`` is ``x[i, c] - x[i, r]`` for
+    every pair of slices r and c. Both products of each sum are exact and
+    the sum is rounded once, in any order and at any BLAS thread count: the
+    result is the correctly rounded np.subtract, up to the sign of a zero.
+    """
+    m, n = x.shape
+    lhs = np.empty((m, n, 2))
+    lhs[:, :, 0] = 1.0
+    np.negative(x, out=lhs[:, :, 1])
+    rhs = np.empty((m, 2, n))
+    rhs[:, 0] = x
+    rhs[:, 1] = 1.0
+    return lhs, rhs
 
 
 def _gram_d2(pos, cen, sq, fit, r, c, buf):

@@ -309,6 +309,17 @@ def _coincident_gram_swarm():
     return pos, fit
 
 
+def _coincident_mixed_tile(equal_fitness):
+    """Nine probes in 2-D, one mixed tile: probes 1 and 2 share a position,
+    and their fitness too if ``equal_fitness``, so the tile meets a pair at
+    zero distance whose weight is 0/0, or a gap over 0."""
+    rng = np.random.default_rng(13)
+    pos = rng.uniform(-1.0, 1.0, size=(9, 2))
+    pos[2] = pos[1]
+    fit = np.array([1.0, 2.0, 2.0 if equal_fitness else 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+    return pos, fit
+
+
 @settings(max_examples=200, deadline=None)
 @given(_kernel_inputs())
 @example((np.array([[3.0, -1.0]]), np.array([5.0])))  # N = 1
@@ -322,8 +333,46 @@ def _coincident_gram_swarm():
 # coincident pairs beside weighted near pairs
 @example(_floored_plateau_swarm())
 @example(_coincident_gram_swarm())
+# one mixed tile at D = 2 whose rows 1 and 2 coincide: with equal fitness
+# their pair divides 0 by 0, with unequal fitness a gap by 0
+@example(_coincident_mixed_tile(equal_fitness=True))
+@example(_coincident_mixed_tile(equal_fitness=False))
 def test_acceleration_matches_dense_oracle(inputs):
     _assert_matches_dense_oracle(*inputs)
+
+
+@st.composite
+def _difference_inputs(draw):
+    """Two rows of N finite floats and the row and column slices of a tile.
+    Among the values are +-0.0, subnormals and +-1e300 up to the largest
+    float, so some differences underflow and some overflow to +-inf."""
+    n = draw(st.integers(1, 80))
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                             1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308])
+    values = st.one_of(edges, st.floats(allow_nan=False, allow_infinity=False))
+    x = np.array(draw(st.lists(values, min_size=2 * n, max_size=2 * n))).reshape(2, n)
+    r0 = draw(st.integers(0, n - 1))
+    r1 = draw(st.integers(r0 + 1, n))
+    k0 = draw(st.integers(0, n - 1))
+    return x, slice(r0, r1), slice(k0, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_difference_inputs())
+def test_acceleration_differences_are_exact_rank_2_products(inputs):
+    # The kernel's c - r is [1, -r] @ [c; 1]: both products are exact and the
+    # sum is rounded once, in whatever order the BLAS sums, so it is
+    # np.subtract's result up to the sign of a zero and squares to the same
+    # bits. A stale NaN in the output buffer must not leak in.
+    x, r, c = inputs
+    lhs, rhs = dtopt.cfo._difference_operands(x)
+    with np.errstate(over="ignore"):
+        for i in range(len(x)):
+            want = np.subtract(x[i, c][None], x[i, r][:, None])
+            stale = np.full_like(want, np.nan)
+            for got in (lhs[i, r] @ rhs[i, :, c], np.matmul(lhs[i, r], rhs[i, :, c], out=stale)):
+                assert np.array_equal(got, want)
+                assert (got * got).tobytes() == (want * want).tobytes()
 
 
 def test_acceleration_sums_axis_by_axis_when_squared_norms_overflow():
