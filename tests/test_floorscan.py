@@ -76,16 +76,47 @@ def test_halton_rejects_counts_that_are_not_integers_in_range(args, field):
         halton_points(*args)
 
 
+def _sieve(limit):
+    """The primes up to limit, by a plain sieve of Eratosthenes."""
+    composite = [False] * (limit + 1)
+    for p in range(2, int(limit**0.5) + 1):
+        if not composite[p]:
+            composite[p * p::p] = [True] * len(composite[p * p::p])
+    return [p for p in range(2, limit + 1) if not composite[p]]
+
+
+def test_first_primes_match_a_sieve():
+    primes = _sieve(110_000)
+    for count in (0, 1, 2, 5, 6, 7, 30, 1000, 10_000):
+        assert floorscan._first_primes(count) == tuple(primes[:count])
+    assert floorscan._first_primes(10_000)[-1] == 104_729
+
+
 @settings(max_examples=150, deadline=None)
 @given(start=st.integers(0, 2_000_000), n_points=st.integers(0, 4096),
        n_dims=st.integers(1, 30))
-# The block is the smallest b**k with b**(2k) >= n_points; the row digits
-# run up to stop = start + n_points.
-@example(start=0, n_points=4096, n_dims=1)        # n_points = 2**12: block 2**6
-@example(start=0, n_points=4097, n_dims=1)        # n_points = 2**12 + 1: block 2**7
-@example(start=5_000, n_points=729, n_dims=2)     # n_points = 3**6: block 3**3
-@example(start=5_000, n_points=730, n_dims=2)     # n_points = 3**6 + 1: block 3**4
-@example(start=1_999_999, n_points=1, n_dims=30)  # n_points = 1: block 1, all digits per row
+# Each column copies a table of b**k radical inverses, b**k the largest power
+# of its base within max(4096, 2**17 // n_dims) rows (2**17 at D = 1; 2**16
+# and 3**10 at D = 2; 2**12 and 113 at D = 30), then adds the digits of each
+# row q = index // b**k: a partial head row, whole rows, a partial tail row.
+@example(start=3 * 2**16 + 100, n_points=1000, n_dims=2)  # head and tail in one row
+@example(start=2**16 - 1, n_points=4096, n_dims=2)        # a head of one point
+@example(start=2**16 + 1, n_points=4096, n_dims=2)
+@example(start=5 * 2**16 - 1, n_points=4096, n_dims=2)
+@example(start=5 * 2**16 + 1, n_points=4096, n_dims=2)
+@example(start=2 * 3**10 - 1, n_points=4096, n_dims=2)
+@example(start=2 * 3**10 + 1, n_points=4096, n_dims=2)
+@example(start=2 * 3**10 - 4095, n_points=4096, n_dims=2)  # a tail of one point
+@example(start=2**17 - 1, n_points=4096, n_dims=1)
+@example(start=2**17 + 1, n_points=4096, n_dims=1)
+@example(start=3 * 2**17 - 1, n_points=4096, n_dims=1)
+@example(start=0, n_points=2**17 + 1, n_dims=1)           # a whole row and a tail
+@example(start=2**40 - 2000, n_points=4096, n_dims=3)     # rows with 24 and more digits
+@example(start=0, n_points=4096, n_dims=1)
+@example(start=0, n_points=4097, n_dims=1)
+@example(start=5_000, n_points=729, n_dims=2)
+@example(start=5_000, n_points=730, n_dims=2)
+@example(start=1_999_999, n_points=1, n_dims=30)
 @example(start=1_048_576 - 4096, n_points=4096, n_dims=2)   # stop = 2**20
 @example(start=1_048_576 - 4095, n_points=4096, n_dims=2)   # stop = 2**20 + 1
 @example(start=1_594_323 - 100, n_points=100, n_dims=2)     # stop = 3**13
@@ -94,6 +125,7 @@ def test_halton_rejects_counts_that_are_not_integers_in_range(args, field):
 @example(start=1_442_897 - 2999, n_points=3000, n_dims=30)  # stop = 113**3 + 1
 @example(start=12_769 - 4096, n_points=4096, n_dims=30)     # stop = 113**2
 @example(start=2_000_000, n_points=0, n_dims=5)
+@example(start=2**16, n_points=0, n_dims=2)
 def test_halton_points_bit_identical_to_digit_loop(start, n_points, n_dims):
     points = halton_points(n_points, n_dims, start=start)
     expected = _oracle_points(n_points, n_dims, start)
@@ -109,8 +141,16 @@ def test_halton_points_returns_fresh_writable_array():
     assert np.all(halton_points(10, 2) >= 0.0)
 
 
-def _chunk_rows(n_dims):
-    return max(floorscan._MIN_CHUNK_ROWS, floorscan._CHUNK_VALUES // n_dims)
+def test_halton_tables_are_read_only_and_results_do_not_share_them():
+    for _, table, _ in floorscan._radical_inverse_tables(2):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    expected = halton_points(2**17, 2, start=2**16)  # whole rows of both tables
+    mutated = halton_points(2**17, 2, start=2**16)
+    mutated[:] = -1.0
+    again = halton_points(2**17, 2, start=2**16)
+    assert np.array_equal(again.view(np.int64), expected.view(np.int64))
 
 
 def _one_shot_stats(func, space, threshold, n_samples, margin=FLOOR_MARGIN):
@@ -123,7 +163,7 @@ def _one_shot_stats(func, space, threshold, n_samples, margin=FLOOR_MARGIN):
 
 def test_sample_points_are_affine_image_of_halton():
     space = DecisionSpace(np.array([-500.0, -5.12, 0.1]), np.array([500.0, 5.12, 0.7]))
-    n_samples = 2 * _chunk_rows(3) + 5
+    n_samples = 2 * floorscan._chunk_rows(3) + 5
     seen = []
 
     def record(points):
@@ -177,7 +217,7 @@ def test_schwefel_layout_changes_only_rounding_from_8_dims(n_dims):
 @pytest.mark.parametrize("n_dims", [1, 2, 30, 64])
 @pytest.mark.parametrize("extra", ["-1", "0", "+1", "*3+7"])
 def test_streamed_stats_match_one_shot_at_chunk_boundaries(n_dims, extra):
-    chunk = _chunk_rows(n_dims)
+    chunk = floorscan._chunk_rows(n_dims)
     n_samples = {"-1": chunk - 1, "0": chunk, "+1": chunk + 1, "*3+7": 3 * chunk + 7}[extra]
     space = DecisionSpace.cube(n_dims, -500.0, 500.0)
     threshold = 0.0 if n_dims > 1 else 200.0
@@ -353,3 +393,23 @@ def test_nothing_is_on_a_minus_inf_floor():
         assert np.array_equal(on_floor(f_vals, -np.inf), [False] * 4)
         assert not on_floor(-np.inf, -np.inf)
         assert not on_floor(np.float64(-5.0), -np.inf, margin=1e308)
+
+
+@pytest.mark.parametrize("t, message", [
+    (np.nan, "threshold must not be NaN or \\+inf"),
+    (np.inf, "threshold must not be NaN or \\+inf"),
+    (None, "threshold must be a number"),
+    ("x", "threshold must be a number"),
+])
+def test_on_floor_rejects_a_threshold_that_is_no_floor(t, message):
+    # before, NaN gave all False, +inf a RuntimeWarning, None a bare TypeError
+    # and "x" a UFuncTypeError
+    with pytest.raises(ValueError, match=message):
+        on_floor(np.array([0.0, 1.0]), t)
+
+
+@pytest.mark.parametrize("margin", [-1.0, np.nan, np.inf, "0.1", None])
+def test_on_floor_rejects_a_margin_that_is_not_finite_and_nonnegative(margin):
+    # before, a negative or NaN margin silently gave all False
+    with pytest.raises(ValueError, match="margin must be finite and >= 0"):
+        on_floor(np.array([0.0, 1.0]), 0.0, margin=margin)
