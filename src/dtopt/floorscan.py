@@ -6,8 +6,8 @@ into the estimate p_above = 1 - n_on_floor / n_samples of the probability
 that a sample falls inside the projections of the surviving peaks. As the
 threshold rises toward the global maximum this estimate drops to zero.
 
-The Halton columns are copied from per-base radical-inverse tables, built
-once per dimension count and cached, plus the digits of each table row (see
+The Halton columns are copied from per-base radical-inverse tables, cached
+for the current dimension count up to 1 MB, plus the digits of each row (see
 ``halton_points``). They are bit-identical to summing every index's digits
 one by one, at a fraction of the cost: no integer division by the base runs
 over all indices.
@@ -50,8 +50,9 @@ FLOOR_MARGIN = 0.005
 
 # A chunk of sample_threshold_floor holds _CHUNK_VALUES coordinates (1 MB),
 # but at least _MIN_CHUNK_ROWS points: each column of a chunk has a fixed
-# cost of some 3-11 us (a dozen numpy calls), which fewer rows would not
-# amortise; at 1000 dimensions 131-row chunks ran 3x slower.
+# cost of some 6 us (a dozen numpy calls), 25 us where its table is rebuilt
+# per call, which fewer rows would not amortise; at 1000 dimensions 131-row
+# chunks ran 3x slower.
 _CHUNK_VALUES = 1 << 17
 _MIN_CHUNK_ROWS = 1 << 12
 
@@ -60,7 +61,6 @@ def _chunk_rows(n_dims: int) -> int:
     return max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims)
 
 
-@functools.lru_cache(maxsize=8)
 def _first_primes(count: int) -> tuple[int, ...]:
     """The first count primes, from a sieve up to Rosser's bound: the n-th
     prime is below n (ln n + ln ln n) from n = 6 on, and 13 covers five."""
@@ -88,37 +88,16 @@ def _add_digits(sums: np.ndarray, indices: np.ndarray, base: int, scale: float) 
     return scale
 
 
-@functools.lru_cache(maxsize=8)
-def _radical_inverse_tables(n_dims: int) -> tuple[tuple[int, np.ndarray, float], ...]:
-    """Per base of halton_points(..., n_dims): the base, the read-only radical
-    inverses of 0 .. b**k - 1 and the scale of digit k, where b**k is the
-    largest power of b within one chunk's rows.
-
-    The table is built as rows of its low k // 2 digits' table, each row
-    plus its high digits, so it needs no b**k-sized integer temporary.
-    """
-    rows = _chunk_rows(n_dims)
-    tables = []
-    for base in _first_primes(n_dims):
-        k = 0
-        while base ** (k + 1) <= rows:
-            k += 1
-        low = np.zeros(base ** (k // 2))
-        scale = _add_digits(low, np.arange(low.size), base, 1.0 / base)
-        table = np.empty(base ** k)
-        scale = _write_rows(table.reshape(-1, low.size), low, 0, base, scale)
-        table.flags.writeable = False
-        tables.append((base, table, scale))
-    return tuple(tables)
-
-
 def _write_rows(out: np.ndarray, table: np.ndarray, first_row: int, base: int,
                 scale: float) -> float:
     """Fill out (rows, w) with the w table values plus the digits of rows
     first_row, first_row + 1, ..., from scale on. Returns the next scale.
 
     A single row's digits are taken one by one in Python, and its zero
-    digits, which would add +0.0, are skipped.
+    digits, which would add +0.0, are skipped: a head or tail row through
+    _add_digits costs three numpy calls per digit, and made halton_points
+    twice as slow over a 1M-sample 30-D scan (two such rows per column per
+    chunk).
     """
     out[:] = table
     if len(out) > 1:
@@ -130,6 +109,46 @@ def _write_rows(out: np.ndarray, table: np.ndarray, first_row: int, base: int,
             out += digit * scale
         scale /= base
     return scale
+
+
+def _radical_inverse_table(base: int, rows: int) -> tuple[np.ndarray, float]:
+    """The radical inverses of 0 .. b**k - 1 in the base and the scale of
+    digit k, where b**k is the largest power of the base within rows.
+
+    The table is built as rows of its low k // 2 digits' table, each row
+    plus its high digits, so it needs no b**k-sized integer temporary.
+    """
+    k = 0
+    while base ** (k + 1) <= rows:
+        k += 1
+    low = np.zeros(base ** (k // 2))
+    scale = _add_digits(low, np.arange(low.size), base, 1.0 / base)
+    table = np.empty(base ** k)
+    return table, _write_rows(table.reshape(-1, low.size), low, 0, base, scale)
+
+
+@functools.lru_cache(maxsize=1)
+def _radical_inverse_tables(n_dims: int) -> tuple[tuple[int, ...], tuple]:
+    """The bases of halton_points(..., n_dims), and the read-only
+    _radical_inverse_table of each leading base while these tables total at
+    most one chunk's values (1 MB).
+
+    That takes in every table of two or more digits. A later base's table
+    has at most base values and is rebuilt per call: at 1000 dimensions
+    those tables hold about 1M values (8 MB), which a cache would keep. One
+    scan uses one dimension count, so one is cached.
+    """
+    rows = _chunk_rows(n_dims)
+    bases = _first_primes(n_dims)
+    tables, n_values = [], 0
+    for base in bases:
+        table, scale = _radical_inverse_table(base, rows)
+        n_values += table.size
+        if n_values > _CHUNK_VALUES:
+            break
+        table.flags.writeable = False
+        tables.append((table, scale))
+    return bases, tuple(tables)
 
 
 def _write_radical_inverses(column: np.ndarray, base: int, table: np.ndarray, scale: float,
@@ -162,10 +181,12 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     that order, with the scale 1/b divided by b once per digit. The columns
     come from a table: with b**k the largest power of b within one chunk of
     sample_threshold_floor (max(4096, 2**17 // n_dims) rows), the sum of the
-    first k terms depends only on index mod b**k, so it is computed once per
-    dimension count for r = 0 .. b**k - 1 and cached. Each index is a row
-    q = index // b**k and a column r; the table is copied into the output
-    column row by row, and the remaining digits, those of q, are added to
+    first k terms depends only on index mod b**k, so it is computed for
+    r = 0 .. b**k - 1: once per dimension count and cached, up to one chunk's
+    values in all, and per call for the remaining bases, whose tables hold
+    b values or one.
+    Each index is a row q = index // b**k and a column r; the table is
+    copied into the output column row by row, and the digits of q are added to
     whole rows in the same order, with the same product and the same scale,
     as a digit-by-digit loop over every index would add them. The sums are
     therefore bit-identical to that loop's, for any k: where the loop goes on
@@ -183,7 +204,10 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     _check_count("start", start, 0)
     points = np.empty((n_points, n_dims), order="F")
     if n_points:
-        for j, (base, table, scale) in enumerate(_radical_inverse_tables(n_dims)):
+        rows = _chunk_rows(n_dims)
+        bases, tables = _radical_inverse_tables(n_dims)
+        for j, base in enumerate(bases):
+            table, scale = tables[j] if j < len(tables) else _radical_inverse_table(base, rows)
             _write_radical_inverses(points[:, j], base, table, scale, start)
     return points
 

@@ -31,8 +31,16 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-          53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
+def _sieve(limit):
+    """The primes up to limit, by a plain sieve of Eratosthenes."""
+    composite = [False] * (limit + 1)
+    for p in range(2, int(limit**0.5) + 1):
+        if not composite[p]:
+            composite[p * p::p] = [True] * len(composite[p * p::p])
+    return [p for p in range(2, limit + 1) if not composite[p]]
+
+
+PRIMES = _sieve(110_000)
 
 
 def _oracle_points(n_points, n_dims, start):
@@ -76,19 +84,9 @@ def test_halton_rejects_counts_that_are_not_integers_in_range(args, field):
         halton_points(*args)
 
 
-def _sieve(limit):
-    """The primes up to limit, by a plain sieve of Eratosthenes."""
-    composite = [False] * (limit + 1)
-    for p in range(2, int(limit**0.5) + 1):
-        if not composite[p]:
-            composite[p * p::p] = [True] * len(composite[p * p::p])
-    return [p for p in range(2, limit + 1) if not composite[p]]
-
-
 def test_first_primes_match_a_sieve():
-    primes = _sieve(110_000)
     for count in (0, 1, 2, 5, 6, 7, 30, 1000, 10_000):
-        assert floorscan._first_primes(count) == tuple(primes[:count])
+        assert floorscan._first_primes(count) == tuple(PRIMES[:count])
     assert floorscan._first_primes(10_000)[-1] == 104_729
 
 
@@ -99,6 +97,8 @@ def test_first_primes_match_a_sieve():
 # of its base within max(4096, 2**17 // n_dims) rows (2**17 at D = 1; 2**16
 # and 3**10 at D = 2; 2**12 and 113 at D = 30), then adds the digits of each
 # row q = index // b**k: a partial head row, whole rows, a partial tail row.
+# From D = 19 the bases above 64 have tables of b values, and from D = 565
+# those above 4096 tables of one value.
 @example(start=3 * 2**16 + 100, n_points=1000, n_dims=2)  # head and tail in one row
 @example(start=2**16 - 1, n_points=4096, n_dims=2)        # a head of one point
 @example(start=2**16 + 1, n_points=4096, n_dims=2)
@@ -124,6 +124,8 @@ def test_first_primes_match_a_sieve():
 @example(start=1_442_897 - 3000, n_points=3000, n_dims=30)  # stop = 113**3
 @example(start=1_442_897 - 2999, n_points=3000, n_dims=30)  # stop = 113**3 + 1
 @example(start=12_769 - 4096, n_points=4096, n_dims=30)     # stop = 113**2
+@example(start=1_000_003, n_points=100, n_dims=600)     # heads and tails in one row
+@example(start=1_000_003, n_points=3000, n_dims=600)    # with whole rows of width b
 @example(start=2_000_000, n_points=0, n_dims=5)
 @example(start=2**16, n_points=0, n_dims=2)
 def test_halton_points_bit_identical_to_digit_loop(start, n_points, n_dims):
@@ -142,7 +144,9 @@ def test_halton_points_returns_fresh_writable_array():
 
 
 def test_halton_tables_are_read_only_and_results_do_not_share_them():
-    for _, table, _ in floorscan._radical_inverse_tables(2):
+    bases, tables = floorscan._radical_inverse_tables(2)
+    assert bases == (2, 3) and len(tables) == 2
+    for table, _ in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
@@ -151,6 +155,19 @@ def test_halton_tables_are_read_only_and_results_do_not_share_them():
     mutated[:] = -1.0
     again = halton_points(2**17, 2, start=2**16)
     assert np.array_equal(again.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("n_dims", [1, 2, 30, 200, 1000])
+def test_halton_caches_at_most_one_chunk_of_table_values(n_dims):
+    # at 1000 dimensions the tables of the bases 67 .. 7919 alone hold about
+    # 1M values; the cache keeps a leading run of bases within 2**17 values,
+    # which includes every table of two or more digits (bases up to 61)
+    bases, tables = floorscan._radical_inverse_tables(n_dims)
+    assert bases == tuple(PRIMES[:n_dims])
+    assert sum(table.size for table, _ in tables) <= 2**17
+    rows = floorscan._chunk_rows(n_dims)
+    assert len(tables) >= sum(1 for b in bases if b * b <= rows)
+    assert (len(tables) == n_dims) == (n_dims <= 30)
 
 
 def _one_shot_stats(func, space, threshold, n_samples, margin=FLOOR_MARGIN):
