@@ -7,15 +7,15 @@ that a sample falls inside the projections of the surviving peaks. As the
 threshold rises toward the global maximum this estimate drops to zero.
 
 The Halton columns are copied from per-base radical-inverse tables, cached
-for the current dimension count up to 1 MB, plus the digits of each row (see
-``halton_points``). They are bit-identical to summing every index's digits
-one by one, at a fraction of the cost: no integer division by the base runs
-over all indices.
+for the current dimension count up to 1 MB in all, plus the digits of each
+row (see ``halton_points``). They are bit-identical to summing every
+index's digits one by one, at a fraction of the cost: no integer division
+by the base runs over all indices.
 
 ``sample_threshold_floor`` streams: it walks the Halton indices in chunks,
 maps, evaluates and counts one chunk at a time, and keeps only the running
-count. A chunk holds max(4096, 2**17 // n_dims) points, so 1 MB of points
-up to 32 dimensions and 32 KB per dimension above; memory does not grow
+count. A chunk holds max(4096, 2**14 // n_dims) points, so 128 KB of points
+up to 4 dimensions and 32 KB per dimension above; memory does not grow
 with the number of samples. A point depends only on its index, and the
 count is an integer sum, so the result does not depend on the chunking.
 
@@ -48,17 +48,34 @@ __all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "on_floor", "sample_th
 # A fitness within this distance of the threshold sits on the floor (see on_floor).
 FLOOR_MARGIN = 0.005
 
-# A chunk of sample_threshold_floor holds _CHUNK_VALUES coordinates (1 MB),
+# A chunk of sample_threshold_floor holds _CHUNK_VALUES coordinates (128 KB),
 # but at least _MIN_CHUNK_ROWS points: each column of a chunk has a fixed
 # cost of some 6 us (a dozen numpy calls), 25 us where its table is rebuilt
 # per call, which fewer rows would not amortise; at 1000 dimensions 131-row
-# chunks ran 3x slower.
-_CHUNK_VALUES = 1 << 17
+# chunks ran 3x slower. With 1 MB chunks, malloc handed each chunk's arrays
+# and the objective's temporaries back to the OS when they were freed, and
+# every chunk faulted them in again: 8,832 minor faults and 8-12 ms of
+# system time in a 2-D floor_ladder repetition of about 0.1 s. A 128 KB
+# chunk's arrays stay in malloc's heap from one chunk to the next.
+_CHUNK_VALUES = 1 << 14
 _MIN_CHUNK_ROWS = 1 << 12
+# A Halton table holds at most max(4096, _TABLE_VALUES // n_dims) values,
+# and the cached tables at most _TABLE_VALUES (1 MB) in all: every table up
+# to 30 dimensions (see _radical_inverse_tables). This budget is not the
+# chunk's. Tables within a chunk's rows made halton_points over a 10**6-point
+# 8-D scan twice as slow, since each column of a chunk then spans many table
+# rows, each with its own digits; and within a chunk's values only 8 of 30
+# tables would be cached at 30 dimensions.
+_TABLE_VALUES = 1 << 17
 
 
 def _chunk_rows(n_dims: int) -> int:
     return max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims)
+
+
+def _table_rows(n_dims: int) -> int:
+    """The most values of one base's Halton table (see halton_points)."""
+    return max(_MIN_CHUNK_ROWS, _TABLE_VALUES // n_dims)
 
 
 def _first_primes(count: int) -> tuple[int, ...]:
@@ -131,20 +148,20 @@ def _radical_inverse_table(base: int, rows: int) -> tuple[np.ndarray, float]:
 def _radical_inverse_tables(n_dims: int) -> tuple[tuple[int, ...], tuple]:
     """The bases of halton_points(..., n_dims), and the read-only
     _radical_inverse_table of each leading base while these tables total at
-    most one chunk's values (1 MB).
+    most _TABLE_VALUES values (1 MB).
 
     That takes in every table of two or more digits. A later base's table
     has at most base values and is rebuilt per call: at 1000 dimensions
     those tables hold about 1M values (8 MB), which a cache would keep. One
     scan uses one dimension count, so one is cached.
     """
-    rows = _chunk_rows(n_dims)
+    rows = _table_rows(n_dims)
     bases = _first_primes(n_dims)
     tables, n_values = [], 0
     for base in bases:
         table, scale = _radical_inverse_table(base, rows)
         n_values += table.size
-        if n_values > _CHUNK_VALUES:
+        if n_values > _TABLE_VALUES:
             break
         table.flags.writeable = False
         tables.append((table, scale))
@@ -179,12 +196,11 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     Column j is the radical inverse of each index in the j-th prime base: the
     index's base-b digits d_0, d_1, ... summed as d_0/b + d_1/b**2 + ..., in
     that order, with the scale 1/b divided by b once per digit. The columns
-    come from a table: with b**k the largest power of b within one chunk of
-    sample_threshold_floor (max(4096, 2**17 // n_dims) rows), the sum of the
-    first k terms depends only on index mod b**k, so it is computed for
-    r = 0 .. b**k - 1: once per dimension count and cached, up to one chunk's
-    values in all, and per call for the remaining bases, whose tables hold
-    b values or one.
+    come from a table: with b**k the largest power of b within
+    max(4096, 2**17 // n_dims), the sum of the first k terms depends only on
+    index mod b**k, so it is computed for r = 0 .. b**k - 1: once per
+    dimension count and cached, up to 2**17 values in all, and per call for
+    the remaining bases, whose tables hold b values or one.
     Each index is a row q = index // b**k and a column r; the table is
     copied into the output column row by row, and the digits of q are added to
     whole rows in the same order, with the same product and the same scale,
@@ -193,8 +209,8 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     past an index's last digit it adds +0.0, which changes nothing. Per base,
     integer division runs only over the rows; each point costs one copy from
     the table and one broadcast addition per digit of its row q. At 2
-    dimensions a 65,536-point chunk takes about 0.11 ms against 1.1 ms with a
-    table rebuilt per chunk (in process, warm; 2-vCPU Xeon).
+    dimensions an 8,192-point chunk takes about 0.015 ms against 1.5 ms with
+    its tables rebuilt per call (in process, warm; 2-vCPU Xeon).
 
     ``n_points`` and ``start`` must be integers >= 0 and ``n_dims`` one >= 1;
     anything else raises ValueError naming it.
@@ -204,7 +220,7 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     _check_count("start", start, 0)
     points = np.empty((n_points, n_dims), order="F")
     if n_points:
-        rows = _chunk_rows(n_dims)
+        rows = _table_rows(n_dims)
         bases, tables = _radical_inverse_tables(n_dims)
         for j, base in enumerate(bases):
             table, scale = tables[j] if j < len(tables) else _radical_inverse_table(base, rows)
@@ -224,6 +240,11 @@ def on_floor(f_val, t: float, margin: float = FLOOR_MARGIN):
     margin that is not finite and >= 0, raises ValueError."""
     _check_floor(t)
     _check_margin(margin)
+    return _on_floor(f_val, t, margin)
+
+
+def _on_floor(f_val, t: float, margin: float):
+    """on_floor without its checks of t and margin."""
     if t == -np.inf:
         return np.zeros(np.shape(f_val), dtype=bool)
     lift = np.maximum(f_val, t)
@@ -252,12 +273,12 @@ def sample_threshold_floor(
     Maps the Halton points of indices 0 .. n_samples-1 affinely into the
     decision space, evaluates f at each, and counts the samples on the floor
     by ``on_floor``: max(f, T) - T <= margin. The indices are walked
-    in consecutive chunks of max(4096, 2**17 // n) points, so ``func`` is
+    in consecutive chunks of max(4096, 2**14 // n) points, so ``func`` is
     called once per chunk with a fresh ``(m, n)`` float64 batch, and must
     return m fitnesses. The batch is column-major (Fortran-ordered): a
     ``func`` that needs C-contiguous input must call ``np.ascontiguousarray``
-    itself. Peak memory is a few times the chunk (1 MB of points up to
-    32 dimensions) whatever ``n_samples`` is. The counts are the same as
+    itself. Peak memory is a few times the chunk (128 KB of points up to
+    4 dimensions) whatever ``n_samples`` is. The counts are the same as
     those of one batch over all samples.
 
     The layout can change a value in its last bits. numpy sums a row of
@@ -283,6 +304,8 @@ def sample_threshold_floor(
     n_on_floor = 0
     for start in range(0, n_samples, chunk_rows):
         m = min(chunk_rows, n_samples - start)
+        # Through the public name, checks and all (about 4 us a chunk):
+        # bench/layers.py times the Halton layer by wrapping it.
         points = halton_points(m, space.n_dims, start=start)
         points *= width
         points += space.lower
@@ -291,7 +314,7 @@ def sample_threshold_floor(
         if n_nan:
             raise ValueError(f"func returned NaN for {n_nan} of the {m} samples "
                              f"at Halton indices {start}..{start + m - 1}")
-        n_on_floor += int(np.count_nonzero(on_floor(f, threshold, margin)))
+        n_on_floor += int(np.count_nonzero(_on_floor(f, threshold, margin)))
     return FloorStats(
         n_samples=n_samples,
         n_on_floor=n_on_floor,

@@ -94,7 +94,7 @@ def test_first_primes_match_a_sieve():
 @given(start=st.integers(0, 2_000_000), n_points=st.integers(0, 4096),
        n_dims=st.integers(1, 30))
 # Each column copies a table of b**k radical inverses, b**k the largest power
-# of its base within max(4096, 2**17 // n_dims) rows (2**17 at D = 1; 2**16
+# of its base within max(4096, 2**17 // n_dims) values (2**17 at D = 1; 2**16
 # and 3**10 at D = 2; 2**12 and 113 at D = 30), then adds the digits of each
 # row q = index // b**k: a partial head row, whole rows, a partial tail row.
 # From D = 19 the bases above 64 have tables of b values, and from D = 565
@@ -158,14 +158,17 @@ def test_halton_tables_are_read_only_and_results_do_not_share_them():
 
 
 @pytest.mark.parametrize("n_dims", [1, 2, 30, 200, 1000])
-def test_halton_caches_at_most_one_chunk_of_table_values(n_dims):
+def test_halton_cache_stays_within_its_table_budget(n_dims):
     # at 1000 dimensions the tables of the bases 67 .. 7919 alone hold about
     # 1M values; the cache keeps a leading run of bases within 2**17 values,
-    # which includes every table of two or more digits (bases up to 61)
+    # which includes every table of two or more digits (bases up to 61) and,
+    # up to 30 dimensions, every table. The budget is not the chunk's 2**14
+    # values, within which only 8 of the 30 tables fit at D = 30.
+    assert floorscan._TABLE_VALUES == 2**17
     bases, tables = floorscan._radical_inverse_tables(n_dims)
     assert bases == tuple(PRIMES[:n_dims])
-    assert sum(table.size for table, _ in tables) <= 2**17
-    rows = floorscan._chunk_rows(n_dims)
+    assert sum(table.size for table, _ in tables) <= floorscan._TABLE_VALUES
+    rows = floorscan._table_rows(n_dims)
     assert len(tables) >= sum(1 for b in bases if b * b <= rows)
     assert (len(tables) == n_dims) == (n_dims <= 30)
 
@@ -193,6 +196,44 @@ def test_sample_points_are_affine_image_of_halton():
     assert len(seen) > 1
     expected = space.lower + halton_points(n_samples, 3) * (space.upper - space.lower)
     assert np.array_equal(np.concatenate(seen).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("n_dims", [1, 2, 8])
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096, 65536])
+def test_stats_and_points_do_not_depend_on_the_chunk(monkeypatch, n_dims, chunk_rows):
+    # chunks of 1 and 7 rows cut each Halton table row into many pieces, and
+    # one of 65,536 rows takes every sample in one batch
+    space = DecisionSpace.cube(n_dims, -500.0, 500.0)
+    n_samples = 2 * 4096 + 7
+    threshold = 0.0 if n_dims > 1 else 200.0
+    expected_stats = sample_threshold_floor(schwefel226, space, threshold, n_samples)
+    expected_points = space.lower + halton_points(n_samples, n_dims) * (space.upper - space.lower)
+    seen = []
+
+    def record(points):
+        seen.append(points.copy())
+        return schwefel226(points)
+
+    monkeypatch.setattr(floorscan, "_chunk_rows", lambda _n_dims: chunk_rows)
+    stats = sample_threshold_floor(record, space, threshold, n_samples)
+    assert stats == expected_stats
+    assert {len(points) for points in seen[:-1]} <= {chunk_rows}
+    points = np.concatenate(seen)
+    assert np.array_equal(points.view(np.int64), expected_points.view(np.int64))
+
+
+@pytest.mark.parametrize("n_dims", [1, 2, 3])
+def test_batches_hold_at_most_2_14_values_below_4_dims(n_dims):
+    # 1 MB batches were faulted in afresh by every chunk; see _CHUNK_VALUES
+    sizes = []
+
+    def record(points):
+        sizes.append(points.size)
+        return np.zeros(len(points))
+
+    sample_threshold_floor(record, DecisionSpace.cube(n_dims, 0.0, 1.0), 0.0, 50_000)
+    assert len(sizes) > 1 and max(sizes) <= 2**14
+    assert sum(sizes) == 50_000 * n_dims
 
 
 # Each shipped function on every dimension from 1 to 7 that it allows
