@@ -24,6 +24,9 @@ from .objectives import (DecisionSpace, _check_count, _check_objective, _is_numb
                          _one_value_per_point)
 from .threshold import ThresholdState, _check_floor, apply_threshold
 
+# step_positions, retrieve_errant, scan_best, scan_worst, threshold.apply_threshold,
+# objectives.Benchmark and report.fmt are internal but keep their names:
+# bench/layers.py wraps the first five by name, and cli.py imports fmt.
 __all__ = [
     "DEFAULT_GAMMA_SWEEP",
     "ProbeLine",
@@ -31,11 +34,7 @@ __all__ = [
     "CfoParams",
     "SwarmHistory",
     "OptResult",
-    "step_positions",
-    "retrieve_errant",
     "compute_accelerations",
-    "scan_best",
-    "scan_worst",
     "run_cfo",
 ]
 

@@ -128,7 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment; writes summary.txt and passes.csv")
+    run_p = sub.add_parser(
+        "run", help="run an experiment; writes summary.txt and passes.csv",
+        description="Run an experiment and write summary.txt and passes.csv. Identical "
+                    "configs give byte-identical files on one machine and BLAS build. Under "
+                    "another BLAS core kernel the call counts and 5-decimal bests hold, and "
+                    "trajectories can move in their last digits.")
     _add_config_options(run_p)
     run_p.add_argument("--seed", type=int, help="override the config seed (random start only)")
     run_p.set_defaults(func=_cmd_run)

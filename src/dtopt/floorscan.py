@@ -1,10 +1,10 @@
 """Quasirandom floor sampling: how much of the landscape a threshold flattened.
 
 A deterministic Halton sequence samples the decision space; the fraction of
-samples landing on the floor (within a small margin of the threshold) turns
-into the estimate p_above = 1 - n_on_floor / n_samples of the probability
-that a sample falls inside the projections of the surviving peaks. As the
-threshold rises toward the global maximum this estimate drops to zero.
+samples landing on the floor, max(f, T) - T <= margin, turns into the
+estimate p_above = 1 - n_on_floor / n_samples of the probability that a
+sample falls inside the projections of the surviving peaks. As the threshold
+rises toward the global maximum this estimate drops to zero.
 
 The Halton columns are copied from per-base radical-inverse tables, cached
 for the current dimension count up to 1 MB in all, plus the digits of each
@@ -43,9 +43,9 @@ from .objectives import (DecisionSpace, _check_count, _check_space, _is_number,
                          _one_value_per_point)
 from .threshold import _check_floor
 
-__all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "on_floor", "sample_threshold_floor"]
+__all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "sample_threshold_floor"]
 
-# A fitness within this distance of the threshold sits on the floor (see on_floor).
+# A fitness f sits on the floor at threshold T when max(f, T) - T <= FLOOR_MARGIN.
 FLOOR_MARGIN = 0.005
 
 # A chunk of sample_threshold_floor holds _CHUNK_VALUES coordinates (128 KB),
@@ -233,18 +233,11 @@ def _check_margin(margin) -> None:
         raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
 
 
-def on_floor(f_val, t: float, margin: float = FLOOR_MARGIN):
+def _on_floor(f_val, t: float, margin: float):
     """Whether a fitness (scalar or array) is on the floor at threshold t:
     max(f, t) - t <= margin. Nothing is on a -inf floor, and -inf - (-inf)
-    is never computed. A t that is not a number or is NaN or +inf, or a
-    margin that is not finite and >= 0, raises ValueError."""
-    _check_floor(t)
-    _check_margin(margin)
-    return _on_floor(f_val, t, margin)
-
-
-def _on_floor(f_val, t: float, margin: float):
-    """on_floor without its checks of t and margin."""
+    is never computed. t and margin are not checked; sample_threshold_floor
+    checks them once per scan."""
     if t == -np.inf:
         return np.zeros(np.shape(f_val), dtype=bool)
     lift = np.maximum(f_val, t)
@@ -271,8 +264,8 @@ def sample_threshold_floor(
     """Estimate the above-floor fraction of a thresholded landscape.
 
     Maps the Halton points of indices 0 .. n_samples-1 affinely into the
-    decision space, evaluates f at each, and counts the samples on the floor
-    by ``on_floor``: max(f, T) - T <= margin. The indices are walked
+    decision space, evaluates f at each, and counts the samples on the floor:
+    those with max(f, T) - T <= margin. The indices are walked
     in consecutive chunks of max(4096, 2**14 // n) points, so ``func`` is
     called once per chunk with a fresh ``(m, n)`` float64 batch, and must
     return m fitnesses. The batch is column-major (Fortran-ordered): a

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "BENCHMARKS",
-    "Benchmark",
     "DecisionSpace",
     "ObjectiveSpec",
     "benchmark_dims",

@@ -30,7 +30,6 @@ __all__ = [
     "PROFILES",
     "parse_config",
     "to_dto_config",
-    "fmt",
     "render_summary",
     "render_passes_csv",
     "render_surface",

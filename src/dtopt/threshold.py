@@ -17,7 +17,7 @@ import numpy as np
 
 from .objectives import _is_number
 
-__all__ = ["LinearRamp", "BestFitness", "ThresholdState", "apply_threshold"]
+__all__ = ["LinearRamp", "BestFitness", "ThresholdState"]
 
 
 @dataclass

@@ -320,6 +320,17 @@ def _coincident_mixed_tile(equal_fitness):
     return pos, fit
 
 
+def _top_plateau_swarm(n_dims):
+    """130 probes at distinct positions: 64 with distinct low fitness, one
+    tile, and 66 sharing the top fitness. The second tile starts on the top
+    value, so no column lies above it and the tile walk stops there; its
+    rows feel no pull."""
+    rng = np.random.default_rng(21)
+    pos = rng.uniform(-500.0, 500.0, size=(130, n_dims))
+    fit = np.concatenate((rng.permutation(64) * 10.0, np.full(66, 900.0)))
+    return pos, fit
+
+
 @settings(max_examples=200, deadline=None)
 @given(_kernel_inputs())
 @example((np.array([[3.0, -1.0]]), np.array([5.0])))  # N = 1
@@ -337,6 +348,9 @@ def _coincident_mixed_tile(equal_fitness):
 # their pair divides 0 by 0, with unequal fitness a gap by 0
 @example(_coincident_mixed_tile(equal_fitness=True))
 @example(_coincident_mixed_tile(equal_fitness=False))
+# a later tile that starts on the top fitness ends the walk, at D = 2 and 30
+@example(_top_plateau_swarm(2))
+@example(_top_plateau_swarm(30))
 def test_acceleration_matches_dense_oracle(inputs):
     _assert_matches_dense_oracle(*inputs)
 

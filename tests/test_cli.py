@@ -1,3 +1,5 @@
+import os
+import platform
 import subprocess
 import sys
 
@@ -85,6 +87,29 @@ def test_run_byte_identical_across_processes(tmp_path):
     assert (out_a / "passes.csv").read_bytes() == (out_b / "passes.csv").read_bytes()
 
 
+# Under another OpenBLAS core kernel a trajectory can move in its last digits
+# (the acceleration kernel's BLAS reductions round differently), so the test
+# pins the call counts and the default kernel's 5-decimal bests, not bytes.
+# Prescott is SSE3, which every x86-64 CPU has.
+_PRESCOTT_RUN = """\
+from dtopt.driver import run_dto
+from dtopt.report import PROFILES, to_dto_config
+for config in (to_dto_config(PROFILES["schwefel30d"]),
+               to_dto_config(PROFILES["schwefel2d"], seed=1)):
+    report = run_dto(config)
+    print(report.total_evals, f"{report.best_value:.5f}")
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+def test_profiles_keep_calls_and_5_decimal_bests_under_another_blas_kernel():
+    proc = subprocess.run([sys.executable, "-c", _PRESCOTT_RUN], capture_output=True, text=True,
+                          env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["44352 12556.29351", "106392 837.96577"]
+
+
 def test_run_seed_override_changes_random_run(tmp_path):
     config = _write(tmp_path, "exp.cfg", SMALL_RANDOM)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -93,11 +118,15 @@ def test_run_seed_override_changes_random_run(tmp_path):
     assert (out_a / "passes.csv").read_bytes() != (out_b / "passes.csv").read_bytes()
 
 
-def test_run_bad_config_exit_code(tmp_path, capsys):
-    config = _write(tmp_path, "bad.cfg", "passes = 2\nwhat = ever\n")
+@pytest.mark.parametrize("text, message", [
+    ("passes = 2\nwhat = ever\n", "unknown key 'what'"),
+    ("passes = 2\nprobe_doubling = maybe\n",
+     "bad value for 'probe_doubling': expected a boolean, got 'maybe'"),
+])
+def test_run_bad_config_exit_code(tmp_path, capsys, text, message):
+    config = _write(tmp_path, "bad.cfg", text)
     assert main(["run", "--config", config]) == 2
-    err = capsys.readouterr().err
-    assert "line 2" in err
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["true", "false"])

@@ -219,6 +219,16 @@ def test_decision_space_rejects_inverted_bounds():
 
 
 @pytest.mark.parametrize("lower, upper", [
+    ([0.0, 0.0], [1.0]),
+    ([[0.0, 0.0]], [[1.0, 1.0]]),
+    (0.0, 1.0),
+], ids=["unequal lengths", "2-D", "scalars"])
+def test_decision_space_rejects_bounds_that_are_not_1d_of_equal_length(lower, upper):
+    with pytest.raises(ValueError, match="^lower and upper must be 1-D arrays of equal length$"):
+        DecisionSpace(lower, upper)
+
+
+@pytest.mark.parametrize("lower, upper", [
     ([-np.inf, -500.0], [500.0, 500.0]),
     ([-500.0, -500.0], [500.0, np.inf]),
     ([-500.0, np.nan], [500.0, 500.0]),

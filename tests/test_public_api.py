@@ -14,26 +14,23 @@ TOP_LEVEL_NAMES = {
     "parse_config", "run_cfo", "run_dto", "sample_threshold_floor", "to_dto_config",
 }
 
-# Each module's __all__, pinned the same way.
+# Each module's __all__, pinned the same way: 40 names in all.
 MODULE_NAMES = {
     "dtopt.cfo": {
         "CfoParams", "DEFAULT_GAMMA_SWEEP", "OptResult", "ProbeLine", "RandomUniform",
-        "SwarmHistory", "compute_accelerations", "retrieve_errant", "run_cfo", "scan_best",
-        "scan_worst", "step_positions",
+        "SwarmHistory", "compute_accelerations", "run_cfo",
     },
-    "dtopt.threshold": {"BestFitness", "LinearRamp", "ThresholdState", "apply_threshold"},
-    "dtopt.floorscan": {
-        "FLOOR_MARGIN", "FloorStats", "halton_points", "on_floor", "sample_threshold_floor",
-    },
+    "dtopt.threshold": {"BestFitness", "LinearRamp", "ThresholdState"},
+    "dtopt.floorscan": {"FLOOR_MARGIN", "FloorStats", "halton_points", "sample_threshold_floor"},
     "dtopt.driver": {"DtoConfig", "PassRecord", "RunReport", "run_dto"},
     "dtopt.report": {
-        "ConfigError", "ExperimentConfig", "PROFILES", "average_distance_to_best", "fmt",
+        "ConfigError", "ExperimentConfig", "PROFILES", "average_distance_to_best",
         "parse_config", "render_davg", "render_passes_csv", "render_summary", "render_surface",
         "render_surface_command", "to_dto_config", "write_text",
     },
     "dtopt.objectives": {
-        "BENCHMARKS", "Benchmark", "DecisionSpace", "ObjectiveSpec", "benchmark_dims",
-        "make_objective", "ramp", "rastrigin_offset", "schwefel226", "sgo",
+        "BENCHMARKS", "DecisionSpace", "ObjectiveSpec", "benchmark_dims", "make_objective",
+        "ramp", "rastrigin_offset", "schwefel226", "sgo",
     },
 }
 
@@ -51,3 +48,20 @@ def test_module_all(module_name):
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) == MODULE_NAMES[module_name]
     assert all(hasattr(module, name) for name in module.__all__)
+
+
+# Out of __all__, yet module attributes under these names: bench/layers.py
+# wraps the first five by name, and cli.py imports fmt.
+KEPT_OUT_OF_ALL = {
+    "dtopt.cfo": {"retrieve_errant", "scan_best", "scan_worst", "step_positions"},
+    "dtopt.threshold": {"apply_threshold"},
+    "dtopt.objectives": {"Benchmark"},
+    "dtopt.report": {"fmt"},
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(KEPT_OUT_OF_ALL))
+def test_names_kept_out_of_all_stay_module_attributes(module_name):
+    module = importlib.import_module(module_name)
+    assert KEPT_OUT_OF_ALL[module_name].isdisjoint(module.__all__)
+    assert all(hasattr(module, name) for name in KEPT_OUT_OF_ALL[module_name])

@@ -83,9 +83,13 @@ def test_duplicate_key_rejected():
         parse_config("passes = 3\npasses = 4\n")
 
 
-def test_bad_value_reports_line_number():
-    with pytest.raises(ConfigError, match="line 1"):
-        parse_config("passes = many\n")
+@pytest.mark.parametrize("text, message", [
+    ("passes = many\n", "^line 1: bad value for 'passes'"),
+    ("passes = 2\nprobe_doubling = maybe\n", "^line 2: .*expected a boolean, got 'maybe'$"),
+])
+def test_bad_value_reports_line_number(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
 
 
 def test_missing_equals_rejected():
