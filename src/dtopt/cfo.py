@@ -200,12 +200,21 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     again, which gives the bits of masking them first.
 
     Every buffer, the chunked recompute included, is O(_TILE_ROWS * N),
-    never N x N. A tile reduces as buf @ cols - rowsum * rows on absolute
-    positions, which cancels in proportion to |R| over the swarm's spread:
-    against a per-pair dense sum on 256 Gaussian probes the error is about
-    1e-14 of the largest acceleration near the origin, but 2.6e-6 at spread
-    1e-6 around 420.9687 in 2-D (1.2e-9 at spread 1e-3, the tightest the
-    shipped profiles converge to).
+    never N x N. A call allocates its tile workspace once: two flat buffers
+    of min(_TILE_ROWS, N) * W float64 values, W = N - k0 of the first tile,
+    the widest since k0 only grows. Each tile works in C-contiguous views of
+    their prefixes, its weights in the first and its d^2 in the second,
+    which matmul writes in place. Beside them a call holds the sorted copies
+    of the fitness and positions, the accelerations and the difference
+    operands (4 * (D + 1) * N values below _GRAM_MIN_DIMS, 4 * N from
+    there on, where the centred positions add D * N).
+
+    A tile reduces as buf @ cols - rowsum * rows on absolute positions,
+    which cancels in proportion to |R| over the swarm's spread: against a
+    per-pair dense sum on 256 Gaussian probes the error is about 1e-14 of
+    the largest acceleration near the origin, but 2.6e-6 at spread 1e-6
+    around 420.9687 in 2-D (1.2e-9 at spread 1e-3, the tightest the shipped
+    profiles converge to).
     """
     fit = history.fitness[:, j]
     order = np.argsort(fit, kind="stable")
@@ -222,6 +231,13 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
             sq = np.einsum("ij,ij->i", cen, cen)
     # the fitness last; below _GRAM_MIN_DIMS each axis before it
     lhs, rhs = _difference_operands(fit[None] if gram else np.vstack((pos.T, fit)))
+    # One workspace per call: k0 only grows, so the first tile is the widest.
+    # Two blocks, not one of twice the size: glibc raises its mmap threshold
+    # to the largest block freed and serves smaller ones from its heap, which
+    # keeps freed pages resident (about 1.8 MB more peak RSS on sweep2d).
+    width = n_probes - int(np.searchsorted(fit, fit[0], side="right"))
+    buf_flat = np.empty(min(_TILE_ROWS, n_probes) * width)
+    d2_flat = np.empty_like(buf_flat)
     with np.errstate(divide="ignore", invalid="ignore"):  # coincident pairs divide by 0
         for r0 in range(0, n_probes, _TILE_ROWS):
             k0 = int(np.searchsorted(fit, fit[r0], side="right"))
@@ -229,11 +245,13 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
                 break
             r1 = min(r0 + _TILE_ROWS, n_probes)
             rows, cols = pos[r0:r1], pos[k0:]
-            buf = np.empty((r1 - r0, n_probes - k0))
+            shape = (r1 - r0, n_probes - k0)
+            buf = buf_flat[:shape[0] * shape[1]].reshape(shape)
+            d2 = d2_flat[:buf.size].reshape(shape)
             if gram:
-                d2 = _gram_d2(pos, cen, sq, fit, slice(r0, r1), slice(k0, None), buf)
+                _gram_d2(pos, cen, sq, fit, slice(r0, r1), slice(k0, None), buf, d2)
             else:
-                d2 = lhs[0, r0:r1] @ rhs[0, :, k0:]
+                np.matmul(lhs[0, r0:r1], rhs[0, :, k0:], out=d2)
                 d2 *= d2
                 for axis in range(1, n_dims):
                     np.matmul(lhs[axis, r0:r1], rhs[axis, :, k0:], out=buf)
@@ -280,10 +298,11 @@ def _difference_operands(x):
     return lhs, rhs
 
 
-def _gram_d2(pos, cen, sq, fit, r, c, buf):
-    """Squared distances between the probes of slices ``r`` (rows) and ``c``
-    (columns) of the sorted swarm, in Gram form, untrustworthy weighted pairs
-    summed exactly.
+def _gram_d2(pos, cen, sq, fit, r, c, buf, d2):
+    """Write into ``d2`` the squared distances between the probes of slices
+    ``r`` (rows) and ``c`` (columns) of the sorted swarm, in Gram form,
+    untrustworthy weighted pairs summed exactly; ``buf`` is scratch of the
+    same shape.
 
     d2 = sq_r + sq_c - 2 cen_r.cen_c from centred positions. Unless
     d2 > _NEAR * (sq_r + sq_c), a pair has lost too many bits to cancellation
@@ -295,7 +314,7 @@ def _gram_d2(pos, cen, sq, fit, r, c, buf):
     whose quotient is +0.0, as its exact distance would give.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = cen[r] @ cen[c].T
+        np.matmul(cen[r], cen[c].T, out=d2)
         d2 *= -2.0
         np.add(sq[r, None], sq[c], out=buf)
         d2 += buf
@@ -311,7 +330,6 @@ def _gram_d2(pos, cen, sq, fit, r, c, buf):
         diff = cols[cc]
         diff -= rows[rr]
         d2[rr, cc] = np.einsum("ij,ij->i", diff, diff)
-    return d2
 
 
 def _scan(history: SwarmHistory, up_to_step: int, arg_extreme) -> tuple[float, int, int]:

@@ -107,6 +107,8 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
             pass_best = max(pass_best, result.best_value)
             if observer is not None:
                 observer(pass_index, threshold_used, result, history)
+            # free it before the next search, whose history may be twice as large
+            del history
         passes.append(PassRecord(
             pass_index=pass_index,
             threshold=threshold_used,

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .objectives import (DecisionSpace, _check_count, _check_space, _is_number,
+from .objectives import (DecisionSpace, _check_count, _check_func, _check_space, _is_number,
                          _one_value_per_point)
 from .threshold import _check_floor
 
@@ -283,11 +283,12 @@ def sample_threshold_floor(
 
     T = -inf is no floor, and no sample is on it. Under a finite T an
     objective value of +inf counts as above the floor and -inf as on it.
-    A ``space`` that is not a DecisionSpace, an ``n_samples`` that is not an
-    integer >= 1, a T that is not a number or is NaN or +inf, a margin that
-    is not finite and >= 0, a NaN value, or a result that is not one value
-    per sample raises ValueError.
+    A ``func`` that is not callable, a ``space`` that is not a DecisionSpace,
+    an ``n_samples`` that is not an integer >= 1, a T that is not a number
+    or is NaN or +inf, a margin that is not finite and >= 0, a NaN value, or
+    a result that is not one value per sample raises ValueError.
     """
+    _check_func(func)
     _check_space("space", space)
     _check_count("n_samples", n_samples, 1)
     _check_floor(threshold)

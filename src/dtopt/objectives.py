@@ -79,6 +79,11 @@ class DecisionSpace:
 
     @classmethod
     def cube(cls, n_dims: int, lower: float, upper: float) -> "DecisionSpace":
+        """[lower, upper]^n_dims; an n_dims that is not an integer >= 1, or a
+        bound that is not a number, raises ValueError naming it."""
+        _check_count("n_dims", n_dims, 1)
+        if not (_is_number(lower) and _is_number(upper)):
+            raise ValueError(f"lower and upper must be numbers, got {lower!r} and {upper!r}")
         return cls(np.full(n_dims, float(lower)), np.full(n_dims, float(upper)))
 
 
@@ -158,7 +163,7 @@ def benchmark_dims(name: str, n_dims: int | None = None) -> int:
     Raises ValueError for an unknown name, an n_dims that is not an integer
     >= 1, or an n_dims that conflicts with a fixed dimension.
     """
-    if name not in BENCHMARKS:
+    if not (isinstance(name, str) and name in BENCHMARKS):
         raise ValueError(f"unknown benchmark {name!r}; expected one of {tuple(BENCHMARKS)}")
     if n_dims is not None:
         _check_count("n_dims", n_dims, 1)
@@ -189,6 +194,12 @@ def _check_bool(name: str, value) -> None:
     """Raise ValueError naming the field unless value is True or False."""
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _check_func(func) -> None:
+    """Raise ValueError naming ``func`` unless it is callable."""
+    if not callable(func):
+        raise ValueError(f"func must be callable, got {func!r}")
 
 
 def _check_space(name: str, value) -> None:
@@ -239,8 +250,7 @@ class ObjectiveSpec:
     eval_count: int = 0
 
     def __post_init__(self):
-        if not callable(self.func):
-            raise ValueError(f"func must be callable, got {self.func!r}")
+        _check_func(self.func)
         _check_space("space", self.space)
         if self.known_max_location is not None:
             self.known_max_location = np.asarray(self.known_max_location, dtype=float)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .cfo import DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory
 from .driver import DtoConfig, RunReport
-from .objectives import (BENCHMARKS, DecisionSpace, _check_space, _is_integer, _is_number,
-                         _one_value_per_point, benchmark_dims, make_objective)
+from .objectives import (BENCHMARKS, DecisionSpace, _check_func, _check_space, _is_integer,
+                         _is_number, _one_value_per_point, benchmark_dims, make_objective)
 from .threshold import BestFitness, LinearRamp, _check_floor
 
 __all__ = [
@@ -235,9 +235,10 @@ def render_surface(func, space: DecisionSpace, threshold: float) -> str:
     scanline, z floored at the threshold (-inf for the raw landscape).
 
     ``func`` gets one scanline as a batch and must return one value per
-    point; any other shape raises ValueError, as does a ``space`` that is
-    not a 2-D DecisionSpace.
+    point; any other shape raises ValueError, as does a ``func`` that is not
+    callable or a ``space`` that is not a 2-D DecisionSpace.
     """
+    _check_func(func)
     _check_space("space", space)
     if space.n_dims != 2:
         raise ValueError("surface grids require a 2-D decision space")
@@ -268,7 +269,9 @@ def render_surface_command(data_filename: str) -> str:
 
 def average_distance_to_best(history: SwarmHistory, space: DecisionSpace) -> np.ndarray:
     """Per-step mean probe distance to that step's best probe, normalized by
-    the decision-space diagonal; the best probe itself contributes zero."""
+    the decision-space diagonal; the best probe itself contributes zero.
+    A ``space`` that is not a DecisionSpace raises ValueError."""
+    _check_space("space", space)
     n_probes = history.n_probes
     if n_probes < 2:
         raise ValueError("average distance needs at least 2 probes")

@@ -97,8 +97,14 @@ def apply_threshold(f_val, state: ThresholdState):
 
 def _check_floor(t) -> None:
     """Raise ValueError naming the threshold unless t is a number below +inf
-    (-inf for no floor)."""
+    (-inf for no floor). numpy floors at an integer as at the float nearest
+    to it, so an integer beyond the float range is no threshold either."""
     if not _is_number(t):
         raise ValueError(f"threshold must be a number, got {t!r}")
-    if np.isnan(t) or t == np.inf:
+    try:
+        value = float(t)
+    except OverflowError:
+        raise ValueError("threshold must not be NaN or +inf (-inf is no floor), got a "
+                         "number beyond the float range") from None
+    if np.isnan(value) or value == np.inf:
         raise ValueError(f"threshold must not be NaN or +inf (-inf is no floor), got {t}")

@@ -20,8 +20,9 @@ from dtopt.cfo import (
     scan_worst,
     step_positions,
 )
+from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective
-from dtopt.threshold import ThresholdState
+from dtopt.threshold import LinearRamp, ThresholdState
 
 
 def _params(n_probes=4, n_steps=5):
@@ -430,16 +431,43 @@ def _kernel_peak_bytes(hist):
     return accels, peak
 
 
+def _kernel_bound_bytes(n_probes):
+    """Peak allocation one kernel call may reach at N probes below D = 8:
+    2.5 float64 tiles of 64 rows by N columns. Its two tile buffers take 2,
+    the sorted copies, the accelerations and the difference operands about
+    0.3 more."""
+    return 2.5 * 64 * n_probes * 8
+
+
 def test_acceleration_memory_is_bounded():
-    # An N x N kernel would need about 1.1 GB here.
+    # An N x N kernel would need about 1.1 GB here. Every fitness differs,
+    # so the first tile meets all N - 1 columns above it.
     n = 8192
     rng = np.random.default_rng(8)
     hist = SwarmHistory.allocate(n, 2, 1)
     hist.positions[:, :, 1] = rng.uniform(-500.0, 500.0, size=(n, 2))
     hist.fitness[:, 1] = rng.uniform(0.0, 800.0, n)
     accels, peak = _kernel_peak_bytes(hist)
-    assert peak < 32 * 2**20
+    assert peak < _kernel_bound_bytes(n)
     assert np.all(np.isfinite(accels))
+
+
+def test_run_holds_one_history_and_one_kernel_workspace_at_a_time():
+    # Probe doubling makes the last pass's history the largest; the one
+    # before it is half as large and must be gone by then.
+    config = DtoConfig(num_passes=4, schedule=LinearRamp(c_th=0.9),
+                       cfo=CfoParams(n_probes=256, n_steps=20),
+                       objective=make_objective("schwefel226", 2), ipd=ProbeLine((0.5,)))
+    n_last = 256 * 2**3
+    last_history = (20 + 1) * n_last * (2 + 1) * 8  # positions and fitness, float64
+    run_dto(dataclasses.replace(config, num_passes=1))  # numpy's lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        run_dto(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < last_history + _kernel_bound_bytes(n_last)
 
 
 def test_acceleration_memory_is_bounded_in_gram_form():

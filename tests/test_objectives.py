@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,8 +189,6 @@ def test_benchmark_dims_rule():
     for name, n_dims in (("sgo", 3), ("rastrigin_offset", 1), ("ramp", 2)):
         with pytest.raises(ValueError, match=name):
             benchmark_dims(name, n_dims)
-    with pytest.raises(ValueError, match="unknown"):
-        make_objective("rosenbrock")
 
 
 def test_decision_space_diag_length():
@@ -251,8 +250,19 @@ def test_decision_space_rejects_a_width_that_overflows(lower, upper, axis):
 def test_decision_space_rejects_zero_dimensions():
     with pytest.raises(ValueError, match="at least one dimension"):
         DecisionSpace([], [])
-    with pytest.raises(ValueError, match="at least one dimension"):
-        DecisionSpace.cube(0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n_dims, lower, upper, message", [
+    (None, -1.0, 1.0, "n_dims must be an integer >= 1, got None"),
+    (2, None, 1.0, "lower and upper must be numbers, got None and 1.0"),
+    (2, -1.0, None, "lower and upper must be numbers, got -1.0 and None"),
+    (2, "-1", 1.0, "lower and upper must be numbers, got '-1' and 1.0"),
+    (2, True, 2.0, "lower and upper must be numbers, got True and 2.0"),
+], ids=["n_dims_none", "lower_none", "upper_none", "lower_str", "lower_bool"])
+def test_cube_rejects_an_n_dims_or_bounds_that_are_not_numbers(n_dims, lower, upper, message):
+    # before, the None cases ended in a bare TypeError, and "-1" and True built a cube
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DecisionSpace.cube(n_dims, lower, upper)
 
 
 @pytest.mark.parametrize("n_dims", [0, -1])
@@ -261,6 +271,8 @@ def test_benchmark_dims_rejects_fewer_than_one_dimension(n_dims):
         benchmark_dims("schwefel226", n_dims)
     with pytest.raises(ValueError, match=f"n_dims must be an integer >= 1, got {n_dims}"):
         make_objective("schwefel226", n_dims)
+    with pytest.raises(ValueError, match=f"n_dims must be an integer >= 1, got {n_dims}"):
+        DecisionSpace.cube(n_dims, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("n_dims", ["2", 2.0, True], ids=["str", "float", "bool"])
@@ -271,6 +283,18 @@ def test_benchmark_dims_rejects_an_n_dims_that_is_not_an_integer(n_dims):
         benchmark_dims("schwefel226", n_dims)
     with pytest.raises(ValueError, match=message):
         make_objective("schwefel226", n_dims)
+    with pytest.raises(ValueError, match=message):
+        DecisionSpace.cube(n_dims, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["rosenbrock", [1], None], ids=["str", "list", "none"])
+def test_an_unknown_benchmark_is_named(name):
+    # before, [1] ended in TypeError: unhashable type
+    message = rf"^unknown benchmark {re.escape(repr(name))}; expected one of "
+    with pytest.raises(ValueError, match=message):
+        benchmark_dims(name)
+    with pytest.raises(ValueError, match=message):
+        make_objective(name)
 
 
 def test_benchmark_dims_none_is_the_default_dimension():

@@ -272,6 +272,13 @@ def test_surface_rejects_a_space_that_is_not_a_decision_space(space):
         render_surface(schwefel226, space, -np.inf)
 
 
+@pytest.mark.parametrize("func", [None, "schwefel226"], ids=["none", "name"])
+def test_surface_rejects_a_func_that_is_not_callable(func):
+    # before, each ended in TypeError: not callable, once the grid was under way
+    with pytest.raises(ValueError, match=rf"^func must be callable, got {func!r}$"):
+        render_surface(func, DecisionSpace.cube(2, -1.0, 1.0), -np.inf)
+
+
 def test_surface_requires_two_dims():
     with pytest.raises(ValueError):
         render_surface(schwefel226, DecisionSpace.cube(3, -1, 1), -np.inf)
@@ -316,6 +323,14 @@ def test_davg_refuses_single_probe():
     with pytest.raises(ValueError):
         average_distance_to_best(SwarmHistory.allocate(1, 2, 1),
                                  DecisionSpace.cube(2, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("render", [average_distance_to_best, render_davg])
+@pytest.mark.parametrize("space", [None, (np.zeros(2), np.ones(2))], ids=["none", "tuple"])
+def test_davg_rejects_a_space_that_is_not_a_decision_space(render, space):
+    # before, each ended in AttributeError: no attribute 'diag_length'
+    with pytest.raises(ValueError, match=r"^space must be a DecisionSpace, got "):
+        render(SwarmHistory.allocate(2, 2, 1), space)
 
 
 def test_davg_rendering():
