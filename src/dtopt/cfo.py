@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _TILE_ROWS = 64  # probes per row tile of the acceleration kernel
+_BLOCK_VALUES = 2**15  # most values per buffer of a block of whole plateau tiles
 _GRAM_MIN_DIMS = 8  # from here on the kernel takes squared distances in Gram form
 _NEAR = 1e-4  # a Gram-form pair is summed again unless d2 > _NEAR * (|r|^2 + |c|^2)
 
@@ -149,16 +150,21 @@ def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionS
     A coordinate below its lower bound moves to lower + frep * (prev - lower),
     one above its upper bound to upper - frep * (upper - prev), where prev is
     the previous step's (in-bounds) position. With frep in (0, 1] the result
-    is always inside the bounds.
+    is always inside the bounds. The bounds of a cube are taken as scalars:
+    numpy broadcasts a (D,) row over (N, D) positions in short strided
+    loops, about ten times slower at D = 2, and the values are the same.
     """
     pos = history.positions[:, :, j]
     prev = history.positions[:, :, j - 1]
-    below = pos < space.lower
+    lower, upper = space.lower, space.upper
+    if len(set(lower.tolist())) == 1 and len(set(upper.tolist())) == 1:
+        lower, upper = lower[0], upper[0]
+    below = pos < lower
     if below.any():
-        pos[below] = (space.lower + frep * (prev - space.lower))[below]
-    above = pos > space.upper
+        np.copyto(pos, lower + frep * (prev - lower), where=below)
+    above = pos > upper
     if above.any():
-        pos[above] = (space.upper - frep * (space.upper - prev))[above]
+        np.copyto(pos, upper - frep * (upper - prev), where=above)
 
 
 def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> np.ndarray:
@@ -173,13 +179,22 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     tiles of ``_TILE_ROWS`` rows. A tile only meets the columns whose fitness
     lies strictly above its lowest row's; every other column has zero
     weight. Once no column lies above a tile, no later tile has one either,
-    so the walk stops there. A floor plateau of equal fitness thus costs one
-    short slab. When a tile's rows share one fitness, as on a plateau, its
-    weights come from one row (M_k - M_p)^2 divided by the tile's d^2 in a
-    single pass. G = 2 multiplies each tile's (row, dim) result, not its
-    weights: scaling by a power of two commutes with every rounding, so the
-    bits are those of weighting each pair by 2 unless a product or sum
-    overflows or falls below the normal range.
+    so the walk stops there. When a tile's rows share one fitness, as on a
+    plateau, its weights come from one row (M_k - M_p)^2 divided by the
+    tile's d^2 in a single pass. Below ``_GRAM_MIN_DIMS`` such a tile grows
+    into a block over the whole tiles after it at the same fitness, as many
+    as fit ``_BLOCK_VALUES`` values (at most 32 * N) and the workspace: a
+    floor plateau of equal fitness thus costs a few calls, not one per 64
+    rows. Blocks start and end on the tile grid, so every row meets the
+    columns, gap row and d^2 of its own tile, with the same row sum, and a
+    block's reduction is one matmul, which gave the bits of one per tile
+    under OpenBLAS's SkylakeX, Haswell and Prescott kernels. The Gram form
+    keeps single tiles: its dgemm rounds by M. Each tile or block writes its
+    (row, dim) result into one sorted-order array; G = 2 multiplies that
+    once, and one scatter through the sort order returns it. Scaling by a
+    power of two commutes with every rounding, so the bits are those of
+    weighting each pair by 2 unless a product or sum overflows or falls
+    below the normal range.
 
     Every outer difference c - r, of one coordinate axis or of the fitness
     (M_k - M_p in a mixed tile), is one rank-2 matmul [1, -r] @ [c; 1] on
@@ -196,18 +211,23 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     gap gives a zero weight; from there on _gram_d2 gives them +inf. Any
     other coincident pair divides its weight by zero (to +inf, or NaN for a
     zero gap) under one np.errstate per call, which makes its row sum
-    non-finite: only then does the tile zero its d^2 == 0 pairs and sum
-    again, which gives the bits of masking them first.
+    non-finite: only then does the tile or block zero its d^2 == 0 pairs
+    and sum again, which gives the bits of masking them first.
 
     Every buffer, the chunked recompute included, is O(_TILE_ROWS * N),
-    never N x N. A call allocates its tile workspace once: two flat buffers
-    of min(_TILE_ROWS, N) * W float64 values, W = N - k0 of the first tile,
-    the widest since k0 only grows. Each tile works in C-contiguous views of
-    their prefixes, its weights in the first and its d^2 in the second,
-    which matmul writes in place. Beside them a call holds the sorted copies
-    of the fitness and positions, the accelerations and the difference
-    operands (4 * (D + 1) * N values below _GRAM_MIN_DIMS, 4 * N from
-    there on, where the centred positions add D * N).
+    never N x N. A call allocates its workspace once: two flat buffers of
+    min(_TILE_ROWS, N) * W float64 values, W = N - k0 of the first tile, the
+    widest since k0 only grows, or of min(_BLOCK_VALUES, 32 * N) values if
+    that is more and the first tile is a plateau. Each tile or block works
+    in C-contiguous views of their prefixes, its weights in the first and
+    its d^2 in the second, which matmul writes in place. Beside them a call
+    holds the sorted copies of the fitness and positions, the sorted-order
+    result and the difference operands (4 * (D + 1) * N values below
+    _GRAM_MIN_DIMS, 4 * N from there on, where the centred positions add
+    D * N); the workspace is freed before the scatter allocates the
+    accelerations. The 32 * N cap leaves room at small N for numpy's
+    iterator buffers, up to 8,192 values per operand of a strided or
+    broadcast elementwise op.
 
     A tile reduces as buf @ cols - rowsum * rows on absolute positions,
     which cancels in proportion to |R| over the swarm's spread: against a
@@ -221,9 +241,8 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     fit = fit[order]
     pos = history.positions[:, :, j][order]
     n_probes, n_dims = pos.shape
-    accels = np.zeros_like(pos)  # in the history's probe order
     if fit[0] == fit[-1]:  # no pair has weight
-        return accels
+        return np.zeros_like(pos)
     gram = n_dims >= _GRAM_MIN_DIMS
     if gram:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -231,19 +250,31 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
             sq = np.einsum("ij,ij->i", cen, cen)
     # the fitness last; below _GRAM_MIN_DIMS each axis before it
     lhs, rhs = _difference_operands(fit[None] if gram else np.vstack((pos.T, fit)))
-    # One workspace per call: k0 only grows, so the first tile is the widest.
-    # Two blocks, not one of twice the size: glibc raises its mmap threshold
-    # to the largest block freed and serves smaller ones from its heap, which
-    # keeps freed pages resident (about 1.8 MB more peak RSS on sweep2d).
-    width = n_probes - int(np.searchsorted(fit, fit[0], side="right"))
-    buf_flat = np.empty(min(_TILE_ROWS, n_probes) * width)
+    # k0 of each tile on the 64-row grid, on which every tile and block starts
+    tile_k0 = np.searchsorted(fit, fit[::_TILE_ROWS], side="right").tolist()
+    # One workspace per call: k0 only grows, so the first tile is the widest,
+    # unless it is a plateau with room for a block. Two allocations, not one
+    # of twice the size: glibc raises its mmap threshold to the largest
+    # block freed and serves smaller ones from its heap, which keeps freed
+    # pages resident (about 1.8 MB more peak RSS on sweep2d).
+    first_rows = min(_TILE_ROWS, n_probes)
+    size = first_rows * (n_probes - tile_k0[0])
+    block = 0 if gram else min(_BLOCK_VALUES, _TILE_ROWS // 2 * n_probes)
+    if fit[first_rows - 1] == fit[0]:
+        size = max(size, block)
+    block = min(block, size)  # values a block may fill per buffer
+    buf_flat = np.empty(size)
     d2_flat = np.empty_like(buf_flat)
+    acc = np.zeros_like(pos)  # in sorted order, G applied last
     with np.errstate(divide="ignore", invalid="ignore"):  # coincident pairs divide by 0
-        for r0 in range(0, n_probes, _TILE_ROWS):
-            k0 = int(np.searchsorted(fit, fit[r0], side="right"))
+        r0 = 0
+        while r0 < n_probes:
+            k0 = tile_k0[r0 // _TILE_ROWS]
             if k0 == n_probes:
                 break
-            r1 = min(r0 + _TILE_ROWS, n_probes)
+            # whole tiles at fit[r0] (rows below k0) that fit in a block
+            tiles = min(block // (_TILE_ROWS * (n_probes - k0)), (k0 - r0) // _TILE_ROWS)
+            r1 = min(r0 + max(tiles, 1) * _TILE_ROWS, n_probes)
             rows, cols = pos[r0:r1], pos[k0:]
             shape = (r1 - r0, n_probes - k0)
             buf = buf_flat[:shape[0] * shape[1]].reshape(shape)
@@ -272,10 +303,13 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
             if not np.isfinite(rowsum).all():
                 buf[d2 == 0.0] = 0.0
                 rowsum = buf.sum(axis=1, keepdims=True)
-            tile = buf @ cols
-            tile -= rowsum * rows
-            tile *= _G_CONST
-            accels[order[r0:r1]] = tile
+            np.matmul(buf, cols, out=acc[r0:r1])
+            acc[r0:r1] -= rowsum * rows
+            r0 = r1
+    del buf_flat, d2_flat, buf, d2  # free the workspace before the scatter's copy
+    acc *= _G_CONST
+    accels = np.empty_like(acc)  # in the history's probe order
+    accels[order] = acc
     return accels
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import _is_number
+from .objectives import _check_count, _is_integer, _is_number
 
 __all__ = ["LinearRamp", "BestFitness", "ThresholdState"]
 
@@ -36,13 +36,17 @@ class LinearRamp:
         F_min + (c_th * k / P) * (F* - F_min).
 
         The returned value governs pass k + 1. Requires at least one completed
-        pass so that f_star and f_min hold real, finite fitnesses. When the
-        range F* - F_min overflows (it exceeds about 1.8e308), the threshold
-        is the convex combination F_min * (1 - c) + F* * c instead, which
-        stays inside [F_min, F*].
+        pass so that f_star and f_min hold real, finite fitnesses. P must be
+        an integer >= 1 and k an integer in [1, P], which keeps the threshold
+        within c_th of the range above F_min; anything else raises ValueError
+        naming the argument. When the range F* - F_min overflows (it exceeds
+        about 1.8e308), the threshold is the convex combination
+        F_min * (1 - c) + F* * c instead, which stays inside [F_min, F*].
         """
-        if k < 1:
-            raise ValueError("pass index k must be >= 1")
+        _check_count("num_passes", num_passes, 1)
+        if not (_is_integer(k) and 1 <= k <= num_passes):
+            raise ValueError(f"pass index k must be an integer in [1, num_passes = {num_passes}], "
+                             f"got {k!r}")
         if not (np.isfinite(state.f_star) and np.isfinite(state.f_min)):
             raise RuntimeError("threshold update before any completed pass")
         fraction = self.c_th * k / num_passes

@@ -144,6 +144,25 @@ def test_retrieve_errant_containment_fuzz():
         assert np.all(hist.positions[:, :, 1] <= upper)
 
 
+@pytest.mark.parametrize("space", [DecisionSpace.cube(3, -500.0, 500.0),
+                                   DecisionSpace(np.array([-500.0, -1.0, 0.0]),
+                                                 np.array([500.0, 1.0, 0.5]))],
+                         ids=["cube", "per-axis bounds"])
+def test_retrieve_errant_keeps_the_bits_of_the_per_coordinate_rule(space):
+    # a cube's bounds are taken as scalars, any other as (D,) rows
+    rng = np.random.default_rng(7)
+    hist = SwarmHistory.allocate(200, 3, 1)
+    width = space.upper - space.lower
+    hist.positions[:, :, 0] = rng.uniform(space.lower, space.upper, size=(200, 3))
+    pos = rng.uniform(space.lower - width, space.upper + width, size=(200, 3))
+    hist.positions[:, :, 1] = pos
+    prev = hist.positions[:, :, 0]
+    want = np.where(pos < space.lower, space.lower + 0.55 * (prev - space.lower), pos)
+    want = np.where(pos > space.upper, space.upper - 0.55 * (space.upper - prev), want)
+    retrieve_errant(hist, 1, 0.55, space)
+    assert hist.positions[:, :, 1].tobytes() == want.tobytes()
+
+
 # ----- accelerations -----
 
 def test_acceleration_hand_trace_two_probes():
@@ -412,6 +431,73 @@ def test_acceleration_sums_axis_by_axis_when_squared_norms_overflow():
     assert np.count_nonzero(got[40:]) > 0
 
 
+def _kernel_at(pos, fit):
+    """compute_accelerations on one step holding ``pos`` and ``fit``."""
+    hist = SwarmHistory.allocate(*pos.shape, 1)
+    hist.positions[:, :, 1] = pos
+    hist.fitness[:, 1] = fit
+    return compute_accelerations(hist, 1, _params(n_probes=pos.shape[0], n_steps=1))
+
+
+def _tile_walk_at(pos, fit):
+    """The kernel with a block budget of no values: every plateau tile is a
+    block of its own, as before blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtopt.cfo, "_BLOCK_VALUES", 0)
+        return _kernel_at(pos, fit)
+
+
+@st.composite
+def _plateau_inputs(draw):
+    """A floored swarm in fitness order from the bottom: a few distinct
+    probes below the floor (or none, as in a DTO pass), a floor plateau of
+    2-40 whole tiles plus a ragged tail, a second plateau of up to 3 tiles
+    and up to 250 distinct probes above it, shuffled. Some floor probes share
+    a position with one another, some with a probe above the floor, so a
+    block meets pairs at zero distance and sums again. Positions cluster
+    around 0 or 420.9687 within a drawn spread."""
+    n_dims = draw(st.sampled_from([1, 2, 7]))
+    n_below = draw(st.sampled_from([0, 0, 5]))
+    n_floor = 64 * draw(st.integers(2, 40)) + draw(st.integers(0, 63))
+    n_second = draw(st.integers(0, 3 * 64))
+    n_top = draw(st.integers(1, 250))
+    centre = draw(st.sampled_from([0.0, 420.9687]))
+    spread = draw(st.sampled_from([1e-3, 1.0, 500.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fit = np.concatenate([rng.uniform(-900.0, -800.0, n_below), np.full(n_floor, -700.0),
+                          np.full(n_second, 100.0), rng.uniform(100.5, 800.0, n_top)])
+    pos = centre + rng.uniform(-spread, spread, size=(fit.size, n_dims))
+    floor = np.arange(n_below, n_below + n_floor)
+    pos[floor[:10:2]] = pos[floor[1:10:2]]
+    pos[floor[-3:]] = pos[-3:]
+    order = rng.permutation(fit.size)
+    return pos[order], fit[order]
+
+
+def _gram_plateau_swarm():
+    """700 probes at D = 30, 550 of them on the floor. Blocks of two floor
+    tiles would change the Gram dgemm's M, and with it the bits of the
+    accelerations, by about 2e-16 of the largest under OpenBLAS's SkylakeX
+    and Prescott kernels on two threads (on one thread these bits held):
+    the Gram form keeps one tile at a time."""
+    rng = np.random.default_rng(0)
+    pos = rng.uniform(-500.0, 500.0, size=(700, 30))
+    fit = np.concatenate([np.zeros(550), rng.uniform(1.0, 800.0, 150)])
+    return pos, fit
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plateau_inputs())
+@example(_gram_plateau_swarm())
+def test_acceleration_blocks_of_plateau_tiles_keep_the_tile_walk_bits(inputs):
+    # A block of whole plateau tiles gives each row its tile's columns, gap
+    # row, d^2, row sum and reduction: the same bits as one tile at a time.
+    pos, fit = inputs
+    got = _kernel_at(pos, fit)
+    assert got.tobytes() == _tile_walk_at(pos, fit).tobytes()
+    assert np.all(np.isfinite(got))
+
+
 def test_acceleration_reads_each_step_of_the_history_as_one_contiguous_block():
     hist = SwarmHistory.allocate(5, 3, 4)
     assert hist.positions.shape == (5, 3, 5) and hist.fitness.shape == (5, 5)
@@ -447,6 +533,20 @@ def test_acceleration_memory_is_bounded():
     hist = SwarmHistory.allocate(n, 2, 1)
     hist.positions[:, :, 1] = rng.uniform(-500.0, 500.0, size=(n, 2))
     hist.fitness[:, 1] = rng.uniform(0.0, 800.0, n)
+    accels, peak = _kernel_peak_bytes(hist)
+    assert peak < _kernel_bound_bytes(n)
+    assert np.all(np.isfinite(accels))
+
+
+@pytest.mark.parametrize("n, n_floor", [(384, 192), (8192, 8100)])
+def test_acceleration_memory_is_bounded_on_a_floor_plateau(n, n_floor):
+    # The first tile lies on the floor, so the workspace has room for a
+    # block of whole floor tiles. At N = 384 a 2^15-value block would be
+    # more than one tile per buffer; the budget stops at 32 * N values.
+    rng = np.random.default_rng(5)
+    hist = SwarmHistory.allocate(n, 2, 1)
+    hist.positions[:, :, 1] = rng.uniform(-500.0, 500.0, size=(n, 2))
+    hist.fitness[:, 1] = np.concatenate([np.zeros(n_floor), rng.uniform(1.0, 800.0, n - n_floor)])
     accels, peak = _kernel_peak_bytes(hist)
     assert peak < _kernel_bound_bytes(n)
     assert np.all(np.isfinite(accels))

@@ -88,6 +88,25 @@ def test_linear_update_requires_completed_pass():
         _linear(0.5, 0, 4, state)
 
 
+@pytest.mark.parametrize("num_passes", [0, -1, 2.0, True, "4", None])
+def test_linear_update_rejects_a_pass_count_that_is_not_a_positive_integer(num_passes):
+    # num_passes = 0 divided by zero, unnamed
+    state = ThresholdState(f_star=1.0, f_min=0.0)
+    with pytest.raises(ValueError,
+                       match=rf"^num_passes must be an integer >= 1, got {num_passes!r}$"):
+        _linear(0.5, 1, num_passes, state)
+
+
+@pytest.mark.parametrize("k", [0, 5, 3.0, True, None])
+def test_linear_update_rejects_a_pass_index_outside_the_passes(k):
+    # k = 5 of 2 passes returned 1.25 at c_th 0.5, above F* = 1 and past the cap
+    state = ThresholdState(f_star=1.0, f_min=0.0)
+    with pytest.raises(ValueError, match=r"^pass index k must be an integer in "
+                                         rf"\[1, num_passes = 2\], got {k!r}$"):
+        _linear(0.5, k, 2, state)
+    assert _linear(0.5, 2, 2, state) == 0.5
+
+
 def test_linear_update_constant_spacing_when_frozen():
     state = ThresholdState(f_star=837.9658, f_min=-574.94)
     thresholds = [_linear(0.98, k, 10, state) for k in range(1, 11)]
