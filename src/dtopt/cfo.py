@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import (DecisionSpace, _check_count, _check_objective, _is_number,
-                         _one_value_per_point)
+from .objectives import (DecisionSpace, _check_count, _check_fraction, _check_objective,
+                         _check_type, _is_number_tuple, _one_value_per_point)
 from .threshold import ThresholdState, _check_floor, apply_threshold
 
 # step_positions, retrieve_errant, scan_best, scan_worst, threshold.apply_threshold,
@@ -68,13 +68,12 @@ class ProbeLine:
     gammas: tuple[float, ...] = DEFAULT_GAMMA_SWEEP
 
     def __post_init__(self):
-        if not (isinstance(self.gammas, tuple)
-                and all(map(_is_number, self.gammas))):
+        if not _is_number_tuple(self.gammas):
             raise ValueError(f"gammas must be a tuple of numbers, got {self.gammas!r}")
         if not self.gammas:
             raise ValueError("gammas must be non-empty")
-        if any(not 0.0 <= g <= 1.0 for g in self.gammas):
-            raise ValueError("every gamma must lie in [0, 1]")
+        for i, gamma in enumerate(self.gammas):
+            _check_fraction(f"gammas[{i}]", gamma)
 
 
 @dataclass
@@ -440,11 +439,9 @@ def run_cfo(
     default -inf floors nothing. Anything but a ThresholdState, or one whose
     threshold is not a number, or is NaN or +inf, raises ValueError.
     """
-    if not isinstance(params, CfoParams):
-        raise ValueError(f"params must be a CfoParams, got {params!r}")
+    _check_type("params", params, CfoParams)
     _check_objective("objective", objective)
-    if not isinstance(threshold, ThresholdState):
-        raise ValueError(f"threshold must be a ThresholdState, got {threshold!r}")
+    _check_type("threshold", threshold, ThresholdState)
     _check_floor(threshold.t_current)
     space = objective.space
     history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)
@@ -454,8 +451,7 @@ def run_cfo(
         history.positions[:, :, 0] = start.uniform(space.lower, space.upper,
                                                    size=(params.n_probes, space.n_dims))
     else:
-        if not (_is_number(start) and 0.0 <= start <= 1.0):
-            raise ValueError(f"gamma must be a number in [0, 1], got {start!r}")
+        _check_fraction("gamma", start)
         positions = history.positions[:, :, 0]
         positions[:] = space.lower + start * (space.upper - space.lower)
         per_axis = params.n_probes // space.n_dims

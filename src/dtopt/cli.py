@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from .driver import run_dto
-from .floorscan import FLOOR_MARGIN, sample_threshold_floor
-from .objectives import BENCHMARKS, benchmark_dims, make_objective
+from .floorscan import FLOOR_MARGIN, _check_margin, sample_threshold_floor
+from .objectives import BENCHMARKS, _check_count, make_objective
 from .report import (
     PROFILES,
     ConfigError,
@@ -91,23 +91,17 @@ def _cmd_surface(args) -> int:
     return 0
 
 
-def _check_floorscan_args(args) -> None:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    if args.dims is not None and args.dims < 1:
-        raise ConfigError(f"--dims must be >= 1, got {args.dims}")
+def _cmd_floorscan(args) -> int:
     try:
-        benchmark_dims(args.function, args.dims)
+        _check_count("--samples", args.samples, 1)
+        _check_margin("--margin", args.margin)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _check_threshold(args.threshold)
+    try:
+        objective = make_objective(args.function, args.dims)
     except ValueError as exc:
         raise ConfigError(f"--dims: {exc}") from exc
-    _check_threshold(args.threshold)
-    if not (np.isfinite(args.margin) and args.margin >= 0.0):
-        raise ConfigError(f"--margin must be finite and >= 0, got {args.margin}")
-
-
-def _cmd_floorscan(args) -> int:
-    _check_floorscan_args(args)
-    objective = make_objective(args.function, args.dims)
     stats = sample_threshold_floor(objective.func, objective.space, args.threshold,
                                    args.samples, args.margin)
     print(f"{fmt(stats.threshold_used)},{stats.n_samples},{stats.n_on_floor},{fmt(stats.p_above)}")
@@ -135,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "another BLAS core kernel the call counts and 5-decimal bests hold, and "
                     "trajectories can move in their last digits.")
     _add_config_options(run_p)
-    run_p.add_argument("--seed", type=int, help="override the config seed (random start only)")
+    run_p.add_argument("--seed", type=int,
+                       help="override the config seed; only a config with ipd = random "
+                            "takes one, any other ipd is an error")
     run_p.set_defaults(func=_cmd_run)
 
     surf_p = sub.add_parser("surface", help="emit a 100x100 fitness grid and a plot command file")

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, run_cfo
-from .objectives import ObjectiveSpec, _check_bool, _check_count, _check_objective
+from .objectives import ObjectiveSpec, _check_count, _check_objective, _check_type
 from .threshold import Schedule, ThresholdState
 
 __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
@@ -39,15 +39,13 @@ class DtoConfig:
 
     def __post_init__(self):
         _check_count("num_passes", self.num_passes, 1)
-        _check_bool("probe_doubling", self.probe_doubling)
+        _check_type("probe_doubling", self.probe_doubling, bool)
         if not callable(getattr(self.schedule, "next_threshold", None)):
             raise ValueError("schedule must have a callable next_threshold, "
                              f"got {self.schedule!r}")
-        if not isinstance(self.cfo, CfoParams):
-            raise ValueError(f"cfo must be a CfoParams, got {self.cfo!r}")
+        _check_type("cfo", self.cfo, CfoParams)
         _check_objective("objective", self.objective)
-        if not isinstance(self.ipd, (ProbeLine, RandomUniform)):
-            raise ValueError(f"ipd must be a ProbeLine or a RandomUniform, got {self.ipd!r}")
+        _check_type("ipd", self.ipd, ProbeLine, RandomUniform)
 
 
 @dataclass

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .objectives import (DecisionSpace, _check_count, _check_func, _check_space, _is_number,
-                         _one_value_per_point)
+from .objectives import DecisionSpace, _check_count, _check_type, _is_number, _one_value_per_point
 from .threshold import _check_floor
 
 __all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "sample_threshold_floor"]
@@ -228,9 +228,10 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     return points
 
 
-def _check_margin(margin) -> None:
-    if not (_is_number(margin) and np.isfinite(margin) and margin >= 0.0):
-        raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
+def _check_margin(name: str, margin) -> None:
+    # exact comparisons: an integer beyond the float range is no margin either
+    if not (_is_number(margin) and 0.0 <= margin <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite and >= 0, got {margin!r}")
 
 
 def _on_floor(f_val, t: float, margin: float):
@@ -288,11 +289,11 @@ def sample_threshold_floor(
     or is NaN or +inf, a margin that is not finite and >= 0, a NaN value, or
     a result that is not one value per sample raises ValueError.
     """
-    _check_func(func)
-    _check_space("space", space)
+    _check_type("func", func, Callable)
+    _check_type("space", space, DecisionSpace)
     _check_count("n_samples", n_samples, 1)
     _check_floor(threshold)
-    _check_margin(margin)
+    _check_margin("margin", margin)
     width = space.upper - space.lower
     chunk_rows = _chunk_rows(space.n_dims)
     n_on_floor = 0

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "BENCHMARKS",
     "DecisionSpace",
     "ObjectiveSpec",
-    "benchmark_dims",
     "make_objective",
     "schwefel226",
     "rastrigin_offset",
@@ -157,11 +156,11 @@ BENCHMARKS = {
 }
 
 
-def benchmark_dims(name: str, n_dims: int | None = None) -> int:
+def _benchmark_dims(name: str, n_dims: int | None = None) -> int:
     """Dimension benchmark ``name`` runs in: its fixed one, else n_dims (default 2).
 
-    Raises ValueError for an unknown name, an n_dims that is not an integer
-    >= 1, or an n_dims that conflicts with a fixed dimension.
+    An unknown name, an n_dims that is not an integer >= 1, or one that
+    conflicts with a fixed dimension raises ValueError; nothing is allocated.
     """
     if not (isinstance(name, str) and name in BENCHMARKS):
         raise ValueError(f"unknown benchmark {name!r}; expected one of {tuple(BENCHMARKS)}")
@@ -184,28 +183,28 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_number_tuple(value) -> bool:
+    return isinstance(value, tuple) and all(map(_is_number, value))
+
+
 def _check_count(name: str, value, least: int) -> None:
     """Raise ValueError naming the field unless value is an integer >= least."""
     if not _is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_bool(name: str, value) -> None:
-    """Raise ValueError naming the field unless value is True or False."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
+def _check_fraction(name: str, value, *, zero_ok: bool = True) -> None:
+    """Raise ValueError naming the field unless value is in [0, 1], or (0, 1] if not zero_ok."""
+    if not (_is_number(value) and (0.0 < value <= 1.0 or (zero_ok and value == 0.0))):
+        interval = "[0, 1]" if zero_ok else "(0, 1]"
+        raise ValueError(f"{name} must be a number in {interval}, got {value!r}")
 
 
-def _check_func(func) -> None:
-    """Raise ValueError naming ``func`` unless it is callable."""
-    if not callable(func):
-        raise ValueError(f"func must be callable, got {func!r}")
-
-
-def _check_space(name: str, value) -> None:
-    """Raise ValueError naming the field unless value is a DecisionSpace."""
-    if not isinstance(value, DecisionSpace):
-        raise ValueError(f"{name} must be a DecisionSpace, got {value!r}")
+def _check_type(name: str, value, *kinds: type) -> None:
+    """Raise ValueError naming the field unless value is an instance of one of kinds."""
+    if not isinstance(value, kinds):
+        nouns = " or a ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{name} must be a {nouns}, got {value!r}")
 
 
 def _check_objective(name: str, value) -> None:
@@ -250,8 +249,8 @@ class ObjectiveSpec:
     eval_count: int = 0
 
     def __post_init__(self):
-        _check_func(self.func)
-        _check_space("space", self.space)
+        _check_type("func", self.func, Callable)
+        _check_type("space", self.space, DecisionSpace)
         if self.known_max_location is not None:
             self.known_max_location = np.asarray(self.known_max_location, dtype=float)
 
@@ -266,9 +265,9 @@ def make_objective(name: str, n_dims: int | None = None) -> ObjectiveSpec:
     """ObjectiveSpec for a ``BENCHMARKS`` entry on its standard domain.
 
     ``n_dims`` only matters for an entry without a fixed dimension (default
-    2); see benchmark_dims.
+    2); an unknown name or an n_dims it cannot take raises ValueError.
     """
-    n_dims = benchmark_dims(name, n_dims)
+    n_dims = _benchmark_dims(name, n_dims)
     bench = BENCHMARKS[name]
     repeats = n_dims if bench.n_dims is None else 1
     return ObjectiveSpec(

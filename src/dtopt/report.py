@@ -12,16 +12,18 @@ data) use shortest round-trip float formatting; the human-readable
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, NamedTuple, get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 from .cfo import DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory
 from .driver import DtoConfig, RunReport
-from .objectives import (BENCHMARKS, DecisionSpace, _check_func, _check_space, _is_integer,
-                         _is_number, _one_value_per_point, benchmark_dims, make_objective)
+from .objectives import (BENCHMARKS, DecisionSpace, _benchmark_dims, _check_count,
+                         _check_fraction, _check_type, _is_integer, _is_number,
+                         _is_number_tuple, _one_value_per_point, make_objective)
 from .threshold import BestFitness, LinearRamp, _check_floor
 
 __all__ = [
@@ -74,10 +76,10 @@ _FIELD_TYPES = {
     str: _FieldType(str, lambda v: isinstance(v, str), "a string"),
     int: _FieldType(int, _is_integer, "an integer"),
     float: _FieldType(float, _is_number, "a number"),
-    bool: _FieldType(_parse_bool, lambda v: isinstance(v, bool), "true or false"),
+    bool: _FieldType(_parse_bool, lambda v: isinstance(v, bool), "a bool"),
     tuple[float, ...]: _FieldType(
         lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()),
-        lambda v: isinstance(v, tuple) and all(map(_is_number, v)), "a tuple of numbers"),
+        _is_number_tuple, "a tuple of numbers"),
 }
 
 
@@ -120,19 +122,20 @@ class ExperimentConfig:
         for key, names in (("function", BENCHMARKS), ("schedule", _SCHEDULES), ("ipd", _IPDS)):
             if getattr(self, key) not in names:
                 raise ConfigError(f"{key} must be one of {tuple(names)}")
-        for key, least in (("n_dims", 1), ("passes", 1), ("np0", 1), ("nt", 0), ("seed", 0)):
-            if getattr(self, key) < least:
-                raise ConfigError(f"{key} must be >= {least}")
         try:
-            benchmark_dims(self.function, self.n_dims)
+            for key, least in (("n_dims", 1), ("passes", 1), ("np0", 1), ("nt", 0), ("seed", 0)):
+                _check_count(key, getattr(self, key), least)
+            _check_fraction("c_th", self.c_th, zero_ok=False)
+            for i, gamma in enumerate(self.gamma_sweep):
+                _check_fraction(f"gamma_sweep[{i}]", gamma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        try:
+            _benchmark_dims(self.function, self.n_dims)
         except ValueError as exc:
             raise ConfigError(f"n_dims: {exc}") from exc
-        if not 0.0 < self.c_th <= 1.0:
-            raise ConfigError("c_th must lie in (0, 1]")
         if self.ipd == "probe_line" and not self.gamma_sweep:
             raise ConfigError("gamma_sweep must be non-empty for ipd = probe_line")
-        if any(not 0.0 <= g <= 1.0 for g in self.gamma_sweep):
-            raise ConfigError("every gamma in gamma_sweep must lie in [0, 1]")
 
 
 # Each key's field type, from its annotation.
@@ -177,8 +180,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfig:
-    """Build the executable run description; ``seed`` overrides the config's."""
+    """Build the executable run description; ``seed`` overrides the config's,
+    which only ipd = random reads: with any other ipd it raises ConfigError."""
     if seed is not None:
+        if config.ipd != "random":
+            raise ConfigError(f"seed applies only to ipd = random, not to ipd = {config.ipd}")
         config = dataclasses.replace(config, seed=seed)
     return DtoConfig(
         num_passes=config.passes,
@@ -238,8 +244,8 @@ def render_surface(func, space: DecisionSpace, threshold: float) -> str:
     point; any other shape raises ValueError, as does a ``func`` that is not
     callable or a ``space`` that is not a 2-D DecisionSpace.
     """
-    _check_func(func)
-    _check_space("space", space)
+    _check_type("func", func, Callable)
+    _check_type("space", space, DecisionSpace)
     if space.n_dims != 2:
         raise ValueError("surface grids require a 2-D decision space")
     _check_floor(threshold)
@@ -270,8 +276,12 @@ def render_surface_command(data_filename: str) -> str:
 def average_distance_to_best(history: SwarmHistory, space: DecisionSpace) -> np.ndarray:
     """Per-step mean probe distance to that step's best probe, normalized by
     the decision-space diagonal; the best probe itself contributes zero.
-    A ``space`` that is not a DecisionSpace raises ValueError."""
-    _check_space("space", space)
+    Anything but a SwarmHistory and a DecisionSpace of its dimension raises ValueError."""
+    _check_type("history", history, SwarmHistory)
+    _check_type("space", space, DecisionSpace)
+    if space.n_dims != history.positions.shape[1]:
+        raise ValueError(f"space must have the history's {history.positions.shape[1]} "
+                         f"dimension(s), got {space.n_dims}")
     n_probes = history.n_probes
     if n_probes < 2:
         raise ValueError("average distance needs at least 2 probes")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import _check_count, _is_integer, _is_number
+from .objectives import _check_count, _check_fraction, _is_integer, _is_number
 
 __all__ = ["LinearRamp", "BestFitness", "ThresholdState"]
 
@@ -27,8 +27,7 @@ class LinearRamp:
     c_th: float
 
     def __post_init__(self):
-        if not (_is_number(self.c_th) and 0.0 < self.c_th <= 1.0):
-            raise ValueError(f"c_th must be a number in (0, 1], got {self.c_th!r}")
+        _check_fraction("c_th", self.c_th, zero_ok=False)
 
     def next_threshold(self, k: int, num_passes: int, state: ThresholdState,
                        pass_best: float) -> float:

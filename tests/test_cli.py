@@ -157,6 +157,15 @@ def test_run_out_of_range_config_is_clean_error(tmp_path, capsys, lines, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_seed_on_a_probe_line_config_is_clean_error(tmp_path, capsys):
+    # before, the seed was swapped in and never read: exit 0 and the unseeded files
+    out = tmp_path / "out"
+    assert main(["run", "--profile", "schwefel30d", "--seed", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed applies only to ipd = random, not to ipd = probe_line\n"
+    assert not out.exists()
+
+
 def test_run_negative_seed_override_is_clean_error(capsys):
     assert main(["run", "--profile", "schwefel2d", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err

@@ -175,7 +175,7 @@ def test_num_passes_must_be_an_integer(num_passes):
 def test_probe_doubling_must_be_true_or_false(doubling):
     # "no" and 1 would run with doubling on, "" and 0 with it off
     with pytest.raises(ValueError,
-                       match=f"^probe_doubling must be true or false, got {doubling!r}$"):
+                       match=f"^probe_doubling must be a bool, got {doubling!r}$"):
         _probe_line_config(doubling=doubling)
 
 

@@ -360,11 +360,12 @@ def test_nan_or_plus_inf_threshold_is_an_error(threshold, message):
 @pytest.mark.parametrize("func", [None, "x"])
 def test_a_func_that_is_not_callable_is_an_error(func):
     # before, each ended in TypeError: not callable, once the scan was under way
-    with pytest.raises(ValueError, match=rf"^func must be callable, got {func!r}$"):
+    with pytest.raises(ValueError, match=rf"^func must be a Callable, got {func!r}$"):
         sample_threshold_floor(func, UNIT_1D, threshold=0.5, n_samples=10)
 
 
-@pytest.mark.parametrize("margin", [-1.0, np.nan, np.inf, "0.1", None])
+# before, 10**400 ended in numpy's bare TypeError from isfinite
+@pytest.mark.parametrize("margin", [-1.0, np.nan, np.inf, "0.1", None, 10**400])
 def test_margin_not_finite_and_nonnegative_is_an_error(margin):
     with pytest.raises(ValueError, match="margin must be finite and >= 0"):
         sample_threshold_floor(_ramp, UNIT_1D, threshold=0.5, n_samples=10, margin=margin)

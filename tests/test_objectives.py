@@ -10,7 +10,6 @@ from dtopt.objectives import (
     BENCHMARKS,
     DecisionSpace,
     ObjectiveSpec,
-    benchmark_dims,
     make_objective,
     rastrigin_offset,
     schwefel226,
@@ -181,14 +180,18 @@ def test_known_optimum_beats_uniform_samples(name):
     assert obj.eval_count == 1001
 
 
-def test_benchmark_dims_rule():
-    assert benchmark_dims("schwefel226") == 2
-    assert benchmark_dims("schwefel226", 30) == 30
-    assert benchmark_dims("sgo") == benchmark_dims("sgo", 2) == 2
-    assert benchmark_dims("ramp") == 1
+def _dims(name, *n_dims):
+    return make_objective(name, *n_dims).space.n_dims
+
+
+def test_make_objective_dimension_rule():
+    assert _dims("schwefel226") == 2
+    assert _dims("schwefel226", 30) == 30
+    assert _dims("sgo") == _dims("sgo", 2) == 2
+    assert _dims("ramp") == 1
     for name, n_dims in (("sgo", 3), ("rastrigin_offset", 1), ("ramp", 2)):
         with pytest.raises(ValueError, match=name):
-            benchmark_dims(name, n_dims)
+            make_objective(name, n_dims)
 
 
 def test_decision_space_diag_length():
@@ -266,9 +269,7 @@ def test_cube_rejects_an_n_dims_or_bounds_that_are_not_numbers(n_dims, lower, up
 
 
 @pytest.mark.parametrize("n_dims", [0, -1])
-def test_benchmark_dims_rejects_fewer_than_one_dimension(n_dims):
-    with pytest.raises(ValueError, match=f"n_dims must be an integer >= 1, got {n_dims}"):
-        benchmark_dims("schwefel226", n_dims)
+def test_make_objective_rejects_fewer_than_one_dimension(n_dims):
     with pytest.raises(ValueError, match=f"n_dims must be an integer >= 1, got {n_dims}"):
         make_objective("schwefel226", n_dims)
     with pytest.raises(ValueError, match=f"n_dims must be an integer >= 1, got {n_dims}"):
@@ -276,11 +277,9 @@ def test_benchmark_dims_rejects_fewer_than_one_dimension(n_dims):
 
 
 @pytest.mark.parametrize("n_dims", ["2", 2.0, True], ids=["str", "float", "bool"])
-def test_benchmark_dims_rejects_an_n_dims_that_is_not_an_integer(n_dims):
+def test_make_objective_rejects_an_n_dims_that_is_not_an_integer(n_dims):
     # before, "2" and 2.0 ended in a bare TypeError and True ran in one dimension
     message = rf"^n_dims must be an integer >= 1, got {n_dims!r}$"
-    with pytest.raises(ValueError, match=message):
-        benchmark_dims("schwefel226", n_dims)
     with pytest.raises(ValueError, match=message):
         make_objective("schwefel226", n_dims)
     with pytest.raises(ValueError, match=message):
@@ -292,13 +291,12 @@ def test_an_unknown_benchmark_is_named(name):
     # before, [1] ended in TypeError: unhashable type
     message = rf"^unknown benchmark {re.escape(repr(name))}; expected one of "
     with pytest.raises(ValueError, match=message):
-        benchmark_dims(name)
-    with pytest.raises(ValueError, match=message):
         make_objective(name)
+    with pytest.raises(ValueError, match=message):
+        make_objective(name, 2)
 
 
-def test_benchmark_dims_none_is_the_default_dimension():
-    assert benchmark_dims("schwefel226", None) == benchmark_dims("schwefel226") == 2
-    assert make_objective("schwefel226", None).space.n_dims == 2
-    assert benchmark_dims("ramp", None) == 1
-    assert benchmark_dims("schwefel226", np.int64(30)) == 30
+def test_make_objective_none_is_the_default_dimension():
+    assert _dims("schwefel226", None) == _dims("schwefel226") == 2
+    assert _dims("ramp", None) == 1
+    assert _dims("schwefel226", np.int64(30)) == 30

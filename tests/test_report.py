@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory
+from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, run_cfo
 from dtopt.driver import PassRecord, RunReport
-from dtopt.objectives import DecisionSpace, schwefel226
+from dtopt.objectives import DecisionSpace, make_objective, schwefel226
 from dtopt.report import (
     PROFILES,
     ConfigError,
@@ -112,7 +113,7 @@ def test_invalid_enum_values_rejected():
 
 
 @pytest.mark.parametrize("key, value, wanted", [
-    ("probe_doubling", "no", "true or false"),
+    ("probe_doubling", "no", "a bool"),
     ("nt", 2.0, "an integer"),
     ("passes", "3", "an integer"),
     ("passes", True, "an integer"),
@@ -160,11 +161,30 @@ def test_config_dimension_follows_the_benchmark_table():
             parse_config(text)
 
 
+def test_parsing_a_config_allocates_nothing_proportional_to_n_dims():
+    tracemalloc.start()
+    try:
+        config = parse_config("n_dims = 1000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config.n_dims == 10**6
+    assert peak < 2**20  # the objective's two bounds alone would take 16 MB
+
+
 def test_to_dto_config_seed_override():
     config = to_dto_config(PROFILES["schwefel2d"], seed=42)
     assert config.ipd == RandomUniform(42)
     assert config.objective.space.n_dims == 2
     assert config.schedule.c_th == 0.98
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_to_dto_config_refuses_a_seed_a_probe_line_start_never_reads(seed):
+    message = "^seed applies only to ipd = random, not to ipd = probe_line$"
+    with pytest.raises(ConfigError, match=message):
+        to_dto_config(PROFILES["schwefel30d"], seed=seed)
+    assert to_dto_config(PROFILES["schwefel30d"], seed=None).ipd == ProbeLine()
 
 
 def test_to_dto_config_probe_line_carries_the_whole_sweep():
@@ -275,7 +295,7 @@ def test_surface_rejects_a_space_that_is_not_a_decision_space(space):
 @pytest.mark.parametrize("func", [None, "schwefel226"], ids=["none", "name"])
 def test_surface_rejects_a_func_that_is_not_callable(func):
     # before, each ended in TypeError: not callable, once the grid was under way
-    with pytest.raises(ValueError, match=rf"^func must be callable, got {func!r}$"):
+    with pytest.raises(ValueError, match=rf"^func must be a Callable, got {func!r}$"):
         render_surface(func, DecisionSpace.cube(2, -1.0, 1.0), -np.inf)
 
 
@@ -331,6 +351,26 @@ def test_davg_rejects_a_space_that_is_not_a_decision_space(render, space):
     # before, each ended in AttributeError: no attribute 'diag_length'
     with pytest.raises(ValueError, match=r"^space must be a DecisionSpace, got "):
         render(SwarmHistory.allocate(2, 2, 1), space)
+
+
+@pytest.mark.parametrize("render", [average_distance_to_best, render_davg])
+def test_davg_rejects_a_space_of_another_dimension(render):
+    # before, a 2-D history over a 3-D cube gave values around 232 instead of below 1
+    _, history = run_cfo(CfoParams(n_probes=8, n_steps=3), make_objective("schwefel226", 2), 0.5)
+    for n_dims in (1, 3):
+        message = rf"^space must have the history's 2 dimension\(s\), got {n_dims}$"
+        with pytest.raises(ValueError, match=message):
+            render(history, DecisionSpace.cube(n_dims, -1, 1))
+    assert np.all(average_distance_to_best(history, DecisionSpace.cube(2, -500, 500)) <= 1)
+
+
+@pytest.mark.parametrize("render", [average_distance_to_best, render_davg])
+@pytest.mark.parametrize("history", [None, np.zeros((2, 2, 2)), "history"],
+                         ids=["none", "array", "str"])
+def test_davg_rejects_a_history_that_is_not_a_swarm_history(render, history):
+    # before, each ended in AttributeError: no attribute 'n_probes'
+    with pytest.raises(ValueError, match=r"^history must be a SwarmHistory, got "):
+        render(history, DecisionSpace.cube(2, 0.0, 1.0))
 
 
 def test_davg_rendering():
