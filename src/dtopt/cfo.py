@@ -139,8 +139,11 @@ class OptResult:
 
 def step_positions(history: SwarmHistory, j: int, accels: np.ndarray) -> None:
     """Ballistic move with dt = 1: R_j = R_{j-1} + 0.5 * A_{j-1}, where
-    ``accels`` is the (probe, dim) array A_{j-1} of the previous step."""
-    history.positions[:, :, j] = history.positions[:, :, j - 1] + 0.5 * accels
+    ``accels`` is the (probe, dim) array A_{j-1} of the previous step.
+    Written in place, with no temporary: 0.5 * A + R has the bits of
+    R + 0.5 * A, since floating-point addition commutes."""
+    new = np.multiply(accels, 0.5, out=history.positions[:, :, j])
+    new += history.positions[:, :, j - 1]
 
 
 def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionSpace) -> None:
@@ -149,21 +152,30 @@ def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionS
     A coordinate below its lower bound moves to lower + frep * (prev - lower),
     one above its upper bound to upper - frep * (upper - prev), where prev is
     the previous step's (in-bounds) position. With frep in (0, 1] the result
-    is always inside the bounds. The bounds of a cube are taken as scalars:
-    numpy broadcasts a (D,) row over (N, D) positions in short strided
-    loops, about ten times slower at D = 2, and the values are the same.
+    is always inside the bounds. The bounds of a cube are the scalars that
+    DecisionSpace found once: numpy broadcasts a (D,) row over (N, D)
+    positions in short strided loops, about ten times slower at D = 2, and
+    the values are the same. There one min or max of the positions decides
+    whether a side needs its mask and masked copy at all: 824 of a
+    ``schwefel30d`` run's 990 steps need neither.
     """
     pos = history.positions[:, :, j]
     prev = history.positions[:, :, j - 1]
-    lower, upper = space.lower, space.upper
-    if len(set(lower.tolist())) == 1 and len(set(upper.tolist())) == 1:
-        lower, upper = lower[0], upper[0]
-    below = pos < lower
-    if below.any():
-        np.copyto(pos, lower + frep * (prev - lower), where=below)
-    above = pos > upper
-    if above.any():
-        np.copyto(pos, upper - frep * (upper - prev), where=above)
+    if space._cube is None:
+        lower, upper = space.lower, space.upper
+        below = pos < lower
+        if below.any():
+            np.copyto(pos, lower + frep * (prev - lower), where=below)
+        above = pos > upper
+        if above.any():
+            np.copyto(pos, upper - frep * (upper - prev), where=above)
+        return
+    lower, upper = space._cube
+    # fmin and fmax skip a NaN, as the masks do
+    if np.fmin.reduce(pos, axis=None) < lower:
+        np.copyto(pos, lower + frep * (prev - lower), where=pos < lower)
+    if np.fmax.reduce(pos, axis=None) > upper:
+        np.copyto(pos, upper - frep * (upper - prev), where=pos > upper)
 
 
 def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> np.ndarray:
@@ -174,7 +186,11 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     attract. Pairs at zero distance contribute nothing, which keeps
     coincident probes finite and motionless. ``params`` sets nothing here.
 
-    The probes are visited in ascending fitness order (a stable sort), in
+    A field of one fitness has no pair with weight: it returns zeros right
+    after the sort, before any gather. That is 810 of a ``schwefel30d``
+    run's 990 calls: the 660 of passes 1-4, whose probes all sit on one
+    diagonal point, and 150 with every probe on the floor. Otherwise the
+    probes are visited in ascending fitness order (a stable sort), in
     tiles of ``_TILE_ROWS`` rows. A tile only meets the columns whose fitness
     lies strictly above its lowest row's; every other column has zero
     weight. Once no column lies above a tile, no later tile has one either,
@@ -205,9 +221,11 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     swarm mean, and every weighted pair whose Gram value cannot be trusted
     (near, or overflowed) is summed again exactly (see _gram_d2).
 
-    Zero distances stay off the per-pair path. Below ``_GRAM_MIN_DIMS`` a
-    tile's own self pairs get d^2 = 1 through a diagonal view, so their zero
-    gap gives a zero weight; from there on _gram_d2 gives them +inf. Any
+    Zero distances stay off the per-pair path. A tile's own self pairs get
+    d^2 through a diagonal view, so their zero gap gives a zero weight:
+    1 below ``_GRAM_MIN_DIMS``, and from there on +inf, which _gram_d2's
+    near-pair check would give them too; its flagged-pair bookkeeping then
+    runs only for distinct probes that are near or overflowed. Any
     other coincident pair divides its weight by zero (to +inf, or NaN for a
     zero gap) under one np.errstate per call, which makes its row sum
     non-finite: only then does the tile or block zero its d^2 == 0 pairs
@@ -238,14 +256,14 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     fit = history.fitness[:, j]
     order = np.argsort(fit, kind="stable")
     fit = fit[order]
-    pos = history.positions[:, :, j][order]
-    n_probes, n_dims = pos.shape
+    n_probes, n_dims = history.positions.shape[:2]
     if fit[0] == fit[-1]:  # no pair has weight
-        return np.zeros_like(pos)
+        return np.zeros((n_probes, n_dims))
+    pos = history.positions[:, :, j].take(order, axis=0)  # take gathers rows faster than [order]
     gram = n_dims >= _GRAM_MIN_DIMS
     if gram:
         with np.errstate(over="ignore", invalid="ignore"):
-            cen = pos - pos.mean(axis=0)
+            cen = pos - np.add.reduce(pos, axis=0) / n_probes  # the bits of pos.mean(axis=0)
             sq = np.einsum("ij,ij->i", cen, cen)
     # the fitness last; below _GRAM_MIN_DIMS each axis before it
     lhs, rhs = _difference_operands(fit[None] if gram else np.vstack((pos.T, fit)))
@@ -264,7 +282,7 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     block = min(block, size)  # values a block may fill per buffer
     buf_flat = np.empty(size)
     d2_flat = np.empty_like(buf_flat)
-    acc = np.zeros_like(pos)  # in sorted order, G applied last
+    acc = np.zeros((n_probes, n_dims))  # in sorted order, G applied last
     with np.errstate(divide="ignore", invalid="ignore"):  # coincident pairs divide by 0
         r0 = 0
         while r0 < n_probes:
@@ -344,7 +362,10 @@ def _gram_d2(pos, cen, sq, fit, r, c, buf, d2):
     summed again exactly over the axes of ``cols - rows``, which gives 0 for
     coincident probes, in chunks of ``buf.size // D`` pairs, so no buffer
     outgrows ``buf``. Every other such pair has zero weight; it gets +inf,
-    whose quotient is +0.0, as its exact distance would give.
+    whose quotient is +0.0, as its exact distance would give. A probe's pair
+    with itself has no weight and is near: it gets +inf through a diagonal
+    view first, so the indices of flagged pairs are gathered only when a
+    pair of distinct probes is flagged.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(cen[r], cen[c].T, out=d2)
@@ -352,7 +373,12 @@ def _gram_d2(pos, cen, sq, fit, r, c, buf, d2):
         np.add(sq[r, None], sq[c], out=buf)
         d2 += buf
     buf *= _NEAR
-    ri, ci = np.nonzero(~(d2 > buf))
+    # each probe p >= c.start meets itself in row p - r.start, column p - c.start
+    d2.ravel()[(c.start - r.start) * d2.shape[1]::d2.shape[1] + 1] = np.inf
+    flagged = ~(d2 > buf)
+    if not flagged.any():
+        return
+    ri, ci = np.nonzero(flagged)
     weighted = fit[c][ci] > fit[r][ri]
     d2[ri[~weighted], ci[~weighted]] = np.inf
     ri, ci = ri[weighted], ci[weighted]

@@ -15,9 +15,11 @@ by the base runs over all indices.
 ``sample_threshold_floor`` streams: it walks the Halton indices in chunks,
 maps, evaluates and counts one chunk at a time, and keeps only the running
 count. A chunk holds max(4096, 2**14 // n_dims) points, so 128 KB of points
-up to 4 dimensions and 32 KB per dimension above; memory does not grow
-with the number of samples. A point depends only on its index, and the
-count is an integer sum, so the result does not depend on the chunking.
+up to 4 dimensions and 32 KB per dimension above, but at most
+max(1, 2**20 // n_dims) points, so no more than 8 MB of points from 257
+dimensions on; memory grows neither with the number of samples nor with
+the dimension. A point depends only on its index, and the count is an
+integer sum, so the result does not depend on the chunking.
 
 A chunk is column-major (Fortran order) from the moment it is built: each
 coordinate's values are contiguous. The Halton columns are written in one
@@ -40,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import DecisionSpace, _check_count, _check_type, _is_number, _one_value_per_point
+from .objectives import (DecisionSpace, _check_count, _check_dims, _check_type, _is_number,
+                         _one_value_per_point)
 from .threshold import _check_floor
 
 __all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "sample_threshold_floor"]
@@ -56,9 +59,15 @@ FLOOR_MARGIN = 0.005
 # and the objective's temporaries back to the OS when they were freed, and
 # every chunk faulted them in again: 8,832 minor faults and 8-12 ms of
 # system time in a 2-D floor_ladder repetition of about 0.1 s. A 128 KB
-# chunk's arrays stay in malloc's heap from one chunk to the next.
+# chunk's arrays stay in malloc's heap from one chunk to the next. Those
+# 4096 rows would be 4096 * n_dims values, 33 GB at 10**6 dimensions, so a
+# chunk holds at most _MAX_CHUNK_VALUES (8 MB), and at least one row: that
+# leaves every chunk up to 256 dimensions as it is. Over 8,192 samples at
+# 1000 dimensions, 1,048-row chunks peaked at 16.2 MiB traced against 62.7,
+# in about 40 % more time, since each column of a chunk costs the same.
 _CHUNK_VALUES = 1 << 14
 _MIN_CHUNK_ROWS = 1 << 12
+_MAX_CHUNK_VALUES = 1 << 20
 # A Halton table holds at most max(4096, _TABLE_VALUES // n_dims) values,
 # and the cached tables at most _TABLE_VALUES (1 MB) in all: every table up
 # to 30 dimensions (see _radical_inverse_tables). This budget is not the
@@ -70,7 +79,7 @@ _TABLE_VALUES = 1 << 17
 
 
 def _chunk_rows(n_dims: int) -> int:
-    return max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims)
+    return min(max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims), max(1, _MAX_CHUNK_VALUES // n_dims))
 
 
 def _table_rows(n_dims: int) -> int:
@@ -212,11 +221,12 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     dimensions an 8,192-point chunk takes about 0.015 ms against 1.5 ms with
     its tables rebuilt per call (in process, warm; 2-vCPU Xeon).
 
-    ``n_points`` and ``start`` must be integers >= 0 and ``n_dims`` one >= 1;
-    anything else raises ValueError naming it.
+    ``n_points`` and ``start`` must be integers >= 0 and ``n_dims`` one from 1
+    to the most float64 values one numpy array holds; anything else raises
+    ValueError naming it.
     """
     _check_count("n_points", n_points, 0)
-    _check_count("n_dims", n_dims, 1)
+    _check_dims(n_dims)
     _check_count("start", start, 0)
     points = np.empty((n_points, n_dims), order="F")
     if n_points:
@@ -267,13 +277,14 @@ def sample_threshold_floor(
     Maps the Halton points of indices 0 .. n_samples-1 affinely into the
     decision space, evaluates f at each, and counts the samples on the floor:
     those with max(f, T) - T <= margin. The indices are walked
-    in consecutive chunks of max(4096, 2**14 // n) points, so ``func`` is
-    called once per chunk with a fresh ``(m, n)`` float64 batch, and must
-    return m fitnesses. The batch is column-major (Fortran-ordered): a
-    ``func`` that needs C-contiguous input must call ``np.ascontiguousarray``
-    itself. Peak memory is a few times the chunk (128 KB of points up to
-    4 dimensions) whatever ``n_samples`` is. The counts are the same as
-    those of one batch over all samples.
+    in consecutive chunks of max(4096, 2**14 // n) points, but at most
+    max(1, 2**20 // n), so ``func`` is called once per chunk with a fresh
+    ``(m, n)`` float64 batch, and must return m fitnesses. The batch is
+    column-major (Fortran-ordered): a ``func`` that needs C-contiguous input
+    must call ``np.ascontiguousarray`` itself. Peak memory is a few times
+    the chunk (128 KB of points up to 4 dimensions, 8 MB at most) whatever
+    ``n_samples`` and n are. The counts are the same as those of one batch
+    over all samples.
 
     The layout can change a value in its last bits. numpy sums a row of
     fewer than 8 values left to right in either layout, so the shipped

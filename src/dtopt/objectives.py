@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,29 +36,41 @@ RASTRIGIN_OFFSET_MAX = 10.123
 RASTRIGIN_OFFSET_ARGMAX = (-1.25, 3.25)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionSpace:
-    """Bounded hyperrectangle the search runs over."""
+    """Bounded hyperrectangle the search runs over.
+
+    ``lower`` and ``upper`` are read-only float64 copies of the bounds
+    given, so an edit to the caller's arrays leaves the space as checked.
+    On a cube, every lower bound one value and every upper bound another,
+    ``_cube`` holds the two as floats (else None): retrieve_errant compares
+    positions against scalars there, found once here, not per step.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    _cube: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
+        lower, upper = np.array(self.lower, dtype=float), np.array(self.upper, dtype=float)
+        if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
-        if self.lower.size == 0:
+        if lower.size == 0:
             raise ValueError("a decision space needs at least one dimension")
-        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise ValueError("every bound must be finite (no NaN or +-inf)")
-        if not np.all(self.lower < self.upper):
+        if not np.all(lower < upper):
             raise ValueError("every lower bound must lie strictly below its upper bound")
         with np.errstate(over="ignore"):
-            overflows = np.flatnonzero(~np.isfinite(self.upper - self.lower))
+            overflows = np.flatnonzero(~np.isfinite(upper - lower))
         if overflows.size:
             raise ValueError(f"the width upper - lower of axis {overflows[0]} overflows "
                              "to +inf; every width must be finite")
+        lower.flags.writeable = upper.flags.writeable = False
+        cube = (lower == lower[0]).all() and (upper == upper[0]).all()
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "_cube", (float(lower[0]), float(upper[0])) if cube else None)
 
     @property
     def n_dims(self) -> int:
@@ -78,9 +90,9 @@ class DecisionSpace:
 
     @classmethod
     def cube(cls, n_dims: int, lower: float, upper: float) -> "DecisionSpace":
-        """[lower, upper]^n_dims; an n_dims that is not an integer >= 1, or a
-        bound that is not a number, raises ValueError naming it."""
-        _check_count("n_dims", n_dims, 1)
+        """[lower, upper]^n_dims; an n_dims that is not an integer from 1 to
+        _MAX_DIMS, or a bound that is not a number, raises ValueError naming it."""
+        _check_dims(n_dims)
         if not (_is_number(lower) and _is_number(upper)):
             raise ValueError(f"lower and upper must be numbers, got {lower!r} and {upper!r}")
         return cls(np.full(n_dims, float(lower)), np.full(n_dims, float(upper)))
@@ -159,13 +171,14 @@ BENCHMARKS = {
 def _benchmark_dims(name: str, n_dims: int | None = None) -> int:
     """Dimension benchmark ``name`` runs in: its fixed one, else n_dims (default 2).
 
-    An unknown name, an n_dims that is not an integer >= 1, or one that
-    conflicts with a fixed dimension raises ValueError; nothing is allocated.
+    An unknown name, an n_dims that is not an integer from 1 to _MAX_DIMS,
+    or one that conflicts with a fixed dimension raises ValueError; nothing
+    is allocated.
     """
     if not (isinstance(name, str) and name in BENCHMARKS):
         raise ValueError(f"unknown benchmark {name!r}; expected one of {tuple(BENCHMARKS)}")
     if n_dims is not None:
-        _check_count("n_dims", n_dims, 1)
+        _check_dims(n_dims)
     fixed = BENCHMARKS[name].n_dims
     if fixed is None:
         return 2 if n_dims is None else n_dims
@@ -191,6 +204,19 @@ def _check_count(name: str, value, least: int) -> None:
     """Raise ValueError naming the field unless value is an integer >= least."""
     if not _is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+# The most float64 values one numpy array can hold: no more axes fit one row
+# of bounds.
+_MAX_DIMS = np.iinfo(np.intp).max // 8
+
+
+def _check_dims(n_dims) -> None:
+    """Raise ValueError naming n_dims unless it is an integer from 1 to _MAX_DIMS."""
+    _check_count("n_dims", n_dims, 1)
+    if n_dims > _MAX_DIMS:
+        raise ValueError(f"n_dims must be at most {_MAX_DIMS}, the most float64 values "
+                         f"one numpy array holds, got {n_dims!r}")
 
 
 def _check_fraction(name: str, value, *, zero_ok: bool = True) -> None:

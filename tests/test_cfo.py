@@ -156,10 +156,40 @@ def test_retrieve_errant_keeps_the_bits_of_the_per_coordinate_rule(space):
     hist.positions[:, :, 0] = rng.uniform(space.lower, space.upper, size=(200, 3))
     pos = rng.uniform(space.lower - width, space.upper + width, size=(200, 3))
     hist.positions[:, :, 1] = pos
-    prev = hist.positions[:, :, 0]
-    want = np.where(pos < space.lower, space.lower + 0.55 * (prev - space.lower), pos)
-    want = np.where(pos > space.upper, space.upper - 0.55 * (space.upper - prev), want)
+    want = _retrieved_by_the_rule(space, hist.positions[:, :, 0], pos, 0.55)
     retrieve_errant(hist, 1, 0.55, space)
+    assert hist.positions[:, :, 1].tobytes() == want.tobytes()
+
+
+def _retrieved_by_the_rule(space, prev, pos, frep):
+    """Positions ``pos`` retrieved coordinate by coordinate, each against its own bounds."""
+    want = np.where(pos < space.lower, space.lower + frep * (prev - space.lower), pos)
+    return np.where(pos > space.upper, space.upper - frep * (space.upper - prev), want)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("space", [DecisionSpace.cube(3, -500.0, 500.0),
+                                   DecisionSpace([-500.0, -1.0, 0.0], [500.0, 1.0, 0.5]),
+                                   DecisionSpace([-1.0, -1.0, -1.0], [1.0, 2.0, 3.0])],
+                         ids=["cube", "per-axis bounds", "equal lower bounds"])
+def test_retrieve_errant_pulls_back_coordinates_that_leave_on_one_side_only(space, side):
+    # A cube guards each side's mask with one min or max of the positions;
+    # here every errant coordinate leaves on one side, so a side whose copy
+    # ran on the other side's guard misses them. Equal lower bounds with
+    # unequal upper ones are no cube: taken as one, the upper bound of
+    # axis 0 would pull back coordinates inside axes 1 and 2.
+    rng = np.random.default_rng(11)
+    width = space.upper - space.lower
+    hist = SwarmHistory.allocate(50, 3, 1)
+    hist.positions[:, :, 0] = rng.uniform(space.lower, space.upper, size=(50, 3))
+    pos = rng.uniform(space.lower, space.upper, size=(50, 3))
+    errant = rng.random((50, 3)) < 0.1
+    step_out = rng.uniform(0.01, 1.0, size=(50, 3)) * width
+    pos[errant] = (space.lower - step_out if side == "below" else space.upper + step_out)[errant]
+    hist.positions[:, :, 1] = pos
+    want = _retrieved_by_the_rule(space, hist.positions[:, :, 0], pos, 0.35)
+    assert errant.any() and not np.array_equal(want, pos)
+    retrieve_errant(hist, 1, 0.35, space)
     assert hist.positions[:, :, 1].tobytes() == want.tobytes()
 
 
@@ -431,6 +461,38 @@ def test_acceleration_sums_axis_by_axis_when_squared_norms_overflow():
     assert np.count_nonzero(got[40:]) > 0
 
 
+def _overlapping_gram_tiles(coincident):
+    """100 probes at D = 30 with distinct fitness, so each tile's first
+    column is its second row, k0 = r0 + 1, and a tile meets the self pairs
+    of its rows from the second on, along a diagonal. They spread over
+    [-500, 500] per axis, far apart next to the Gram form's near bound. With
+    ``coincident``, five probes share the position of the probe just below
+    them in fitness, which makes weighted pairs at zero distance."""
+    rng = np.random.default_rng(17)
+    pos = rng.uniform(-500.0, 500.0, size=(100, 30))
+    fit = rng.permutation(100) * 3.0
+    if coincident:
+        by_fitness = np.argsort(fit)
+        pos[by_fitness[11:61:10]] = pos[by_fitness[10:60:10]]
+    return pos, fit
+
+
+@pytest.mark.parametrize("coincident", [False, True], ids=["apart", "coincident"])
+def test_gram_tiles_whose_rows_overlap_their_columns_match_the_dense_oracle(monkeypatch,
+                                                                            coincident):
+    # Each self pair gets +inf through a diagonal view that starts in the
+    # tile's row k0 - r0; a view one row early cuts the weighted pair of
+    # fitness neighbours. Apart, no pair of distinct probes is near, so the
+    # flagged-pair indices are never gathered: a view one row late leaves
+    # the self pairs to that path, which runs it.
+    if not coincident:
+        def no_flagged_pairs(*args):
+            raise AssertionError("a flagged pair was gathered")
+
+        monkeypatch.setattr(dtopt.cfo.np, "nonzero", no_flagged_pairs)
+    _assert_matches_dense_oracle(*_overlapping_gram_tiles(coincident))
+
+
 def _kernel_at(pos, fit):
     """compute_accelerations on one step holding ``pos`` and ``fit``."""
     hist = SwarmHistory.allocate(*pos.shape, 1)
@@ -690,6 +752,29 @@ def test_run_cfo_probe_line_bit_reproducible():
     assert result_a.best_value == result_b.best_value
     assert result_a.worst_value == result_b.worst_value
     assert (result_a.best_probe, result_a.best_step) == (result_b.best_probe, result_b.best_step)
+
+
+def test_probe_line_search_without_spread_never_moves(monkeypatch):
+    # 40 probes at D = 30 make fewer than two per axis: every probe starts on
+    # the diagonal point, so every step's fitness field is flat, and its
+    # accelerations are (N, D) zeros that leave each step's positions those
+    # of the start, bit for bit
+    accels = []
+
+    def recording_kernel(history, j, params):
+        accels.append(compute_accelerations(history, j, params))
+        return accels[-1]
+
+    monkeypatch.setattr(dtopt.cfo, "compute_accelerations", recording_kernel)
+    _, hist = run_cfo(CfoParams(n_probes=40, n_steps=6), make_objective("schwefel226", 30), 0.3)
+    assert len(accels) == 6
+    for accel in accels:
+        assert accel.shape == (40, 30) and accel.dtype == np.float64
+        assert not accel.any()
+    start = hist.positions[:, :, 0]
+    assert (start == start[0]).all()
+    for j in range(1, 7):
+        assert hist.positions[:, :, j].tobytes() == start.tobytes()
 
 
 def test_run_cfo_random_seed_reproducible():

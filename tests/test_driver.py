@@ -135,6 +135,25 @@ def test_best_fitness_schedule_pins_threshold_to_pass_best():
     assert report.passes[2].threshold == report.passes[1].best_fitness
 
 
+def test_an_equal_best_from_a_later_search_takes_best_coords():
+    # Two probes in 2-D make no spread: every probe of a search sits on its
+    # gamma's diagonal point, and a constant objective never moves it. Both
+    # searches reach the same best, and as within a search, later ties win.
+    space = DecisionSpace.cube(2, -1.0, 1.0)
+    config = DtoConfig(
+        num_passes=1,
+        schedule=LinearRamp(c_th=0.6),
+        cfo=CfoParams(n_probes=2, n_steps=3),
+        objective=ObjectiveSpec(lambda x: np.full(len(x), 7.0), space),
+        ipd=ProbeLine((0.2, 0.7)),
+    )
+    report = run_dto(config)
+    assert report.best_value == 7.0
+    first, later = (space.lower + gamma * (space.upper - space.lower) for gamma in (0.2, 0.7))
+    assert not np.array_equal(first, later)
+    assert report.best_coords.tobytes() == later.tobytes()
+
+
 def test_report_consistency_raw_fitness_at_best_coords():
     config = _random_config(num_passes=3, np0=4, nt=6, seed=21)
     report = run_dto(config)

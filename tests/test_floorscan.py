@@ -297,6 +297,30 @@ def test_streamed_memory_is_bounded():
     assert stats.n_samples == 200_000
 
 
+@pytest.mark.parametrize("n_dims, n_samples", [(2000, 1100), (8000, 200)])
+def test_streamed_memory_is_bounded_at_any_dimension(n_dims, n_samples):
+    # A chunk holds at most 2**20 values (8 MiB): 524 rows at D = 2000 and
+    # 131 at D = 8000, so each scan spans two or three chunks. With 4096-row
+    # chunks both scans ran in one, and peaked at 34.7 and 25.8 MiB; 8,192
+    # samples at D = 2000 peaked at 125 MiB.
+    assert floorscan._chunk_rows(n_dims) == 2**20 // n_dims
+    space = DecisionSpace.cube(n_dims, -500.0, 500.0)
+    tracemalloc.start()
+    try:
+        stats = sample_threshold_floor(schwefel226, space, 0.0, n_samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert stats.n_samples == n_samples
+
+
+@pytest.mark.parametrize("n_dims, rows", [(1, 16384), (4, 4096), (256, 4096), (257, 4080),
+                                          (10**7, 1)])
+def test_chunk_rows_stay_up_to_256_dims_and_hold_2_20_values_above(n_dims, rows):
+    assert floorscan._chunk_rows(n_dims) == rows
+
+
 def test_infinite_values_count_by_sign():
     def signed_inf(points):
         return np.where(points[:, 0] < 0.5, -np.inf, np.inf)

@@ -17,7 +17,7 @@ import pytest
 
 from dtopt.cfo import CfoParams, ProbeLine, run_cfo
 from dtopt.cli import main
-from dtopt.floorscan import sample_threshold_floor
+from dtopt.floorscan import halton_points, sample_threshold_floor
 from dtopt.objectives import DecisionSpace, make_objective, ramp
 from dtopt.report import ConfigError, ExperimentConfig, parse_config
 from dtopt.threshold import LinearRamp
@@ -95,6 +95,23 @@ def test_library_entry_points_apply_each_rule(entry):
         else:
             expected = _message(name, rule, value)
         assert str(info.value) == expected, value
+
+
+@pytest.mark.parametrize("n_dims", [2**60, 2**63, 10**400], ids=["2**60", "2**63", "10**400"])
+def test_n_dims_beyond_one_numpy_array_is_named(capsys, n_dims):
+    # before, each ended in numpy's "Maximum allowed dimension exceeded" or
+    # "array is too big"; nothing is allocated on the way to the check
+    message = (f"n_dims must be at most {2**60 - 1}, the most float64 values one numpy "
+               f"array holds, got {n_dims!r}")
+    for call in (lambda: make_objective("schwefel226", n_dims),
+                 lambda: DecisionSpace.cube(n_dims, -1.0, 1.0),
+                 lambda: halton_points(1, n_dims)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    code, out, err = _cli(["floorscan", "--function", "schwefel226", "--threshold", "0",
+                           "--samples", "10", "--dims", str(n_dims)], capsys)
+    assert (code, out, err) == (2, "", f"error: --dims: {message}\n")
 
 
 # ----- a config: ConfigError naming the key -----

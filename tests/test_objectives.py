@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -248,6 +249,33 @@ def test_decision_space_rejects_a_width_that_overflows(lower, upper, axis):
     # both bounds are finite, but upper - lower is +inf
     with pytest.raises(ValueError, match=f"width upper - lower of axis {axis} overflows"):
         DecisionSpace(lower, upper)
+
+
+def test_decision_space_keeps_read_only_copies_of_its_bounds():
+    # before, the space held the caller's arrays: an edit to them moved its
+    # bounds past the checks it was built with
+    lower, upper = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    space = DecisionSpace(lower, upper)
+    lower[0], upper[1] = 5.0, -3.0
+    assert space.lower.tolist() == [-1.0, -1.0] and space.upper.tolist() == [1.0, 1.0]
+    assert space._cube == (-1.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        space.lower[0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        space.upper += 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        space.lower = np.array([0.0, 0.0])
+
+
+@pytest.mark.parametrize("lower, upper, cube", [
+    ([-500.0] * 3, [500.0] * 3, (-500.0, 500.0)),
+    ([2.0], [3.0], (2.0, 3.0)),
+    ([-1.0, -1.0, -1.0], [1.0, 2.0, 3.0], None),
+    ([-1.0, 0.0], [1.0, 1.0], None),
+])
+def test_decision_space_finds_a_cube_once(lower, upper, cube):
+    # retrieve_errant takes a cube's bounds as these two floats
+    assert DecisionSpace(lower, upper)._cube == cube
 
 
 def test_decision_space_rejects_zero_dimensions():
