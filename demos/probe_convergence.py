@@ -4,8 +4,8 @@ One deterministic CFO search on 2-D Schwefel, then the per-step average
 probe distance to the current best probe, normalized by the decision-space
 diagonal. The spread mostly shrinks as the gravity-like pull concentrates
 the swarm, with occasional kicks when probes overshoot the bounds and get
-pulled back in. The emitted file uses the same two-column evolution format
-as the surface data.
+pulled back in. The emitted file, davg.dat, holds one ``step distance`` row
+per time step.
 """
 
 import os

@@ -1,12 +1,12 @@
 """Simplified parameter-free central force optimization.
 
 Probes accelerate under a gravity-like pull toward higher-fitness probes.
-The full position/fitness history of a run is kept because the best/worst
-scans range over every time step, not just the last one; accelerations are
-only ever needed one step back, so just the latest (N, D) array is kept. A
-search is strictly sequential. It starts either from a probe line at one
-diagonal fraction gamma, with no randomness at all, or from uniform random
-positions drawn from a generator the caller passes in.
+The full position/fitness history of a search is kept because the best and
+worst scans range over every time step; accelerations are needed only one
+step back, so only the latest (N, D) array is kept. A search is strictly
+sequential. It starts either from a probe line at one diagonal fraction
+gamma, with no randomness at all, or from uniform random positions drawn
+from a generator the caller passes in.
 
 The update cycle per time step: move probes ballistically from the previous
 step's accelerations, pull coordinates that left the domain back inside
@@ -100,13 +100,14 @@ class CfoParams:
 @dataclass
 class SwarmHistory:
     """Run history: positions are a (probe, dim, step) array, fitness is
-    (probe, step), steps 0..n_steps inclusive.
+    (probe, step), steps 0..n_steps inclusive: 8 * N * (D + 1) * (n_steps + 1)
+    bytes.
 
     ``allocate`` stores both step-major, as transposed views of (step, probe,
     dim) and (step, probe) buffers, so one step's ``positions[:, :, j]`` and
-    ``fitness[:, j]`` are C-contiguous: every per-step move, retrieval,
-    evaluation and kernel gather reads and writes one block, and the
-    step-major best/worst scans ravel without a copy."""
+    ``fitness[:, j]`` are each one C-contiguous block for the move, the
+    retrieval, the objective and the kernel, and the step-major best/worst
+    scans ravel without a copy."""
 
     positions: np.ndarray
     fitness: np.ndarray
@@ -152,12 +153,11 @@ def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionS
     A coordinate below its lower bound moves to lower + frep * (prev - lower),
     one above its upper bound to upper - frep * (upper - prev), where prev is
     the previous step's (in-bounds) position. With frep in (0, 1] the result
-    is always inside the bounds. The bounds of a cube are the scalars that
-    DecisionSpace found once: numpy broadcasts a (D,) row over (N, D)
-    positions in short strided loops, about ten times slower at D = 2, and
-    the values are the same. There one min or max of the positions decides
-    whether a side needs its mask and masked copy at all: 824 of a
-    ``schwefel30d`` run's 990 steps need neither.
+    is always inside the bounds. On a cube the bounds are DecisionSpace's two
+    scalars, which give the same values as a broadcast (D,) row in a tenth of
+    the time at D = 2, and one min or max of the positions decides whether a
+    side needs its mask at all (824 of a ``schwefel30d`` run's 990 steps need
+    neither).
     """
     pos = history.positions[:, :, j]
     prev = history.positions[:, :, j - 1]
@@ -186,65 +186,32 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     attract. Pairs at zero distance contribute nothing, which keeps
     coincident probes finite and motionless. ``params`` sets nothing here.
 
-    A field of one fitness has no pair with weight: it returns zeros right
-    after the sort, before any gather. That is 810 of a ``schwefel30d``
-    run's 990 calls: the 660 of passes 1-4, whose probes all sit on one
-    diagonal point, and 150 with every probe on the floor. Otherwise the
-    probes are visited in ascending fitness order (a stable sort), in
-    tiles of ``_TILE_ROWS`` rows. A tile only meets the columns whose fitness
-    lies strictly above its lowest row's; every other column has zero
-    weight. Once no column lies above a tile, no later tile has one either,
-    so the walk stops there. When a tile's rows share one fitness, as on a
-    plateau, its weights come from one row (M_k - M_p)^2 divided by the
-    tile's d^2 in a single pass. Below ``_GRAM_MIN_DIMS`` such a tile grows
+    The probes are walked in ascending fitness order (a stable sort), in
+    tiles of ``_TILE_ROWS`` rows. A tile meets only the columns whose fitness
+    lies strictly above its lowest row's, and the walk stops at the first
+    tile with none; a field of one fitness returns zeros right after the
+    sort. A tile whose rows share one fitness, as on the floor plateau, takes
+    its weights from one gap row. Below ``_GRAM_MIN_DIMS`` such a tile grows
     into a block over the whole tiles after it at the same fitness, as many
-    as fit ``_BLOCK_VALUES`` values (at most 32 * N) and the workspace: a
-    floor plateau of equal fitness thus costs a few calls, not one per 64
-    rows. Blocks start and end on the tile grid, so every row meets the
-    columns, gap row and d^2 of its own tile, with the same row sum, and a
-    block's reduction is one matmul, which gave the bits of one per tile
-    under OpenBLAS's SkylakeX, Haswell and Prescott kernels. The Gram form
-    keeps single tiles: its dgemm rounds by M. Each tile or block writes its
-    (row, dim) result into one sorted-order array; G = 2 multiplies that
-    once, and one scatter through the sort order returns it. Scaling by a
-    power of two commutes with every rounding, so the bits are those of
-    weighting each pair by 2 unless a product or sum overflows or falls
-    below the normal range.
+    as fit the workspace (below). Blocks start and end on the tile grid, so
+    every row keeps its tile's columns, gap row, d^2 and row sum, and a
+    block's one reduction matmul gave the bits of one per tile under
+    OpenBLAS's SkylakeX, Haswell and Prescott kernels. The Gram form keeps
+    single tiles: its dgemm rounds by M.
 
-    Every outer difference c - r, of one coordinate axis or of the fitness
-    (M_k - M_p in a mixed tile), is one rank-2 matmul [1, -r] @ [c; 1] on
-    operands built once per call (see _difference_operands): exact, so the
-    bits are np.subtract's. The dimension alone picks how a tile's squared
-    distances are built. Below ``_GRAM_MIN_DIMS`` they are summed axis by
-    axis from those differences. From there on they take the Gram form
-    |r|^2 + |c|^2 - 2 r.c, one matmul per tile, on positions centred on the
-    swarm mean, and every weighted pair whose Gram value cannot be trusted
-    (near, or overflowed) is summed again exactly (see _gram_d2).
+    Every outer difference c - r, of a coordinate axis or of the fitness, is
+    one exact rank-2 matmul (see _difference_operands). Below
+    ``_GRAM_MIN_DIMS`` a tile's d^2 sums the axes' squared differences; from
+    there on it takes the Gram form on centred positions (see _gram_d2).
 
-    Zero distances stay off the per-pair path. A tile's own self pairs get
-    d^2 through a diagonal view, so their zero gap gives a zero weight:
-    1 below ``_GRAM_MIN_DIMS``, and from there on +inf, which _gram_d2's
-    near-pair check would give them too; its flagged-pair bookkeeping then
-    runs only for distinct probes that are near or overflowed. Any
-    other coincident pair divides its weight by zero (to +inf, or NaN for a
-    zero gap) under one np.errstate per call, which makes its row sum
-    non-finite: only then does the tile or block zero its d^2 == 0 pairs
-    and sum again, which gives the bits of masking them first.
-
-    Every buffer, the chunked recompute included, is O(_TILE_ROWS * N),
-    never N x N. A call allocates its workspace once: two flat buffers of
-    min(_TILE_ROWS, N) * W float64 values, W = N - k0 of the first tile, the
-    widest since k0 only grows, or of min(_BLOCK_VALUES, 32 * N) values if
-    that is more and the first tile is a plateau. Each tile or block works
-    in C-contiguous views of their prefixes, its weights in the first and
-    its d^2 in the second, which matmul writes in place. Beside them a call
-    holds the sorted copies of the fitness and positions, the sorted-order
-    result and the difference operands (4 * (D + 1) * N values below
-    _GRAM_MIN_DIMS, 4 * N from there on, where the centred positions add
-    D * N); the workspace is freed before the scatter allocates the
-    accelerations. The 32 * N cap leaves room at small N for numpy's
-    iterator buffers, up to 8,192 values per operand of a strided or
-    broadcast elementwise op.
+    A tile's self pairs get a zero weight through a diagonal view of d^2
+    (1 below ``_GRAM_MIN_DIMS``, +inf from there on). Any other coincident
+    pair divides by zero under one np.errstate per call, which makes its row
+    sum non-finite: only then are the tile's d^2 == 0 pairs zeroed and
+    summed again, which gives the bits of masking them first. G = 2 scales
+    the sorted-order result once before the scatter back to probe order; a
+    power of two commutes with every rounding, barring overflow or
+    underflow. No buffer is N x N (see the workspace below).
 
     A tile reduces as buf @ cols - rowsum * rows on absolute positions,
     which cancels in proportion to |R| over the swarm's spread: against a
@@ -269,11 +236,19 @@ def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> n
     lhs, rhs = _difference_operands(fit[None] if gram else np.vstack((pos.T, fit)))
     # k0 of each tile on the 64-row grid, on which every tile and block starts
     tile_k0 = np.searchsorted(fit, fit[::_TILE_ROWS], side="right").tolist()
-    # One workspace per call: k0 only grows, so the first tile is the widest,
-    # unless it is a plateau with room for a block. Two allocations, not one
-    # of twice the size: glibc raises its mmap threshold to the largest
-    # block freed and serves smaller ones from its heap, which keeps freed
-    # pages resident (about 1.8 MB more peak RSS on sweep2d).
+    # The workspace, allocated once per call: two flat buffers, the weights
+    # and d^2, each of min(_TILE_ROWS, N) * W values, W = N - k0 of the first
+    # tile (the widest, since k0 only grows), or of a block's values,
+    # min(_BLOCK_VALUES, 32 * N), if that is more and the first tile is a
+    # plateau. Every tile or block works in C-contiguous views of their
+    # prefixes. The 32 * N cap leaves room at small N for numpy's iterator
+    # buffers (up to 8,192 values per operand of a strided or broadcast op).
+    # Two allocations, not one of twice the size: glibc raises its mmap
+    # threshold to the largest block freed and serves smaller ones from its
+    # heap, which keeps freed pages resident (about 1.8 MB more peak RSS on
+    # sweep2d). Beside it a call holds the sorted fitness and positions, the
+    # sorted-order result and the difference operands: 4 * (D + 1) * N values
+    # below _GRAM_MIN_DIMS, 4 * N plus D * N centred positions from there on.
     first_rows = min(_TILE_ROWS, n_probes)
     size = first_rows * (n_probes - tile_k0[0])
     block = 0 if gram else min(_BLOCK_VALUES, _TILE_ROWS // 2 * n_probes)
@@ -351,21 +326,18 @@ def _difference_operands(x):
 
 def _gram_d2(pos, cen, sq, fit, r, c, buf, d2):
     """Write into ``d2`` the squared distances between the probes of slices
-    ``r`` (rows) and ``c`` (columns) of the sorted swarm, in Gram form,
-    untrustworthy weighted pairs summed exactly; ``buf`` is scratch of the
-    same shape.
+    ``r`` (rows) and ``c`` (columns) of the sorted swarm; ``buf`` is scratch
+    of the same shape.
 
     d2 = sq_r + sq_c - 2 cen_r.cen_c from centred positions. Unless
     d2 > _NEAR * (sq_r + sq_c), a pair has lost too many bits to cancellation
     (this covers negative d2 and coincident probes), or its Gram terms
-    overflowed to +-inf or NaN. Each such pair with weight, M_c > M_r, is
-    summed again exactly over the axes of ``cols - rows``, which gives 0 for
-    coincident probes, in chunks of ``buf.size // D`` pairs, so no buffer
-    outgrows ``buf``. Every other such pair has zero weight; it gets +inf,
-    whose quotient is +0.0, as its exact distance would give. A probe's pair
-    with itself has no weight and is near: it gets +inf through a diagonal
-    view first, so the indices of flagged pairs are gathered only when a
-    pair of distinct probes is flagged.
+    overflowed. Each such pair with weight, M_c > M_r, is summed again
+    exactly over the axes, which gives 0 for coincident probes, in chunks of
+    ``buf.size // D`` pairs, so no buffer outgrows ``buf``. Every other such
+    pair gets +inf, whose quotient is the +0.0 its exact distance would
+    give. Self pairs get +inf through a diagonal view first, so flagged
+    pairs are gathered only when distinct probes are flagged.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(cen[r], cen[c].T, out=d2)
@@ -418,13 +390,10 @@ def _fitness(objective, points, threshold, step):
     """Evaluate a batch of points and floor it at the threshold.
 
     Non-finite points raise ValueError before the objective sees them: the
-    acceleration step overflowed, and the error says so. It divides a pair's
-    squared fitness gap by its squared distance, so a gap above about
-    1.3e154 overflows, and so does a modest gap between probes a tiny
-    distance apart. A result that is not one value per point, or holds a NaN
-    or +-inf, raises ValueError naming the step; no threshold can be set
-    from it. Both checks precede the floor, which would broadcast a wrong
-    shape and hide a -inf.
+    acceleration step overflowed, and the message says how. A result that is
+    not one value per point, or holds a NaN or +-inf, raises ValueError
+    naming the step; no threshold can be set from it. Both checks precede
+    the floor, which would broadcast a wrong shape and hide a -inf.
     """
     if not np.isfinite(points).all():
         lost = np.count_nonzero(~np.isfinite(points).all(axis=-1))

@@ -6,27 +6,19 @@ estimate p_above = 1 - n_on_floor / n_samples of the probability that a
 sample falls inside the projections of the surviving peaks. As the threshold
 rises toward the global maximum this estimate drops to zero.
 
-The Halton columns are copied from per-base radical-inverse tables, cached
-for the current dimension count up to 1 MB in all, plus the digits of each
-row (see ``halton_points``). They are bit-identical to summing every
-index's digits one by one, at a fraction of the cost: no integer division
-by the base runs over all indices.
+The Halton columns are copied from cached per-base tables plus the digits
+of each row, bit-identical to summing every index's digits one by one (see
+``halton_points``). ``sample_threshold_floor`` streams: it maps, evaluates
+and counts one chunk of Halton indices at a time (see ``_chunk_rows``) and
+keeps only the running count, so its memory grows neither with the number
+of samples nor with the dimension. A point depends only on its index and
+the count is an integer sum, so the result does not depend on the chunking.
 
-``sample_threshold_floor`` streams: it walks the Halton indices in chunks,
-maps, evaluates and counts one chunk at a time, and keeps only the running
-count. A chunk holds max(4096, 2**14 // n_dims) points, so 128 KB of points
-up to 4 dimensions and 32 KB per dimension above, but at most
-max(1, 2**20 // n_dims) points, so no more than 8 MB of points from 257
-dimensions on; memory grows neither with the number of samples nor with
-the dimension. A point depends only on its index, and the count is an
-integer sum, so the result does not depend on the chunking.
-
-A chunk is column-major (Fortran order) from the moment it is built: each
-coordinate's values are contiguous. The Halton columns are written in one
-pass each, and the objective's elementwise work and its sum over each row
-run over whole columns. For 2-D Schwefel that halves the time per point
-against row-major chunks, where every row of two values is summed on its
-own. A ``func`` that needs C-contiguous input calls ``np.ascontiguousarray``.
+A chunk is column-major (Fortran order): each coordinate's values are
+contiguous, so the Halton columns are written in one pass each and the
+objective's elementwise work and its sum over each row run over whole
+columns. For 2-D Schwefel that halves the time per point against row-major
+chunks, where numpy sums each two-value row on its own.
 
 Sampling here is standalone and never touches the call counter of a running
 experiment: pass the plain objective function, not a counting wrapper.
@@ -51,30 +43,25 @@ __all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "sample_threshold_floo
 # A fitness f sits on the floor at threshold T when max(f, T) - T <= FLOOR_MARGIN.
 FLOOR_MARGIN = 0.005
 
-# A chunk of sample_threshold_floor holds _CHUNK_VALUES coordinates (128 KB),
-# but at least _MIN_CHUNK_ROWS points: each column of a chunk has a fixed
-# cost of some 6 us (a dozen numpy calls), 25 us where its table is rebuilt
-# per call, which fewer rows would not amortise; at 1000 dimensions 131-row
-# chunks ran 3x slower. With 1 MB chunks, malloc handed each chunk's arrays
-# and the objective's temporaries back to the OS when they were freed, and
-# every chunk faulted them in again: 8,832 minor faults and 8-12 ms of
-# system time in a 2-D floor_ladder repetition of about 0.1 s. A 128 KB
-# chunk's arrays stay in malloc's heap from one chunk to the next. Those
-# 4096 rows would be 4096 * n_dims values, 33 GB at 10**6 dimensions, so a
-# chunk holds at most _MAX_CHUNK_VALUES (8 MB), and at least one row: that
-# leaves every chunk up to 256 dimensions as it is. Over 8,192 samples at
-# 1000 dimensions, 1,048-row chunks peaked at 16.2 MiB traced against 62.7,
-# in about 40 % more time, since each column of a chunk costs the same.
+# The chunk rule (_chunk_rows): a chunk of sample_threshold_floor holds
+# _CHUNK_VALUES coordinates (128 KB), but at least _MIN_CHUNK_ROWS points,
+# at most _MAX_CHUNK_VALUES coordinates (8 MB) and at least one point:
+# 2**14 // D points up to D = 4, 4096 up to D = 256, 2**20 // D above. At
+# 128 KB a chunk's arrays and the objective's temporaries stay in malloc's
+# heap; at 1 MB malloc returned them to the OS on free, and every chunk
+# faulted them in again. Each column of a chunk has a fixed cost of some
+# 6 us, 25 us where its table is rebuilt per call, which fewer than 4096
+# rows would not amortise (131-row chunks ran 3x slower at D = 1000). The
+# 8 MB cap bounds the memory at any D; at D = 1000 it costs about 40 % more
+# time than 4096-row chunks.
 _CHUNK_VALUES = 1 << 14
 _MIN_CHUNK_ROWS = 1 << 12
 _MAX_CHUNK_VALUES = 1 << 20
-# A Halton table holds at most max(4096, _TABLE_VALUES // n_dims) values,
-# and the cached tables at most _TABLE_VALUES (1 MB) in all: every table up
-# to 30 dimensions (see _radical_inverse_tables). This budget is not the
-# chunk's. Tables within a chunk's rows made halton_points over a 10**6-point
-# 8-D scan twice as slow, since each column of a chunk then spans many table
-# rows, each with its own digits; and within a chunk's values only 8 of 30
-# tables would be cached at 30 dimensions.
+# A Halton table holds at most max(4096, _TABLE_VALUES // D) values, and the
+# cached tables at most _TABLE_VALUES (1 MB) in all: every table up to
+# D = 30 (see _radical_inverse_tables). Tables sized by a chunk instead would
+# make each column of a chunk span many table rows, each with its own
+# digits, which made an 8-D scan twice as slow.
 _TABLE_VALUES = 1 << 17
 
 
@@ -120,10 +107,8 @@ def _write_rows(out: np.ndarray, table: np.ndarray, first_row: int, base: int,
     first_row, first_row + 1, ..., from scale on. Returns the next scale.
 
     A single row's digits are taken one by one in Python, and its zero
-    digits, which would add +0.0, are skipped: a head or tail row through
-    _add_digits costs three numpy calls per digit, and made halton_points
-    twice as slow over a 1M-sample 30-D scan (two such rows per column per
-    chunk).
+    digits, which would add +0.0, are skipped: through _add_digits a head or
+    tail row (two per column per chunk) costs three numpy calls per digit.
     """
     out[:] = table
     if len(out) > 1:
@@ -157,12 +142,12 @@ def _radical_inverse_table(base: int, rows: int) -> tuple[np.ndarray, float]:
 def _radical_inverse_tables(n_dims: int) -> tuple[tuple[int, ...], tuple]:
     """The bases of halton_points(..., n_dims), and the read-only
     _radical_inverse_table of each leading base while these tables total at
-    most _TABLE_VALUES values (1 MB).
+    most _TABLE_VALUES values.
 
     That takes in every table of two or more digits. A later base's table
-    has at most base values and is rebuilt per call: at 1000 dimensions
-    those tables hold about 1M values (8 MB), which a cache would keep. One
-    scan uses one dimension count, so one is cached.
+    has at most base values and is rebuilt per call, since at 1000
+    dimensions they hold about 8 MB. One scan uses one dimension count, so
+    one is cached.
     """
     rows = _table_rows(n_dims)
     bases = _first_primes(n_dims)
@@ -202,24 +187,19 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     The result is a fresh, writable, column-major (Fortran-ordered) array,
     so each column is contiguous.
 
-    Column j is the radical inverse of each index in the j-th prime base: the
-    index's base-b digits d_0, d_1, ... summed as d_0/b + d_1/b**2 + ..., in
-    that order, with the scale 1/b divided by b once per digit. The columns
-    come from a table: with b**k the largest power of b within
-    max(4096, 2**17 // n_dims), the sum of the first k terms depends only on
-    index mod b**k, so it is computed for r = 0 .. b**k - 1: once per
-    dimension count and cached, up to 2**17 values in all, and per call for
-    the remaining bases, whose tables hold b values or one.
-    Each index is a row q = index // b**k and a column r; the table is
-    copied into the output column row by row, and the digits of q are added to
-    whole rows in the same order, with the same product and the same scale,
-    as a digit-by-digit loop over every index would add them. The sums are
+    Column j is the radical inverse of each index in the j-th prime base b:
+    the index's base-b digits d_0, d_1, ... summed as d_0/b + d_1/b**2 + ...,
+    in that order, with the scale 1/b divided by b once per digit. With b**k
+    the largest power of b within max(4096, _TABLE_VALUES // n_dims), the
+    sum of the first k terms depends only on index mod b**k, so it comes from
+    a table of r = 0 .. b**k - 1 (cached, see _radical_inverse_tables). Each
+    index is a row q = index // b**k and a column r: the table is copied into
+    the output column row by row, and the digits of q are added to whole
+    rows in the same order, with the same products and scales, as a
+    digit-by-digit loop over every index would add them. The sums are
     therefore bit-identical to that loop's, for any k: where the loop goes on
-    past an index's last digit it adds +0.0, which changes nothing. Per base,
-    integer division runs only over the rows; each point costs one copy from
-    the table and one broadcast addition per digit of its row q. At 2
-    dimensions an 8,192-point chunk takes about 0.015 ms against 1.5 ms with
-    its tables rebuilt per call (in process, warm; 2-vCPU Xeon).
+    past an index's last digit it adds +0.0, which changes nothing. Integer
+    division runs only over the rows.
 
     ``n_points`` and ``start`` must be integers >= 0 and ``n_dims`` one from 1
     to the most float64 values one numpy array holds; anything else raises
@@ -276,22 +256,14 @@ def sample_threshold_floor(
 
     Maps the Halton points of indices 0 .. n_samples-1 affinely into the
     decision space, evaluates f at each, and counts the samples on the floor:
-    those with max(f, T) - T <= margin. The indices are walked
-    in consecutive chunks of max(4096, 2**14 // n) points, but at most
-    max(1, 2**20 // n), so ``func`` is called once per chunk with a fresh
-    ``(m, n)`` float64 batch, and must return m fitnesses. The batch is
-    column-major (Fortran-ordered): a ``func`` that needs C-contiguous input
-    must call ``np.ascontiguousarray`` itself. Peak memory is a few times
-    the chunk (128 KB of points up to 4 dimensions, 8 MB at most) whatever
-    ``n_samples`` and n are. The counts are the same as those of one batch
-    over all samples.
-
-    The layout can change a value in its last bits. numpy sums a row of
-    fewer than 8 values left to right in either layout, so the shipped
-    functions give the same bits below 8 dimensions. From 8 dimensions it
-    sums a row-major row pairwise but a column-major row left to right, so
-    a 30-D Schwefel value can move by about 1e-12. A count can change only
-    for a sample within that distance of the threshold plus the margin.
+    those with max(f, T) - T <= margin. ``func`` is called once per chunk
+    (see _chunk_rows; peak memory is a few chunks of at most 8 MB, whatever
+    n_samples and n are) with a fresh ``(m, n)`` float64 batch and must
+    return m fitnesses. The batch is column-major: a ``func`` that needs C-contiguous
+    input calls ``np.ascontiguousarray`` itself. From 8 dimensions numpy sums
+    a column-major row left to right, not pairwise as a row-major one, so a
+    30-D Schwefel value can differ from a row-major batch's by about 1e-12;
+    below 8 the bits are the same. The counts are those of one batch.
 
     T = -inf is no floor, and no sample is on it. Under a finite T an
     objective value of +inf counts as above the floor and -inf as on it.

@@ -36,20 +36,21 @@ RASTRIGIN_OFFSET_MAX = 10.123
 RASTRIGIN_OFFSET_ARGMAX = (-1.25, 3.25)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionSpace:
     """Bounded hyperrectangle the search runs over.
 
     ``lower`` and ``upper`` are read-only float64 copies of the bounds
     given, so an edit to the caller's arrays leaves the space as checked.
-    On a cube, every lower bound one value and every upper bound another,
-    ``_cube`` holds the two as floats (else None): retrieve_errant compares
-    positions against scalars there, found once here, not per step.
+    Two spaces are equal when their bounds are, value by value, and equal
+    spaces hash alike (-0.0 as 0.0). On a cube, every lower bound one value
+    and every upper bound another, ``_cube`` holds the two as floats (else
+    None): retrieve_errant compares positions against scalars there.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    _cube: tuple[float, float] | None = field(init=False, repr=False, compare=False)
+    _cube: tuple[float, float] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         lower, upper = np.array(self.lower, dtype=float), np.array(self.upper, dtype=float)
@@ -71,6 +72,15 @@ class DecisionSpace:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_cube", (float(lower[0]), float(upper[0])) if cube else None)
+
+    def __eq__(self, other):
+        if not isinstance(other, DecisionSpace):
+            return NotImplemented
+        return bool(np.array_equal(self.lower, other.lower)
+                    and np.array_equal(self.upper, other.upper))
+
+    def __hash__(self):
+        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist())))
 
     @property
     def n_dims(self) -> int:
@@ -257,13 +267,14 @@ def _one_value_per_point(values, n_points: int) -> np.ndarray:
     return values
 
 
-@dataclass
+@dataclass(eq=False)
 class ObjectiveSpec:
     """A batch objective bound to its decision space, with call accounting.
 
     ``func`` maps an ``(m, n)`` batch to m fitnesses; any such callable
-    works. ``eval_count`` grows by exactly one per evaluated point. One
-    instance must not be shared across concurrent runs. A ``func`` that is
+    works. ``eval_count`` grows by exactly one per evaluated point, so an
+    instance equals only itself. One instance must not be shared across
+    concurrent runs. A ``func`` that is
     not callable, or a ``space`` that is not a DecisionSpace, raises
     ValueError naming it.
     """

@@ -278,6 +278,30 @@ def test_decision_space_finds_a_cube_once(lower, upper, cube):
     assert DecisionSpace(lower, upper)._cube == cube
 
 
+@pytest.mark.parametrize("other, equal", [
+    (DecisionSpace.cube(2, 0, 1), True),
+    (DecisionSpace([0.0, 0.0], [1.0, 1.0]), True),
+    (DecisionSpace([-0.0, 0.0], [1.0, 1.0]), True),
+    (DecisionSpace.cube(2, 0, 2), False),
+    (DecisionSpace([0.0, 0.5], [1.0, 1.0]), False),
+    (DecisionSpace.cube(3, 0, 1), False),
+    ("not a space", False),
+], ids=["cube", "arrays", "negative_zero", "upper", "one_axis", "n_dims", "str"])
+def test_decision_space_compares_and_hashes_its_bounds_by_value(other, equal):
+    space = DecisionSpace.cube(2, 0, 1)
+    assert (space == other) is equal and (space != other) is not equal
+    if equal:
+        assert hash(space) == hash(other)
+        assert len({space, other}) == 1
+
+
+def test_objective_spec_equals_only_itself():
+    # it carries a mutable call counter, so two specs of one function are two
+    first, second = make_objective("schwefel226", 2), make_objective("schwefel226", 2)
+    assert first == first and first != second
+    assert len({first, second}) == 2
+
+
 def test_decision_space_rejects_zero_dimensions():
     with pytest.raises(ValueError, match="at least one dimension"):
         DecisionSpace([], [])

@@ -3,6 +3,7 @@ warnings as errors, and every ``dto`` line of its CLI block runs, so the
 documented API and commands cannot drift from the code."""
 
 import dataclasses
+import json
 import os
 import re
 import shlex
@@ -20,6 +21,7 @@ from dtopt.report import ExperimentConfig, parse_config
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 QUICK_RUN = ROOT / "demos" / "quick_run.cfg"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
 COMMANDS = re.findall(r"^dto .*$", README.read_text(), re.M)
 
@@ -57,3 +59,20 @@ def test_quick_run_config_names_every_key():
             if line.strip() and not line.lstrip().startswith("#")]
     assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
     parse_config(text)
+
+
+def test_performance_table_has_a_row_per_workload_and_a_column_per_metric():
+    # The table of current numbers names what BENCHMARK.json names, so it
+    # cannot drift from the benchmark.
+    section = README.read_text().split("\n## Performance\n")[1].split("\n## ")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    header, body = rows[0], rows[2:]
+    assert sorted(header[1:]) == sorted(f"`{m['name']}` ({m['unit']})"
+                                        for m in BENCHMARK["end_to_end"])
+    assert sorted(row[0] for row in body) == sorted(f"`{w['name']}`"
+                                                   for w in BENCHMARK["workloads"])
+    for row in body:
+        assert len(row) == len(header)
+        for cell in row[1:]:
+            float(cell.replace(",", ""))
