@@ -226,14 +226,13 @@ def _check_margin(name: str, margin) -> None:
 
 def _on_floor(f_val, t: float, margin: float):
     """Whether a fitness (scalar or array) is on the floor at threshold t:
-    max(f, t) - t <= margin. Nothing is on a -inf floor, and -inf - (-inf)
-    is never computed. t and margin are not checked; sample_threshold_floor
-    checks them once per scan."""
-    if t == -np.inf:
-        return np.zeros(np.shape(f_val), dtype=bool)
-    lift = np.maximum(f_val, t)
-    lift -= t
-    return lift <= margin
+    max(f, t) - t <= margin, computed as f - t <= margin. Below t, f - t is
+    negative or -inf, as true as t - t = 0 (margin >= 0); above t the two
+    are the same. At t = -inf, f - t is +inf or NaN: nothing is on a -inf
+    floor. t and margin are not checked; sample_threshold_floor checks them
+    once per scan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return f_val - t <= margin
 
 
 @dataclass

@@ -152,6 +152,35 @@ def ramp(x):
     return np.asarray(x, dtype=float)[..., 0]
 
 
+class _LastBatch:
+    """A shipped batch function that answers a batch equal to its previous
+    one from that batch's result, without computing it again.
+
+    Equal means the same shape, the same strides (a row sum's rounding
+    follows the layout) and the same bytes in every value, -0.0 not 0.0: one
+    bytes comparison, 2-4x faster than an int64 comparison for 4 to 32 points
+    of 30 axes on a 2-vCPU Xeon. A shipped function is pure, so it would
+    return those bits again. Any other batch is computed, and copies of its points and its
+    result replace the entry; an answer from the entry is a fresh copy, so
+    neither edits to an answer nor to the caller's input reach a later one.
+    A search's swarm that stops moving passes the same batch step after step.
+    """
+
+    def __init__(self, func: Callable[[np.ndarray], np.ndarray]):
+        self.func = func
+        self._layout = None  # (shape, strides) of the stored batch
+        self._points = self._values = None
+
+    def __call__(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if (points.shape, points.strides) == self._layout and points.tobytes() == self._points:
+            return self._values.copy()
+        values = np.asarray(self.func(points), dtype=float)
+        self._layout, self._points, self._values = ((points.shape, points.strides),
+                                                    points.tobytes(), values.copy())
+        return values
+
+
 @dataclass(frozen=True)
 class Benchmark:
     """One shipped function on its standard domain [lower, upper]^n.

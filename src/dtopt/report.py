@@ -23,7 +23,7 @@ from .cfo import DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, Swarm
 from .driver import DtoConfig, RunReport
 from .objectives import (BENCHMARKS, DecisionSpace, _benchmark_dims, _check_count,
                          _check_fraction, _check_type, _is_integer, _is_number,
-                         _is_number_tuple, _one_value_per_point, make_objective)
+                         _is_number_tuple, _LastBatch, _one_value_per_point, make_objective)
 from .threshold import BestFitness, LinearRamp, _check_floor
 
 __all__ = [
@@ -181,16 +181,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfig:
     """Build the executable run description; ``seed`` overrides the config's,
-    which only ipd = random reads: with any other ipd it raises ConfigError."""
+    which only ipd = random reads: with any other ipd it raises ConfigError.
+    The objective's function answers a batch equal to its previous one from
+    that batch's result (see objectives._LastBatch); calls count as before."""
     if seed is not None:
         if config.ipd != "random":
             raise ConfigError(f"seed applies only to ipd = random, not to ipd = {config.ipd}")
         config = dataclasses.replace(config, seed=seed)
+    objective = make_objective(config.function, config.n_dims)
+    objective.func = _LastBatch(objective.func)
     return DtoConfig(
         num_passes=config.passes,
         schedule=_SCHEDULES[config.schedule](config),
         cfo=CfoParams(n_probes=config.np0, n_steps=config.nt),
-        objective=make_objective(config.function, config.n_dims),
+        objective=objective,
         ipd=_IPDS[config.ipd](config),
         probe_doubling=config.probe_doubling,
     )

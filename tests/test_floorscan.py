@@ -481,10 +481,25 @@ def test_on_floor_of_arrays_is_elementwise_max_minus_threshold():
     assert np.array_equal(_on_floor(np.array([-np.inf, np.inf]), 0.0, FLOOR_MARGIN), [True, False])
 
 
+def test_on_floor_matches_max_minus_threshold_at_extreme_values():
+    specials = [-np.inf, -1e308, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e308, np.inf]
+    f_vals = np.array(specials)
+    for t in specials[:-1]:  # T = +inf is no threshold
+        for margin in (0.0, FLOOR_MARGIN, 1e308):
+            if t == -np.inf:
+                expected = np.zeros(f_vals.shape, dtype=bool)
+            else:
+                with np.errstate(over="ignore"):
+                    expected = np.maximum(f_vals, t) - t <= margin
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # overflow and inf - inf warn nothing
+                assert np.array_equal(_on_floor(f_vals, t, margin), expected), (t, margin)
+
+
 def test_nothing_is_on_a_minus_inf_floor():
     f_vals = np.array([-np.inf, -1e308, 0.0, np.inf])
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no -inf - (-inf) is computed
+        warnings.simplefilter("error")  # -inf - (-inf) is NaN, and warns nothing
         assert np.array_equal(_on_floor(f_vals, -np.inf, FLOOR_MARGIN), [False] * 4)
         assert not _on_floor(-np.inf, -np.inf, FLOOR_MARGIN)
         assert not _on_floor(np.float64(-5.0), -np.inf, 1e308)

@@ -11,6 +11,7 @@ from dtopt.objectives import (
     BENCHMARKS,
     DecisionSpace,
     ObjectiveSpec,
+    _LastBatch,
     make_objective,
     rastrigin_offset,
     schwefel226,
@@ -352,3 +353,88 @@ def test_make_objective_none_is_the_default_dimension():
     assert _dims("schwefel226", None) == _dims("schwefel226") == 2
     assert _dims("ramp", None) == 1
     assert _dims("schwefel226", np.int64(30)) == 30
+
+
+# ----- _LastBatch: a batch equal to the previous one is answered, not computed -----
+
+def _counted_cache(func=schwefel226):
+    """A _LastBatch over func, and the list of batches func actually got."""
+    computed = []
+
+    def counted(x):
+        computed.append(x.copy())
+        return func(x)
+
+    return _LastBatch(counted), computed
+
+
+def _bits(values):
+    return np.asarray(values).view(np.int64).tolist()
+
+
+def test_a_repeated_batch_gets_identical_bits_in_a_new_array():
+    cache, computed = _counted_cache()
+    x = np.random.default_rng(3).uniform(-500.0, 500.0, size=(8, 30))
+    first, second = cache(x), cache(x.copy())
+    assert len(computed) == 1
+    assert _bits(second) == _bits(first) == _bits(schwefel226(x))
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(second, cache(x))
+
+
+@pytest.mark.parametrize("change", [
+    lambda x: np.where(x == 0.0, -0.0, x),  # one sign bit: -0.0 for 0.0
+    lambda x: x.reshape(4, 4),  # the same values in another shape
+    lambda x: x.reshape(2, 8),
+    lambda x: np.asfortranarray(x),  # the same values and shape in F order
+])
+def test_a_batch_that_differs_in_bits_shape_or_layout_is_computed(change):
+    cache, computed = _counted_cache()
+    x = np.random.default_rng(4).uniform(-500.0, 500.0, size=(8, 2))
+    x[3] = 0.0  # fitness 0.0, and -0.0 at (-0.0, -0.0)
+    cache(x)
+    y = change(x)
+    assert _bits(cache(y)) == _bits(schwefel226(y))
+    assert len(computed) == 2
+
+
+def test_the_same_30d_values_in_f_order_get_their_own_row_sums():
+    x = np.random.default_rng(5).uniform(-500.0, 500.0, size=(64, 30))
+    f_order = np.asfortranarray(x)
+    assert _bits(schwefel226(f_order)) != _bits(schwefel226(x))  # else the test shows nothing
+    cache, computed = _counted_cache()
+    assert _bits(cache(x)) == _bits(schwefel226(x))
+    assert _bits(cache(f_order)) == _bits(schwefel226(f_order))
+    assert _bits(cache(x)) == _bits(schwefel226(x))
+    assert len(computed) == 3
+
+
+def test_editing_an_answer_or_the_input_never_changes_a_later_answer():
+    cache, computed = _counted_cache()
+    x = np.random.default_rng(6).uniform(-500.0, 500.0, size=(5, 3))
+    expected = _bits(schwefel226(x))
+    cache(x)[:] = 1.0  # a computed answer
+    hit = cache(x)
+    assert _bits(hit) == expected
+    hit[:] = 2.0  # an answer from the entry
+    assert _bits(cache(x)) == expected
+    assert len(computed) == 1
+    x[2, 1] = 7.0  # the caller's input, after the call
+    assert _bits(cache(x)) == _bits(schwefel226(x))
+    assert len(computed) == 2
+
+
+def test_an_exception_leaves_the_entry_as_it_was():
+    def picky(x):
+        if (x < 0.0).any():
+            raise ValueError("negative")
+        return schwefel226(x)
+
+    cache, computed = _counted_cache(picky)
+    good, bad = np.full((4, 2), 3.0), np.full((4, 2), -3.0)
+    expected = _bits(cache(good))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^negative$"):
+            cache(bad)
+    assert _bits(cache(good)) == expected
+    assert len(computed) == 3  # good, bad, bad: the last good was a hit

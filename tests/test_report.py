@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, run_cfo
-from dtopt.driver import PassRecord, RunReport
+from dtopt.driver import PassRecord, RunReport, run_dto
 from dtopt.objectives import DecisionSpace, make_objective, schwefel226
 from dtopt.report import (
     PROFILES,
@@ -193,6 +193,41 @@ def test_to_dto_config_probe_line_carries_the_whole_sweep():
     assert config.cfo == CfoParams(n_probes=4, n_steps=15)
     quick = to_dto_config(parse_config("ipd = probe_line\ngamma_sweep = 0.25, 0.5\n"))
     assert quick.ipd.gammas == (0.25, 0.5)
+
+
+@pytest.mark.parametrize("name, seed", [("schwefel30d", None), ("schwefel2d", 1)])
+def test_the_search_objective_answers_as_a_plain_one(name, seed):
+    profile = PROFILES[name]
+    cached = to_dto_config(profile, seed=seed)
+    plain = dataclasses.replace(cached, objective=make_objective(profile.function, profile.n_dims))
+    assert plain.objective.func is schwefel226  # the oracle computes every batch
+    reports = [run_dto(config) for config in (cached, plain)]
+    assert cached.objective.eval_count == plain.objective.eval_count == reports[0].total_evals
+    for render in (render_summary, render_passes_csv):
+        assert render(reports[0]) == render(reports[1])
+
+
+def test_a_schwefel30d_search_on_the_diagonal_computes_one_batch_of_its_16():
+    # Passes 1-4 have N = 4 to 32 < 2 * 30 probes: every probe of a search
+    # starts on one diagonal point, the field is flat, and no probe moves.
+    config = to_dto_config(PROFILES["schwefel30d"])
+    cache = config.objective.func
+    shipped, computed_at, calls = cache.func, [], [0]
+
+    def counted(x):
+        computed_at.append(calls[0])
+        return shipped(x)
+
+    def call(x):
+        values = cache(x)
+        calls[0] += 1
+        return values
+
+    cache.func, config.objective.func = counted, call
+    run_dto(config)
+    assert calls[0] == 66 * 16
+    searches = 4 * 11
+    assert [i for i in computed_at if i < searches * 16] == [16 * s for s in range(searches)]
 
 
 # ----- summary / CSV rendering -----
