@@ -12,6 +12,18 @@ The update cycle per time step: move probes ballistically from the previous
 step's accelerations, pull coordinates that left the domain back inside
 (scaled by that step's retrieval factor), evaluate the floored fitness, then
 compute accelerations from the new fitness field.
+
+A resting step, from step 2 on after an all-zero acceleration (a swarm of
+one fitness feels no pull), skips the work whose answer it already has and
+keeps the full step's bits. It still moves, evaluates and runs the kernel,
+so call counts, the objective's batches and the kernel's inputs stay the
+same. Every coordinate equals, as a number, the previous one, which was
+retrieved into the bounds and checked finite, so retrieval would change
+nothing and the point check find nothing. An objective result with the
+bits of the previous step's checked float64 result takes the previous
+fitness row, which is its floor under the search's one threshold; any
+other result is checked and floored in full. Step 1 never rests: it moves
+from start positions that were never retrieved.
 """
 
 from __future__ import annotations
@@ -57,8 +69,9 @@ DEFAULT_GAMMA_SWEEP = tuple(i / 10 for i in range(11))
 class ProbeLine:
     """Deterministic starts: one search per gamma in ``gammas``.
 
-    Every probe starts at the diagonal point lower + gamma * (upper - lower).
-    With per_axis = n_probes // n_dims slots per axis, probe ``s + per_axis * a``
+    Every probe starts at the diagonal point lower + gamma * (upper - lower),
+    clamped at upper (near gamma = 1 the sum can round past it). With
+    per_axis = n_probes // n_dims slots per axis, probe ``s + per_axis * a``
     then has coordinate ``a`` spread evenly from lower[a] to upper[a], clamped
     at upper[a] (lower + 15 * step rounds past it on [-500, 500]). With fewer
     than two slots per axis there is no spread: every probe stays on the
@@ -152,12 +165,13 @@ def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionS
 
     A coordinate below its lower bound moves to lower + frep * (prev - lower),
     one above its upper bound to upper - frep * (upper - prev), where prev is
-    the previous step's (in-bounds) position. With frep in (0, 1] the result
-    is always inside the bounds. On a cube the bounds are DecisionSpace's two
-    scalars, which give the same values as a broadcast (D,) row in a tenth of
-    the time at D = 2, and one min or max of the positions decides whether a
-    side needs its mask at all (824 of a ``schwefel30d`` run's 990 steps need
-    neither).
+    the previous step's position. Each result is clamped at the opposite
+    bound, which with frep in (0, 1] only a rounding can cross (frep = 1
+    from a previous position on that bound), so every coordinate ends inside
+    the bounds. On a cube the bounds are DecisionSpace's two scalars, which
+    give the same values as a broadcast (D,) row in a tenth of the time at
+    D = 2, and one min or max of the positions decides whether a side needs
+    its mask at all.
     """
     pos = history.positions[:, :, j]
     prev = history.positions[:, :, j - 1]
@@ -165,17 +179,17 @@ def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionS
         lower, upper = space.lower, space.upper
         below = pos < lower
         if below.any():
-            np.copyto(pos, lower + frep * (prev - lower), where=below)
+            np.copyto(pos, np.minimum(lower + frep * (prev - lower), upper), where=below)
         above = pos > upper
         if above.any():
-            np.copyto(pos, upper - frep * (upper - prev), where=above)
+            np.copyto(pos, np.maximum(upper - frep * (upper - prev), lower), where=above)
         return
     lower, upper = space._cube
     # fmin and fmax skip a NaN, as the masks do
     if np.fmin.reduce(pos, axis=None) < lower:
-        np.copyto(pos, lower + frep * (prev - lower), where=pos < lower)
+        np.copyto(pos, np.minimum(lower + frep * (prev - lower), upper), where=pos < lower)
     if np.fmax.reduce(pos, axis=None) > upper:
-        np.copyto(pos, upper - frep * (upper - prev), where=pos > upper)
+        np.copyto(pos, np.maximum(upper - frep * (upper - prev), lower), where=pos > upper)
 
 
 def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> np.ndarray:
@@ -335,9 +349,10 @@ def _gram_d2(pos, cen, sq, fit, r, c, buf, d2):
     overflowed. Each such pair with weight, M_c > M_r, is summed again
     exactly over the axes, which gives 0 for coincident probes, in chunks of
     ``buf.size // D`` pairs, so no buffer outgrows ``buf``. Every other such
-    pair gets +inf, whose quotient is the +0.0 its exact distance would
-    give. Self pairs get +inf through a diagonal view first, so flagged
-    pairs are gathered only when distinct probes are flagged.
+    pair keeps the +inf that one masked copy first gives every flagged pair,
+    whose quotient is the +0.0 its exact distance would give. Self pairs get
+    +inf through a diagonal view first, so flagged pairs are gathered only
+    when distinct probes are flagged.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(cen[r], cen[c].T, out=d2)
@@ -350,9 +365,9 @@ def _gram_d2(pos, cen, sq, fit, r, c, buf, d2):
     flagged = ~(d2 > buf)
     if not flagged.any():
         return
+    np.copyto(d2, np.inf, where=flagged)
     ri, ci = np.nonzero(flagged)
     weighted = fit[c][ci] > fit[r][ri]
-    d2[ri[~weighted], ci[~weighted]] = np.inf
     ri, ci = ri[weighted], ci[weighted]
     rows, cols = pos[r], pos[c]
     chunk = max(1, buf.size // rows.shape[1])
@@ -386,15 +401,9 @@ def scan_worst(history: SwarmHistory, up_to_step: int) -> tuple[float, int, int]
     return _scan(history, up_to_step, np.argmin)
 
 
-def _fitness(objective, points, threshold, step):
-    """Evaluate a batch of points and floor it at the threshold.
-
-    Non-finite points raise ValueError before the objective sees them: the
-    acceleration step overflowed, and the message says how. A result that is
-    not one value per point, or holds a NaN or +-inf, raises ValueError
-    naming the step; no threshold can be set from it. Both checks precede
-    the floor, which would broadcast a wrong shape and hide a -inf.
-    """
+def _check_points(points, step):
+    """Raise ValueError if a point is non-finite, before the objective sees
+    it: the acceleration step overflowed, and the message says how."""
     if not np.isfinite(points).all():
         lost = np.count_nonzero(~np.isfinite(points).all(axis=-1))
         raise ValueError(f"step {step}: {lost} of {len(points)} probe positions became "
@@ -402,16 +411,24 @@ def _fitness(objective, points, threshold, step):
                          "overflowed: a squared fitness gap over a squared distance "
                          "exceeded the float range (a huge fitness gap, or probes "
                          "extremely close together)")
-    raw = objective.evaluate_batch(points)
+
+
+def _check_values(raw, n_points, step):
+    """An objective result as a float64 array of one value per point.
+
+    A result of any other shape, or one holding a NaN or +-inf, raises
+    ValueError naming the step; no threshold can be set from it. Both checks
+    precede the floor, which would broadcast a wrong shape and hide a -inf.
+    """
     try:
-        raw = _one_value_per_point(raw, len(points))
+        raw = _one_value_per_point(raw, n_points)
     except ValueError as exc:
         raise ValueError(f"step {step}: {exc}") from exc
     if not np.isfinite(raw).all():
         bad = np.count_nonzero(~np.isfinite(raw))
         raise ValueError(f"step {step}: the objective returned {bad} non-finite "
                          f"value(s) (NaN or +-inf) in a batch of {raw.size}")
-    return apply_threshold(raw, threshold)
+    return raw
 
 
 def run_cfo(
@@ -448,21 +465,36 @@ def run_cfo(
     else:
         _check_fraction("gamma", start)
         positions = history.positions[:, :, 0]
-        positions[:] = space.lower + start * (space.upper - space.lower)
+        positions[:] = np.minimum(space.lower + start * (space.upper - space.lower),
+                                  space.upper)
         per_axis = params.n_probes // space.n_dims
         if per_axis >= 2:  # the layout ProbeLine describes
             axes, slots = np.arange(space.n_dims), np.arange(per_axis)[:, None]
             step = (space.upper - space.lower) / (per_axis - 1)
             positions[slots + per_axis * axes, axes] = np.minimum(space.lower + slots * step,
                                                                   space.upper)
-    history.fitness[:, 0] = _fitness(objective, history.positions[:, :, 0], threshold, 0)
+    # the start lies inside the bounds, which are finite: its points need no check
+    raw = _check_values(objective.evaluate_batch(history.positions[:, :, 0]), params.n_probes, 0)
+    history.fitness[:, 0] = apply_threshold(raw, threshold)
     accels = np.zeros((params.n_probes, space.n_dims))  # step 0 does not accelerate
+    resting = False  # resting steps: see the module docstring
 
     for j in range(1, params.n_steps + 1):
         step_positions(history, j, accels)
-        retrieve_errant(history, j, _FREP[(j - 1) % len(_FREP)], space)
-        history.fitness[:, j] = _fitness(objective, history.positions[:, :, j], threshold, j)
+        points = history.positions[:, :, j]
+        if not resting:
+            retrieve_errant(history, j, _FREP[(j - 1) % len(_FREP)], space)
+            _check_points(points, j)
+        raw = objective.evaluate_batch(points)
+        if (resting and type(raw) is np.ndarray and raw.dtype == np.float64
+                and raw.shape == (params.n_probes,) and raw.tobytes() == checked):
+            history.fitness[:, j] = history.fitness[:, j - 1]
+        else:
+            raw = _check_values(raw, params.n_probes, j)
+            checked = raw.tobytes()  # bytes, not the array: an objective may reuse it
+            history.fitness[:, j] = apply_threshold(raw, threshold)
         accels = compute_accelerations(history, j, params)
+        resting = not accels.any()
 
     best_value, best_probe, best_step = scan_best(history, params.n_steps)
     worst_value, _, _ = scan_worst(history, params.n_steps)

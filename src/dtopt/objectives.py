@@ -173,11 +173,11 @@ class _LastBatch:
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        if (points.shape, points.strides) == self._layout and points.tobytes() == self._points:
+        layout, data = (points.shape, points.strides), points.tobytes()
+        if layout == self._layout and data == self._points:
             return self._values.copy()
         values = np.asarray(self.func(points), dtype=float)
-        self._layout, self._points, self._values = ((points.shape, points.strides),
-                                                    points.tobytes(), values.copy())
+        self._layout, self._points, self._values = layout, data, values.copy()
         return values
 
 

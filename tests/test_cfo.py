@@ -21,8 +21,8 @@ from dtopt.cfo import (
     step_positions,
 )
 from dtopt.driver import DtoConfig, run_dto
-from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective
-from dtopt.threshold import LinearRamp, ThresholdState
+from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
+from dtopt.threshold import LinearRamp, ThresholdState, apply_threshold
 
 
 def _params(n_probes=4, n_steps=5):
@@ -67,6 +67,17 @@ def test_probe_line_1d_two_probes_hit_endpoints():
 
 def _random_start(n_probes, space, seed):
     return _start_positions(n_probes, space, np.random.default_rng(seed))
+
+
+def test_a_probe_line_start_at_gamma_one_stays_inside_the_space():
+    # lower + 1.0 * (upper - lower) rounds one ULP past upper on this cube
+    lower, upper = -2.1676199894367754, 7.805487040095848
+    seen = []
+    obj = ObjectiveSpec(lambda x: seen.append(x.copy()) or x.sum(axis=1),
+                        DecisionSpace.cube(2, lower, upper))
+    result, _ = run_cfo(CfoParams(2, 3), obj, 1.0)
+    assert seen[0].tolist() == [[upper, upper], [upper, upper]]
+    assert (result.best_coords <= upper).all()
 
 
 def test_random_start_deterministic_per_seed():
@@ -163,8 +174,25 @@ def test_retrieve_errant_keeps_the_bits_of_the_per_coordinate_rule(space):
 
 def _retrieved_by_the_rule(space, prev, pos, frep):
     """Positions ``pos`` retrieved coordinate by coordinate, each against its own bounds."""
-    want = np.where(pos < space.lower, space.lower + frep * (prev - space.lower), pos)
-    return np.where(pos > space.upper, space.upper - frep * (space.upper - prev), want)
+    lower, upper = space.lower, space.upper
+    want = np.where(pos < lower, np.minimum(lower + frep * (prev - lower), upper), pos)
+    return np.where(pos > upper, np.maximum(upper - frep * (upper - prev), lower), want)
+
+
+@pytest.mark.parametrize("cube", [True, False], ids=["cube", "per-axis bounds"])
+def test_retrieval_at_factor_one_stays_inside_bounds_whose_width_rounds(cube):
+    # lower + 1.0 * (upper - lower) rounds one ULP past upper on these bounds,
+    # and upper - 1.0 * (upper - lower) one ULP below lower: a coordinate
+    # that crosses the whole space in one step is clamped at the far bound
+    lower, upper = -2.1676199894367754, 7.805487040095848
+    assert lower + (upper - lower) > upper and upper - (upper - lower) < lower
+    space = (DecisionSpace.cube(2, lower, upper) if cube
+             else DecisionSpace([lower, -1.0], [upper, 1.0]))
+    hist = SwarmHistory.allocate(2, 2, 1)
+    hist.positions[:, 0, 0] = [upper, lower]
+    hist.positions[:, 0, 1] = [lower - 1.0, upper + 1.0]
+    retrieve_errant(hist, 1, 1.0, space)
+    assert hist.positions[:, 0, 1].tolist() == [upper, lower]
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
@@ -646,6 +674,13 @@ def test_acceleration_memory_is_bounded_in_gram_form():
 
 # ----- retrieval factor cycling -----
 
+def _pulled_pair():
+    """A 2-probe search that feels a pull at every step: probes at 0 and 1 on
+    f(x) = x / 2, where the worse probe moves a quarter of the way to the
+    better one each step and never reaches it, so no step rests."""
+    return ObjectiveSpec(lambda x: 0.5 * x[:, 0], DecisionSpace.cube(1, 0.0, 1.0))
+
+
 def _retrieval_factors(monkeypatch, n_steps):
     """The retrieval factor run_cfo passes to retrieve_errant at each step."""
     factors = []
@@ -656,7 +691,8 @@ def _retrieval_factors(monkeypatch, n_steps):
         retrieve(history, j, frep, space)
 
     monkeypatch.setattr(dtopt.cfo, "retrieve_errant", recording_retrieve)
-    run_cfo(_params(n_probes=2, n_steps=n_steps), make_objective("schwefel226", 2), 0.5)
+    _, hist = run_cfo(_params(n_probes=2, n_steps=n_steps), _pulled_pair(), 0.5)
+    assert (np.diff(hist.positions[0, 0, 1:]) > 0).all()  # the worse probe moves from step 2 on
     return factors
 
 
@@ -677,6 +713,153 @@ def test_retrieval_factor_orbit_period_20(monkeypatch):
     assert set(factors[:20]) == {k / 20 for k in range(1, 21)}
     # each factor is the double nearest k / 20, as the 0.05 grid requires
     assert factors[:20] == [k / 20 for k in (*range(10, 21), *range(1, 10))]
+
+
+# ----- resting steps -----
+
+def test_a_flat_field_search_retrieves_once_and_evaluates_and_accelerates_every_step(
+        monkeypatch):
+    # Every step of a flat field rests: from step 2 on no coordinate can
+    # leave the bounds, yet the objective sees every batch and the kernel
+    # every step
+    calls = {"retrieve": 0, "kernel": 0}
+    retrieve, kernel = dtopt.cfo.retrieve_errant, dtopt.cfo.compute_accelerations
+
+    def counting(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(dtopt.cfo, "retrieve_errant", counting("retrieve", retrieve))
+    monkeypatch.setattr(dtopt.cfo, "compute_accelerations", counting("kernel", kernel))
+    batches = []
+    flat = ObjectiveSpec(lambda x: batches.append(x.copy()) or np.zeros(len(x)),
+                         DecisionSpace.cube(2, -500.0, 500.0))
+    result, hist = run_cfo(CfoParams(n_probes=6, n_steps=9), flat, np.random.default_rng(3))
+    assert calls == {"retrieve": 1, "kernel": 9}
+    assert len(batches) == 10 and result.evals_used == flat.eval_count == 60
+    assert all(batch.tobytes() == batches[0].tobytes() for batch in batches)
+    assert not hist.fitness.any()
+
+
+class _AsReturned:
+    """An objective whose evaluate_batch hands run_cfo the function's result
+    as the function returned it; ObjectiveSpec would make it a float array."""
+
+    def __init__(self, func, space):
+        self.func, self.space, self.eval_count = func, space, 0
+
+    def evaluate_batch(self, points):
+        self.eval_count += len(points)
+        return self.func(points)
+
+
+def _drawn_objective(kind, bump_call):
+    """Batch function of the given kind that records every batch it sees.
+
+    "schwefel" and "flat" are pure. "impure" is flat but for call
+    ``bump_call``, where it returns each point's first coordinate, so a
+    swarm at rest feels a pull again; it returns one reused array, whose
+    bits change under a result kept by reference. "list" is Schwefel as a
+    Python list; "nan" puts a NaN in call ``bump_call`` of Schwefel, and
+    "column" returns that call as an (m, 1) column of the same bits.
+    """
+    batches, out = [], []
+
+    def func(x):
+        batches.append(x.copy())
+        call = len(batches) - 1
+        if kind == "flat":
+            return np.zeros(len(x))
+        if kind == "impure":
+            if not out:
+                out.append(np.empty(len(x)))
+            out[0][:] = x[:, 0] if call == bump_call else 0.0
+            return out[0]
+        values = schwefel226(x)
+        if kind == "nan" and call == bump_call:
+            values[0] = np.nan
+        if kind == "column" and call == bump_call:
+            return values[:, None]
+        return values.tolist() if kind == "list" else values
+
+    return func, batches
+
+
+def _full_step_search(params, objective, start, threshold):
+    """The search loop as it ran before resting steps: every step moves,
+    retrieves, checks the points, evaluates, checks and floors the result,
+    and runs the kernel. Starts from run_cfo's own step-0 positions; returns
+    (result, history, kernel calls)."""
+    space = objective.space
+    history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)
+    history.positions[:, :, 0] = _start_positions(params.n_probes, space, start)
+    accels = np.zeros((params.n_probes, space.n_dims))
+    for j in range(params.n_steps + 1):
+        if j:
+            step_positions(history, j, accels)
+            retrieve_errant(history, j, dtopt.cfo._FREP[(j - 1) % 20], space)
+        points = history.positions[:, :, j]
+        dtopt.cfo._check_points(points, j)
+        raw = dtopt.cfo._check_values(objective.evaluate_batch(points), params.n_probes, j)
+        history.fitness[:, j] = apply_threshold(raw, threshold)
+        if j:
+            accels = compute_accelerations(history, j, params)
+    best_value, best_probe, best_step = scan_best(history, params.n_steps)
+    result = dtopt.cfo.OptResult(history.positions[best_probe, :, best_step].copy(),
+                                 best_value, scan_worst(history, params.n_steps)[0],
+                                 best_probe, best_step, objective.eval_count)
+    return result, history, params.n_steps
+
+
+_ROUNDING_BOUNDS = (-2.1676199894367754, 7.805487040095848)  # lower + width > upper
+
+
+@settings(max_examples=250, deadline=None)
+@given(n_probes=st.integers(1, 8), n_dims=st.integers(1, 10), n_steps=st.integers(0, 8),
+       space_kind=st.sampled_from(["cube", "per-axis", "rounding"]),
+       start=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0),
+                       st.integers(0, 2**32 - 1)),
+       floor=st.one_of(st.just(-np.inf), st.floats(-1000.0, 1000.0)),
+       kind=st.sampled_from(["schwefel", "flat", "impure", "list", "nan", "column"]),
+       bump_call=st.integers(2, 8))
+def test_resting_steps_give_the_bits_of_the_full_step_loop(n_probes, n_dims, n_steps,
+                                                           space_kind, start, floor, kind,
+                                                           bump_call):
+    # A random start (an integer seed here) spreads the probes; a probe line
+    # with N < 2D puts every probe on one point, so every step from 2 on rests
+    if space_kind == "per-axis":
+        lower = -np.arange(1.0, n_dims + 1)
+        space = DecisionSpace(lower, lower + 2.0 * np.arange(1, n_dims + 1))
+    else:
+        space = DecisionSpace.cube(n_dims, *(_ROUNDING_BOUNDS if space_kind == "rounding"
+                                             else (-500.0, 500.0)))
+    params = CfoParams(n_probes, n_steps)
+    runs = []
+    for search in ("run_cfo", "full steps"):
+        func, batches = _drawn_objective(kind, bump_call)
+        objective = _AsReturned(func, space)
+        begin = start if isinstance(start, float) else np.random.default_rng(start)
+        threshold = ThresholdState(t_current=floor)
+        kernel_calls = []
+        try:
+            if search == "run_cfo":
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(dtopt.cfo, "compute_accelerations",
+                                  lambda *args: kernel_calls.append(args[1])
+                                  or compute_accelerations(*args))
+                    result, history = run_cfo(params, objective, begin, threshold)
+                calls = len(kernel_calls)
+            else:
+                result, history, calls = _full_step_search(params, objective, begin, threshold)
+            outcome = (history.positions.tobytes(), history.fitness.tobytes(),
+                       result.best_coords.tobytes(), result.best_value, result.worst_value,
+                       result.best_probe, result.best_step, result.evals_used, calls)
+        except ValueError as exc:
+            outcome = str(exc)
+        runs.append((outcome, [batch.tobytes() for batch in batches], objective.eval_count))
+    assert runs[0] == runs[1]
 
 
 # ----- best/worst scans -----
