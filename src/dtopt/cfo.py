@@ -13,17 +13,19 @@ step's accelerations, pull coordinates that left the domain back inside
 (scaled by that step's retrieval factor), evaluate the floored fitness, then
 compute accelerations from the new fitness field.
 
-A resting step, from step 2 on after an all-zero acceleration (a swarm of
-one fitness feels no pull), skips the work whose answer it already has and
-keeps the full step's bits. It still moves, evaluates and runs the kernel,
-so call counts, the objective's batches and the kernel's inputs stay the
-same. Every coordinate equals, as a number, the previous one, which was
-retrieved into the bounds and checked finite, so retrieval would change
-nothing and the point check find nothing. An objective result with the
-bits of the previous step's checked float64 result takes the previous
-fitness row, which is its floor under the search's one threshold; any
-other result is checked and floored in full. Step 1 never rests: it moves
-from start positions that were never retrieved.
+A resting step, one after an all-zero acceleration (step 0 does not
+accelerate, and a swarm of one fitness feels no pull), skips the work whose
+answer it already has and keeps the full step's bits. It still moves,
+evaluates and runs the kernel, so call counts, the objective's batches and
+the kernel's inputs stay the same. Every coordinate equals, as a number,
+the previous one, and that one lies inside the finite bounds: a retrieved
+coordinate does, and so does a start (a probe-line point is clamped at
+upper, and a uniform draw low + fl(high - low) * u, with u < 1, never
+rounds past high). So retrieval would change nothing and the point check
+find nothing. An objective result with the bits of the previous step's
+checked float64 result takes the previous fitness row, which is its floor
+under the search's one threshold; any other result is checked and floored
+in full.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import (DecisionSpace, _check_count, _check_fraction, _check_objective,
-                         _check_type, _is_number_tuple, _one_value_per_point)
+from .objectives import (DecisionSpace, _check_count, _check_fraction, _check_history,
+                         _check_objective, _check_type, _is_number_tuple,
+                         _one_value_per_point)
 from .threshold import ThresholdState, _check_floor, apply_threshold
 
 # step_positions, retrieve_errant, scan_best, scan_worst, threshold.apply_threshold,
@@ -169,27 +172,17 @@ def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionS
     bound, which with frep in (0, 1] only a rounding can cross (frep = 1
     from a previous position on that bound), so every coordinate ends inside
     the bounds. On a cube the bounds are DecisionSpace's two scalars, which
-    give the same values as a broadcast (D,) row in a tenth of the time at
-    D = 2, and one min or max of the positions decides whether a side needs
-    its mask at all.
+    give the values of a broadcast (D,) row in less time.
     """
     pos = history.positions[:, :, j]
     prev = history.positions[:, :, j - 1]
-    if space._cube is None:
-        lower, upper = space.lower, space.upper
-        below = pos < lower
-        if below.any():
-            np.copyto(pos, np.minimum(lower + frep * (prev - lower), upper), where=below)
-        above = pos > upper
-        if above.any():
-            np.copyto(pos, np.maximum(upper - frep * (upper - prev), lower), where=above)
-        return
-    lower, upper = space._cube
-    # fmin and fmax skip a NaN, as the masks do
-    if np.fmin.reduce(pos, axis=None) < lower:
-        np.copyto(pos, np.minimum(lower + frep * (prev - lower), upper), where=pos < lower)
-    if np.fmax.reduce(pos, axis=None) > upper:
-        np.copyto(pos, np.maximum(upper - frep * (upper - prev), lower), where=pos > upper)
+    lower, upper = space._cube or (space.lower, space.upper)
+    below = pos < lower
+    if below.any():
+        np.copyto(pos, np.minimum(lower + frep * (prev - lower), upper), where=below)
+    above = pos > upper
+    if above.any():
+        np.copyto(pos, np.maximum(upper - frep * (upper - prev), lower), where=above)
 
 
 def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> np.ndarray:
@@ -449,13 +442,16 @@ def run_cfo(
     exactly (n_steps + 1) * n_probes calls. The optimizer only ever sees the
     fitness floored at ``threshold``, a ThresholdState it only reads; the
     default -inf floors nothing. Anything but a ThresholdState, or one whose
-    threshold is not a number, or is NaN or +inf, raises ValueError.
+    threshold is not a number, or is NaN or +inf, raises ValueError. So do
+    counts whose history would not fit one numpy array (see
+    objectives._check_history), before anything is allocated.
     """
     _check_type("params", params, CfoParams)
     _check_objective("objective", objective)
     _check_type("threshold", threshold, ThresholdState)
     _check_floor(threshold.t_current)
     space = objective.space
+    _check_history(params.n_probes, params.n_steps, space.n_dims)
     history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)
     evals_before = objective.eval_count
 
@@ -475,9 +471,10 @@ def run_cfo(
                                                                   space.upper)
     # the start lies inside the bounds, which are finite: its points need no check
     raw = _check_values(objective.evaluate_batch(history.positions[:, :, 0]), params.n_probes, 0)
+    checked = raw.tobytes()  # bytes, not the array: an objective may reuse it
     history.fitness[:, 0] = apply_threshold(raw, threshold)
-    accels = np.zeros((params.n_probes, space.n_dims))  # step 0 does not accelerate
-    resting = False  # resting steps: see the module docstring
+    accels = np.zeros((params.n_probes, space.n_dims))
+    resting = True  # step 0 does not accelerate; resting steps: see the module docstring
 
     for j in range(1, params.n_steps + 1):
         step_positions(history, j, accels)
@@ -491,7 +488,7 @@ def run_cfo(
             history.fitness[:, j] = history.fitness[:, j - 1]
         else:
             raw = _check_values(raw, params.n_probes, j)
-            checked = raw.tobytes()  # bytes, not the array: an objective may reuse it
+            checked = raw.tobytes()
             history.fitness[:, j] = apply_threshold(raw, threshold)
         accels = compute_accelerations(history, j, params)
         resting = not accels.any()

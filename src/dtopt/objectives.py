@@ -101,7 +101,7 @@ class DecisionSpace:
     @classmethod
     def cube(cls, n_dims: int, lower: float, upper: float) -> "DecisionSpace":
         """[lower, upper]^n_dims; an n_dims that is not an integer from 1 to
-        _MAX_DIMS, or a bound that is not a number, raises ValueError naming it."""
+        _MAX_VALUES, or a bound that is not a number, raises ValueError naming it."""
         _check_dims(n_dims)
         if not (_is_number(lower) and _is_number(upper)):
             raise ValueError(f"lower and upper must be numbers, got {lower!r} and {upper!r}")
@@ -158,9 +158,8 @@ class _LastBatch:
 
     Equal means the same shape, the same strides (a row sum's rounding
     follows the layout) and the same bytes in every value, -0.0 not 0.0: one
-    bytes comparison, 2-4x faster than an int64 comparison for 4 to 32 points
-    of 30 axes on a 2-vCPU Xeon. A shipped function is pure, so it would
-    return those bits again. Any other batch is computed, and copies of its points and its
+    bytes comparison. A shipped function is pure, so it would return those
+    bits again. Any other batch is computed, and copies of its points and its
     result replace the entry; an answer from the entry is a fresh copy, so
     neither edits to an answer nor to the caller's input reach a later one.
     A search's swarm that stops moving passes the same batch step after step.
@@ -210,7 +209,7 @@ BENCHMARKS = {
 def _benchmark_dims(name: str, n_dims: int | None = None) -> int:
     """Dimension benchmark ``name`` runs in: its fixed one, else n_dims (default 2).
 
-    An unknown name, an n_dims that is not an integer from 1 to _MAX_DIMS,
+    An unknown name, an n_dims that is not an integer from 1 to _MAX_VALUES,
     or one that conflicts with a fixed dimension raises ValueError; nothing
     is allocated.
     """
@@ -246,16 +245,27 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 # The most float64 values one numpy array can hold: no more axes fit one row
-# of bounds.
-_MAX_DIMS = np.iinfo(np.intp).max // 8
+# of bounds, and no more positions one search history.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
 def _check_dims(n_dims) -> None:
-    """Raise ValueError naming n_dims unless it is an integer from 1 to _MAX_DIMS."""
+    """Raise ValueError naming n_dims unless it is an integer from 1 to _MAX_VALUES."""
     _check_count("n_dims", n_dims, 1)
-    if n_dims > _MAX_DIMS:
-        raise ValueError(f"n_dims must be at most {_MAX_DIMS}, the most float64 values "
+    if n_dims > _MAX_VALUES:
+        raise ValueError(f"n_dims must be at most {_MAX_VALUES}, the most float64 values "
                          f"one numpy array holds, got {n_dims!r}")
+
+
+def _check_history(n_probes: int, n_steps: int, n_dims: int,
+                   names: str = "n_probes and n_steps") -> None:
+    """Raise ValueError naming ``names`` unless a search history's positions,
+    (n_steps + 1) * n_probes * n_dims values, fit one numpy array; counts
+    already checked, nothing allocated."""
+    if (n_steps + 1) * n_probes * n_dims > _MAX_VALUES:
+        raise ValueError(f"{names} give a search history of more positions, (n_steps + 1) "
+                         f"* n_probes * n_dims, than the {_MAX_VALUES} float64 values one "
+                         "numpy array holds")
 
 
 def _check_fraction(name: str, value, *, zero_ok: bool = True) -> None:

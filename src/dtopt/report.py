@@ -22,8 +22,9 @@ import numpy as np
 from .cfo import DEFAULT_GAMMA_SWEEP, CfoParams, ProbeLine, RandomUniform, SwarmHistory
 from .driver import DtoConfig, RunReport
 from .objectives import (BENCHMARKS, DecisionSpace, _benchmark_dims, _check_count,
-                         _check_fraction, _check_type, _is_integer, _is_number,
-                         _is_number_tuple, _LastBatch, _one_value_per_point, make_objective)
+                         _check_fraction, _check_history, _check_type, _is_integer,
+                         _is_number, _is_number_tuple, _LastBatch, _one_value_per_point,
+                         make_objective)
 from .threshold import BestFitness, LinearRamp, _check_floor
 
 __all__ = [
@@ -131,9 +132,18 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:
-            _benchmark_dims(self.function, self.n_dims)
+            n_dims = _benchmark_dims(self.function, self.n_dims)
         except ValueError as exc:
             raise ConfigError(f"n_dims: {exc}") from exc
+        # the last pass runs np0 * 2^(passes - 1) probes; from 61 doublings on
+        # any count overflows one array, so the shift stops at 63
+        doublings = min(self.passes - 1, 63) if self.probe_doubling else 0
+        keys = ("np0, passes, nt and n_dims (the last pass's n_probes is np0 * 2^(passes - 1))"
+                if doublings else "np0, nt and n_dims")
+        try:
+            _check_history(self.np0 << doublings, self.nt, n_dims, keys)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.ipd == "probe_line" and not self.gamma_sweep:
             raise ConfigError("gamma_sweep must be non-empty for ipd = probe_line")
 

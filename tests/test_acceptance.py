@@ -179,21 +179,24 @@ def test_criterion_6_cfo_micro_oracles(monkeypatch: pytest.MonkeyPatch):
             failures.append(f"evals {result.evals_used} != {(n_steps + 1) * n_probes}")
             break
 
-    # retrieval factor orbit: the factor run_cfo passes at steps 1..45, on two
-    # probes at 0 and 1 of f(x) = x / 2, which feel a pull at every step
-    values = []
+    # retrieval factor orbit: the factor run_cfo passes at each of steps 2..45,
+    # on two probes at 0 and 1 of f(x) = x / 2, which feel a pull at every
+    # step; step 1 follows step 0's zero acceleration, so it rests
+    values = {}
     retrieve = dtopt.cfo.retrieve_errant
 
     def recording_retrieve(history, j, frep, space):
-        values.append(frep)
+        values[j] = frep
         retrieve(history, j, frep, space)
 
     monkeypatch.setattr(dtopt.cfo, "retrieve_errant", recording_retrieve)
     pulled = ObjectiveSpec(lambda x: 0.5 * x[:, 0], DecisionSpace.cube(1, 0.0, 1.0))
     run_cfo(CfoParams(n_probes=2, n_steps=45), pulled, 0.5)
-    if (len(values) != 45 or values[:11] != [k / 20 for k in range(10, 21)] or values[11] != 0.05
-            or values[20:] != values[:25]
-            or set(values[:20]) != {k / 20 for k in range(1, 21)}):
+    if (list(values) != list(range(2, 46))
+            or [values[j] for j in range(2, 12)] != [k / 20 for k in range(11, 21)]
+            or values[12] != 0.05 or values[21] != 0.5
+            or any(values[j + 20] != values[j] for j in range(2, 26))
+            or {values[j] for j in range(2, 22)} != {k / 20 for k in range(1, 21)}):
         failures.append("frep orbit is not the 20-value cycle from 0.5")
 
     # probe-line layout hand trace

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dtopt.cfo
@@ -69,9 +69,12 @@ def _random_start(n_probes, space, seed):
     return _start_positions(n_probes, space, np.random.default_rng(seed))
 
 
+_ROUNDING_BOUNDS = (-2.1676199894367754, 7.805487040095848)  # lower + width > upper
+
+
 def test_a_probe_line_start_at_gamma_one_stays_inside_the_space():
     # lower + 1.0 * (upper - lower) rounds one ULP past upper on this cube
-    lower, upper = -2.1676199894367754, 7.805487040095848
+    lower, upper = _ROUNDING_BOUNDS
     seen = []
     obj = ObjectiveSpec(lambda x: seen.append(x.copy()) or x.sum(axis=1),
                         DecisionSpace.cube(2, lower, upper))
@@ -97,6 +100,34 @@ def test_random_start_within_bounds():
     space = DecisionSpace(np.array([-5.0, 0.0, 3.0]), np.array([-1.0, 2.0, 30.0]))
     positions = _random_start(100, space, 7)
     assert np.all(positions >= space.lower) and np.all(positions < space.upper)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lower=_FINITE, upper=_FINITE)
+@example(*_ROUNDING_BOUNDS)
+@example(1e16, 1e16 + 4.0)  # bounds whose ULP, 2, is half the width
+@example(-5e-324, 5e-324)  # a subnormal width
+@example(-1e308, 1e308)
+def test_the_largest_uniform_draw_never_rounds_past_upper(lower, upper):
+    # A random start needs no retrieval: Generator.uniform returns
+    # low + fl(high - low) * u with u <= 1 - 2^-53, and at that largest u the
+    # sum stays inside the bounds, even where lower + (upper - lower) rounds
+    # past upper. Any space's bounds: finite, lower < upper, a finite width.
+    assume(lower < upper and np.isfinite(upper - lower))
+    largest = lower + (upper - lower) * (1.0 - 2.0**-53)
+    assert lower <= largest <= upper
+
+
+def test_random_starts_lie_inside_bounds_whose_width_rounds():
+    space = DecisionSpace.cube(2, *_ROUNDING_BOUNDS)
+    lower, upper = _ROUNDING_BOUNDS
+    assert lower + (upper - lower) > upper
+    for seed in range(500):
+        positions = _random_start(64, space, seed)
+        assert ((lower <= positions) & (positions <= upper)).all()
 
 
 def test_random_start_differs_across_seeds():
@@ -682,12 +713,12 @@ def _pulled_pair():
 
 
 def _retrieval_factors(monkeypatch, n_steps):
-    """The retrieval factor run_cfo passes to retrieve_errant at each step."""
-    factors = []
+    """The retrieval factor run_cfo passes to retrieve_errant, by step."""
+    factors = {}
     retrieve = dtopt.cfo.retrieve_errant
 
     def recording_retrieve(history, j, frep, space):
-        factors.append(frep)
+        factors[j] = frep
         retrieve(history, j, frep, space)
 
     monkeypatch.setattr(dtopt.cfo, "retrieve_errant", recording_retrieve)
@@ -698,32 +729,31 @@ def _retrieval_factors(monkeypatch, n_steps):
 
 def test_retrieval_factor_examples(monkeypatch):
     factors = _retrieval_factors(monkeypatch, 45)
-    assert len(factors) == 45
-    assert factors[0] == 0.5    # step 1
-    assert factors[1] == 0.55   # step 2
-    assert factors[9] == 0.95   # step 10
-    assert factors[10] == 1.0   # step 11
-    assert factors[11] == 0.05  # step 12: wraps past 1.0
+    # step 1 follows step 0's zero acceleration: it rests and retrieves nothing
+    assert list(factors) == list(range(2, 46))
+    assert factors[2] == 0.55
+    assert factors[10] == 0.95
+    assert factors[11] == 1.0
+    assert factors[12] == 0.05  # wraps past 1.0
+    assert factors[21] == 0.5
 
 
 def test_retrieval_factor_orbit_period_20(monkeypatch):
     factors = _retrieval_factors(monkeypatch, 45)
-    assert factors[20:] == factors[:25]
-    assert factors[20] == 0.5
-    assert set(factors[:20]) == {k / 20 for k in range(1, 21)}
+    assert 1 not in factors
+    assert all(factors[j + 20] == factors[j] for j in range(2, 26))
+    assert factors[21] == 0.5
+    orbit = [factors[j] for j in range(2, 22)]
+    assert set(orbit) == {k / 20 for k in range(1, 21)}
     # each factor is the double nearest k / 20, as the 0.05 grid requires
-    assert factors[:20] == [k / 20 for k in (*range(10, 21), *range(1, 10))]
+    assert orbit == [k / 20 for k in (*range(11, 21), *range(1, 11))]
 
 
 # ----- resting steps -----
 
-def test_a_flat_field_search_retrieves_once_and_evaluates_and_accelerates_every_step(
-        monkeypatch):
-    # Every step of a flat field rests: from step 2 on no coordinate can
-    # leave the bounds, yet the objective sees every batch and the kernel
-    # every step
-    calls = {"retrieve": 0, "kernel": 0}
-    retrieve, kernel = dtopt.cfo.retrieve_errant, dtopt.cfo.compute_accelerations
+def _counting_calls(monkeypatch, *names):
+    """Count the calls run_cfo makes to each of these dtopt.cfo functions."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, func):
         def wrapper(*args):
@@ -731,16 +761,41 @@ def test_a_flat_field_search_retrieves_once_and_evaluates_and_accelerates_every_
             return func(*args)
         return wrapper
 
-    monkeypatch.setattr(dtopt.cfo, "retrieve_errant", counting("retrieve", retrieve))
-    monkeypatch.setattr(dtopt.cfo, "compute_accelerations", counting("kernel", kernel))
+    for name in names:
+        monkeypatch.setattr(dtopt.cfo, name, counting(name, getattr(dtopt.cfo, name)))
+    return calls
+
+
+def test_a_flat_field_search_never_retrieves_and_evaluates_and_accelerates_every_step(
+        monkeypatch):
+    # Every step of a flat field rests, step 1 too: no coordinate can leave
+    # the bounds, yet the objective sees every batch and the kernel every step
+    calls = _counting_calls(monkeypatch, "retrieve_errant", "compute_accelerations")
     batches = []
     flat = ObjectiveSpec(lambda x: batches.append(x.copy()) or np.zeros(len(x)),
                          DecisionSpace.cube(2, -500.0, 500.0))
     result, hist = run_cfo(CfoParams(n_probes=6, n_steps=9), flat, np.random.default_rng(3))
-    assert calls == {"retrieve": 1, "kernel": 9}
+    assert calls == {"retrieve_errant": 0, "compute_accelerations": 9}
     assert len(batches) == 10 and result.evals_used == flat.eval_count == 60
     assert all(batch.tobytes() == batches[0].tobytes() for batch in batches)
     assert not hist.fitness.any()
+
+
+@pytest.mark.parametrize("random", [False, True], ids=["probe line", "random"])
+def test_step_one_rests_unless_the_objective_answers_it_with_other_bits(monkeypatch, random):
+    # A pure objective answers step 1 with step 0's bits: step 1 neither
+    # retrieves nor floors. One whose step-1 bits differ takes the full
+    # checks and the floor at step 1, and a step after a pull retrieves.
+    start = np.random.default_rng(5) if random else 0.5
+    pure = ObjectiveSpec(schwefel226, DecisionSpace.cube(3, -500.0, 500.0))
+    calls = _counting_calls(monkeypatch, "retrieve_errant", "apply_threshold", "_check_values")
+    run_cfo(CfoParams(n_probes=6, n_steps=1), pure, start)
+    assert calls == {"retrieve_errant": 0, "apply_threshold": 1, "_check_values": 1}
+    results = iter([np.arange(6.0), np.arange(6.0)[::-1].copy(), np.arange(6.0)])
+    changing = _AsReturned(lambda x: next(results), pure.space)
+    calls.update(dict.fromkeys(calls, 0))
+    run_cfo(CfoParams(n_probes=6, n_steps=2), changing, start)
+    assert calls == {"retrieve_errant": 1, "apply_threshold": 3, "_check_values": 3}
 
 
 class _AsReturned:
@@ -813,9 +868,6 @@ def _full_step_search(params, objective, start, threshold):
     return result, history, params.n_steps
 
 
-_ROUNDING_BOUNDS = (-2.1676199894367754, 7.805487040095848)  # lower + width > upper
-
-
 @settings(max_examples=250, deadline=None)
 @given(n_probes=st.integers(1, 8), n_dims=st.integers(1, 10), n_steps=st.integers(0, 8),
        space_kind=st.sampled_from(["cube", "per-axis", "rounding"]),
@@ -823,7 +875,7 @@ _ROUNDING_BOUNDS = (-2.1676199894367754, 7.805487040095848)  # lower + width > u
                        st.integers(0, 2**32 - 1)),
        floor=st.one_of(st.just(-np.inf), st.floats(-1000.0, 1000.0)),
        kind=st.sampled_from(["schwefel", "flat", "impure", "list", "nan", "column"]),
-       bump_call=st.integers(2, 8))
+       bump_call=st.integers(1, 8))
 def test_resting_steps_give_the_bits_of_the_full_step_loop(n_probes, n_dims, n_steps,
                                                            space_kind, start, floor, kind,
                                                            bump_call):

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from dtopt.cfo import CfoParams, ProbeLine, run_cfo
+from dtopt.cfo import CfoParams, ProbeLine, SwarmHistory, run_cfo
 from dtopt.cli import main
 from dtopt.floorscan import halton_points, sample_threshold_floor
 from dtopt.objectives import DecisionSpace, make_objective, ramp
@@ -112,6 +112,64 @@ def test_n_dims_beyond_one_numpy_array_is_named(capsys, n_dims):
     code, out, err = _cli(["floorscan", "--function", "schwefel226", "--threshold", "0",
                            "--samples", "10", "--dims", str(n_dims)], capsys)
     assert (code, out, err) == (2, "", f"error: --dims: {message}\n")
+
+
+def _history_message(names):
+    return (f"{names} give a search history of more positions, (n_steps + 1) * n_probes * "
+            f"n_dims, than the {2**60 - 1} float64 values one numpy array holds")
+
+
+DOUBLING_KEYS = ("np0, passes, nt and n_dims (the last pass's n_probes is "
+                 "np0 * 2^(passes - 1))")
+
+
+@pytest.mark.parametrize("params", [(2**62, 3), (4, 2**62), (2**59, 1)],
+                         ids=["n_probes", "n_steps", "one past"])
+def test_run_cfo_rejects_a_history_beyond_one_numpy_array(monkeypatch, params):
+    # before, numpy's "array is too big" from SwarmHistory.allocate, naming
+    # nothing; now the counts are rejected before anything is allocated
+    monkeypatch.setattr(SwarmHistory, "allocate", None)
+    with pytest.raises(ValueError) as info:
+        run_cfo(CfoParams(*params), make_objective("ramp"), 0.5)
+    assert str(info.value) == _history_message("n_probes and n_steps")
+
+
+# (ExperimentConfig fields, the keys its error names or None if accepted):
+# the last pass's history, (nt + 1) * np0 * 2^(passes - 1) * n_dims values
+# with doubling, against the 2**60 - 1 of one array
+HISTORY_CONFIGS = {
+    "np0": ({"np0": 2**62}, DOUBLING_KEYS),
+    "nt": ({"nt": 2**62}, DOUBLING_KEYS),
+    "passes": ({"passes": 10**30}, DOUBLING_KEYS),  # 2^(10^30 - 1) is never built
+    "n_dims": ({"n_dims": 2**40, "np0": 2**20, "nt": 0, "probe_doubling": False},
+               "np0, nt and n_dims"),
+    "largest": ({"n_dims": 1, "np0": 2**60 - 1, "nt": 0, "passes": 1}, None),
+    "doubled past it": ({"n_dims": 1, "np0": 2**60 - 1, "nt": 0, "passes": 2},
+                        DOUBLING_KEYS),
+    "largest without doubling": ({"n_dims": 1, "np0": 2**60 - 1, "nt": 0, "passes": 10**30,
+                                  "probe_doubling": False}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HISTORY_CONFIGS))
+def test_experiment_config_rejects_a_last_pass_history_beyond_one_numpy_array(case):
+    fields, keys = HISTORY_CONFIGS[case]
+    if keys is None:
+        ExperimentConfig(**fields)
+        return
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(**fields)
+    assert str(info.value) == _history_message(keys)
+
+
+@pytest.mark.parametrize("key", ["np0", "nt"])
+def test_run_with_a_count_beyond_one_numpy_array_exits_2(tmp_path, capsys, key):
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"{key} = {2**62}\n")
+    out_dir = tmp_path / "out"
+    code, out, err = _cli(["run", "--config", str(path), "--out", str(out_dir)], capsys)
+    assert (code, out, err) == (2, "", f"error: {_history_message(DOUBLING_KEYS)}\n")
+    assert not out_dir.exists()
 
 
 # ----- a config: ConfigError naming the key -----
