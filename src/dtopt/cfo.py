@@ -172,17 +172,14 @@ def retrieve_errant(history: SwarmHistory, j: int, frep: float, space: DecisionS
     bound, which with frep in (0, 1] only a rounding can cross (frep = 1
     from a previous position on that bound), so every coordinate ends inside
     the bounds. On a cube the bounds are DecisionSpace's two scalars, which
-    give the values of a broadcast (D,) row in less time.
+    give the values of a broadcast (D,) row in less time. A side with no
+    errant coordinate writes nothing: its masked copy has an all-false mask.
     """
     pos = history.positions[:, :, j]
     prev = history.positions[:, :, j - 1]
     lower, upper = space._cube or (space.lower, space.upper)
-    below = pos < lower
-    if below.any():
-        np.copyto(pos, np.minimum(lower + frep * (prev - lower), upper), where=below)
-    above = pos > upper
-    if above.any():
-        np.copyto(pos, np.maximum(upper - frep * (upper - prev), lower), where=above)
+    np.copyto(pos, np.minimum(lower + frep * (prev - lower), upper), where=pos < lower)
+    np.copyto(pos, np.maximum(upper - frep * (upper - prev), lower), where=pos > upper)
 
 
 def compute_accelerations(history: SwarmHistory, j: int, params: CfoParams) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .driver import run_dto
 from .floorscan import FLOOR_MARGIN, _check_margin, sample_threshold_floor
-from .objectives import BENCHMARKS, _check_count, make_objective
+from .objectives import BENCHMARKS, _check_calls, _check_count, make_objective
 from .report import (
     PROFILES,
     ConfigError,
@@ -94,6 +94,7 @@ def _cmd_surface(args) -> int:
 def _cmd_floorscan(args) -> int:
     try:
         _check_count("--samples", args.samples, 1)
+        _check_calls(args.samples, "--samples")
         _check_margin("--margin", args.margin)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, run_cfo
-from .objectives import ObjectiveSpec, _check_count, _check_objective, _check_type
+from .objectives import (ObjectiveSpec, _check_calls, _check_count, _check_history,
+                         _check_objective, _check_type)
 from .threshold import Schedule, ThresholdState
 
 __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
@@ -26,9 +27,23 @@ __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
 Observer = Callable[[int, float, OptResult, SwarmHistory], None]
 
 
+def _run_size(n_probes: int, n_steps: int, num_passes: int, doubling: bool,
+              searches: int) -> tuple[int, int]:
+    """A run's last-pass probe count and its objective calls, from checked
+    counts: n_probes * (2^num_passes - 1) * (n_steps + 1) * searches with
+    probe doubling, n_probes * num_passes * (n_steps + 1) * searches without.
+    Python ints, and 2^num_passes is never built: from 61 doublings on both
+    exceed objectives._MAX_VALUES, so the shift stops at 63."""
+    last = n_probes << (min(num_passes - 1, 63) if doubling else 0)
+    probes = 2 * last - n_probes if doubling else n_probes * num_passes
+    return last, probes * (n_steps + 1) * searches
+
+
 @dataclass
 class DtoConfig:
-    """A run's components, each checked once, when the config is built."""
+    """A run's components, each checked once, when the config is built, and
+    its sizes: the last pass's search history (objectives._check_history)
+    and the run's calls (objectives._check_calls)."""
 
     num_passes: int
     schedule: Schedule
@@ -46,6 +61,12 @@ class DtoConfig:
         _check_type("cfo", self.cfo, CfoParams)
         _check_objective("objective", self.objective)
         _check_type("ipd", self.ipd, ProbeLine, RandomUniform)
+        searches = len(self.ipd.gammas) if isinstance(self.ipd, ProbeLine) else 1
+        last, calls = _run_size(self.cfo.n_probes, self.cfo.n_steps, self.num_passes,
+                                self.probe_doubling, searches)
+        _check_history(last, self.cfo.n_steps, self.objective.space.n_dims, "num_passes, "
+                       "cfo.n_probes, cfo.n_steps and objective.space.n_dims (the last pass)")
+        _check_calls(calls, "num_passes, cfo.n_probes, cfo.n_steps and ipd")
 
 
 @dataclass

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import (DecisionSpace, _check_count, _check_dims, _check_type, _is_number,
-                         _one_value_per_point)
+from .objectives import (DecisionSpace, _check_calls, _check_count, _check_dims, _check_type,
+                         _is_number, _one_value_per_point)
 from .threshold import _check_floor
 
 __all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "sample_threshold_floor"]
@@ -267,13 +267,15 @@ def sample_threshold_floor(
     T = -inf is no floor, and no sample is on it. Under a finite T an
     objective value of +inf counts as above the floor and -inf as on it.
     A ``func`` that is not callable, a ``space`` that is not a DecisionSpace,
-    an ``n_samples`` that is not an integer >= 1, a T that is not a number
-    or is NaN or +inf, a margin that is not finite and >= 0, a NaN value, or
-    a result that is not one value per sample raises ValueError.
+    an ``n_samples`` that is not an integer from 1 to objectives._MAX_VALUES
+    (see objectives._check_calls), a T that is not a number or is NaN or
+    +inf, a margin that is not finite and >= 0, a NaN value, or a result
+    that is not one value per sample raises ValueError.
     """
     _check_type("func", func, Callable)
     _check_type("space", space, DecisionSpace)
     _check_count("n_samples", n_samples, 1)
+    _check_calls(n_samples, "n_samples")
     _check_floor(threshold)
     _check_margin("margin", margin)
     width = space.upper - space.lower

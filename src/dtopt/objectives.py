@@ -245,7 +245,8 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 # The most float64 values one numpy array can hold: no more axes fit one row
-# of bounds, and no more positions one search history.
+# of bounds, no more positions one search history, and no more objective
+# calls one run or floor scan.
 _MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
@@ -266,6 +267,14 @@ def _check_history(n_probes: int, n_steps: int, n_dims: int,
         raise ValueError(f"{names} give a search history of more positions, (n_steps + 1) "
                          f"* n_probes * n_dims, than the {_MAX_VALUES} float64 values one "
                          "numpy array holds")
+
+
+def _check_calls(calls: int, names: str) -> None:
+    """Raise ValueError naming ``names`` unless ``calls`` objective calls, a
+    run's or a floor scan's, are at most _MAX_VALUES: no run of more would
+    end, and a Halton index from 2^63 on overflows np.arange's int64."""
+    if calls > _MAX_VALUES:
+        raise ValueError(f"{names} must give at most {_MAX_VALUES} objective calls")
 
 
 def _check_fraction(name: str, value, *, zero_ok: bool = True) -> None:

@@ -1,0 +1,175 @@
+"""Mutants of dtopt that the tests must kill, and the known survivors.
+
+Run from anywhere, with the repository's own interpreter and test
+dependencies (numpy, pytest, hypothesis):
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py block      # only those whose name contains "block"
+
+Each mutant replaces one piece of text, which must occur exactly once, in a
+fresh copy of the working tree's ``src``, ``tests`` and ``pyproject.toml``.
+The tests named for it then run there with ``-x`` and a fixed hypothesis
+seed; a failing or crashing run kills the mutant. Every named test selection
+first runs once on an unmutated copy, which must pass. The script prints one
+line per mutant and every survivor with its reason, and exits 1 if a
+mutant marked must-die survives, an entry's text is not found exactly once,
+or the unmutated tests fail. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600  # a mutant that makes a test loop for ever counts as killed after this
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str  # occurs exactly once in file
+    new: str
+    reason: str  # what the mutant breaks, or why it survives
+    tests: tuple[str, ...]  # pytest arguments: test files and an optional -k
+    must_die: bool = True
+
+
+CFO, OBJECTIVES, DRIVER = "src/dtopt/cfo.py", "src/dtopt/objectives.py", "src/dtopt/driver.py"
+KERNEL_TESTS = ("tests/test_cfo.py", "-k", "acceleration")
+
+MUTANTS = (
+    Mutant("plateau block one tile too tall", CFO,
+           "(k0 - r0) // _TILE_ROWS)", "(k0 - r0) // _TILE_ROWS + 1)",
+           "a block of whole floor tiles runs on over the mixed tile after it, whose rows "
+           "then meet the floor's columns: same values, other bits", KERNEL_TESTS),
+    Mutant("flat-field early exit removed", CFO,
+           "if fit[0] == fit[-1]:  # no pair has weight", "if False:  # no pair has weight",
+           "with no tile walked, the workspace del raises UnboundLocalError", KERNEL_TESTS),
+    Mutant("re-sum test ignores a tile's last row", CFO,
+           "if not np.isfinite(rowsum).all():", "if not np.isfinite(rowsum[:-1]).all():",
+           "a coincident pair in a tile's last row keeps its non-finite weight", KERNEL_TESTS),
+    Mutant("Gram near-pair threshold 1e-12", CFO,
+           "_NEAR = 1e-4", "_NEAR = 1e-12",
+           "survives: the float dense oracle's bound scales with coordinates, not distances; "
+           "an exact oracle (ROADMAP item 3) is to kill it", KERNEL_TESTS, must_die=False),
+    Mutant("mixed-tile clamp one column short", CFO,
+           "np.maximum(buf[:, :r1 - k0], 0.0, out=buf[:, :r1 - k0])",
+           "np.maximum(buf[:, :r1 - k0 - 1], 0.0, out=buf[:, :r1 - k0 - 1])",
+           "equivalent: column r1 - k0 - 1 is the tile's own fittest row, whose gap is never "
+           "negative", KERNEL_TESTS, must_die=False),
+    Mutant("below-side retrieval without its clamp", CFO,
+           "np.minimum(lower + frep * (prev - lower), upper)", "lower + frep * (prev - lower)",
+           "a pull at factor 1 from one ULP below upper rounds past it, and the above side "
+           "pulls it back to prev, not upper", ("tests/test_cfo.py", "-k", "retriev")),
+    Mutant("resting copy without its bytes check", CFO,
+           "and raw.shape == (params.n_probes,) and raw.tobytes() == checked):",
+           "and raw.shape == (params.n_probes,)):",
+           "a resting step copies the previous fitness row although the objective answered "
+           "with other values", ("tests/test_cfo.py",)),
+    Mutant("repeated-batch key without the layout", OBJECTIVES,
+           "if layout == self._layout and data == self._points:",
+           "if data == self._points:",
+           "a batch of the same bytes in another shape or order is answered from the last "
+           "one", ("tests/test_objectives.py",)),
+    Mutant("history rule off by one", OBJECTIVES,
+           "if (n_steps + 1) * n_probes * n_dims > _MAX_VALUES:",
+           "if (n_steps + 1) * n_probes * n_dims >= _MAX_VALUES:",
+           "the largest history one array holds is refused", ("tests/test_input_rules.py",)),
+    Mutant("call rule off by one", OBJECTIVES,
+           "if calls > _MAX_VALUES:", "if calls >= _MAX_VALUES:",
+           "a run of exactly the most calls is refused", ("tests/test_input_rules.py",)),
+    Mutant("run calls without the searches per pass", DRIVER,
+           "return last, probes * (n_steps + 1) * searches",
+           "return last, probes * (n_steps + 1)",
+           "a probe-line run of 11 gammas is counted as one search per pass",
+           ("tests/test_input_rules.py",)),
+    Mutant("floor-scan chunk cap dropped", "src/dtopt/floorscan.py",
+           "return min(max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims), "
+           "max(1, _MAX_CHUNK_VALUES // n_dims))",
+           "return max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims)",
+           "a chunk at large D outgrows its 8 MB bound", ("tests/test_floorscan.py",)),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[int | None, str]:
+    """(pytest's exit code, or None on timeout; its last output line)."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *tests]
+    try:
+        run = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                             timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, f"timed out after {TIMEOUT_S} s"
+    lines = (run.stdout + run.stderr).strip().splitlines()
+    return run.returncode, lines[-1] if lines else ""
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*",
+                        help="run only the mutants whose name contains one of these")
+    args = parser.parse_args(argv)
+    mutants = [m for m in MUTANTS if not args.names or any(n in m.name for n in args.names)]
+    failures = []
+    for m in mutants:
+        count = (ROOT / m.file).read_text().count(m.old)
+        if count != 1:
+            failures.append(f"{m.name}: its text occurs {count} times in {m.file}, not once")
+    if failures:
+        print(*failures, sep="\n")
+        return 1
+
+    with tempfile.TemporaryDirectory() as scratch:
+        clean = Path(scratch) / "clean"
+        _copy_tree(clean)
+        for tests in dict.fromkeys(m.tests for m in mutants):
+            code, last = _run_tests(clean, tests)
+            if code != 0:
+                print(f"the unmutated tree fails {' '.join(tests)}: {last}")
+                return 1
+
+        survivors = []
+        for i, m in enumerate(mutants):
+            tree = Path(scratch) / f"mutant{i}"
+            _copy_tree(tree)
+            path = tree / m.file
+            path.write_text(path.read_text().replace(m.old, m.new))
+            start = time.perf_counter()
+            code, last = _run_tests(tree, m.tests)
+            shutil.rmtree(tree)
+            killed = code != 0
+            verdict = "killed" if killed else "SURVIVED"
+            print(f"{verdict:8} {m.name} ({time.perf_counter() - start:.1f} s): {last}")
+            if not killed:
+                survivors.append(m)
+                if m.must_die:
+                    failures.append(m.name)
+            elif not m.must_die:
+                print(f"         now killed: mark {m.name!r} must-die")
+
+    dying = [m for m in mutants if m.must_die]
+    print(f"\n{len(dying) - len(failures)} of {len(dying)} must-die mutants killed")
+    for m in survivors:
+        kind = "MUST DIE" if m.must_die else "known"
+        print(f"survivor ({kind}): {m.name} in {m.file}: {m.reason}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

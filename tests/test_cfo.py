@@ -226,6 +226,25 @@ def test_retrieval_at_factor_one_stays_inside_bounds_whose_width_rounds(cube):
     assert hist.positions[:, 0, 1].tolist() == [upper, lower]
 
 
+@pytest.mark.parametrize("cube", [True, False], ids=["cube", "per-axis bounds"])
+def test_retrieval_at_factor_one_clamps_a_pull_from_one_ulp_inside_the_far_bound(cube):
+    # From one ULP below upper, lower + 1.0 * (prev - lower) still rounds
+    # past upper on these bounds, and the below side's clamp puts it at
+    # upper. Without that clamp the above side would pull the overshoot back
+    # to upper - (upper - prev), which is prev: inside, but not the rule's
+    lower, upper = -6.369616873214543, 1.1815697982720896
+    prev = float(np.nextafter(upper, lower))
+    assert lower + (prev - lower) > upper
+    space = (DecisionSpace.cube(2, lower, upper) if cube
+             else DecisionSpace([lower, -1.0], [upper, 1.0]))
+    hist = SwarmHistory.allocate(1, 2, 1)
+    hist.positions[0, :, 0] = [prev, 0.0]
+    hist.positions[0, :, 1] = [lower - 1.0, 0.0]
+    want = _retrieved_by_the_rule(space, hist.positions[:, :, 0], hist.positions[:, :, 1], 1.0)
+    retrieve_errant(hist, 1, 1.0, space)
+    assert hist.positions[0, :, 1].tolist() == [upper, 0.0] == want[0].tolist()
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("space", [DecisionSpace.cube(3, -500.0, 500.0),
                                    DecisionSpace([-500.0, -1.0, 0.0], [500.0, 1.0, 0.5]),
@@ -440,6 +459,22 @@ def _top_plateau_swarm(n_dims):
     return pos, fit
 
 
+def _two_floor_tiles_below_mixed_rows(seed):
+    """150 probes in 2-D, shuffled: exactly 128 on the floor, two whole
+    tiles, and 22 distinct probes above it. The block budget, min(2^15,
+    32 * 150) values, fits three tiles of the floor's 22 columns, so only
+    the count of whole floor tiles keeps the block off the mixed rows
+    128-149, which meet columns from 129 on. A block one tile too tall gives
+    them the floor's columns: the same values, but a reduction over one more
+    column, whose bits moved for seeds 1 and 2 under OpenBLAS's SkylakeX and
+    Prescott kernels."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-1.0, 1.0, size=(150, 2))
+    fit = np.concatenate([np.full(128, -700.0), rng.uniform(100.0, 800.0, 22)])
+    order = rng.permutation(150)
+    return pos[order], fit[order]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_kernel_inputs())
 @example((np.array([[3.0, -1.0]]), np.array([5.0])))  # N = 1
@@ -460,6 +495,8 @@ def _top_plateau_swarm(n_dims):
 # a later tile that starts on the top fitness ends the walk, at D = 2 and 30
 @example(_top_plateau_swarm(2))
 @example(_top_plateau_swarm(30))
+# two whole floor tiles below a mixed tile, a block of two
+@example(_two_floor_tiles_below_mixed_rows(1))
 def test_acceleration_matches_dense_oracle(inputs):
     _assert_matches_dense_oracle(*inputs)
 
@@ -610,6 +647,8 @@ def _gram_plateau_swarm():
 @settings(max_examples=60, deadline=None)
 @given(_plateau_inputs())
 @example(_gram_plateau_swarm())
+@example(_two_floor_tiles_below_mixed_rows(1))
+@example(_two_floor_tiles_below_mixed_rows(2))
 def test_acceleration_blocks_of_plateau_tiles_keep_the_tile_walk_bits(inputs):
     # A block of whole plateau tiles gives each row its tile's columns, gap
     # row, d^2, row sum and reduction: the same bits as one tile at a time.

@@ -15,8 +15,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from dtopt.cfo import CfoParams, ProbeLine, SwarmHistory, run_cfo
+from dtopt import cli, floorscan
+from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, run_cfo
 from dtopt.cli import main
+from dtopt.driver import DtoConfig
 from dtopt.floorscan import halton_points, sample_threshold_floor
 from dtopt.objectives import DecisionSpace, make_objective, ramp
 from dtopt.report import ConfigError, ExperimentConfig, parse_config
@@ -143,11 +145,12 @@ HISTORY_CONFIGS = {
     "passes": ({"passes": 10**30}, DOUBLING_KEYS),  # 2^(10^30 - 1) is never built
     "n_dims": ({"n_dims": 2**40, "np0": 2**20, "nt": 0, "probe_doubling": False},
                "np0, nt and n_dims"),
-    "largest": ({"n_dims": 1, "np0": 2**60 - 1, "nt": 0, "passes": 1}, None),
+    # one random search per pass, so that the run's calls stay within the call rule
+    "largest": ({"n_dims": 1, "np0": 2**60 - 1, "nt": 0, "passes": 1, "ipd": "random"}, None),
     "doubled past it": ({"n_dims": 1, "np0": 2**60 - 1, "nt": 0, "passes": 2},
                         DOUBLING_KEYS),
-    "largest without doubling": ({"n_dims": 1, "np0": 2**60 - 1, "nt": 0, "passes": 10**30,
-                                  "probe_doubling": False}, None),
+    "largest without doubling": ({"n_dims": 1, "np0": 2**58, "nt": 0, "passes": 3,
+                                  "probe_doubling": False, "ipd": "random"}, None),
 }
 
 
@@ -170,6 +173,113 @@ def test_run_with_a_count_beyond_one_numpy_array_exits_2(tmp_path, capsys, key):
     code, out, err = _cli(["run", "--config", str(path), "--out", str(out_dir)], capsys)
     assert (code, out, err) == (2, "", f"error: {_history_message(DOUBLING_KEYS)}\n")
     assert not out_dir.exists()
+
+
+MAX_CALLS = 2**60 - 1
+
+
+def _calls_message(names):
+    return f"{names} must give at most {MAX_CALLS} objective calls"
+
+
+DTO_CALL_KEYS = "num_passes, cfo.n_probes, cfo.n_steps and ipd"
+DTO_HISTORY_KEYS = ("num_passes, cfo.n_probes, cfo.n_steps and objective.space.n_dims "
+                    "(the last pass)")
+RANDOM_KEYS = "passes, np0 and nt"
+GAMMA_KEYS = "passes, np0, nt and gamma_sweep"
+
+
+# (ExperimentConfig fields, the keys its error names or None if accepted): a
+# run's calls, np0 * (2^passes - 1) * (nt + 1) per search of a pass with
+# doubling and np0 * passes * (nt + 1) without, against 2**60 - 1. Each
+# last-pass history here fits one array.
+CALL_CONFIGS = {
+    "passes without doubling": ({"passes": 10**30, "probe_doubling": False},
+                                GAMMA_KEYS),
+    "random, without doubling": ({"passes": 10**30, "probe_doubling": False, "ipd": "random"},
+                                 RANDOM_KEYS),
+    "exactly the most": ({"n_dims": 1, "np0": 2**60 - 1, "nt": 0, "passes": 1, "ipd": "random",
+                          "probe_doubling": False}, None),
+    "one past the most": ({"n_dims": 1, "np0": 2**59, "nt": 0, "passes": 2, "ipd": "random",
+                           "probe_doubling": False}, RANDOM_KEYS),
+    "nt": ({"n_dims": 1, "np0": 1, "nt": 2**59, "passes": 2, "ipd": "random",
+            "probe_doubling": False}, RANDOM_KEYS),
+    # 3 * 2^55 calls per search: within the rule for one search, not for 11 gammas
+    "doubled, one search": ({"n_dims": 1, "np0": 2**55, "nt": 0, "passes": 2, "ipd": "random"},
+                            None),
+    "doubled, 11 gammas": ({"n_dims": 1, "np0": 2**55, "nt": 0, "passes": 2},
+                           GAMMA_KEYS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALL_CONFIGS))
+def test_experiment_config_rejects_a_run_of_more_calls_than_the_most(case):
+    # before, passes = 10**30 without doubling built, and its run would never end
+    fields, keys = CALL_CONFIGS[case]
+    if keys is None:
+        ExperimentConfig(**fields)
+        return
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(**fields)
+    assert str(info.value) == _calls_message(keys)
+
+
+def _dto_config(num_passes, n_probes, n_steps, ipd, doubling, n_dims=2):
+    return DtoConfig(num_passes=num_passes, schedule=LinearRamp(0.5),
+                     cfo=CfoParams(n_probes, n_steps),
+                     objective=make_objective("schwefel226", n_dims), ipd=ipd,
+                     probe_doubling=doubling)
+
+
+# (num_passes, n_probes, n_steps, ipd, probe_doubling, n_dims, the keys its
+# error names or None if accepted)
+DTO_CONFIGS = {
+    "10**30 passes without doubling": (10**30, 4, 3, ProbeLine(), False, 2, DTO_CALL_KEYS),
+    "10**40 passes with doubling": (10**40, 4, 3, RandomUniform(1), True, 2, DTO_HISTORY_KEYS),
+    "exactly the most": (1, 2**60 - 1, 0, RandomUniform(1), False, 1, None),
+    "one past the most": (2, 2**59, 0, RandomUniform(1), False, 1, DTO_CALL_KEYS),
+    "doubled, one search": (2, 2**55, 0, RandomUniform(1), True, 1, None),
+    "doubled, 11 gammas": (2, 2**55, 0, ProbeLine(), True, 1, DTO_CALL_KEYS),
+    "last pass's history": (2, 2**59, 0, RandomUniform(1), True, 1, DTO_HISTORY_KEYS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DTO_CONFIGS))
+def test_dto_config_rejects_a_run_beyond_either_count_rule(monkeypatch, case):
+    # before, each of these built; 10**30 passes would loop for ever, and
+    # with doubling the last pass's history was only refused when reached
+    *counts, keys = DTO_CONFIGS[case]
+    monkeypatch.setattr(SwarmHistory, "allocate", None)
+    if keys is None:
+        _dto_config(*counts)
+        return
+    with pytest.raises(ValueError) as info:
+        _dto_config(*counts)
+    expected = _history_message(keys) if keys == DTO_HISTORY_KEYS else _calls_message(keys)
+    assert str(info.value) == expected
+
+
+def test_run_of_more_calls_than_the_most_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_dto", None)  # refused before any run starts
+    path = tmp_path / "endless.cfg"
+    path.write_text(f"passes = {10**30}\nprobe_doubling = false\n")
+    out_dir = tmp_path / "out"
+    code, out, err = _cli(["run", "--config", str(path), "--out", str(out_dir)], capsys)
+    assert (code, out, err) == (2, "", f"error: {_calls_message(GAMMA_KEYS)}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("n_samples", [2**60, 2**70, 10**20], ids=["2**60", "2**70", "10**20"])
+def test_a_floor_scan_of_more_samples_than_the_most_is_refused(monkeypatch, capsys, n_samples):
+    # before, the scan started and ran on for ever (10**20 printed nothing
+    # in 10 s); now nothing is sampled
+    monkeypatch.setattr(floorscan, "halton_points", None)
+    with pytest.raises(ValueError) as info:
+        sample_threshold_floor(ramp, UNIT_1D, 0.5, n_samples)
+    assert str(info.value) == _calls_message("n_samples")
+    code, out, err = _cli(["floorscan", "--function", "schwefel226", "--threshold", "0",
+                           "--samples", str(n_samples)], capsys)
+    assert (code, out, err) == (2, "", f"error: {_calls_message('--samples')}\n")
 
 
 # ----- a config: ConfigError naming the key -----
