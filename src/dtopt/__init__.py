@@ -10,6 +10,6 @@ from .driver import DtoConfig, PassRecord, RunReport, run_dto
 from .floorscan import FloorStats, sample_threshold_floor
 from .objectives import BENCHMARKS, DecisionSpace, ObjectiveSpec, make_objective
 from .report import PROFILES, ConfigError, ExperimentConfig, parse_config, to_dto_config
-from .threshold import BestFitness, LinearRamp
+from .threshold import LinearRamp
 
 __version__ = "0.1.0"

@@ -12,19 +12,27 @@ search, and every pass draws from one generator seeded once per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
 from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, run_cfo
 from .objectives import (ObjectiveSpec, _check_calls, _check_count, _check_history,
                          _check_objective, _check_type)
-from .threshold import Schedule, ThresholdState
+from .threshold import ThresholdState, _check_floor
 
 __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
 
 # observer(pass_index, threshold, OptResult, SwarmHistory)
 Observer = Callable[[int, float, OptResult, SwarmHistory], None]
+
+
+class _Schedule(Protocol):
+    """What a run asks of its schedule: the threshold for pass k + 1 after
+    completed pass k of num_passes (threshold.LinearRamp is the shipped one)."""
+
+    def next_threshold(self, k: int, num_passes: int, state: ThresholdState,
+                       pass_best: float) -> float: ...
 
 
 def _run_size(n_probes: int, n_steps: int, num_passes: int, doubling: bool,
@@ -46,7 +54,7 @@ class DtoConfig:
     and the run's calls (objectives._check_calls)."""
 
     num_passes: int
-    schedule: Schedule
+    schedule: _Schedule
     cfo: CfoParams
     objective: ObjectiveSpec
     ipd: ProbeLine | RandomUniform
@@ -95,7 +103,9 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
     the search result, and its full history.
 
     A NaN or +-inf objective value ends the run in ValueError naming the
-    pass, the search (its gamma or seed), the step and the count.
+    pass, the search (its gamma or seed), the step and the count. A schedule
+    whose next threshold is not a number, or is NaN or +inf, ends it in
+    ValueError naming the schedule's type and the completed pass.
     """
     objective = config.objective
     state = ThresholdState()
@@ -134,8 +144,14 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
             best_fitness=pass_best,
             cumulative_evals=objective.eval_count - evals_start,
         ))
-        state.t_current = config.schedule.next_threshold(
+        threshold = config.schedule.next_threshold(
             pass_index, config.num_passes, state, pass_best)
+        try:
+            _check_floor(threshold)
+        except ValueError as exc:
+            raise ValueError(f"schedule {type(config.schedule).__name__} after pass "
+                             f"{pass_index}: {exc}") from exc
+        state.t_current = threshold
         if config.probe_doubling:
             n_probes *= 2
 

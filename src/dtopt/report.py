@@ -25,7 +25,7 @@ from .objectives import (BENCHMARKS, DecisionSpace, _benchmark_dims, _check_call
                          _check_count, _check_fraction, _check_history, _check_type, _is_integer,
                          _is_number, _is_number_tuple, _LastBatch, _one_value_per_point,
                          make_objective)
-from .threshold import BestFitness, LinearRamp, _check_floor
+from .threshold import LinearRamp, _check_floor
 
 __all__ = [
     "ExperimentConfig",
@@ -44,11 +44,7 @@ __all__ = [
 
 _GRID_POINTS = 100  # per axis of a surface grid
 
-# Each schedule and start name, with the object it builds from a config.
-_SCHEDULES = MappingProxyType({
-    "linear": lambda config: LinearRamp(c_th=config.c_th),
-    "best_fitness": lambda config: BestFitness(),
-})
+# Each start name, with the object it builds from a config.
 _IPDS = MappingProxyType({
     "probe_line": lambda config: ProbeLine(config.gamma_sweep),
     "random": lambda config: RandomUniform(config.seed),
@@ -102,7 +98,6 @@ class ExperimentConfig:
     n_dims: int = 2
     passes: int = 6
     c_th: float = 0.6
-    schedule: str = "linear"
     nt: int = 15
     np0: int = 4
     ipd: str = "probe_line"
@@ -120,7 +115,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not kind.accepts(value):
                 raise ConfigError(f"{key} must be {kind.noun}, got {value!r}")
-        for key, names in (("function", BENCHMARKS), ("schedule", _SCHEDULES), ("ipd", _IPDS)):
+        for key, names in (("function", BENCHMARKS), ("ipd", _IPDS)):
             if getattr(self, key) not in names:
                 raise ConfigError(f"{key} must be one of {tuple(names)}")
         try:
@@ -158,14 +153,12 @@ _KEY_TYPES = {key: _FIELD_TYPES[hint] for key, hint in get_type_hints(Experiment
 PROFILES = MappingProxyType({
     # Reference 2-D Schwefel run: random start, 10 passes, 106,392 calls total.
     "schwefel2d": ExperimentConfig(
-        function="schwefel226", n_dims=2, passes=10, c_th=0.98, schedule="linear",
-        nt=25, np0=4, ipd="random", seed=1,
+        function="schwefel226", n_dims=2, passes=10, c_th=0.98, nt=25, np0=4, ipd="random", seed=1,
     ),
     # Reference 30-D Schwefel run: probe-line start with the 11-value gamma
     # sweep, 6 passes, 44,352 calls total.
     "schwefel30d": ExperimentConfig(
-        function="schwefel226", n_dims=30, passes=6, c_th=0.6, schedule="linear",
-        nt=15, np0=4, ipd="probe_line",
+        function="schwefel226", n_dims=30, passes=6, c_th=0.6, nt=15, np0=4, ipd="probe_line",
     ),
 })
 
@@ -205,7 +198,7 @@ def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfi
     objective.func = _LastBatch(objective.func)
     return DtoConfig(
         num_passes=config.passes,
-        schedule=_SCHEDULES[config.schedule](config),
+        schedule=LinearRamp(c_th=config.c_th),
         cfo=CfoParams(n_probes=config.np0, n_steps=config.nt),
         objective=objective,
         ipd=_IPDS[config.ipd](config),

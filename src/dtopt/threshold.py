@@ -1,12 +1,12 @@
-"""Fitness floor: the thresholded objective and its update schedules.
+"""Fitness floor: the thresholded objective and its update schedule.
 
 The floor replaces every fitness below the current threshold T with T itself,
 removing local maxima from the searchable landscape while leaving everything
 above T untouched. T = -inf is no floor at all: the first pass searches the
-raw landscape under it. Two schedules are shipped: a linear ramp over the
-observed fitness range (the default) and a follow-the-best-fitness rule. Each
-one computes the threshold for the next pass with
-``next_threshold(k, num_passes, state, pass_best)``.
+raw landscape under it. The shipped schedule is the paper's linear ramp over
+the observed fitness range; a run takes any object that computes the
+threshold for the next pass with ``next_threshold(k, num_passes, state,
+pass_best)`` (see driver.DtoConfig).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .objectives import _check_count, _check_fraction, _is_integer, _is_number
 
-__all__ = ["LinearRamp", "BestFitness", "ThresholdState"]
+__all__ = ["LinearRamp", "ThresholdState"]
 
 
 @dataclass
@@ -53,18 +53,6 @@ class LinearRamp:
         if np.isfinite(span):
             return state.f_min + fraction * span
         return state.f_min * (1.0 - fraction) + state.f_star * fraction
-
-
-@dataclass
-class BestFitness:
-    """Each new threshold is the best fitness the completed pass returned."""
-
-    def next_threshold(self, k: int, num_passes: int, state: ThresholdState,
-                       pass_best: float) -> float:
-        return pass_best
-
-
-Schedule = LinearRamp | BestFitness
 
 
 @dataclass

@@ -58,8 +58,9 @@ MUTANTS = (
            "a coincident pair in a tile's last row keeps its non-finite weight", KERNEL_TESTS),
     Mutant("Gram near-pair threshold 1e-12", CFO,
            "_NEAR = 1e-4", "_NEAR = 1e-12",
-           "survives: the float dense oracle's bound scales with coordinates, not distances; "
-           "an exact oracle (ROADMAP item 3) is to kill it", KERNEL_TESTS, must_die=False),
+           "pairs within two far clusters keep a Gram d2 with about 5 good digits, and the "
+           "exact pair-by-pair sum sees an error near 4e-5 of the largest acceleration",
+           KERNEL_TESTS),
     Mutant("mixed-tile clamp one column short", CFO,
            "np.maximum(buf[:, :r1 - k0], 0.0, out=buf[:, :r1 - k0])",
            "np.maximum(buf[:, :r1 - k0 - 1], 0.0, out=buf[:, :r1 - k0 - 1])",
@@ -91,6 +92,22 @@ MUTANTS = (
            "return last, probes * (n_steps + 1)",
            "a probe-line run of 11 gammas is counted as one search per pass",
            ("tests/test_input_rules.py",)),
+    Mutant("scan without its reversal", CFO,
+           "idx = flat.size - 1 - int(arg_extreme(flat[::-1]))", "idx = int(arg_extreme(flat))",
+           "the first of equal fitnesses takes the best and worst indices, not the last",
+           ("tests/test_cfo.py", "-k", "scan")),
+    Mutant("retrieval factor one step ahead", CFO,
+           "_FREP[(j - 1) % len(_FREP)]", "_FREP[j % len(_FREP)]",
+           "step j retrieves with the factor of step j + 1",
+           ("tests/test_cfo.py", "-k", "retriev")),
+    Mutant("schedule handed the run's best", DRIVER,
+           "config.num_passes, state, pass_best)", "config.num_passes, state, state.f_star)",
+           "a schedule gets the best of the whole run so far, not of the pass just completed",
+           ("tests/test_driver.py", "-k", "schedule")),
+    Mutant("schedule threshold unchecked", DRIVER,
+           "            _check_floor(threshold)\n", "            pass\n",
+           "a NaN, +inf or non-number threshold reaches the next pass's first search, which "
+           "is blamed for it", ("tests/test_driver.py", "-k", "schedule")),
     Mutant("floor-scan chunk cap dropped", "src/dtopt/floorscan.py",
            "return min(max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims), "
            "max(1, _MAX_CHUNK_VALUES // n_dims))",

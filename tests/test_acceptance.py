@@ -234,12 +234,12 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
     configs = {
         "probe_line": (
             "function = schwefel226\nn_dims = 2\npasses = 3\nc_th = 0.6\n"
-            "schedule = linear\nnt = 5\nnp0 = 4\nipd = probe_line\n"
+            "nt = 5\nnp0 = 4\nipd = probe_line\n"
             "gamma_sweep = 0.0,0.5,1.0\n"
         ),
         "random": (
             "function = schwefel226\nn_dims = 2\npasses = 3\nc_th = 0.9\n"
-            "schedule = linear\nnt = 5\nnp0 = 4\nipd = random\nseed = 7\n"
+            "nt = 5\nnp0 = 4\nipd = random\nseed = 7\n"
         ),
     }
     for name, text in configs.items():

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -499,6 +500,48 @@ def _two_floor_tiles_below_mixed_rows(seed):
 @example(_two_floor_tiles_below_mixed_rows(1))
 def test_acceleration_matches_dense_oracle(inputs):
     _assert_matches_dense_oracle(*inputs)
+
+
+def _exact_accelerations(pos, fit):
+    """Each probe's pulls summed pair by pair in exact rationals, rounded once:
+    sum over k of 2 * max(M_k - M_p, 0)^2 / |R_k - R_p|^2 * (R_k - R_p), and
+    no pull from a coincident probe."""
+    points = [[Fraction(float(x)) for x in row] for row in pos]
+    masses = [Fraction(float(m)) for m in fit]
+    out = np.zeros(pos.shape)
+    for p, (row, mass) in enumerate(zip(points, masses)):
+        total = [Fraction(0)] * len(row)
+        for other, other_mass in zip(points, masses):
+            diff = [b - a for a, b in zip(row, other)]
+            d2 = sum(x * x for x in diff)
+            if other_mass > mass and d2:
+                weight = 2 * (other_mass - mass) ** 2 / d2
+                total = [t + weight * x for t, x in zip(total, diff)]
+        out[p] = [float(t) for t in total]
+    return out
+
+
+def test_acceleration_of_two_far_clusters_matches_an_exact_sum():
+    # 32 probes in 8-D, the Gram form: two clusters of spread 1e-4 at -100 and
+    # +100 on the first axis. A pair within a cluster has d2 near 1e-7 against
+    # squared norms near 1e4 each (centred on the swarm mean, which lies
+    # between the clusters), so its Gram d2 keeps about 5 of 16 digits:
+    # only the exact re-sum of near pairs keeps the error at rounding level.
+    # With the threshold for a near pair at 1e-12 instead of 1e-4, those
+    # pairs keep their Gram d2 and the error rises to about 4e-5 of the
+    # largest acceleration; with the threshold as it is, it is about 3e-10,
+    # the cancellation of the reduction on absolute positions (ROADMAP item 3).
+    rng = np.random.default_rng(0)
+    pos = rng.uniform(-1e-4, 1e-4, size=(32, 8))
+    pos[:16, 0] += 100.0
+    pos[16:, 0] -= 100.0
+    fit = rng.uniform(0.0, 800.0, 32)
+    hist = SwarmHistory.allocate(32, 8, 1)
+    hist.positions[:, :, 1] = pos
+    hist.fitness[:, 1] = fit
+    got = compute_accelerations(hist, 1, _params(n_probes=32, n_steps=1))
+    expected = _exact_accelerations(pos, fit)
+    assert np.abs(got - expected).max() <= 1e-8 * np.abs(expected).max()
 
 
 @st.composite

@@ -13,7 +13,6 @@ function = schwefel226
 n_dims = 2
 passes = 3
 c_th = 0.6
-schedule = linear
 nt = 4
 np0 = 4
 ipd = probe_line
@@ -25,7 +24,6 @@ function = schwefel226
 n_dims = 2
 passes = 3
 c_th = 0.9
-schedule = linear
 nt = 4
 np0 = 4
 ipd = random
@@ -129,12 +127,16 @@ def test_run_bad_config_exit_code(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
 
-@pytest.mark.parametrize("value", ["true", "false"])
-def test_run_config_naming_floor_repositioning_is_an_unknown_key(tmp_path, capsys, value):
-    # floor repositioning is gone; a config that still names it, either way, is refused
-    config = _write(tmp_path, "old.cfg", f"passes = 2\nfloor_repositioning = {value}\n")
+@pytest.mark.parametrize("key, value", [
+    ("floor_repositioning", "true"), ("floor_repositioning", "false"),
+    ("schedule", "linear"), ("schedule", "best_fitness"),
+])
+def test_run_config_naming_a_removed_key_is_an_unknown_key(tmp_path, capsys, key, value):
+    # floor repositioning is gone, and every config runs the linear ramp: a
+    # config that still names either key, with any value, is refused
+    config = _write(tmp_path, "old.cfg", f"passes = 2\n{key} = {value}\n")
     assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: line 2: unknown key 'floor_repositioning'\n"
+    assert capsys.readouterr().err == f"error: line 2: unknown key '{key}'\n"
     assert not (tmp_path / "out").exists()
 
 

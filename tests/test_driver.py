@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,15 @@ from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
 from dtopt.report import ExperimentConfig, render_passes_csv, render_summary, to_dto_config
-from dtopt.threshold import BestFitness, LinearRamp, ThresholdState
+from dtopt.threshold import LinearRamp, ThresholdState
+
+
+class _FollowBest:
+    """A follow-the-best schedule, as README defines it: each threshold is the
+    best fitness of the pass just completed."""
+
+    def next_threshold(self, k, num_passes, state, pass_best):
+        return pass_best
 
 
 def expected_evals(runs_per_pass, n_steps, probe_counts):
@@ -122,10 +132,10 @@ def test_thresholds_rise_with_linear_ramp():
     assert all(b >= a - 1e-9 for a, b in zip(thresholds, thresholds[1:]))
 
 
-def test_best_fitness_schedule_pins_threshold_to_pass_best():
+def test_follow_the_best_schedule_pins_threshold_to_pass_best():
     config = DtoConfig(
         num_passes=3,
-        schedule=BestFitness(),
+        schedule=_FollowBest(),
         cfo=CfoParams(n_probes=4, n_steps=3),
         objective=make_objective("schwefel226", 2),
         ipd=ProbeLine((0.25, 0.75)),
@@ -133,6 +143,56 @@ def test_best_fitness_schedule_pins_threshold_to_pass_best():
     report = run_dto(config)
     assert report.passes[1].threshold == report.passes[0].best_fitness
     assert report.passes[2].threshold == report.passes[1].best_fitness
+
+
+class _NoFloorRecorder:
+    """A schedule that never floors and records what each call is handed."""
+
+    def __init__(self):
+        self.calls = []
+
+    def next_threshold(self, k, num_passes, state, pass_best):
+        self.calls.append((k, num_passes, pass_best, state.f_star))
+        return -np.inf
+
+
+def test_a_schedule_gets_each_pass_best_not_the_run_best():
+    # Without a floor a later pass can end below an earlier one: seed 6's
+    # passes 2 and 4 do, so the pass best and the run-wide best differ there
+    schedule = _NoFloorRecorder()
+    config = _random_config(num_passes=4, np0=3, nt=2, seed=6)
+    config.schedule = schedule
+    report = run_dto(config)
+    assert [call[:2] for call in schedule.calls] == [(k, 4) for k in range(1, 5)]
+    assert [call[2] for call in schedule.calls] == [rec.best_fitness for rec in report.passes]
+    assert any(pass_best < f_star for _, _, pass_best, f_star in schedule.calls)
+    assert [rec.threshold for rec in report.passes] == [-np.inf] * 4
+
+
+class _Returns:
+    """A schedule whose every threshold is one given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def next_threshold(self, k, num_passes, state, pass_best):
+        return self.value
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "must not be NaN or +inf (-inf is no floor), got nan"),
+    (np.inf, "must not be NaN or +inf (-inf is no floor), got inf"),
+    ("1", "must be a number, got '1'"),
+    (None, "must be a number, got None"),
+], ids=["nan", "inf", "str", "none"])
+def test_a_schedule_threshold_that_is_no_floor_is_refused_where_it_is_made(value, message):
+    # before, pass 2's first search refused it and was blamed for it
+    config = _probe_line_config(num_passes=2, np0=2, nt=3)
+    config.schedule = _Returns(value)
+    with pytest.raises(ValueError, match=rf"^schedule _Returns after pass 1: threshold "
+                                         rf"{re.escape(message)}$"):
+        run_dto(config)
+    assert config.objective.eval_count == expected_evals(3, 3, [2])
 
 
 def test_an_equal_best_from_a_later_search_takes_best_coords():
@@ -276,17 +336,25 @@ _SMALL = dict(
     gamma_sweep=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(tuple),
     seed=st.integers(0, 2**31),
 )
-_small_configs = st.builds(ExperimentConfig, c_th=st.floats(0.05, 1.0),
-                           schedule=st.sampled_from(["linear", "best_fitness"]), **_SMALL)
+_small_configs = st.builds(ExperimentConfig, c_th=st.floats(0.05, 1.0), **_SMALL)
+
+
+def _small_run_config(config, follow_best):
+    dto_config = to_dto_config(config)
+    if follow_best:
+        dto_config.schedule = _FollowBest()
+    return dto_config
 
 
 @settings(max_examples=100, deadline=None)
-@given(config=_small_configs)
+@given(config=_small_configs, follow_best=st.booleans())
 # 16 probes on one axis of [-500, 500]: lower + 15 * step rounds past upper
-@example(config=ExperimentConfig(n_dims=1, passes=4, nt=0, np0=2, gamma_sweep=(0.0,)))
-@example(config=ExperimentConfig(n_dims=3, passes=4, nt=6, np0=4, ipd="random"))
-def test_run_invariants_hold_on_random_configs(config):
-    dto_config = to_dto_config(config)
+@example(config=ExperimentConfig(n_dims=1, passes=4, nt=0, np0=2, gamma_sweep=(0.0,)),
+         follow_best=False)
+@example(config=ExperimentConfig(n_dims=3, passes=4, nt=6, np0=4, ipd="random"),
+         follow_best=True)
+def test_run_invariants_hold_on_random_configs(config, follow_best):
+    dto_config = _small_run_config(config, follow_best)
     space = dto_config.objective.space
     searches = 0
 
@@ -303,7 +371,7 @@ def test_run_invariants_hold_on_random_configs(config):
     assert report.total_evals == (config.np0 * (2**config.passes - 1) * (config.nt + 1)
                                   * runs_per_pass)
 
-    again = run_dto(to_dto_config(config))
+    again = run_dto(_small_run_config(config, follow_best))
     assert render_summary(again) == render_summary(report)
     assert render_passes_csv(again) == render_passes_csv(report)
 
@@ -364,7 +432,7 @@ def test_objective_not_one_value_per_point_names_pass_search_and_step(func, got)
     assert config.objective.eval_count == 4
 
 
-@pytest.mark.parametrize("schedule", [LinearRamp(0.6), BestFitness()], ids=["linear", "best"])
+@pytest.mark.parametrize("schedule", [LinearRamp(0.6), _FollowBest()], ids=["linear", "best"])
 @pytest.mark.parametrize("constant", [-2e300, 2e300])
 def test_constant_objective_beyond_1e300_runs_and_reports_the_constant(constant, schedule):
     # The run-wide best and worst start at -inf and +inf, so a finite value of

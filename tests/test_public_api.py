@@ -8,19 +8,19 @@ import dtopt
 # What a run needs; the building blocks stay in their modules. A new export
 # or knob is a deliberate edit of this list.
 TOP_LEVEL_NAMES = {
-    "BENCHMARKS", "BestFitness", "CfoParams", "ConfigError", "DecisionSpace", "DtoConfig",
+    "BENCHMARKS", "CfoParams", "ConfigError", "DecisionSpace", "DtoConfig",
     "ExperimentConfig", "FloorStats", "LinearRamp", "ObjectiveSpec", "PROFILES",
     "PassRecord", "ProbeLine", "RandomUniform", "RunReport", "make_objective",
     "parse_config", "run_cfo", "run_dto", "sample_threshold_floor", "to_dto_config",
 }
 
-# Each module's __all__, pinned the same way: 39 names in all.
+# Each module's __all__, pinned the same way: 38 names in all.
 MODULE_NAMES = {
     "dtopt.cfo": {
         "CfoParams", "DEFAULT_GAMMA_SWEEP", "OptResult", "ProbeLine", "RandomUniform",
         "SwarmHistory", "compute_accelerations", "run_cfo",
     },
-    "dtopt.threshold": {"BestFitness", "LinearRamp", "ThresholdState"},
+    "dtopt.threshold": {"LinearRamp", "ThresholdState"},
     "dtopt.floorscan": {"FLOOR_MARGIN", "FloorStats", "halton_points", "sample_threshold_floor"},
     "dtopt.driver": {"DtoConfig", "PassRecord", "RunReport", "run_dto"},
     "dtopt.report": {
@@ -39,7 +39,7 @@ def test_top_level_names():
     public = {name for name, value in vars(dtopt).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == TOP_LEVEL_NAMES
-    assert len(public) == 21
+    assert len(public) == 20
 
 
 @pytest.mark.parametrize("module_name", sorted(MODULE_NAMES))
@@ -51,7 +51,7 @@ def test_module_all(module_name):
 
 
 def test_module_all_total():
-    assert sum(len(importlib.import_module(name).__all__) for name in MODULE_NAMES) == 39
+    assert sum(len(importlib.import_module(name).__all__) for name in MODULE_NAMES) == 38
 
 
 # Out of __all__, yet module attributes under these names: bench/layers.py

@@ -20,6 +20,7 @@ from dtopt.report import (
     render_surface_command,
     to_dto_config,
 )
+from dtopt.threshold import LinearRamp
 
 
 def _sample_report():
@@ -43,7 +44,6 @@ function = ramp
 n_dims = 1
 passes = 3
 c_th = 0.25
-schedule = best_fitness
 nt = 7
 np0 = 5
 ipd = random
@@ -52,10 +52,9 @@ seed = 99
 probe_doubling = false
 output_dir = out/x
 """
-    expected = ExperimentConfig(function="ramp", n_dims=1, passes=3, c_th=0.25,
-                                schedule="best_fitness", nt=7, np0=5, ipd="random",
-                                gamma_sweep=(0.125, 0.5), seed=99, probe_doubling=False,
-                                output_dir="out/x")
+    expected = ExperimentConfig(function="ramp", n_dims=1, passes=3, c_th=0.25, nt=7, np0=5,
+                                ipd="random", gamma_sweep=(0.125, 0.5), seed=99,
+                                probe_doubling=False, output_dir="out/x")
     assert parse_config(text) == expected
     defaults = ExperimentConfig()
     assert all(getattr(expected, f.name) != getattr(defaults, f.name)
@@ -77,6 +76,16 @@ def test_floor_repositioning_is_no_key_and_no_field():
     assert ExperimentConfig().floor_repositioning is False
     with pytest.raises(TypeError):
         ExperimentConfig(floor_repositioning=True)
+
+
+@pytest.mark.parametrize("value", ["linear", "best_fitness"])
+def test_schedule_is_no_key_and_no_field(value):
+    # every config runs the linear ramp; another schedule is a DtoConfig's
+    with pytest.raises(ConfigError, match="^line 1: unknown key 'schedule'$"):
+        parse_config(f"schedule = {value}\n")
+    assert "schedule" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    with pytest.raises(TypeError):
+        ExperimentConfig(schedule=value)
 
 
 def test_duplicate_key_rejected():
@@ -106,8 +115,6 @@ def test_comments_and_blanks_skipped():
 def test_invalid_enum_values_rejected():
     with pytest.raises(ConfigError):
         parse_config("function = rosenbrock\n")
-    with pytest.raises(ConfigError):
-        parse_config("schedule = quadratic\n")
     with pytest.raises(ConfigError):
         parse_config("ipd = grid\n")
 
@@ -176,7 +183,7 @@ def test_to_dto_config_seed_override():
     config = to_dto_config(PROFILES["schwefel2d"], seed=42)
     assert config.ipd == RandomUniform(42)
     assert config.objective.space.n_dims == 2
-    assert config.schedule.c_th == 0.98
+    assert config.schedule == LinearRamp(c_th=0.98)
 
 
 @pytest.mark.parametrize("seed", [0, 5])

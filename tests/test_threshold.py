@@ -7,7 +7,7 @@ from dtopt.cfo import CfoParams, run_cfo
 from dtopt.floorscan import sample_threshold_floor
 from dtopt.objectives import make_objective
 from dtopt.report import render_surface
-from dtopt.threshold import BestFitness, LinearRamp, ThresholdState, apply_threshold
+from dtopt.threshold import LinearRamp, ThresholdState, apply_threshold
 
 
 def test_apply_threshold_branches():
@@ -120,14 +120,6 @@ def test_linear_cap_below_peak():
     # with c_th < 1 the floor never reaches the best fitness
     state = ThresholdState(f_star=837.9658, f_min=-962.0)
     assert _linear(0.98, 10, 10, state) < state.f_star
-
-
-def test_best_fitness_update_passthrough():
-    # the pass best wins over the pass index, the pass count and the run-wide
-    # best and worst
-    state = ThresholdState(f_star=900.0, f_min=-900.0)
-    for k, pass_best in enumerate((580.297, 0.0, -5.5), start=1):
-        assert BestFitness().next_threshold(k, 3, state, pass_best) == pass_best
 
 
 def test_initial_state():
