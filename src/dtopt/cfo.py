@@ -68,7 +68,7 @@ _FREP = tuple(k / 20 for k in (*range(10, 21), *range(1, 10)))
 DEFAULT_GAMMA_SWEEP = tuple(i / 10 for i in range(11))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeLine:
     """Deterministic starts: one search per gamma in ``gammas``.
 
@@ -92,7 +92,7 @@ class ProbeLine:
             _check_fraction(f"gammas[{i}]", gamma)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RandomUniform:
     """Stochastic start: every coordinate drawn uniformly over its bounds,
     from one generator seeded with ``seed`` for the whole run."""
@@ -103,7 +103,7 @@ class RandomUniform:
         _check_count("seed", self.seed, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CfoParams:
     n_probes: int
     n_steps: int

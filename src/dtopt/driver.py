@@ -47,11 +47,12 @@ def _run_size(n_probes: int, n_steps: int, num_passes: int, doubling: bool,
     return last, probes * (n_steps + 1) * searches
 
 
-@dataclass
+@dataclass(frozen=True)
 class DtoConfig:
-    """A run's components, each checked once, when the config is built, and
-    its sizes: the last pass's search history (objectives._check_history)
-    and the run's calls (objectives._check_calls)."""
+    """A run's components and sizes, each checked once, when it is built:
+    the last pass's history (objectives._check_history) and the run's calls
+    (objectives._check_calls). Frozen, as are its cfo, ipd and LinearRamp:
+    dataclasses.replace makes a checked variant. Its objective is mutable."""
 
     num_passes: int
     schedule: _Schedule
@@ -115,14 +116,13 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
     else:
         starts = [(np.random.default_rng(config.ipd.seed), f"seed {config.ipd.seed}")]
 
-    n_probes = config.cfo.n_probes
+    params = config.cfo
     passes: list[PassRecord] = []
     evals_start = objective.eval_count
 
     for pass_index in range(1, config.num_passes + 1):
         threshold_used = state.t_current
         pass_best = -np.inf
-        params = replace(config.cfo, n_probes=n_probes)
         for start, search in starts:
             try:
                 result, history = run_cfo(params, objective, start, state)
@@ -153,7 +153,7 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
                              f"{pass_index}: {exc}") from exc
         state.t_current = threshold
         if config.probe_doubling:
-            n_probes *= 2
+            params = replace(params, n_probes=2 * params.n_probes)
 
     return RunReport(
         best_coords=best_coords,

@@ -9,10 +9,10 @@ rises toward the global maximum this estimate drops to zero.
 The Halton columns are copied from cached per-base tables plus the digits
 of each row, bit-identical to summing every index's digits one by one (see
 ``halton_points``). ``sample_threshold_floor`` streams: it maps, evaluates
-and counts one chunk of Halton indices at a time (see ``_chunk_rows``) and
-keeps only the running count, so its memory grows neither with the number
-of samples nor with the dimension. A point depends only on its index and
-the count is an integer sum, so the result does not depend on the chunking.
+and counts one chunk of Halton indices at a time and keeps only the running
+count, so its memory grows with the dimension (see ``_chunk_rows``) but not
+with the number of samples. A point depends only on its index and the count
+is an integer sum, so the result does not depend on the chunking.
 
 A chunk is column-major (Fortran order): each coordinate's values are
 contiguous, so the Halton columns are written in one pass each and the
@@ -43,17 +43,17 @@ __all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "sample_threshold_floo
 # A fitness f sits on the floor at threshold T when max(f, T) - T <= FLOOR_MARGIN.
 FLOOR_MARGIN = 0.005
 
-# The chunk rule (_chunk_rows): a chunk of sample_threshold_floor holds
-# _CHUNK_VALUES coordinates (128 KB), but at least _MIN_CHUNK_ROWS points,
-# at most _MAX_CHUNK_VALUES coordinates (8 MB) and at least one point:
-# 2**14 // D points up to D = 4, 4096 up to D = 256, 2**20 // D above. At
-# 128 KB a chunk's arrays and the objective's temporaries stay in malloc's
-# heap; at 1 MB malloc returned them to the OS on free, and every chunk
-# faulted them in again. Each column of a chunk has a fixed cost of some
-# 6 us, 25 us where its table is rebuilt per call, which fewer than 4096
-# rows would not amortise (131-row chunks ran 3x slower at D = 1000). The
-# 8 MB cap bounds the memory at any D; at D = 1000 it costs about 40 % more
-# time than 4096-row chunks.
+# The chunk rule (_chunk_rows): a chunk holds _CHUNK_VALUES coordinates
+# (128 KB), but at least _MIN_CHUNK_ROWS points, at most _MAX_CHUNK_VALUES
+# coordinates (8 MB) and at least one point: 2**14 // D points up to D = 4,
+# 4096 up to D = 256, 2**20 // D up to D = 2**20 and one point of 8 D bytes
+# above. At 128 KB a chunk's arrays and the objective's temporaries stay in
+# malloc's heap; at 1 MB malloc returned them to the OS on free, and every
+# chunk faulted them in again. Each column has a fixed cost of some 6 us,
+# 25 us where its table is rebuilt per call, which fewer than 4096 rows would
+# not amortise (131-row chunks ran 3x slower at D = 1000); at D = 1000 the
+# 8 MB cap costs about 40 % more than 4096-row chunks. _first_primes adds a
+# sieve of D (ln D + ln ln D) bytes and D Python ints of some 40 bytes each.
 _CHUNK_VALUES = 1 << 14
 _MIN_CHUNK_ROWS = 1 << 12
 _MAX_CHUNK_VALUES = 1 << 20
@@ -256,10 +256,10 @@ def sample_threshold_floor(
     Maps the Halton points of indices 0 .. n_samples-1 affinely into the
     decision space, evaluates f at each, and counts the samples on the floor:
     those with max(f, T) - T <= margin. ``func`` is called once per chunk
-    (see _chunk_rows; peak memory is a few chunks of at most 8 MB, whatever
-    n_samples and n are) with a fresh ``(m, n)`` float64 batch and must
-    return m fitnesses. The batch is column-major: a ``func`` that needs C-contiguous
-    input calls ``np.ascontiguousarray`` itself. From 8 dimensions numpy sums
+    (see _chunk_rows for its memory, which grows with n but not n_samples)
+    with a fresh ``(m, n)`` float64 batch and must return m fitnesses. The
+    batch is column-major: a ``func`` that needs C-contiguous input calls
+    ``np.ascontiguousarray`` itself. From 8 dimensions numpy sums
     a column-major row left to right, not pairwise as a row-major one, so a
     30-D Schwefel value can differ from a row-major batch's by about 1e-12;
     below 8 the bits are the same. The counts are those of one batch.

@@ -320,11 +320,11 @@ class ObjectiveSpec:
     """A batch objective bound to its decision space, with call accounting.
 
     ``func`` maps an ``(m, n)`` batch to m fitnesses; any such callable
-    works. ``eval_count`` grows by exactly one per evaluated point, so an
-    instance equals only itself. One instance must not be shared across
-    concurrent runs. A ``func`` that is
-    not callable, or a ``space`` that is not a DecisionSpace, raises
-    ValueError naming it.
+    works. Mutable: ``eval_count`` grows by exactly one per evaluated point,
+    so an instance equals only itself, and report.to_dto_config installs its
+    repeated-batch cache as ``func``. One instance must not be shared across
+    concurrent runs. A ``func`` that is not callable, or a ``space`` that is
+    not a DecisionSpace, raises ValueError naming it.
     """
 
     func: Callable[[np.ndarray], np.ndarray]

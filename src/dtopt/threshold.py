@@ -20,7 +20,7 @@ from .objectives import _check_count, _check_fraction, _is_integer, _is_number
 __all__ = ["LinearRamp", "ThresholdState"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearRamp:
     """Threshold rises linearly with completed passes, capped at c_th of the range."""
 
@@ -57,7 +57,7 @@ class LinearRamp:
 
 @dataclass
 class ThresholdState:
-    """Mutable floor state owned by a single run.
+    """Mutable floor state, made by each run: run_dto raises it every pass.
 
     The threshold starts at -inf, which floors nothing, so the first pass sees
     the raw landscape. ``f_star`` and ``f_min`` track the best and worst

@@ -61,6 +61,20 @@ MUTANTS = (
            "pairs within two far clusters keep a Gram d2 with about 5 good digits, and the "
            "exact pair-by-pair sum sees an error near 4e-5 of the largest acceleration",
            KERNEL_TESTS),
+    Mutant("plateau tile without its gap row", CFO,
+           "if fit[r1 - 1] == fit[r0]:  # one fitness for every row",
+           "if False:  # one fitness for every row",
+           "performance only: the difference matmul gives the gap row's bits, so the "
+           "accelerations keep their bytes (all 250 kernel calls of schwefel2d seed 1) at "
+           "about 3 % more kernel time; only the benchmark guards it", KERNEL_TESTS,
+           must_die=False),
+    Mutant("plateau tiles never blocked", CFO,
+           "block = 0 if gram else min(_BLOCK_VALUES, _TILE_ROWS // 2 * n_probes)",
+           "block = 0",
+           "performance only: one reduction matmul per plateau tile gives a block's bits, so "
+           "the accelerations keep their bytes (all 250 kernel calls of schwefel2d seed 1) at "
+           "about 7 % more kernel time; only the benchmark guards it", KERNEL_TESTS,
+           must_die=False),
     Mutant("mixed-tile clamp one column short", CFO,
            "np.maximum(buf[:, :r1 - k0], 0.0, out=buf[:, :r1 - k0])",
            "np.maximum(buf[:, :r1 - k0 - 1], 0.0, out=buf[:, :r1 - k0 - 1])",
@@ -108,6 +122,14 @@ MUTANTS = (
            "            _check_floor(threshold)\n", "            pass\n",
            "a NaN, +inf or non-number threshold reaches the next pass's first search, which "
            "is blamed for it", ("tests/test_driver.py", "-k", "schedule")),
+    Mutant("run description not frozen", DRIVER,
+           "@dataclass(frozen=True)\nclass DtoConfig:", "@dataclass\nclass DtoConfig:",
+           "an assignment to a built config skips its checks: schedule = None ends pass 1 in "
+           "a bare AttributeError", ("tests/test_input_rules.py", "-k", "frozen")),
+    Mutant("linear ramp not frozen", "src/dtopt/threshold.py",
+           "@dataclass(frozen=True)\nclass LinearRamp:", "@dataclass\nclass LinearRamp:",
+           "c_th = 7.0 on a built ramp floors far above the maximum: schwefel2d reported a "
+           "best of 25,346,388", ("tests/test_input_rules.py", "-k", "frozen")),
     Mutant("floor-scan chunk cap dropped", "src/dtopt/floorscan.py",
            "return min(max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims), "
            "max(1, _MAX_CHUNK_VALUES // n_dims))",

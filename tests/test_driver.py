@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,8 +161,7 @@ def test_a_schedule_gets_each_pass_best_not_the_run_best():
     # Without a floor a later pass can end below an earlier one: seed 6's
     # passes 2 and 4 do, so the pass best and the run-wide best differ there
     schedule = _NoFloorRecorder()
-    config = _random_config(num_passes=4, np0=3, nt=2, seed=6)
-    config.schedule = schedule
+    config = replace(_random_config(num_passes=4, np0=3, nt=2, seed=6), schedule=schedule)
     report = run_dto(config)
     assert [call[:2] for call in schedule.calls] == [(k, 4) for k in range(1, 5)]
     assert [call[2] for call in schedule.calls] == [rec.best_fitness for rec in report.passes]
@@ -187,8 +187,7 @@ class _Returns:
 ], ids=["nan", "inf", "str", "none"])
 def test_a_schedule_threshold_that_is_no_floor_is_refused_where_it_is_made(value, message):
     # before, pass 2's first search refused it and was blamed for it
-    config = _probe_line_config(num_passes=2, np0=2, nt=3)
-    config.schedule = _Returns(value)
+    config = replace(_probe_line_config(num_passes=2, np0=2, nt=3), schedule=_Returns(value))
     with pytest.raises(ValueError, match=rf"^schedule _Returns after pass 1: threshold "
                                          rf"{re.escape(message)}$"):
         run_dto(config)
@@ -341,9 +340,7 @@ _small_configs = st.builds(ExperimentConfig, c_th=st.floats(0.05, 1.0), **_SMALL
 
 def _small_run_config(config, follow_best):
     dto_config = to_dto_config(config)
-    if follow_best:
-        dto_config.schedule = _FollowBest()
-    return dto_config
+    return replace(dto_config, schedule=_FollowBest()) if follow_best else dto_config
 
 
 @settings(max_examples=100, deadline=None)
@@ -410,7 +407,7 @@ def test_non_finite_objective_value_names_pass_search_step_and_count(value, ipd,
     else:
         config = _probe_line_config(num_passes=3, np0=np0, nt=nt)
         after = 0 if bad_pass == 1 else 3 * np0 * (nt + 1) + 2 * np0 * (nt + 1)
-    config.objective = _schwefel_turning_bad(value, after)
+    config = replace(config, objective=_schwefel_turning_bad(value, after))
     message = f"pass {bad_pass}, search at {search}: step 0: .* 1 non-finite"
     with pytest.raises(ValueError, match=message):
         run_dto(config)
@@ -423,8 +420,8 @@ def test_non_finite_objective_value_names_pass_search_step_and_count(value, ipd,
 ], ids=["one_value", "scalar", "column"])
 def test_objective_not_one_value_per_point_names_pass_search_and_step(func, got):
     # numpy would broadcast each of these over the four probes
-    config = _probe_line_config(num_passes=2, np0=4, nt=3)
-    config.objective = ObjectiveSpec(func, DecisionSpace.cube(2, -1.0, 1.0))
+    config = replace(_probe_line_config(num_passes=2, np0=4, nt=3),
+                     objective=ObjectiveSpec(func, DecisionSpace.cube(2, -1.0, 1.0)))
     with pytest.raises(ValueError, match=rf"^pass 1, search at gamma 0.0: step 0: func must "
                                          rf"return shape \(4,\) for a batch of 4 points, "
                                          rf"got shape {got}$"):

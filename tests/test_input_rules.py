@@ -7,6 +7,7 @@ ValueError from the library, a ConfigError from a config, and exit 2 from
 the CLI. The rules are restated here as the oracle, apart from the code.
 """
 
+import dataclasses
 import math
 import numbers
 import re
@@ -21,7 +22,7 @@ from dtopt.cli import main
 from dtopt.driver import DtoConfig
 from dtopt.floorscan import halton_points, sample_threshold_floor
 from dtopt.objectives import DecisionSpace, make_objective, ramp
-from dtopt.report import ConfigError, ExperimentConfig, parse_config
+from dtopt.report import PROFILES, ConfigError, ExperimentConfig, parse_config, to_dto_config
 from dtopt.threshold import LinearRamp
 
 
@@ -97,6 +98,43 @@ def test_library_entry_points_apply_each_rule(entry):
         else:
             expected = _message(name, rule, value)
         assert str(info.value) == expected, value
+
+
+# (a built value, an assignment to each of its fields, one field value its
+# checks refuse)
+FROZEN = {
+    "DtoConfig": (lambda: to_dto_config(PROFILES["schwefel30d"]),
+                  {"num_passes": 10, "schedule": None, "cfo": (4, 15),
+                   "objective": make_objective("ramp"), "ipd": RandomUniform(1),
+                   "probe_doubling": "no"},
+                  {"num_passes": 10**30}),
+    "CfoParams": (lambda: CfoParams(4, 3), {"n_probes": 0, "n_steps": -1}, {"n_probes": 0}),
+    "ProbeLine": (ProbeLine, {"gammas": (1.5,)}, {"gammas": (0.5, 1.5)}),
+    "RandomUniform": (lambda: RandomUniform(1), {"seed": -1}, {"seed": -1}),
+    "LinearRamp": (lambda: to_dto_config(PROFILES["schwefel2d"], seed=1).schedule,
+                   {"c_th": 7.0}, {"c_th": 7.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_a_built_run_description_is_frozen_and_a_variant_is_checked(name):
+    # before, an assignment skipped every check: c_th = 7.0 on schwefel2d's
+    # ramp reported a best of 25,346,388 (the maximum is 837.97), n_probes = 0
+    # ended in the kernel's bare IndexError, and schedule = None in an
+    # AttributeError after pass 1
+    build, assignments, refused = FROZEN[name]
+    value = build()
+    fields = {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+    assert sorted(assignments) == sorted(fields)
+    for field, new in assignments.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, new)
+        assert getattr(value, field) is fields[field]
+    with pytest.raises(ValueError) as built:
+        type(value)(**{**fields, **refused})
+    with pytest.raises(ValueError) as replaced:
+        dataclasses.replace(value, **refused)
+    assert str(replaced.value) == str(built.value)
 
 
 @pytest.mark.parametrize("n_dims", [2**60, 2**63, 10**400], ids=["2**60", "2**63", "10**400"])
