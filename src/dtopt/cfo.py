@@ -22,10 +22,10 @@ the previous one, and that one lies inside the finite bounds: a retrieved
 coordinate does, and so does a start (a probe-line point is clamped at
 upper, and a uniform draw low + fl(high - low) * u, with u < 1, never
 rounds past high). So retrieval would change nothing and the point check
-find nothing. An objective result with the bits of the previous step's
-checked float64 result takes the previous fitness row, which is its floor
-under the search's one threshold; any other result is checked and floored
-in full.
+find nothing. evaluate_batch returns a float64 array of one value per
+point, so a result with the bytes of the previous step's checked one takes
+the previous fitness row, which is its floor under the search's one
+threshold; any other is checked for NaN and +-inf and floored in full.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import (DecisionSpace, _check_count, _check_fraction, _check_history,
-                         _check_objective, _check_type, _is_number_tuple,
-                         _one_value_per_point)
+from .objectives import (DecisionSpace, ObjectiveSpec, _check_count, _check_fraction,
+                         _check_history, _check_type, _is_number_tuple)
 from .threshold import ThresholdState, _check_floor, apply_threshold
 
 # step_positions, retrieve_errant, scan_best, scan_worst, threshold.apply_threshold,
@@ -403,48 +402,48 @@ def _check_points(points, step):
                          "extremely close together)")
 
 
-def _check_values(raw, n_points, step):
-    """An objective result as a float64 array of one value per point.
-
-    A result of any other shape, or one holding a NaN or +-inf, raises
-    ValueError naming the step; no threshold can be set from it. Both checks
-    precede the floor, which would broadcast a wrong shape and hide a -inf.
-    """
+def _evaluate(objective, points, step):
+    """objective.evaluate_batch(points), with the step named in its ValueError."""
     try:
-        raw = _one_value_per_point(raw, n_points)
+        return objective.evaluate_batch(points)
     except ValueError as exc:
         raise ValueError(f"step {step}: {exc}") from exc
+
+
+def _check_values(raw, step):
+    """Raise ValueError naming the step if a result holds a NaN or +-inf: no
+    threshold can be set from it, and the floor would hide a -inf."""
     if not np.isfinite(raw).all():
         bad = np.count_nonzero(~np.isfinite(raw))
         raise ValueError(f"step {step}: the objective returned {bad} non-finite "
                          f"value(s) (NaN or +-inf) in a batch of {raw.size}")
-    return raw
 
 
 def run_cfo(
     params: CfoParams,
-    objective,
+    objective: ObjectiveSpec,
     start: float | np.random.Generator,
     threshold: ThresholdState = ThresholdState(),
 ) -> tuple[OptResult, SwarmHistory]:
     """Run one CFO search over the objective's decision space.
 
-    ``params`` must be a CfoParams, and ``objective`` needs ``space``,
-    ``evaluate_batch`` and ``eval_count`` (see ObjectiveSpec); anything else
-    raises ValueError naming it. ``start`` is either a gamma in [0, 1], for a
-    bit-reproducible probe-line start at that diagonal fraction, or the
-    generator that draws a random start (one uniform draw per coordinate,
-    probe-major; callers running several searches off one stream pass the
-    same generator). Each step evaluates every probe once, so a search makes
-    exactly (n_steps + 1) * n_probes calls. The optimizer only ever sees the
-    fitness floored at ``threshold``, a ThresholdState it only reads; the
-    default -inf floors nothing. Anything but a ThresholdState, or one whose
+    ``params`` must be a CfoParams and ``objective`` an ObjectiveSpec;
+    anything else raises ValueError naming it. ``start`` is either a gamma
+    in [0, 1], for a bit-reproducible probe-line start at that diagonal
+    fraction, or the generator that draws a random start (one uniform draw
+    per coordinate, probe-major; callers running several searches off one
+    stream pass the same generator). Each step evaluates every probe once,
+    so a search makes exactly (n_steps + 1) * n_probes calls; a result that
+    evaluate_batch refuses or that holds a NaN or +-inf raises ValueError
+    naming the step. The optimizer only ever sees the fitness floored at
+    ``threshold``, a ThresholdState it only reads; the default -inf floors
+    nothing. Anything but a ThresholdState, or one whose
     threshold is not a number, or is NaN or +inf, raises ValueError. So do
     counts whose history would not fit one numpy array (see
     objectives._check_history), before anything is allocated.
     """
     _check_type("params", params, CfoParams)
-    _check_objective("objective", objective)
+    _check_type("objective", objective, ObjectiveSpec)
     _check_type("threshold", threshold, ThresholdState)
     _check_floor(threshold.t_current)
     space = objective.space
@@ -467,7 +466,8 @@ def run_cfo(
             positions[slots + per_axis * axes, axes] = np.minimum(space.lower + slots * step,
                                                                   space.upper)
     # the start lies inside the bounds, which are finite: its points need no check
-    raw = _check_values(objective.evaluate_batch(history.positions[:, :, 0]), params.n_probes, 0)
+    raw = _evaluate(objective, history.positions[:, :, 0], 0)
+    _check_values(raw, 0)
     checked = raw.tobytes()  # bytes, not the array: an objective may reuse it
     history.fitness[:, 0] = apply_threshold(raw, threshold)
     accels = np.zeros((params.n_probes, space.n_dims))
@@ -479,12 +479,11 @@ def run_cfo(
         if not resting:
             retrieve_errant(history, j, _FREP[(j - 1) % len(_FREP)], space)
             _check_points(points, j)
-        raw = objective.evaluate_batch(points)
-        if (resting and type(raw) is np.ndarray and raw.dtype == np.float64
-                and raw.shape == (params.n_probes,) and raw.tobytes() == checked):
+        raw = _evaluate(objective, points, j)
+        if resting and raw.tobytes() == checked:
             history.fitness[:, j] = history.fitness[:, j - 1]
         else:
-            raw = _check_values(raw, params.n_probes, j)
+            _check_values(raw, j)
             checked = raw.tobytes()
             history.fitness[:, j] = apply_threshold(raw, threshold)
         accels = compute_accelerations(history, j, params)

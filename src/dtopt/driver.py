@@ -12,19 +12,15 @@ search, and every pass draws from one generator seeded once per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
-from .cfo import CfoParams, OptResult, ProbeLine, RandomUniform, SwarmHistory, run_cfo
-from .objectives import (ObjectiveSpec, _check_calls, _check_count, _check_history,
-                         _check_objective, _check_type)
+from .cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
+from .objectives import ObjectiveSpec, _check_calls, _check_count, _check_history, _check_type
 from .threshold import ThresholdState, _check_floor
 
 __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
-
-# observer(pass_index, threshold, OptResult, SwarmHistory)
-Observer = Callable[[int, float, OptResult, SwarmHistory], None]
 
 
 class _Schedule(Protocol):
@@ -68,7 +64,7 @@ class DtoConfig:
             raise ValueError("schedule must have a callable next_threshold, "
                              f"got {self.schedule!r}")
         _check_type("cfo", self.cfo, CfoParams)
-        _check_objective("objective", self.objective)
+        _check_type("objective", self.objective, ObjectiveSpec)
         _check_type("ipd", self.ipd, ProbeLine, RandomUniform)
         searches = len(self.ipd.gammas) if isinstance(self.ipd, ProbeLine) else 1
         last, calls = _run_size(self.cfo.n_probes, self.cfo.n_steps, self.num_passes,
@@ -94,19 +90,17 @@ class RunReport:
     passes: list[PassRecord]
 
 
-def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
+def run_dto(config: DtoConfig) -> RunReport:
     """Run the full threshold-compression loop and report the best point found.
 
     The reported best value is the floored fitness recorded when the point was
     found; for a best point strictly above every floor it equals the raw
-    fitness. ``observer``, when given, is called after every inner search with
-    the pass index, the threshold active during that pass (-inf on pass 1),
-    the search result, and its full history.
+    fitness.
 
-    A NaN or +-inf objective value ends the run in ValueError naming the
-    pass, the search (its gamma or seed), the step and the count. A schedule
-    whose next threshold is not a number, or is NaN or +inf, ends it in
-    ValueError naming the schedule's type and the completed pass.
+    A NaN or +-inf objective value, or a result that evaluate_batch refuses,
+    ends the run in ValueError naming the pass, the search (its gamma or
+    seed) and the step. A schedule whose next threshold is not a number, or is
+    NaN or +inf, ends it in ValueError naming the schedule's type and the pass.
     """
     objective = config.objective
     state = ThresholdState()
@@ -125,7 +119,8 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
         pass_best = -np.inf
         for start, search in starts:
             try:
-                result, history = run_cfo(params, objective, start, state)
+                # the history goes at once: the next search's may be twice as large
+                result = run_cfo(params, objective, start, state)[0]
             except ValueError as exc:
                 raise ValueError(f"pass {pass_index}, search at {search}: {exc}") from exc
             if result.worst_value <= state.f_min:
@@ -134,10 +129,6 @@ def run_dto(config: DtoConfig, observer: Observer | None = None) -> RunReport:
                 state.f_star = result.best_value
                 best_coords = result.best_coords.copy()
             pass_best = max(pass_best, result.best_value)
-            if observer is not None:
-                observer(pass_index, threshold_used, result, history)
-            # free it before the next search, whose history may be twice as large
-            del history
         passes.append(PassRecord(
             pass_index=pass_index,
             threshold=threshold_used,

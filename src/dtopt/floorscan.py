@@ -53,7 +53,7 @@ FLOOR_MARGIN = 0.005
 # 25 us where its table is rebuilt per call, which fewer than 4096 rows would
 # not amortise (131-row chunks ran 3x slower at D = 1000); at D = 1000 the
 # 8 MB cap costs about 40 % more than 4096-row chunks. _first_primes adds a
-# sieve of D (ln D + ln ln D) bytes and D Python ints of some 40 bytes each.
+# sieve of D (ln D + ln ln D) bytes, and the cached bases are 8 D bytes.
 _CHUNK_VALUES = 1 << 14
 _MIN_CHUNK_ROWS = 1 << 12
 _MAX_CHUNK_VALUES = 1 << 20
@@ -74,16 +74,17 @@ def _table_rows(n_dims: int) -> int:
     return max(_MIN_CHUNK_ROWS, _TABLE_VALUES // n_dims)
 
 
-def _first_primes(count: int) -> tuple[int, ...]:
-    """The first count primes, from a sieve up to Rosser's bound: the n-th
-    prime is below n (ln n + ln ln n) from n = 6 on, and 13 covers five."""
+def _first_primes(count: int) -> np.ndarray:
+    """The first count primes as int64, from a sieve up to Rosser's bound:
+    the n-th prime is below n (ln n + ln ln n) from n = 6 on, and 13 covers five."""
     limit = 13 if count < 6 else int(count * (math.log(count) + math.log(math.log(count)))) + 1
-    composite = np.zeros(limit + 1, dtype=bool)
-    composite[:2] = True
+    sieve = np.zeros(limit + 1, dtype=bool)
+    sieve[:2] = True
     for p in range(2, math.isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p::p] = True
-    return tuple(int(p) for p in np.flatnonzero(~composite)[:count])
+        if not sieve[p]:
+            sieve[p * p::p] = True
+    np.logical_not(sieve, out=sieve)  # in place: the sieve is the one bool array
+    return np.flatnonzero(sieve)[:count]
 
 
 def _add_digits(sums: np.ndarray, indices: np.ndarray, base: int, scale: float) -> float:
@@ -139,10 +140,10 @@ def _radical_inverse_table(base: int, rows: int) -> tuple[np.ndarray, float]:
 
 
 @functools.lru_cache(maxsize=1)
-def _radical_inverse_tables(n_dims: int) -> tuple[tuple[int, ...], tuple]:
-    """The bases of halton_points(..., n_dims), and the read-only
-    _radical_inverse_table of each leading base while these tables total at
-    most _TABLE_VALUES values.
+def _radical_inverse_tables(n_dims: int) -> tuple[np.ndarray, tuple]:
+    """The bases of halton_points(..., n_dims) as a read-only int64 array,
+    and the read-only _radical_inverse_table of each leading base while
+    these tables total at most _TABLE_VALUES values.
 
     That takes in every table of two or more digits. A later base's table
     has at most base values and is rebuilt per call, since at 1000
@@ -151,8 +152,9 @@ def _radical_inverse_tables(n_dims: int) -> tuple[tuple[int, ...], tuple]:
     """
     rows = _table_rows(n_dims)
     bases = _first_primes(n_dims)
+    bases.flags.writeable = False
     tables, n_values = [], 0
-    for base in bases:
+    for base in map(int, bases):
         table, scale = _radical_inverse_table(base, rows)
         n_values += table.size
         if n_values > _TABLE_VALUES:
@@ -212,7 +214,7 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     if n_points:
         rows = _table_rows(n_dims)
         bases, tables = _radical_inverse_tables(n_dims)
-        for j, base in enumerate(bases):
+        for j, base in enumerate(map(int, bases)):
             table, scale = tables[j] if j < len(tables) else _radical_inverse_table(base, rows)
             _write_radical_inverses(points[:, j], base, table, scale, start)
     return points
@@ -270,7 +272,7 @@ def sample_threshold_floor(
     an ``n_samples`` that is not an integer from 1 to objectives._MAX_VALUES
     (see objectives._check_calls), a T that is not a number or is NaN or
     +inf, a margin that is not finite and >= 0, a NaN value, or a result
-    that is not one value per sample raises ValueError.
+    that is not one real number per sample raises ValueError.
     """
     _check_type("func", func, Callable)
     _check_type("space", space, DecisionSpace)

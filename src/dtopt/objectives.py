@@ -7,9 +7,9 @@ Rastrigin variant with each per-coordinate term squared (2-D only), the SGO
 quartic (2-D only) and ``ramp``, a 1-D diagnostic f(x) = x on [0, 1].
 
 An :class:`ObjectiveSpec` wraps any batch callable, shipped or not, bound to
-its decision space. Every evaluation routed through it bumps its counter by
-exactly one per point, so total function-call budgets can be audited in one
-place.
+its decision space, the one door to objective values: every evaluation
+checks the batch and its result and bumps its counter by exactly one per
+point, so total function-call budgets can be audited in one place.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ RASTRIGIN_OFFSET_ARGMAX = (-1.25, 3.25)
 class DecisionSpace:
     """Bounded hyperrectangle the search runs over.
 
-    ``lower`` and ``upper`` are read-only float64 copies of the bounds
+    ``lower`` and ``upper`` are read-only float64 copies of the real bounds
     given, so an edit to the caller's arrays leaves the space as checked.
     Two spaces are equal when their bounds are, value by value, and equal
     spaces hash alike (-0.0 as 0.0). On a cube, every lower bound one value
@@ -53,7 +53,8 @@ class DecisionSpace:
     _cube: tuple[float, float] | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        lower, upper = np.array(self.lower, dtype=float), np.array(self.upper, dtype=float)
+        lower = np.array(_real_numbers("lower", self.lower), dtype=float)
+        upper = np.array(_real_numbers("upper", self.upper), dtype=float)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if lower.size == 0:
@@ -162,7 +163,8 @@ class _LastBatch:
     bits again. Any other batch is computed, and copies of its points and its
     result replace the entry; an answer from the entry is a fresh copy, so
     neither edits to an answer nor to the caller's input reach a later one.
-    A search's swarm that stops moving passes the same batch step after step.
+    A search's swarm that stops moving passes the same batch step after step,
+    as the float64 array that ObjectiveSpec.evaluate_batch checked.
     """
 
     def __init__(self, func: Callable[[np.ndarray], np.ndarray]):
@@ -170,8 +172,7 @@ class _LastBatch:
         self._layout = None  # (shape, strides) of the stored batch
         self._points = self._values = None
 
-    def __call__(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
+    def __call__(self, points: np.ndarray) -> np.ndarray:
         layout, data = (points.shape, points.strides), points.tobytes()
         if layout == self._layout and data == self._points:
             return self._values.copy()
@@ -291,28 +292,27 @@ def _check_type(name: str, value, *kinds: type) -> None:
         raise ValueError(f"{name} must be a {nouns}, got {value!r}")
 
 
-def _check_objective(name: str, value) -> None:
-    """Raise ValueError naming the field unless value offers what a search
-    reads of an objective: a DecisionSpace ``space``, a callable
-    ``evaluate_batch`` and ``eval_count`` (see ObjectiveSpec)."""
-    if not (isinstance(getattr(value, "space", None), DecisionSpace)
-            and hasattr(value, "eval_count")
-            and callable(getattr(value, "evaluate_batch", None))):
-        raise ValueError(f"{name} must have a DecisionSpace space, evaluate_batch and "
-                         f"eval_count (see ObjectiveSpec), got {value!r}")
+def _real_numbers(name: str, values) -> np.ndarray:
+    """values as a numpy array of an integer or float dtype; any other raises
+    ValueError naming ``name`` (a float cast takes bools and strings as numbers)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {values.dtype}")
+    return values
 
 
 def _one_value_per_point(values, n_points: int) -> np.ndarray:
-    """A batch function's result as a float array of shape (n_points,).
+    """A batch function's result as a float64 array of shape (n_points,).
 
-    Raises ValueError for any other shape (a scalar, too few or too many
+    Raises ValueError for a result that is not real numbers (see
+    _real_numbers) or of any other shape (a scalar, too few or too many
     values, an (m, 1) column), which numpy would otherwise broadcast.
     """
-    values = np.asarray(values, dtype=float)
+    values = _real_numbers("func's result", values)
     if values.shape != (n_points,):
         raise ValueError(f"func must return shape ({n_points},) for a batch of {n_points} "
                          f"points, got shape {values.shape}")
-    return values
+    return values.astype(float, copy=False)
 
 
 @dataclass(eq=False)
@@ -320,11 +320,12 @@ class ObjectiveSpec:
     """A batch objective bound to its decision space, with call accounting.
 
     ``func`` maps an ``(m, n)`` batch to m fitnesses; any such callable
-    works. Mutable: ``eval_count`` grows by exactly one per evaluated point,
-    so an instance equals only itself, and report.to_dto_config installs its
-    repeated-batch cache as ``func``. One instance must not be shared across
-    concurrent runs. A ``func`` that is not callable, or a ``space`` that is
-    not a DecisionSpace, raises ValueError naming it.
+    works, and ``evaluate_batch`` is the one door to its values. Mutable:
+    ``eval_count`` grows by exactly one per evaluated point, so an instance
+    equals only itself, and report.to_dto_config installs its repeated-batch
+    cache as ``func``. One instance must not be shared across concurrent
+    runs. A ``func`` that is not callable, or a ``space`` that is not a
+    DecisionSpace, raises ValueError naming it.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -340,10 +341,16 @@ class ObjectiveSpec:
             self.known_max_location = np.asarray(self.known_max_location, dtype=float)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Raw fitness of an ``(m, n)`` batch; increments the counter by m."""
-        points = np.asarray(points, dtype=float)
-        self.eval_count += points.shape[0]
-        return np.asarray(self.func(points), dtype=float)
+        """Raw fitness of an ``(m, n)`` batch as a float64 array of shape (m,);
+        increments the counter by m. A batch of other numbers or of another shape
+        raises ValueError before it counts, a result that is not m real numbers
+        after func runs."""
+        points = _real_numbers("points", points).astype(float, copy=False)
+        if points.ndim != 2 or points.shape[1] != self.space.n_dims:
+            raise ValueError(f"points must be an (m, {self.space.n_dims}) batch, "
+                             f"got shape {points.shape}")
+        self.eval_count += len(points)
+        return _one_value_per_point(self.func(points), len(points))
 
 
 def make_objective(name: str, n_dims: int | None = None) -> ObjectiveSpec:

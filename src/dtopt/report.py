@@ -250,9 +250,9 @@ def render_surface(func, space: DecisionSpace, threshold: float) -> str:
     """Grid of ``x1 x2 z`` rows with a blank line after each constant-x1
     scanline, z floored at the threshold (-inf for the raw landscape).
 
-    ``func`` gets one scanline as a batch and must return one value per
-    point; any other shape raises ValueError, as does a ``func`` that is not
-    callable or a ``space`` that is not a 2-D DecisionSpace.
+    ``func`` gets one scanline as a batch and must return one real number
+    per point; any other result raises ValueError, as does a ``func`` that is
+    not callable or a ``space`` that is not a 2-D DecisionSpace.
     """
     _check_type("func", func, Callable)
     _check_type("space", space, DecisionSpace)

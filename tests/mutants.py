@@ -85,10 +85,21 @@ MUTANTS = (
            "a pull at factor 1 from one ULP below upper rounds past it, and the above side "
            "pulls it back to prev, not upper", ("tests/test_cfo.py", "-k", "retriev")),
     Mutant("resting copy without its bytes check", CFO,
-           "and raw.shape == (params.n_probes,) and raw.tobytes() == checked):",
-           "and raw.shape == (params.n_probes,)):",
+           "if resting and raw.tobytes() == checked:", "if resting:",
            "a resting step copies the previous fitness row although the objective answered "
            "with other values", ("tests/test_cfo.py",)),
+    Mutant("evaluate_batch without its batch-shape check", OBJECTIVES,
+           "if points.ndim != 2 or points.shape[1] != self.space.n_dims:", "if False:",
+           "a 1-D point [0.1, 0.2] counts as 2 calls and a (3, 5) batch on a 2-D space as 3",
+           ("tests/test_objectives.py", "-k", "batch")),
+    Mutant("one value per point without its dtype rule", OBJECTIVES,
+           "values = _real_numbers(\"func's result\", values)", "values = np.asarray(values)",
+           "a bool, str or complex result is cast to float and runs as fitness values",
+           ("tests/test_report.py", "-k", "one_value_per_point")),
+    Mutant("run_cfo without the step prefix around evaluate_batch", CFO,
+           "raise ValueError(f\"step {step}: {exc}\") from exc", "raise",
+           "a result that evaluate_batch refuses ends the run without naming the step",
+           ("tests/test_driver.py", "-k", "one_value_per_point")),
     Mutant("repeated-batch key without the layout", OBJECTIVES,
            "if layout == self._layout and data == self._points:",
            "if data == self._points:",

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dtopt.cfo
+import dtopt.driver
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, \
     compute_accelerations, run_cfo
 from dtopt.cli import main
@@ -101,18 +102,22 @@ def test_criterion_4_linear_ramp_spacing():
     _criterion(4, "linear ramp spacing constant, ~126.1 on the reference range", failures)
 
 
-def test_criterion_5_floor_invariant_suite():
+def test_criterion_5_floor_invariant_suite(monkeypatch: pytest.MonkeyPatch):
     failures = []
     rng = np.random.default_rng(2025)
 
     # 100 fuzzed runs: every fitness recorded during a thresholded pass sits
-    # on or above that pass's floor
+    # on or above that pass's floor, checked on each search run_dto makes
     violations = 0
 
-    def observer(pass_index, threshold, result, history):
+    def checking_run_cfo(params, objective, start, threshold):
         nonlocal violations
-        if history.fitness.min() < threshold:
+        result, history = run_cfo(params, objective, start, threshold)
+        if history.fitness.min() < threshold.t_current:
             violations += 1
+        return result, history
+
+    monkeypatch.setattr(dtopt.driver, "run_cfo", checking_run_cfo)
 
     for _ in range(100):
         n_dims = int(rng.integers(1, 4))
@@ -128,7 +133,7 @@ def test_criterion_5_floor_invariant_suite():
             objective=make_objective("schwefel226", n_dims),
             ipd=ipd,
         )
-        run_dto(config, observer=observer)
+        run_dto(config)
     if violations:
         failures.append(f"{violations} floor violations in fuzzed runs")
 

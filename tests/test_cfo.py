@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -874,22 +875,10 @@ def test_step_one_rests_unless_the_objective_answers_it_with_other_bits(monkeypa
     run_cfo(CfoParams(n_probes=6, n_steps=1), pure, start)
     assert calls == {"retrieve_errant": 0, "apply_threshold": 1, "_check_values": 1}
     results = iter([np.arange(6.0), np.arange(6.0)[::-1].copy(), np.arange(6.0)])
-    changing = _AsReturned(lambda x: next(results), pure.space)
+    changing = ObjectiveSpec(lambda x: next(results), pure.space)
     calls.update(dict.fromkeys(calls, 0))
     run_cfo(CfoParams(n_probes=6, n_steps=2), changing, start)
     assert calls == {"retrieve_errant": 1, "apply_threshold": 3, "_check_values": 3}
-
-
-class _AsReturned:
-    """An objective whose evaluate_batch hands run_cfo the function's result
-    as the function returned it; ObjectiveSpec would make it a float array."""
-
-    def __init__(self, func, space):
-        self.func, self.space, self.eval_count = func, space, 0
-
-    def evaluate_batch(self, points):
-        self.eval_count += len(points)
-        return self.func(points)
 
 
 def _drawn_objective(kind, bump_call):
@@ -939,7 +928,8 @@ def _full_step_search(params, objective, start, threshold):
             retrieve_errant(history, j, dtopt.cfo._FREP[(j - 1) % 20], space)
         points = history.positions[:, :, j]
         dtopt.cfo._check_points(points, j)
-        raw = dtopt.cfo._check_values(objective.evaluate_batch(points), params.n_probes, j)
+        raw = dtopt.cfo._evaluate(objective, points, j)
+        dtopt.cfo._check_values(raw, j)
         history.fitness[:, j] = apply_threshold(raw, threshold)
         if j:
             accels = compute_accelerations(history, j, params)
@@ -973,7 +963,7 @@ def test_resting_steps_give_the_bits_of_the_full_step_loop(n_probes, n_dims, n_s
     runs = []
     for search in ("run_cfo", "full steps"):
         func, batches = _drawn_objective(kind, bump_call)
-        objective = _AsReturned(func, space)
+        objective = ObjectiveSpec(func, space)
         begin = start if isinstance(start, float) else np.random.default_rng(start)
         threshold = ThresholdState(t_current=floor)
         kernel_calls = []
@@ -1226,19 +1216,9 @@ def test_run_cfo_rejects_a_threshold_that_is_not_a_threshold_state(threshold):
     assert obj.eval_count == 0
 
 
-class _NoSpace:
-    """An objective without a decision space."""
-
-    eval_count = 0
-
-    def evaluate_batch(self, points):
-        return np.zeros(len(points))
-
-
-class _SpaceNone(_NoSpace):
-    """An objective whose space is not a DecisionSpace."""
-
-    space = None
+# Every attribute a search reads of an ObjectiveSpec, but none of its checks
+_DUCK = SimpleNamespace(space=DecisionSpace.cube(2, -1.0, 1.0), eval_count=0,
+                        evaluate_batch=lambda x: np.zeros(len(x)))
 
 
 @pytest.mark.parametrize("params, objective, field", [
@@ -1246,13 +1226,13 @@ class _SpaceNone(_NoSpace):
     ((4, 2), make_objective("schwefel226", 2), "params"),
     (CfoParams(4, 2), lambda x: x, "objective"),
     (CfoParams(4, 2), None, "objective"),
-    (CfoParams(4, 2), _NoSpace(), "objective"),
-    (CfoParams(4, 2), _SpaceNone(), "objective"),
+    (CfoParams(4, 2), _DUCK, "objective"),
 ], ids=["params_none", "params_tuple", "objective_function", "objective_none",
-        "objective_without_space", "objective_with_space_none"])
+        "objective_duck"])
 def test_run_cfo_rejects_params_and_objectives_of_the_wrong_kind(params, objective, field):
-    # before, each of these ended in a bare AttributeError inside the search
-    with pytest.raises(ValueError, match=f"^{field} must "):
+    # before, the first four ended in a bare AttributeError inside the search,
+    # and the duck ran unchecked
+    with pytest.raises(ValueError, match=f"^{field} must be a "):
         run_cfo(params, objective, 0.5)
 
 

@@ -1,11 +1,13 @@
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dtopt.driver
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
@@ -24,6 +26,23 @@ class _FollowBest:
 def expected_evals(runs_per_pass, n_steps, probe_counts):
     """Closed-form evaluation-site count, independent of the driver."""
     return runs_per_pass * (n_steps + 1) * sum(probe_counts)
+
+
+def _run_searches(config):
+    """run_dto's report and, per search in order, the threshold it ran
+    under, its result and its history, recorded by wrapping the run_cfo
+    that run_dto calls."""
+    searches = []
+
+    def recording_run_cfo(params, objective, start, threshold):
+        result, history = run_cfo(params, objective, start, threshold)
+        searches.append((threshold.t_current, result, history))
+        return result, history
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtopt.driver, "run_cfo", recording_run_cfo)
+        report = run_dto(config)
+    return report, searches
 
 
 def _probe_line_config(num_passes=3, np0=2, nt=3, gammas=(0.0, 0.5, 1.0),
@@ -97,13 +116,9 @@ def test_pass_records_shape():
 
 
 def test_best_overall_monotone_across_invocations():
-    seen = []
-
-    def observer(pass_index, threshold, result, history):
-        seen.append(result.best_value)
-
     config = _probe_line_config(num_passes=3, np0=4, nt=4)
-    report = run_dto(config, observer=observer)
+    report, searches = _run_searches(config)
+    seen = [result.best_value for _, result, _ in searches]
     running = np.maximum.accumulate(seen)
     assert report.best_value == running[-1]
     # the reported per-pass best is the max over that pass's sweep
@@ -114,14 +129,11 @@ def test_best_overall_monotone_across_invocations():
 
 def test_thresholded_passes_respect_floor():
     floors_checked = 0
-
-    def observer(pass_index, threshold, result, history):
-        nonlocal floors_checked
-        assert history.fitness.min() >= threshold
-        floors_checked += threshold > -np.inf
-
-    run_dto(_probe_line_config(num_passes=4, np0=4, nt=3), observer=observer)
-    run_dto(_random_config(num_passes=4, np0=4, nt=3), observer=observer)
+    for config in (_probe_line_config(num_passes=4, np0=4, nt=3),
+                   _random_config(num_passes=4, np0=4, nt=3)):
+        for threshold, _, history in _run_searches(config)[1]:
+            assert history.fitness.min() >= threshold
+            floors_checked += threshold > -np.inf
     assert floors_checked > 0
 
 
@@ -227,12 +239,8 @@ def test_report_consistency_raw_fitness_at_best_coords():
 
 
 def test_double_probes():
-    sizes = []
-
-    def observer(pass_index, threshold, result, history):
-        sizes.append(history.n_probes)
-
-    report = run_dto(_random_config(num_passes=10, np0=4, nt=0), observer=observer)
+    report, searches = _run_searches(_random_config(num_passes=10, np0=4, nt=0))
+    sizes = [history.n_probes for _, _, history in searches]
     assert sizes == [4 * 2**k for k in range(10)]
     assert sum(sizes) == 4092  # 106,392 / 26 evaluation sites per probe
     assert report.total_evals == expected_evals(1, 0, sizes)
@@ -257,38 +265,27 @@ def test_probe_doubling_must_be_true_or_false(doubling):
         _probe_line_config(doubling=doubling)
 
 
-class _NoCount:
-    """An objective that never counts its calls."""
-
-    space = DecisionSpace.cube(2, -500.0, 500.0)
-
-    def evaluate_batch(self, points):
-        return schwefel226(points)
+# Every attribute a run reads of an ObjectiveSpec, but none of its checks
+_DUCK = SimpleNamespace(space=DecisionSpace.cube(2, -500.0, 500.0), eval_count=0,
+                        evaluate_batch=schwefel226)
 
 
 @pytest.mark.parametrize("field, value", [
     ("schedule", None), ("schedule", "linear"),
     ("cfo", None), ("cfo", (4, 2)),
-    ("objective", None), ("objective", schwefel226), ("objective", _NoCount()),
+    ("objective", None), ("objective", schwefel226), ("objective", _DUCK),
     ("ipd", None), ("ipd", 0.5),
 ], ids=["schedule_none", "schedule_str", "cfo_none", "cfo_tuple", "objective_none",
-        "objective_function", "objective_without_count", "ipd_none", "ipd_float"])
+        "objective_function", "objective_duck", "ipd_none", "ipd_float"])
 def test_dto_config_rejects_components_of_the_wrong_kind(field, value):
-    # before, each of these built and the run ended in a bare AttributeError
+    # before, all but the duck built and the run ended in a bare
+    # AttributeError; the duck ran unchecked
     with pytest.raises(ValueError, match=f"^{field} must "):
         DtoConfig(**{**vars(_probe_line_config()), field: value})
 
 
-def _run_searches(config):
-    """run_dto's report and the (result, history) of each search, in order."""
-    searches = []
-    report = run_dto(config, observer=lambda k, t, result, history: searches.append(
-        (result, history)))
-    return report, searches
-
-
 def _assert_same_search(got, expected):
-    (got_result, got_history), (result, history) = got, expected
+    (_, got_result, got_history), (result, history) = got, expected
     assert np.array_equal(got_history.positions, history.positions)
     assert np.array_equal(got_history.fitness, history.fitness)
     assert got_result.best_value == result.best_value
@@ -311,7 +308,7 @@ def test_random_run_equals_searches_sharing_one_generator():
     objective = make_objective("schwefel226", 2)
     for record, search in zip(report.passes, searches):
         floor = ThresholdState(record.threshold)
-        params = CfoParams(n_probes=search[1].n_probes, n_steps=2)
+        params = CfoParams(n_probes=search[2].n_probes, n_steps=2)
         _assert_same_search(search, run_cfo(params, objective, rng, floor))
     assert objective.eval_count == report.total_evals
 
@@ -353,18 +350,13 @@ def _small_run_config(config, follow_best):
 def test_run_invariants_hold_on_random_configs(config, follow_best):
     dto_config = _small_run_config(config, follow_best)
     space = dto_config.objective.space
-    searches = 0
-
-    def observer(pass_index, threshold, result, history):
-        nonlocal searches
-        searches += 1
+    report, searches = _run_searches(dto_config)
+    lower, upper = space.lower[None, :, None], space.upper[None, :, None]
+    for threshold, _, history in searches:
         assert np.all(history.fitness >= threshold)
-        lower, upper = space.lower[None, :, None], space.upper[None, :, None]
         assert np.all((history.positions >= lower) & (history.positions <= upper))
-
-    report = run_dto(dto_config, observer=observer)
     runs_per_pass = len(config.gamma_sweep) if config.ipd == "probe_line" else 1
-    assert searches == config.passes * runs_per_pass
+    assert len(searches) == config.passes * runs_per_pass
     assert report.total_evals == (config.np0 * (2**config.passes - 1) * (config.nt + 1)
                                   * runs_per_pass)
 
@@ -413,18 +405,26 @@ def test_non_finite_objective_value_names_pass_search_step_and_count(value, ipd,
         run_dto(config)
 
 
-@pytest.mark.parametrize("func, got", [
-    (lambda x: np.array([x[:, 0].sum()]), r"\(1,\)"),
-    (lambda x: -1.6, r"\(\)"),
-    (lambda x: x[:, :1], r"\(4, 1\)"),
-], ids=["one_value", "scalar", "column"])
-def test_objective_not_one_value_per_point_names_pass_search_and_step(func, got):
-    # numpy would broadcast each of these over the four probes
+_SHAPE = r"func must return shape \(4,\) for a batch of 4 points, got shape "
+_REAL = r"func's result must hold real numbers, got dtype "
+
+
+@pytest.mark.parametrize("func, message", [
+    (lambda x: np.array([x[:, 0].sum()]), _SHAPE + r"\(1,\)"),
+    (lambda x: -1.6, _SHAPE + r"\(\)"),
+    (lambda x: x[:, :1], _SHAPE + r"\(4, 1\)"),
+    (lambda x: x[:, 0] > 0, _REAL + "bool"),
+    (lambda x: x[:, 0].astype(str), _REAL + "<U32"),
+    (lambda x: x[:, 0] + 0j, _REAL + "complex128"),
+    (lambda x: x[:, 0].astype(object), _REAL + "object"),
+], ids=["one_value", "scalar", "column", "bool", "str", "complex", "object"])
+def test_objective_not_one_value_per_point_names_pass_search_and_step(func, message):
+    # numpy would broadcast the first three over the four probes, and the
+    # cast to float took the others as numbers: a bool as 0 or 1, a string
+    # parsed, a complex value without its imaginary part
     config = replace(_probe_line_config(num_passes=2, np0=4, nt=3),
                      objective=ObjectiveSpec(func, DecisionSpace.cube(2, -1.0, 1.0)))
-    with pytest.raises(ValueError, match=rf"^pass 1, search at gamma 0.0: step 0: func must "
-                                         rf"return shape \(4,\) for a batch of 4 points, "
-                                         rf"got shape {got}$"):
+    with pytest.raises(ValueError, match=rf"^pass 1, search at gamma 0.0: step 0: {message}$"):
         run_dto(config)
     assert config.objective.eval_count == 4
 
@@ -442,12 +442,12 @@ def test_constant_objective_beyond_1e300_runs_and_reports_the_constant(constant,
         ipd=RandomUniform(1),
         objective=ObjectiveSpec(lambda x: np.full(x.shape[0], constant), space),
     )
-    positions = []
-    report = run_dto(config, observer=lambda k, t, result, history: positions.append(
-        history.positions.transpose(0, 2, 1).reshape(-1, 2)))
+    report, searches = _run_searches(config)
+    positions = np.concatenate([history.positions.transpose(0, 2, 1).reshape(-1, 2)
+                                for _, _, history in searches])
     assert report.best_value == constant
     assert report.best_coords is not None
-    assert (np.concatenate(positions) == report.best_coords).all(axis=1).any()
+    assert (positions == report.best_coords).all(axis=1).any()
     assert [p.threshold for p in report.passes] == [-np.inf, constant, constant]
     assert render_summary(report)
 

@@ -86,8 +86,25 @@ def test_halton_rejects_counts_that_are_not_integers_in_range(args, field):
 
 def test_first_primes_match_a_sieve():
     for count in (0, 1, 2, 5, 6, 7, 30, 1000, 10_000):
-        assert floorscan._first_primes(count) == tuple(PRIMES[:count])
+        primes = floorscan._first_primes(count)
+        assert primes.dtype == np.int64 and primes.tolist() == PRIMES[:count]
     assert floorscan._first_primes(10_000)[-1] == 104_729
+
+
+def test_halton_bases_at_a_million_dimensions_stay_one_int64_array():
+    # Before, the cache held the bases as a tuple of D Python ints: 41 MiB
+    # held after the call and a 65 MiB peak at D = 2**20, against 9.5 and 25
+    floorscan._radical_inverse_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        bases, _ = floorscan._radical_inverse_tables(2**20)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        floorscan._radical_inverse_tables.cache_clear()
+    assert bases.dtype == np.int64 and bases.shape == (2**20,)
+    assert bases[:5].tolist() == [2, 3, 5, 7, 11] and bases[-1] == 16_290_047
+    assert held < 16 * 2**20 and peak < 40 * 2**20
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,7 +162,8 @@ def test_halton_points_returns_fresh_writable_array():
 
 def test_halton_tables_are_read_only_and_results_do_not_share_them():
     bases, tables = floorscan._radical_inverse_tables(2)
-    assert bases == (2, 3) and len(tables) == 2
+    assert bases.tolist() == [2, 3] and len(tables) == 2
+    assert not bases.flags.writeable
     for table, _ in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -166,7 +184,7 @@ def test_halton_cache_stays_within_its_table_budget(n_dims):
     # values, within which only 8 of the 30 tables fit at D = 30.
     assert floorscan._TABLE_VALUES == 2**17
     bases, tables = floorscan._radical_inverse_tables(n_dims)
-    assert bases == tuple(PRIMES[:n_dims])
+    assert bases.tolist() == PRIMES[:n_dims]
     assert sum(table.size for table, _ in tables) <= floorscan._TABLE_VALUES
     rows = floorscan._table_rows(n_dims)
     assert len(tables) >= sum(1 for b in bases if b * b <= rows)
@@ -342,14 +360,23 @@ def test_nan_value_is_an_error_naming_the_count():
         sample_threshold_floor(nan_above_09, UNIT_1D, threshold=0.5, n_samples=1000)
 
 
-@pytest.mark.parametrize("bad_result", [
-    lambda p: p,                       # shape (m, 1)
-    lambda p: p[:-1, 0],               # one value short
-    lambda p: 0.5,                     # a scalar
-    lambda p: np.zeros((len(p), 2)),   # two values per sample
-])
-def test_result_not_one_value_per_sample_is_an_error(bad_result):
-    with pytest.raises(ValueError, match=r"func must return shape \(1000,\)"):
+_SHAPE = r"func must return shape \(1000,\) for a batch of 1000 points, got shape "
+_REAL = r"func's result must hold real numbers, got dtype "
+
+
+@pytest.mark.parametrize("bad_result, message", [
+    (lambda p: p, _SHAPE),
+    (lambda p: p[:-1, 0], _SHAPE),
+    (lambda p: 0.5, _SHAPE),
+    (lambda p: np.zeros((len(p), 2)), _SHAPE),
+    (lambda p: p[:, 0] > 0.5, _REAL + "bool"),
+    (lambda p: p[:, 0].astype(str), _REAL + "<U32"),
+    (lambda p: p[:, 0] + 0j, _REAL + "complex128"),
+    (lambda p: p[:, 0].astype(object), _REAL + "object"),
+], ids=["column", "one_short", "scalar", "two_per_sample", "bool", "str", "complex", "object"])
+def test_result_not_one_value_per_sample_is_an_error(bad_result, message):
+    # before, a bool, str or complex result was counted as numbers
+    with pytest.raises(ValueError, match=f"^{message}"):
         sample_threshold_floor(bad_result, UNIT_1D, threshold=0.5, n_samples=1000)
 
 

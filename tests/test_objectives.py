@@ -158,6 +158,44 @@ def test_user_objective_counts_every_point():
     assert obj.eval_count == 23
 
 
+_BATCH = r"^points must be an \(m, 2\) batch, got shape "
+
+
+@pytest.mark.parametrize("points, message", [
+    (np.zeros(2), _BATCH + r"\(2,\)$"),
+    (np.zeros((3, 5)), _BATCH + r"\(3, 5\)$"),
+    (np.zeros((4, 2, 1)), _BATCH + r"\(4, 2, 1\)$"),
+    (np.zeros(()), _BATCH + r"\(\)$"),
+    (np.zeros(0), _BATCH + r"\(0,\)$"),
+    (np.array([["0.1", "0.2"]]), "^points must hold real numbers, got dtype <U3$"),
+    (np.array([[True, False]]), "^points must hold real numbers, got dtype bool$"),
+    (np.array([[0.5 + 1j, 0.0]]), "^points must hold real numbers, got dtype complex128$"),
+], ids=["one_point", "five_columns", "three_axes", "scalar", "empty", "str", "bool",
+        "complex"])
+def test_evaluate_batch_refuses_a_batch_that_is_not_m_points_before_counting(points,
+                                                                             message):
+    # before, a 1-D point [0.1, 0.2] counted as 2 calls, a (3, 5) batch on a
+    # 2-D space as 3, and string and bool points ran as numbers
+    seen = []
+    obj = ObjectiveSpec(lambda x: seen.append(x) or np.zeros(len(x)),
+                        DecisionSpace.cube(2, -1.0, 1.0))
+    with pytest.raises(ValueError, match=message):
+        obj.evaluate_batch(points)
+    assert obj.eval_count == 0 and not seen
+
+
+@pytest.mark.parametrize("result", [
+    [1, 2, 3], np.arange(3, dtype=np.int8), np.arange(3, dtype=np.uint64),
+    np.arange(3, dtype=np.float32), np.arange(6.0)[::2],
+], ids=["list_of_int", "int8", "uint64", "float32", "strided"])
+def test_evaluate_batch_returns_real_results_as_float64(result):
+    obj = ObjectiveSpec(lambda x: result, DecisionSpace.cube(2, -1.0, 1.0))
+    values = obj.evaluate_batch(np.zeros((3, 2)))
+    assert type(values) is np.ndarray and values.dtype == np.float64
+    assert values.tolist() == np.asarray(result, dtype=float).tolist()
+    assert obj.eval_count == 3
+
+
 @pytest.mark.parametrize("func, space, field", [
     (lambda x: x, None, "space"),
     (lambda x: x, (np.zeros(2), np.ones(2)), "space"),
@@ -215,6 +253,20 @@ def test_decision_space_diag_length_keeps_its_bits_where_squares_are_finite():
     space = DecisionSpace([-500.0, -5.12, 0.0], [500.0, 5.12, 1e-3])
     widths = space.upper - space.lower
     assert space.diag_length == float(np.sqrt(np.sum(widths**2)))
+
+
+@pytest.mark.parametrize("lower, upper, field, dtype", [
+    ([False, False], [True, True], "lower", "bool"),
+    (["-1", "0"], ["1", "2"], "lower", "<U2"),
+    ([0.0], [0j], "upper", "complex128"),
+    ([object()], [1.0], "lower", "object"),
+    ([-1.0, 0.0], [None, 1.0], "upper", "object"),
+], ids=["bool", "str", "complex", "object", "none"])
+def test_decision_space_bounds_must_be_real_numbers(lower, upper, field, dtype):
+    # before, bools and strings built a space (strings parsed as floats), and
+    # complex and object bounds ended in a bare TypeError
+    with pytest.raises(ValueError, match=f"^{field} must hold real numbers, got dtype {dtype}$"):
+        DecisionSpace(lower, upper)
 
 
 def test_decision_space_rejects_inverted_bounds():

@@ -315,14 +315,21 @@ def test_surface_rejects_a_nan_or_plus_inf_threshold(threshold):
         render_surface(schwefel226, space, threshold)
 
 
-@pytest.mark.parametrize("func, shape", [
-    (lambda x: 1.0, r"\(\)"),
-    (lambda x: np.ones(1), r"\(1,\)"),
-    (lambda x: np.ones((len(x), 1)), r"\(100, 1\)"),
-], ids=["scalar", "one_value", "column"])
-def test_surface_rejects_a_result_that_is_not_one_value_per_point(func, shape):
-    message = rf"^func must return shape \(100,\) for a batch of 100 points, got shape {shape}$"
-    with pytest.raises(ValueError, match=message):
+_SHAPE = r"func must return shape \(100,\) for a batch of 100 points, got shape "
+_REAL = r"func's result must hold real numbers, got dtype "
+
+
+@pytest.mark.parametrize("func, message", [
+    (lambda x: 1.0, _SHAPE + r"\(\)"),
+    (lambda x: np.ones(1), _SHAPE + r"\(1,\)"),
+    (lambda x: np.ones((len(x), 1)), _SHAPE + r"\(100, 1\)"),
+    (lambda x: x[:, 0] > 0, _REAL + "bool"),
+    (lambda x: x[:, 0].astype(str), _REAL + "<U32"),
+    (lambda x: x[:, 0] + 0j, _REAL + "complex128"),
+    (lambda x: x[:, 0].astype(object), _REAL + "object"),
+], ids=["scalar", "one_value", "column", "bool", "str", "complex", "object"])
+def test_surface_rejects_a_result_that_is_not_one_value_per_point(func, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         render_surface(func, DecisionSpace.cube(2, -1.0, 1.0), -np.inf)
 
 
