@@ -149,8 +149,8 @@ def sgo(x):
 
 
 def ramp(x):
-    """1-D diagnostic objective f(x) = x; its floor fraction at T is T on [0, 1]."""
-    return np.asarray(x, dtype=float)[..., 0]
+    """1-D diagnostic f(x) = x, as a fresh array; its floor fraction at T is T on [0, 1]."""
+    return np.asarray(x, dtype=float)[..., 0].copy()
 
 
 class _LastBatch:
@@ -164,7 +164,8 @@ class _LastBatch:
     result replace the entry; an answer from the entry is a fresh copy, so
     neither edits to an answer nor to the caller's input reach a later one.
     A search's swarm that stops moving passes the same batch step after step,
-    as the float64 array that ObjectiveSpec.evaluate_batch checked.
+    as the float64 array that ObjectiveSpec.evaluate_batch checked, which
+    judges the dtype of the function's own array, computed or stored.
     """
 
     def __init__(self, func: Callable[[np.ndarray], np.ndarray]):
@@ -176,7 +177,7 @@ class _LastBatch:
         layout, data = (points.shape, points.strides), points.tobytes()
         if layout == self._layout and data == self._points:
             return self._values.copy()
-        values = np.asarray(self.func(points), dtype=float)
+        values = self.func(points)
         self._layout, self._points, self._values = layout, data, values.copy()
         return values
 
@@ -321,24 +322,22 @@ class ObjectiveSpec:
 
     ``func`` maps an ``(m, n)`` batch to m fitnesses; any such callable
     works, and ``evaluate_batch`` is the one door to its values. Mutable:
-    ``eval_count`` grows by exactly one per evaluated point, so an instance
-    equals only itself, and report.to_dto_config installs its repeated-batch
-    cache as ``func``. One instance must not be shared across concurrent
-    runs. A ``func`` that is not callable, or a ``space`` that is not a
-    DecisionSpace, raises ValueError naming it.
+    only evaluate_batch moves ``eval_count``, from 0, by one per point, so
+    an instance equals only itself, and report.to_dto_config installs its
+    repeated-batch cache as ``func``; ``known_max_value`` is None unless
+    make_objective fills it in. One instance must not be shared across
+    concurrent runs. A ``func`` that is not callable, or a ``space`` that is
+    not a DecisionSpace, raises ValueError naming it.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     space: DecisionSpace
-    known_max_value: float | None = None
-    known_max_location: np.ndarray | None = None
-    eval_count: int = 0
+    known_max_value: float | None = field(default=None, init=False)
+    eval_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         _check_type("func", self.func, Callable)
         _check_type("space", self.space, DecisionSpace)
-        if self.known_max_location is not None:
-            self.known_max_location = np.asarray(self.known_max_location, dtype=float)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Raw fitness of an ``(m, n)`` batch as a float64 array of shape (m,);
@@ -354,17 +353,14 @@ class ObjectiveSpec:
 
 
 def make_objective(name: str, n_dims: int | None = None) -> ObjectiveSpec:
-    """ObjectiveSpec for a ``BENCHMARKS`` entry on its standard domain.
+    """ObjectiveSpec for a ``BENCHMARKS`` entry on its standard domain, with
+    its ``known_max_value`` filled in.
 
     ``n_dims`` only matters for an entry without a fixed dimension (default
     2); an unknown name or an n_dims it cannot take raises ValueError.
     """
     n_dims = _benchmark_dims(name, n_dims)
     bench = BENCHMARKS[name]
-    repeats = n_dims if bench.n_dims is None else 1
-    return ObjectiveSpec(
-        func=bench.func,
-        space=DecisionSpace.cube(n_dims, bench.lower, bench.upper),
-        known_max_value=bench.max_value * repeats,
-        known_max_location=bench.argmax * repeats,
-    )
+    objective = ObjectiveSpec(bench.func, DecisionSpace.cube(n_dims, bench.lower, bench.upper))
+    objective.known_max_value = bench.max_value * (n_dims if bench.n_dims is None else 1)
+    return objective

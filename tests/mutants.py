@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 CFO, OBJECTIVES, DRIVER = "src/dtopt/cfo.py", "src/dtopt/objectives.py", "src/dtopt/driver.py"
 KERNEL_TESTS = ("tests/test_cfo.py", "-k", "acceleration")
+LIBRARY_RULES = ("tests/test_input_rules.py", "-k", "library_entry_points")
 
 MUTANTS = (
     Mutant("plateau block one tile too tall", CFO,
@@ -100,6 +101,30 @@ MUTANTS = (
            "raise ValueError(f\"step {step}: {exc}\") from exc", "raise",
            "a result that evaluate_batch refuses ends the run without naming the step",
            ("tests/test_driver.py", "-k", "one_value_per_point")),
+    Mutant("count rule refuses its least value", OBJECTIVES,
+           "if not _is_integer(value) or value < least:",
+           "if not _is_integer(value) or value <= least:",
+           "a count at its least value is refused: n_dims = 1, n_steps = 0, seed 0",
+           LIBRARY_RULES),
+    Mutant("bool counted as an integer", OBJECTIVES,
+           "return isinstance(value, numbers.Integral) and not isinstance(value, bool)",
+           "return isinstance(value, numbers.Integral)",
+           "True runs as a count of 1", LIBRARY_RULES),
+    Mutant("fraction rule without zero_ok", OBJECTIVES,
+           "0.0 < value <= 1.0 or (zero_ok and value == 0.0)", "0.0 <= value <= 1.0",
+           "c_th = 0 builds a ramp that never raises the floor", LIBRARY_RULES),
+    Mutant("n_dims without its upper bound", OBJECTIVES,
+           "if n_dims > _MAX_VALUES:", "if False:",
+           "n_dims = 2^60 ends in numpy's allocation error, not one naming n_dims",
+           ("tests/test_input_rules.py", "-k", "n_dims_beyond")),
+    Mutant("type rule accepts anything", OBJECTIVES,
+           "if not isinstance(value, kinds):", "if False:",
+           "an ObjectiveSpec builds over a func of None and fails in its first search",
+           ("tests/test_objectives.py", "-k", "wrong_kind")),
+    Mutant("call counter back in the constructor", OBJECTIVES,
+           "eval_count: int = field(default=0, init=False)", "eval_count: int = 0",
+           "a caller seeds the count a run reports: eval_count = 1.5 wrote \"using 48.0 "
+           "function calls\"", ("tests/test_input_rules.py", "-k", "every_constructor")),
     Mutant("repeated-batch key without the layout", OBJECTIVES,
            "if layout == self._layout and data == self._points:",
            "if data == self._points:",
@@ -141,6 +166,21 @@ MUTANTS = (
            "@dataclass(frozen=True)\nclass LinearRamp:", "@dataclass\nclass LinearRamp:",
            "c_th = 7.0 on a built ramp floors far above the maximum: schwefel2d reported a "
            "best of 25,346,388", ("tests/test_input_rules.py", "-k", "frozen")),
+    Mutant("threshold rule takes +inf", "src/dtopt/threshold.py",
+           "if np.isnan(value) or value == np.inf:", "if np.isnan(value):",
+           "a +inf floor runs to an infinite best",
+           ("tests/test_cfo.py", "-k", "plus_inf_threshold")),
+    Mutant("margin rule without its upper bound", "src/dtopt/floorscan.py",
+           "0.0 <= margin <= sys.float_info.max", "0.0 <= margin",
+           "an infinite margin counts every sample on the floor", LIBRARY_RULES),
+    Mutant("objective values unchecked", CFO,
+           "if not np.isfinite(raw).all():", "if False:",
+           "a NaN or +-inf fitness runs on, and no pass, search or step is named",
+           ("tests/test_driver.py", "-k", "non_finite_objective_value")),
+    Mutant("probe positions unchecked", CFO,
+           "if not np.isfinite(points).all():", "if False:",
+           "an overflowed acceleration step hands NaN positions to the objective",
+           ("tests/test_cfo.py", "-k", "nan_probe_positions")),
     Mutant("floor-scan chunk cap dropped", "src/dtopt/floorscan.py",
            "return min(max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims), "
            "max(1, _MAX_CHUNK_VALUES // n_dims))",

@@ -21,7 +21,7 @@ from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, run_cfo
 from dtopt.cli import main
 from dtopt.driver import DtoConfig
 from dtopt.floorscan import halton_points, sample_threshold_floor
-from dtopt.objectives import DecisionSpace, make_objective, ramp
+from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, ramp
 from dtopt.report import PROFILES, ConfigError, ExperimentConfig, parse_config, to_dto_config
 from dtopt.threshold import LinearRamp
 
@@ -135,6 +135,55 @@ def test_a_built_run_description_is_frozen_and_a_variant_is_checked(name):
     with pytest.raises(ValueError) as replaced:
         dataclasses.replace(value, **refused)
     assert str(replaced.value) == str(built.value)
+
+
+# ----- every init field of a constructor whose object a run reads -----
+
+# Values no field takes, apart from those its CONSTRUCTORS entry names
+WRONG = {"None": None, "'x'": "x", "True": True, "nan": math.nan, "inf": math.inf,
+         "-inf": -math.inf, "2**70": 2**70, "-1": -1, "0.5": 0.5, "1.5": 1.5,
+         "np.float64(nan)": np.float64(math.nan), "[]": [], "()": (), "object()": object(),
+         "2-D array": np.zeros((2, 2))}
+
+# Per class: valid arguments, and the WRONG values each field legitimately
+# takes. Left out: ThresholdState, mutable run state that run_dto makes
+# and that run_cfo and LinearRamp check where they read it; the result
+# records (OptResult, PassRecord, RunReport, FloorStats), which the library
+# builds and never reads as input; and SwarmHistory.allocate, which run_cfo
+# calls with counts CfoParams and the history rule have already checked.
+CONSTRUCTORS = {
+    DecisionSpace: (lambda: {"lower": np.zeros(2), "upper": np.ones(2)}, {}),
+    ObjectiveSpec: (lambda: {"func": ramp, "space": UNIT_1D}, {}),
+    CfoParams: (lambda: {"n_probes": 4, "n_steps": 3},
+                {"n_probes": {"2**70"}, "n_steps": {"2**70"}}),
+    ProbeLine: (dict, {}),
+    RandomUniform: (lambda: {"seed": 1}, {"seed": {"2**70"}}),
+    LinearRamp: (lambda: {"c_th": 0.5}, {"c_th": {"0.5"}}),
+    DtoConfig: (lambda: {"num_passes": 2, "schedule": LinearRamp(0.5), "cfo": CfoParams(4, 3),
+                         "objective": make_objective("ramp"), "ipd": ProbeLine((0.5,))},
+                {"probe_doubling": {"True"}}),
+    ExperimentConfig: (dict, {"c_th": {"0.5"}, "seed": {"2**70"}, "probe_doubling": {"True"},
+                              "output_dir": {"'x'"}}),
+}
+INIT_FIELDS = [(cls, field.name) for cls in CONSTRUCTORS
+               for field in dataclasses.fields(cls) if field.init]
+
+
+@pytest.mark.parametrize("cls, field", INIT_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, field in INIT_FIELDS])
+def test_every_constructor_argument_is_checked(cls, field):
+    # before, ObjectiveSpec took eval_count = 1.5 (a run's summary.txt then
+    # read "using 48.0 function calls"), any known_max_value and a
+    # known_max_location of the wrong length
+    valid, accepted = CONSTRUCTORS[cls]
+    for name, value in WRONG.items():
+        if name in accepted.get(field, ()):
+            cls(**{**valid(), field: value})
+            continue
+        with pytest.raises(ValueError) as info:
+            cls(**{**valid(), field: value})
+        assert isinstance(info.value, ConfigError) is (cls is ExperimentConfig), name
+        assert re.search(rf"\b{field}\b", str(info.value)), (name, str(info.value))
 
 
 @pytest.mark.parametrize("n_dims", [2**60, 2**63, 10**400], ids=["2**60", "2**63", "10**400"])

@@ -150,7 +150,7 @@ def test_eval_count_tracks_every_evaluation():
 
 def test_user_objective_counts_every_point():
     obj = ObjectiveSpec(lambda x: -(x**2).sum(axis=1), DecisionSpace.cube(3, -1.0, 1.0))
-    assert obj.known_max_value is None and obj.known_max_location is None
+    assert obj.known_max_value is None and obj.eval_count == 0
     rng = np.random.default_rng(1)
     for m in (1, 5, 0, 17):
         values = obj.evaluate_batch(rng.uniform(-1.0, 1.0, size=(m, 3)))
@@ -208,13 +208,40 @@ def test_objective_spec_rejects_a_func_or_space_of_the_wrong_kind(func, space, f
         ObjectiveSpec(func, space)
 
 
+def test_objective_spec_takes_only_a_function_and_a_space():
+    # before, eval_count = 1.5 seeded the counter a run reports (a 2-pass run's
+    # summary.txt read "using 48.0 function calls"), and known_max_location,
+    # which nothing read, took [1, 2, 3] on a 2-D space
+    space = DecisionSpace.cube(2, -500.0, 500.0)
+    init = [f.name for f in dataclasses.fields(ObjectiveSpec) if f.init]
+    assert init == ["func", "space"]
+    for name, value in (("eval_count", 1.5), ("known_max_value", 0.0),
+                        ("known_max_location", [1, 2, 3])):
+        with pytest.raises(TypeError, match=name):
+            ObjectiveSpec(schwefel226, space, **{name: value})
+    obj = ObjectiveSpec(schwefel226, space)
+    assert not hasattr(obj, "known_max_location")
+    assert (obj.eval_count, obj.known_max_value) == (0, None)
+
+
+@pytest.mark.parametrize("name, n_dims, expected", [
+    ("schwefel226", None, 418.9829 * 2), ("schwefel226", 2, 418.9829 * 2),
+    ("schwefel226", 30, 418.9829 * 30), ("rastrigin_offset", None, 10.123),
+    ("sgo", None, 130.8323226), ("ramp", None, 1.0),
+])
+def test_make_objective_fills_in_the_known_maximum(name, n_dims, expected):
+    assert make_objective(name, n_dims).known_max_value == expected
+
+
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_known_optimum_beats_uniform_samples(name):
-    obj = make_objective(name, 30 if BENCHMARKS[name].n_dims is None else None)
+    bench = BENCHMARKS[name]
+    obj = make_objective(name, 30 if bench.n_dims is None else None)
     n_dims = obj.space.n_dims
     rng = np.random.default_rng(42)
     samples = rng.uniform(obj.space.lower, obj.space.upper, size=(1000, n_dims))
-    best_at_known = obj.evaluate_batch(obj.known_max_location[None, :])[0]
+    argmax = np.array(bench.argmax * (n_dims // len(bench.argmax)))
+    best_at_known = obj.evaluate_batch(argmax[None, :])[0]
     assert best_at_known == pytest.approx(obj.known_max_value, abs=1e-3 * n_dims)
     assert np.all(best_at_known >= obj.evaluate_batch(samples))
     assert obj.eval_count == 1001
@@ -474,6 +501,34 @@ def test_editing_an_answer_or_the_input_never_changes_a_later_answer():
     x[2, 1] = 7.0  # the caller's input, after the call
     assert _bits(cache(x)) == _bits(schwefel226(x))
     assert len(computed) == 2
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["plain", "cached"])
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_editing_the_batch_after_the_call_leaves_the_answer(name, cached):
+    # before, ramp answered with a view of the caller's batch
+    obj = make_objective(name)
+    if cached:
+        obj.func = _LastBatch(obj.func)
+    draw = np.random.default_rng(8).uniform(obj.space.lower, obj.space.upper,
+                                            size=(4, obj.space.n_dims))
+    expected = _bits(BENCHMARKS[name].func(draw.copy()))
+    for _ in range(2):  # computed, then answered from the entry
+        points = draw.copy()
+        values = obj.evaluate_batch(points)
+        points[:] = obj.space.upper
+        assert _bits(values) == expected
+
+
+@pytest.mark.parametrize("result", [np.array([True, False, True]), np.array(["1", "2", "3"])],
+                         ids=["bool", "str"])
+def test_a_stored_answer_meets_the_same_dtype_rule(result):
+    # before, the cache cast a shipped function's result to float, so a bool
+    # or str result ran as fitness values, computed or stored
+    obj = ObjectiveSpec(_LastBatch(lambda x: result), DecisionSpace.cube(2, -1.0, 1.0))
+    for _ in range(2):  # computed, then answered from the entry
+        with pytest.raises(ValueError, match="^func's result must hold real numbers"):
+            obj.evaluate_batch(np.zeros((3, 2)))
 
 
 def test_an_exception_leaves_the_entry_as_it_was():
