@@ -44,12 +44,6 @@ __all__ = [
 
 _GRID_POINTS = 100  # per axis of a surface grid
 
-# Each start name, with the object it builds from a config.
-_IPDS = MappingProxyType({
-    "probe_line": lambda config: ProbeLine(config.gamma_sweep),
-    "random": lambda config: RandomUniform(config.seed),
-})
-
 
 def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
@@ -115,7 +109,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not kind.accepts(value):
                 raise ConfigError(f"{key} must be {kind.noun}, got {value!r}")
-        for key, names in (("function", BENCHMARKS), ("ipd", _IPDS)):
+        for key, names in (("function", BENCHMARKS), ("ipd", ("probe_line", "random"))):
             if getattr(self, key) not in names:
                 raise ConfigError(f"{key} must be one of {tuple(names)}")
         try:
@@ -201,7 +195,8 @@ def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfi
         schedule=LinearRamp(c_th=config.c_th),
         cfo=CfoParams(n_probes=config.np0, n_steps=config.nt),
         objective=objective,
-        ipd=_IPDS[config.ipd](config),
+        ipd=(ProbeLine(config.gamma_sweep) if config.ipd == "probe_line"
+             else RandomUniform(config.seed)),
         probe_doubling=config.probe_doubling,
     )
 

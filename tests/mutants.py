@@ -43,8 +43,11 @@ class Mutant(NamedTuple):
 
 
 CFO, OBJECTIVES, DRIVER = "src/dtopt/cfo.py", "src/dtopt/objectives.py", "src/dtopt/driver.py"
+THRESHOLD, FLOORSCAN = "src/dtopt/threshold.py", "src/dtopt/floorscan.py"
+REPORT = "src/dtopt/report.py"
 KERNEL_TESTS = ("tests/test_cfo.py", "-k", "acceleration")
 LIBRARY_RULES = ("tests/test_input_rules.py", "-k", "library_entry_points")
+PASS_LOOP_TESTS = ("tests/test_driver.py", "-k", "reference_pass_loop")
 
 MUTANTS = (
     Mutant("plateau block one tile too tall", CFO,
@@ -162,15 +165,15 @@ MUTANTS = (
            "@dataclass(frozen=True)\nclass DtoConfig:", "@dataclass\nclass DtoConfig:",
            "an assignment to a built config skips its checks: schedule = None ends pass 1 in "
            "a bare AttributeError", ("tests/test_input_rules.py", "-k", "frozen")),
-    Mutant("linear ramp not frozen", "src/dtopt/threshold.py",
+    Mutant("linear ramp not frozen", THRESHOLD,
            "@dataclass(frozen=True)\nclass LinearRamp:", "@dataclass\nclass LinearRamp:",
            "c_th = 7.0 on a built ramp floors far above the maximum: schwefel2d reported a "
            "best of 25,346,388", ("tests/test_input_rules.py", "-k", "frozen")),
-    Mutant("threshold rule takes +inf", "src/dtopt/threshold.py",
+    Mutant("threshold rule takes +inf", THRESHOLD,
            "if np.isnan(value) or value == np.inf:", "if np.isnan(value):",
            "a +inf floor runs to an infinite best",
            ("tests/test_cfo.py", "-k", "plus_inf_threshold")),
-    Mutant("margin rule without its upper bound", "src/dtopt/floorscan.py",
+    Mutant("margin rule without its upper bound", FLOORSCAN,
            "0.0 <= margin <= sys.float_info.max", "0.0 <= margin",
            "an infinite margin counts every sample on the floor", LIBRARY_RULES),
     Mutant("objective values unchecked", CFO,
@@ -181,11 +184,43 @@ MUTANTS = (
            "if not np.isfinite(points).all():", "if False:",
            "an overflowed acceleration step hands NaN positions to the objective",
            ("tests/test_cfo.py", "-k", "nan_probe_positions")),
-    Mutant("floor-scan chunk cap dropped", "src/dtopt/floorscan.py",
+    Mutant("floor-scan chunk cap dropped", FLOORSCAN,
            "return min(max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims), "
            "max(1, _MAX_CHUNK_VALUES // n_dims))",
            "return max(_MIN_CHUNK_ROWS, _CHUNK_VALUES // n_dims)",
            "a chunk at large D outgrows its 8 MB bound", ("tests/test_floorscan.py",)),
+    Mutant("linear ramp one pass behind", THRESHOLD,
+           "fraction = self.c_th * k / num_passes", "fraction = self.c_th * (k - 1) / num_passes",
+           "each threshold is the one of the pass before, so pass 2 runs on a floor at F_min",
+           PASS_LOOP_TESTS),
+    Mutant("linear ramp overflow form with its weights swapped", THRESHOLD,
+           "return state.f_min * (1.0 - fraction) + state.f_star * fraction",
+           "return state.f_min * fraction + state.f_star * (1.0 - fraction)",
+           "over a range beyond the largest float the ramp starts from F* and falls toward F_min",
+           PASS_LOOP_TESTS),
+    Mutant("run worst value kept on a tie", DRIVER,
+           "if result.worst_value <= state.f_min:", "if result.worst_value < state.f_min:",
+           "equivalent: an equal worst value is the same number, so F_min differs at most in "
+           "the sign of a zero, which floors the same fitnesses", PASS_LOOP_TESTS,
+           must_die=False),
+    Mutant("floor test without its margin boundary", FLOORSCAN,
+           "return f_val - t <= margin", "return f_val - t < margin",
+           "a fitness exactly the margin above the threshold counts as above the floor",
+           ("tests/test_floorscan.py", "-k", "on_floor")),
+    Mutant("p_above counts the samples on the floor", FLOORSCAN,
+           "p_above=1.0 - n_on_floor / n_samples,", "p_above=n_on_floor / n_samples,",
+           "the estimate reports the flattened share of the space, not the share above it",
+           ("tests/test_floorscan.py", "-k", "p_above")),
+    Mutant("one Halton table entry off", FLOORSCAN,
+           "        table.flags.writeable = False\n",
+           "        if base == 2:\n            table[3] += 2.0**-40\n"
+           "        table.flags.writeable = False\n",
+           "the first coordinate of every index that is 3 modulo the base-2 table's size moves "
+           "by 2^-40: index 3 reads 0.75 + 2^-40", ("tests/test_floorscan.py", "-k", "halton")),
+    Mutant("summary thresholds at two decimals", REPORT,
+           'f"{rec.threshold:.3f}"', 'f"{rec.threshold:.2f}"',
+           "summary.txt prints -347.95 for the threshold -347.955",
+           ("tests/test_report.py", "-k", "summary_layout")),
 )
 
 

@@ -7,12 +7,13 @@ reproduction.
 
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
+import paper_reference
 import pytest
 
 import dtopt.cfo
-import dtopt.driver
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, \
     compute_accelerations, run_cfo
 from dtopt.cli import main
@@ -102,30 +103,23 @@ def test_criterion_4_linear_ramp_spacing():
     _criterion(4, "linear ramp spacing constant, ~126.1 on the reference range", failures)
 
 
-def test_criterion_5_floor_invariant_suite(monkeypatch: pytest.MonkeyPatch):
+def test_criterion_5_floor_invariant_suite():
     failures = []
     rng = np.random.default_rng(2025)
 
-    # 100 fuzzed runs: every fitness recorded during a thresholded pass sits
-    # on or above that pass's floor, checked on each search run_dto makes
-    violations = 0
-
-    def checking_run_cfo(params, objective, start, threshold):
-        nonlocal violations
-        result, history = run_cfo(params, objective, start, threshold)
-        if history.fitness.min() < threshold.t_current:
-            violations += 1
-        return result, history
-
-    monkeypatch.setattr(dtopt.driver, "run_cfo", checking_run_cfo)
-
+    # 100 fuzzed runs: each report equals the reference pass loop's, bit for
+    # bit, and every fitness recorded during a thresholded pass of that loop
+    # sits on or above that pass's floor
+    violations = differing = 0
     for _ in range(100):
         n_dims = int(rng.integers(1, 4))
         num_passes = int(rng.integers(2, 5))
         if bool(rng.integers(0, 2)):
             ipd = ProbeLine((0.0, float(rng.uniform()), 1.0))
+            starts = ipd.gammas
         else:
             ipd = RandomUniform(seed=int(rng.integers(0, 2**31)))
+            starts = [np.random.default_rng(ipd.seed)]
         config = DtoConfig(
             num_passes=num_passes,
             schedule=LinearRamp(c_th=float(rng.uniform(0.3, 1.0))),
@@ -133,9 +127,22 @@ def test_criterion_5_floor_invariant_suite(monkeypatch: pytest.MonkeyPatch):
             objective=make_objective("schwefel226", n_dims),
             ipd=ipd,
         )
-        run_dto(config)
+
+        def search(n_probes, start, threshold):
+            nonlocal violations
+            result, history = run_cfo(replace(config.cfo, n_probes=n_probes),
+                                      make_objective("schwefel226", n_dims), start,
+                                      ThresholdState(threshold))
+            violations += bool(history.fitness.min() < threshold)
+            return result.best_value, result.best_coords, result.worst_value, result.evals_used
+
+        reference = paper_reference.run_passes(search, starts, num_passes, config.cfo.n_probes,
+                                               c_th=config.schedule.c_th)
+        differing += repr(paper_reference.as_run(run_dto(config))) != repr(reference)
     if violations:
         failures.append(f"{violations} floor violations in fuzzed runs")
+    if differing:
+        failures.append(f"{differing} fuzzed runs differ from the reference pass loop")
 
     # apply_threshold is exactly max(f, T) on a million random pairs
     f_vals = rng.uniform(-1e9, 1e9, size=1_000_000)

@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import tracemalloc
-from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import paper_reference as ref
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -24,20 +26,109 @@ from dtopt.cfo import (
 )
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
-from dtopt.threshold import LinearRamp, ThresholdState, apply_threshold
+from dtopt.threshold import LinearRamp, ThresholdState
 
 
 def _params(n_probes=4, n_steps=5):
     return CfoParams(n_probes=n_probes, n_steps=n_steps)
 
 
+def _flat(x):
+    return np.zeros(len(x))
+
+
+# ----- every step against the reference -----
+
+def _checked_search(params, space, func, begin, floor=-np.inf):
+    """run_cfo's search of ``func`` over ``space`` from ``begin``, a gamma or
+    an integer seed, under a floor at ``floor``: (result, history), with
+    every step checked against one reference step taken from the library's
+    own previous step, so chaos cannot amplify rounding.
+
+    Step 0 must be the reference start, bit for bit. A resting step must
+    keep the previous positions bit for bit. Any other step's coordinate
+    must lie within 1e-12 * (sum_k w_pk * (|R_k| + |R_p|) + |R_p|) of the
+    reference move from the library's previous positions and fitness
+    (``ref.kernel``'s size, in coordinate units, and the move's own
+    rounding), or, pulled back, equal the reference retrieval from the
+    previous position; within that bound of a domain edge either branch of
+    retrieval holds. Every fitness must equal max(the answer recorded from
+    the objective, floor) bit for bit, every batch the objective saw the
+    step's positions, and the result the reference scans of the history.
+    """
+    batches, answers = [], []
+
+    def recording(x):
+        batches.append(x.copy())
+        values = func(x)
+        answers.append(np.array(values, dtype=float))
+        return values
+
+    objective = ObjectiveSpec(recording, space)
+    result, history = run_cfo(params, objective, _begin(begin), ThresholdState(floor))
+    lower, upper = space.lower.tolist(), space.upper.tolist()
+    n_probes, n_steps = params.n_probes, params.n_steps
+    positions = [history.positions[:, :, j].tolist() for j in range(n_steps + 1)]
+    fitness = [history.fitness[:, j].tolist() for j in range(n_steps + 1)]
+    assert _bits(positions[0]) == _bits(ref.start(n_probes, lower, upper, _begin(begin)))
+    accels = [[0.0] * space.n_dims] * n_probes  # step 0 does not accelerate
+    for j in range(1, n_steps + 1):
+        prev = positions[j - 1]
+        if j > 1:
+            accels, sizes = ref.kernel(prev, fitness[j - 1])
+        moved = [ref.move(r, a) for r, a in zip(prev, accels)]
+        if ref.rests(accels):
+            assert _bits(positions[j]) == _bits(moved), f"resting step {j}"
+            continue
+        frep = ref.retrieval_factor(j)
+        for p, row in enumerate(positions[j]):
+            for d, got in enumerate(row):
+                x, r, lo, hi = moved[p][d], prev[p][d], lower[d], upper[d]
+                bound = 1e-12 * (sizes[p][d] + abs(r))
+                assert ((lo <= got <= hi and abs(got - x) <= bound)
+                        or got in (ref.retrieve(x - bound, r, lo, hi, frep),
+                                   ref.retrieve(x + bound, r, lo, hi, frep))), (j, p, d)
+    assert len(batches) == n_steps + 1 and objective.eval_count == result.evals_used
+    for j, (batch, answer) in enumerate(zip(batches, answers)):
+        assert batch.tobytes() == history.positions[:, :, j].tobytes()
+        assert _bits(fitness[j]) == _bits([ref.floor(f, floor) for f in answer.tolist()])
+    best, probe, step = ref.scan_best(fitness)
+    worst = ref.scan_worst(fitness)[0]
+    assert (result.best_probe, result.best_step) == (probe, step)
+    assert _bits([result.best_value, result.worst_value]) == _bits([best, worst])
+    assert _bits(result.best_coords.tolist()) == _bits(positions[step][probe])
+    assert result.evals_used == (n_steps + 1) * n_probes
+    return result, history
+
+
+def _begin(begin):
+    """A search's start: a gamma as it is, an integer seed as a new generator."""
+    return begin if isinstance(begin, float) else np.random.default_rng(begin)
+
+
+def _bits(values):
+    """The bytes of a list (of lists) of floats: a comparison that tells -0.0 from 0.0."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_the_reference_imports_no_dtopt_module():
+    # The reference must not run the code it checks: its pass loop takes the
+    # search as an argument, and nothing else reaches the library.
+    tree = ast.parse(Path(ref.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "." for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [name for name in modules if name.split(".")[0] in ("dtopt", "")]
+    assert not [value for value in vars(ref).values()
+                if getattr(value, "__module__", "").startswith("dtopt")]
+
+
 # ----- initial probe distributions -----
 
-def _start_positions(n_probes, space, start):
-    """Step-0 positions of a run_cfo search from ``start``, a gamma or a generator."""
-    objective = ObjectiveSpec(lambda x: np.zeros(len(x)), space)
-    _, history = run_cfo(CfoParams(n_probes=n_probes, n_steps=0), objective, start)
-    return history.positions[:, :, 0]
+def _start(n_probes, space, begin):
+    """Step-0 positions of a run_cfo search from ``begin``, a gamma or a
+    seed, checked against the reference start."""
+    return _checked_search(CfoParams(n_probes, 0), space, _flat, begin)[1].positions[:, :, 0]
 
 
 # 4 probes on [-500, 500]^2 at gamma 0.5: two slots per axis through the centre
@@ -51,24 +142,20 @@ _HAND_TRACE_2D = np.array([
 
 def test_probe_line_hand_trace_2d():
     space = DecisionSpace.cube(2, -500.0, 500.0)
-    assert np.array_equal(_start_positions(4, space, 0.5), _HAND_TRACE_2D)
+    assert np.array_equal(_start(4, space, 0.5), _HAND_TRACE_2D)
 
 
 def test_probe_line_skips_spread_when_too_few_probes():
     space = DecisionSpace.cube(30, -500.0, 500.0)
-    positions = _start_positions(4, space, 0.0)
+    positions = _start(4, space, 0.0)
     assert np.array_equal(positions, np.full((4, 30), -500.0))
 
 
 def test_probe_line_1d_two_probes_hit_endpoints():
     space = DecisionSpace.cube(1, -3.0, 7.0)
     for gamma in (0.0, 0.3, 1.0):
-        positions = _start_positions(2, space, gamma)
+        positions = _start(2, space, gamma)
         assert np.array_equal(positions, np.array([[-3.0], [7.0]]))
-
-
-def _random_start(n_probes, space, seed):
-    return _start_positions(n_probes, space, np.random.default_rng(seed))
 
 
 _ROUNDING_BOUNDS = (-2.1676199894367754, 7.805487040095848)  # lower + width > upper
@@ -87,20 +174,20 @@ def test_a_probe_line_start_at_gamma_one_stays_inside_the_space():
 
 def test_random_start_deterministic_per_seed():
     space = DecisionSpace.cube(4, -2.0, 9.0)
-    a = _random_start(8, space, 123)
-    b = _random_start(8, space, 123)
+    a = _start(8, space, 123)
+    b = _start(8, space, 123)
     assert np.array_equal(a, b)
 
 
 def test_random_start_is_one_probe_major_uniform_draw():
     space = DecisionSpace.cube(4, -2.0, 9.0)
     expected = np.random.default_rng(123).uniform(space.lower, space.upper, size=(8, 4))
-    assert np.array_equal(_random_start(8, space, 123), expected)
+    assert np.array_equal(_start(8, space, 123), expected)
 
 
 def test_random_start_within_bounds():
     space = DecisionSpace(np.array([-5.0, 0.0, 3.0]), np.array([-1.0, 2.0, 30.0]))
-    positions = _random_start(100, space, 7)
+    positions = _start(100, space, 7)
     assert np.all(positions >= space.lower) and np.all(positions < space.upper)
 
 
@@ -128,15 +215,15 @@ def test_random_starts_lie_inside_bounds_whose_width_rounds():
     lower, upper = _ROUNDING_BOUNDS
     assert lower + (upper - lower) > upper
     for seed in range(500):
-        positions = _random_start(64, space, seed)
+        positions = _start(64, space, seed)
         assert ((lower <= positions) & (positions <= upper)).all()
 
 
 def test_random_start_differs_across_seeds():
     space = DecisionSpace.cube(3, 0.0, 1.0)
     for seed in range(100):
-        a = _random_start(5, space, seed)
-        b = _random_start(5, space, seed + 1)
+        a = _start(5, space, seed)
+        b = _start(5, space, seed + 1)
         assert not np.array_equal(a, b)
 
 
@@ -188,6 +275,15 @@ def test_retrieve_errant_containment_fuzz():
         assert np.all(hist.positions[:, :, 1] <= upper)
 
 
+def _reference_retrieval(space, prev, pos, frep):
+    """Positions ``pos`` retrieved coordinate by coordinate by the reference,
+    each against its own bounds."""
+    return np.array([[ref.retrieve(x, r, lo, hi, frep)
+                      for x, r, lo, hi in zip(row, prev_row, space.lower.tolist(),
+                                                 space.upper.tolist())]
+                     for row, prev_row in zip(pos.tolist(), prev.tolist())])
+
+
 @pytest.mark.parametrize("space", [DecisionSpace.cube(3, -500.0, 500.0),
                                    DecisionSpace(np.array([-500.0, -1.0, 0.0]),
                                                  np.array([500.0, 1.0, 0.5]))],
@@ -200,16 +296,9 @@ def test_retrieve_errant_keeps_the_bits_of_the_per_coordinate_rule(space):
     hist.positions[:, :, 0] = rng.uniform(space.lower, space.upper, size=(200, 3))
     pos = rng.uniform(space.lower - width, space.upper + width, size=(200, 3))
     hist.positions[:, :, 1] = pos
-    want = _retrieved_by_the_rule(space, hist.positions[:, :, 0], pos, 0.55)
+    want = _reference_retrieval(space, hist.positions[:, :, 0], pos, 0.55)
     retrieve_errant(hist, 1, 0.55, space)
     assert hist.positions[:, :, 1].tobytes() == want.tobytes()
-
-
-def _retrieved_by_the_rule(space, prev, pos, frep):
-    """Positions ``pos`` retrieved coordinate by coordinate, each against its own bounds."""
-    lower, upper = space.lower, space.upper
-    want = np.where(pos < lower, np.minimum(lower + frep * (prev - lower), upper), pos)
-    return np.where(pos > upper, np.maximum(upper - frep * (upper - prev), lower), want)
 
 
 @pytest.mark.parametrize("cube", [True, False], ids=["cube", "per-axis bounds"])
@@ -242,7 +331,7 @@ def test_retrieval_at_factor_one_clamps_a_pull_from_one_ulp_inside_the_far_bound
     hist = SwarmHistory.allocate(1, 2, 1)
     hist.positions[0, :, 0] = [prev, 0.0]
     hist.positions[0, :, 1] = [lower - 1.0, 0.0]
-    want = _retrieved_by_the_rule(space, hist.positions[:, :, 0], hist.positions[:, :, 1], 1.0)
+    want = _reference_retrieval(space, hist.positions[:, :, 0], hist.positions[:, :, 1], 1.0)
     retrieve_errant(hist, 1, 1.0, space)
     assert hist.positions[0, :, 1].tolist() == [upper, 0.0] == want[0].tolist()
 
@@ -267,7 +356,7 @@ def test_retrieve_errant_pulls_back_coordinates_that_leave_on_one_side_only(spac
     step_out = rng.uniform(0.01, 1.0, size=(50, 3)) * width
     pos[errant] = (space.lower - step_out if side == "below" else space.upper + step_out)[errant]
     hist.positions[:, :, 1] = pos
-    want = _retrieved_by_the_rule(space, hist.positions[:, :, 0], pos, 0.35)
+    want = _reference_retrieval(space, hist.positions[:, :, 0], pos, 0.35)
     assert errant.any() and not np.array_equal(want, pos)
     retrieve_errant(hist, 1, 0.35, space)
     assert hist.positions[:, :, 1].tobytes() == want.tobytes()
@@ -323,34 +412,9 @@ def test_acceleration_pulls_worse_toward_better():
         assert np.array_equal(accels[better], np.zeros(n_dims))
 
 
-def _dense_accelerations(pos, fit):
-    """The all-pairs N x N kernel the tiled one replaced, kept as its oracle.
-
-    Returns the (probe, dim) accelerations and the (p, k) pair weights
-    2 * max(M_k - M_p, 0)^2 / distance^2 (zero at zero distance).
-    """
-    n_probes = pos.shape[0]
-    d2 = np.zeros((n_probes, n_probes))
-    buf = np.empty((n_probes, n_probes))
-    for axis in range(pos.shape[1]):
-        c = pos[:, axis]
-        np.subtract(c[None, :], c[:, None], out=buf)
-        np.multiply(buf, buf, out=buf)
-        d2 += buf
-    zero_pairs = d2 == 0.0
-    np.subtract(fit[None, :], fit[:, None], out=buf)  # buf[p, k] = M_k - M_p
-    np.maximum(buf, 0.0, out=buf)
-    np.multiply(buf, buf, out=buf)
-    d2[zero_pairs] = 1.0
-    np.divide(buf, d2, out=buf)
-    buf *= 2.0
-    buf[zero_pairs] = 0.0
-    return buf @ pos - buf.sum(axis=1, keepdims=True) * pos, buf
-
-
 @st.composite
-def _kernel_inputs(draw):
-    """Positions and fitness for one kernel call.
+def _kernel_inputs(draw, max_probes=200):
+    """Positions and fitness for one kernel call of up to ``max_probes`` probes.
 
     Fitness is floored at a drawn quantile, so a share of the probes (all of
     them at quantile 1) sits on one plateau; the rest are continuous or drawn
@@ -361,7 +425,7 @@ def _kernel_inputs(draw):
     the Gram form, and are then scaled by 10^-100 to 10^150. The dimensions
     straddle the kernel's switch to the Gram form at 8.
     """
-    n = draw(st.integers(1, 200))
+    n = draw(st.integers(1, max_probes))
     n_dims = draw(st.sampled_from([1, 2, 7, 8, 30, 64]))
     n_levels = draw(st.sampled_from([0, 1, 3]))  # 0: continuous fitness
     floor_quantile = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
@@ -388,7 +452,7 @@ def _assert_matches_dense_oracle(pos, fit):
     hist.positions[:, :, 1] = pos
     hist.fitness[:, 1] = fit
     got = compute_accelerations(hist, 1, _params(n_probes=pos.shape[0], n_steps=1))
-    expected, weights = _dense_accelerations(pos, fit)
+    expected, weights = ref.dense_accelerations(pos, fit)
     # scale[p] = sum_k w_pk (|R_k| + |R_p|), per coordinate: the size of the
     # terms the sum cancels, which bounds any reordering of it.
     scale = weights @ np.abs(pos) + weights.sum(axis=1, keepdims=True) * np.abs(pos)
@@ -503,25 +567,6 @@ def test_acceleration_matches_dense_oracle(inputs):
     _assert_matches_dense_oracle(*inputs)
 
 
-def _exact_accelerations(pos, fit):
-    """Each probe's pulls summed pair by pair in exact rationals, rounded once:
-    sum over k of 2 * max(M_k - M_p, 0)^2 / |R_k - R_p|^2 * (R_k - R_p), and
-    no pull from a coincident probe."""
-    points = [[Fraction(float(x)) for x in row] for row in pos]
-    masses = [Fraction(float(m)) for m in fit]
-    out = np.zeros(pos.shape)
-    for p, (row, mass) in enumerate(zip(points, masses)):
-        total = [Fraction(0)] * len(row)
-        for other, other_mass in zip(points, masses):
-            diff = [b - a for a, b in zip(row, other)]
-            d2 = sum(x * x for x in diff)
-            if other_mass > mass and d2:
-                weight = 2 * (other_mass - mass) ** 2 / d2
-                total = [t + weight * x for t, x in zip(total, diff)]
-        out[p] = [float(t) for t in total]
-    return out
-
-
 def test_acceleration_of_two_far_clusters_matches_an_exact_sum():
     # 32 probes in 8-D, the Gram form: two clusters of spread 1e-4 at -100 and
     # +100 on the first axis. A pair within a cluster has d2 near 1e-7 against
@@ -541,8 +586,30 @@ def test_acceleration_of_two_far_clusters_matches_an_exact_sum():
     hist.positions[:, :, 1] = pos
     hist.fitness[:, 1] = fit
     got = compute_accelerations(hist, 1, _params(n_probes=32, n_steps=1))
-    expected = _exact_accelerations(pos, fit)
+    expected = np.array(ref.kernel(pos.tolist(), fit.tolist())[0])
     assert np.abs(got - expected).max() <= 1e-8 * np.abs(expected).max()
+
+
+def _assert_matches_exact_kernel(got, pos, fit):
+    """``got`` lies within 1e-12 of the exact kernel's term size per coordinate."""
+    expected, sizes = ref.kernel(pos.tolist(), fit.tolist())
+    assert np.all(np.abs(got - np.array(expected)) <= 1e-12 * np.array(sizes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_inputs(max_probes=10))
+def test_acceleration_dense_oracle_matches_the_exact_kernel(inputs):
+    # The dense numpy form stands in for the exact one where Fractions are
+    # too slow: over the same drawn inputs, within the bound it is held to
+    pos, fit = inputs
+    _assert_matches_exact_kernel(ref.dense_accelerations(pos, fit)[0], pos, fit)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_acceleration_of_two_plateau_tiles_below_a_mixed_tile_matches_the_exact_kernel(seed):
+    # 150 probes: a block of the two whole floor tiles, then the mixed tile
+    pos, fit = _two_floor_tiles_below_mixed_rows(seed)
+    _assert_matches_exact_kernel(_kernel_at(pos, fit), pos, fit)
 
 
 @st.composite
@@ -812,6 +879,7 @@ def _retrieval_factors(monkeypatch, n_steps):
 
 def test_retrieval_factor_examples(monkeypatch):
     factors = _retrieval_factors(monkeypatch, 45)
+    assert factors == {j: ref.retrieval_factor(j) for j in range(2, 46)}
     # step 1 follows step 0's zero acceleration: it rests and retrieves nothing
     assert list(factors) == list(range(2, 46))
     assert factors[2] == 0.55
@@ -884,12 +952,14 @@ def test_step_one_rests_unless_the_objective_answers_it_with_other_bits(monkeypa
 def _drawn_objective(kind, bump_call):
     """Batch function of the given kind that records every batch it sees.
 
-    "schwefel" and "flat" are pure. "impure" is flat but for call
-    ``bump_call``, where it returns each point's first coordinate, so a
-    swarm at rest feels a pull again; it returns one reused array, whose
-    bits change under a result kept by reference. "list" is Schwefel as a
-    Python list; "nan" puts a NaN in call ``bump_call`` of Schwefel, and
-    "column" returns that call as an (m, 1) column of the same bits.
+    "schwefel" and "flat" are pure, and so is "levels", Schwefel rounded to
+    a multiple of 200, whose probes tie above any floor. "impure" is flat
+    but for call ``bump_call``, where it returns each point's first
+    coordinate, so a swarm at rest feels a pull again; it returns one reused
+    array, whose bits change under a result kept by reference. "list" is
+    Schwefel as a Python list; "nan" puts a NaN in call ``bump_call`` of
+    Schwefel, and "column" returns that call as an (m, 1) column of the same
+    bits.
     """
     batches, out = [], []
 
@@ -904,6 +974,8 @@ def _drawn_objective(kind, bump_call):
             out[0][:] = x[:, 0] if call == bump_call else 0.0
             return out[0]
         values = schwefel226(x)
+        if kind == "levels":
+            return np.round(values / 200.0) * 200.0
         if kind == "nan" and call == bump_call:
             values[0] = np.nan
         if kind == "column" and call == bump_call:
@@ -913,46 +985,24 @@ def _drawn_objective(kind, bump_call):
     return func, batches
 
 
-def _full_step_search(params, objective, start, threshold):
-    """The search loop as it ran before resting steps: every step moves,
-    retrieves, checks the points, evaluates, checks and floors the result,
-    and runs the kernel. Starts from run_cfo's own step-0 positions; returns
-    (result, history, kernel calls)."""
-    space = objective.space
-    history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)
-    history.positions[:, :, 0] = _start_positions(params.n_probes, space, start)
-    accels = np.zeros((params.n_probes, space.n_dims))
-    for j in range(params.n_steps + 1):
-        if j:
-            step_positions(history, j, accels)
-            retrieve_errant(history, j, dtopt.cfo._FREP[(j - 1) % 20], space)
-        points = history.positions[:, :, j]
-        dtopt.cfo._check_points(points, j)
-        raw = dtopt.cfo._evaluate(objective, points, j)
-        dtopt.cfo._check_values(raw, j)
-        history.fitness[:, j] = apply_threshold(raw, threshold)
-        if j:
-            accels = compute_accelerations(history, j, params)
-    best_value, best_probe, best_step = scan_best(history, params.n_steps)
-    result = dtopt.cfo.OptResult(history.positions[best_probe, :, best_step].copy(),
-                                 best_value, scan_worst(history, params.n_steps)[0],
-                                 best_probe, best_step, objective.eval_count)
-    return result, history, params.n_steps
-
-
 @settings(max_examples=250, deadline=None)
 @given(n_probes=st.integers(1, 8), n_dims=st.integers(1, 10), n_steps=st.integers(0, 8),
        space_kind=st.sampled_from(["cube", "per-axis", "rounding"]),
        start=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0),
                        st.integers(0, 2**32 - 1)),
        floor=st.one_of(st.just(-np.inf), st.floats(-1000.0, 1000.0)),
-       kind=st.sampled_from(["schwefel", "flat", "impure", "list", "nan", "column"]),
+       kind=st.sampled_from(["schwefel", "levels", "flat", "impure", "list", "nan", "column"]),
        bump_call=st.integers(1, 8))
-def test_resting_steps_give_the_bits_of_the_full_step_loop(n_probes, n_dims, n_steps,
-                                                           space_kind, start, floor, kind,
-                                                           bump_call):
-    # A random start (an integer seed here) spreads the probes; a probe line
-    # with N < 2D puts every probe on one point, so every step from 2 on rests
+def test_every_step_and_resting_step_of_a_drawn_search_matches_a_reference_step(
+        n_probes, n_dims, n_steps, space_kind, start, floor, kind, bump_call):
+    # Each step against one reference step from the library's previous one:
+    # a moved coordinate within 1e-12 * (sum_k w_pk (|R_k| + |R_p|) + |R_p|),
+    # a resting step and every fitness bit for bit (see _checked_search). A
+    # random start (an integer seed here) spreads the probes; a probe line
+    # with N < 2D puts every probe on one point, so every step from 2 on
+    # rests. From D = 8 the kernel takes the Gram form. A NaN or a column
+    # answer ends the search at its step, after batches that a Schwefel
+    # search's steps match.
     if space_kind == "per-axis":
         lower = -np.arange(1.0, n_dims + 1)
         space = DecisionSpace(lower, lower + 2.0 * np.arange(1, n_dims + 1))
@@ -960,30 +1010,15 @@ def test_resting_steps_give_the_bits_of_the_full_step_loop(n_probes, n_dims, n_s
         space = DecisionSpace.cube(n_dims, *(_ROUNDING_BOUNDS if space_kind == "rounding"
                                              else (-500.0, 500.0)))
     params = CfoParams(n_probes, n_steps)
-    runs = []
-    for search in ("run_cfo", "full steps"):
-        func, batches = _drawn_objective(kind, bump_call)
-        objective = ObjectiveSpec(func, space)
-        begin = start if isinstance(start, float) else np.random.default_rng(start)
-        threshold = ThresholdState(t_current=floor)
-        kernel_calls = []
-        try:
-            if search == "run_cfo":
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(dtopt.cfo, "compute_accelerations",
-                                  lambda *args: kernel_calls.append(args[1])
-                                  or compute_accelerations(*args))
-                    result, history = run_cfo(params, objective, begin, threshold)
-                calls = len(kernel_calls)
-            else:
-                result, history, calls = _full_step_search(params, objective, begin, threshold)
-            outcome = (history.positions.tobytes(), history.fitness.tobytes(),
-                       result.best_coords.tobytes(), result.best_value, result.worst_value,
-                       result.best_probe, result.best_step, result.evals_used, calls)
-        except ValueError as exc:
-            outcome = str(exc)
-        runs.append((outcome, [batch.tobytes() for batch in batches], objective.eval_count))
-    assert runs[0] == runs[1]
+    func, batches = _drawn_objective(kind, bump_call)
+    if kind not in ("nan", "column") or bump_call > n_steps:
+        _checked_search(params, space, func, start, floor)
+        return
+    with pytest.raises(ValueError, match=f"^step {bump_call}: "):
+        run_cfo(params, ObjectiveSpec(func, space), _begin(start), ThresholdState(floor))
+    _, history = _checked_search(params, space, schwefel226, start, floor)
+    assert ([batch.tobytes() for batch in batches]
+            == [history.positions[:, :, j].tobytes() for j in range(bump_call + 1)])
 
 
 # ----- best/worst scans -----
@@ -1090,8 +1125,8 @@ def test_run_cfo_random_seed_reproducible():
     _, hist_b = run_cfo(params, make_objective("schwefel226", 2), np.random.default_rng(77))
     assert np.array_equal(hist_a.positions, hist_b.positions)
     assert np.array_equal(hist_a.fitness, hist_b.fitness)
-    assert np.array_equal(hist_a.positions[:, :, 0],
-                          _random_start(5, DecisionSpace.cube(2, -500.0, 500.0), 77))
+    start = ref.start(5, [-500.0] * 2, [500.0] * 2, np.random.default_rng(77))
+    assert hist_a.positions[:, :, 0].tobytes() == _bits(start)
 
 
 @pytest.mark.parametrize("start", [0.5, "random"])

@@ -3,11 +3,11 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+import paper_reference as ref
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import dtopt.driver
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
@@ -28,20 +28,35 @@ def expected_evals(runs_per_pass, n_steps, probe_counts):
     return runs_per_pass * (n_steps + 1) * sum(probe_counts)
 
 
-def _run_searches(config):
-    """run_dto's report and, per search in order, the threshold it ran
-    under, its result and its history, recorded by wrapping the run_cfo
-    that run_dto calls."""
+def _checked_run(config):
+    """run_dto's report, checked bit for bit against the reference pass loop
+    over run_cfo searches, and per search of that loop, in order, the
+    threshold it ran under, its result and its history. The loop's searches
+    run on their own ObjectiveSpec of the config's function and space."""
+    report = run_dto(config)
+    objective = ObjectiveSpec(config.objective.func, config.objective.space)
     searches = []
 
-    def recording_run_cfo(params, objective, start, threshold):
-        result, history = run_cfo(params, objective, start, threshold)
-        searches.append((threshold.t_current, result, history))
-        return result, history
+    def search(n_probes, start, threshold):
+        result, history = run_cfo(replace(config.cfo, n_probes=n_probes), objective, start,
+                                  ThresholdState(threshold))
+        searches.append((threshold, result, history))
+        return result.best_value, result.best_coords, result.worst_value, result.evals_used
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dtopt.driver, "run_cfo", recording_run_cfo)
-        report = run_dto(config)
+    if isinstance(config.ipd, ProbeLine):
+        starts = config.ipd.gammas
+    else:
+        starts = [np.random.default_rng(config.ipd.seed)]
+    if isinstance(config.schedule, LinearRamp):
+        schedule = dict(c_th=config.schedule.c_th)
+    else:
+        schedule = dict(next_threshold=lambda k, num_passes, f_star, f_min, pass_best:
+                        config.schedule.next_threshold(
+                            k, num_passes, ThresholdState(f_star=f_star, f_min=f_min), pass_best))
+    reference = ref.run_passes(search, starts, config.num_passes, config.cfo.n_probes,
+                               doubling=config.probe_doubling, **schedule)
+    assert repr(ref.as_run(report)) == repr(reference)
+    assert objective.eval_count == report.total_evals
     return report, searches
 
 
@@ -117,7 +132,7 @@ def test_pass_records_shape():
 
 def test_best_overall_monotone_across_invocations():
     config = _probe_line_config(num_passes=3, np0=4, nt=4)
-    report, searches = _run_searches(config)
+    report, searches = _checked_run(config)
     seen = [result.best_value for _, result, _ in searches]
     running = np.maximum.accumulate(seen)
     assert report.best_value == running[-1]
@@ -131,7 +146,7 @@ def test_thresholded_passes_respect_floor():
     floors_checked = 0
     for config in (_probe_line_config(num_passes=4, np0=4, nt=3),
                    _random_config(num_passes=4, np0=4, nt=3)):
-        for threshold, _, history in _run_searches(config)[1]:
+        for threshold, _, history in _checked_run(config)[1]:
             assert history.fitness.min() >= threshold
             floors_checked += threshold > -np.inf
     assert floors_checked > 0
@@ -239,7 +254,7 @@ def test_report_consistency_raw_fitness_at_best_coords():
 
 
 def test_double_probes():
-    report, searches = _run_searches(_random_config(num_passes=10, np0=4, nt=0))
+    report, searches = _checked_run(_random_config(num_passes=10, np0=4, nt=0))
     sizes = [history.n_probes for _, _, history in searches]
     assert sizes == [4 * 2**k for k in range(10)]
     assert sum(sizes) == 4092  # 106,392 / 26 evaluation sites per probe
@@ -294,7 +309,7 @@ def _assert_same_search(got, expected):
 def test_probe_line_runs_exactly_its_gammas():
     # One gamma, one search per pass, at that gamma: no sweep hides behind it
     config = _probe_line_config(num_passes=3, np0=4, nt=3, gammas=(0.3,), doubling=False)
-    report, searches = _run_searches(config)
+    report, searches = _checked_run(config)
     assert len(searches) == 3
     assert report.total_evals == expected_evals(1, 3, [4, 4, 4])
     _assert_same_search(searches[0], run_cfo(CfoParams(n_probes=4, n_steps=3),
@@ -302,15 +317,9 @@ def test_probe_line_runs_exactly_its_gammas():
 
 
 def test_random_run_equals_searches_sharing_one_generator():
-    config = _random_config(num_passes=3, np0=3, nt=2, seed=11)
-    report, searches = _run_searches(config)
-    rng = np.random.default_rng(11)
-    objective = make_objective("schwefel226", 2)
-    for record, search in zip(report.passes, searches):
-        floor = ThresholdState(record.threshold)
-        params = CfoParams(n_probes=search[2].n_probes, n_steps=2)
-        _assert_same_search(search, run_cfo(params, objective, rng, floor))
-    assert objective.eval_count == report.total_evals
+    # the reference pass loop draws every pass's start from one generator
+    _, searches = _checked_run(_random_config(num_passes=3, np0=3, nt=2, seed=11))
+    assert [history.n_probes for _, _, history in searches] == [3, 6, 12]
 
 
 def test_probe_line_run_deterministic():
@@ -350,7 +359,7 @@ def _small_run_config(config, follow_best):
 def test_run_invariants_hold_on_random_configs(config, follow_best):
     dto_config = _small_run_config(config, follow_best)
     space = dto_config.objective.space
-    report, searches = _run_searches(dto_config)
+    report, searches = _checked_run(dto_config)
     lower, upper = space.lower[None, :, None], space.upper[None, :, None]
     for threshold, _, history in searches:
         assert np.all(history.fitness >= threshold)
@@ -442,7 +451,7 @@ def test_constant_objective_beyond_1e300_runs_and_reports_the_constant(constant,
         ipd=RandomUniform(1),
         objective=ObjectiveSpec(lambda x: np.full(x.shape[0], constant), space),
     )
-    report, searches = _run_searches(config)
+    report, searches = _checked_run(config)
     positions = np.concatenate([history.positions.transpose(0, 2, 1).reshape(-1, 2)
                                 for _, _, history in searches])
     assert report.best_value == constant
@@ -468,10 +477,10 @@ def test_acceleration_overflow_is_not_blamed_on_the_objective():
             run_dto(config)
 
 
-def test_linear_ramp_over_a_range_beyond_the_largest_float():
-    # F* - F_min = 3e308 overflows; with 2 probes in 2-D every probe sits on
-    # the diagonal point, so the kernel itself never overflows
-    config = DtoConfig(
+def _overflowing_range_config():
+    """F* - F_min = 3e308 overflows; with 2 probes in 2-D every probe sits on
+    the diagonal point, so the kernel itself never overflows."""
+    return DtoConfig(
         num_passes=3,
         schedule=LinearRamp(0.6),
         cfo=CfoParams(2, 3),
@@ -480,10 +489,25 @@ def test_linear_ramp_over_a_range_beyond_the_largest_float():
         ipd=ProbeLine((0.0, 1.0)),
         probe_doubling=False,
     )
-    report = run_dto(config)
+
+
+def test_linear_ramp_over_a_range_beyond_the_largest_float():
+    report = run_dto(_overflowing_range_config())
     thresholds = [p.threshold for p in report.passes]
     assert thresholds[0] == -np.inf
     for t in thresholds[1:]:
         assert -1.5e308 <= t <= 1.5e308
     assert thresholds[1:] == pytest.approx([-9.0e307, -3.0e307], rel=1e-12)
     assert report.best_value == 1.5e308
+
+
+@pytest.mark.parametrize("config", [
+    _probe_line_config(num_passes=4, np0=3, nt=4, gammas=(0.0, 0.3, 0.5, 1.0)),
+    _probe_line_config(num_passes=3, np0=6, nt=5, n_dims=3, c_th=1.0, doubling=False),
+    _random_config(num_passes=5, np0=3, nt=6, seed=3),
+    replace(_random_config(num_passes=3, np0=4, nt=5, seed=4), schedule=_FollowBest()),
+    _overflowing_range_config(),
+], ids=["probe line", "no doubling", "random", "follow the best", "overflowing range"])
+def test_run_dto_equals_the_reference_pass_loop(config):
+    # the report, every threshold of the ramp included, bit for bit
+    _checked_run(config)
