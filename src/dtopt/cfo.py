@@ -36,7 +36,7 @@ import numpy as np
 
 from .objectives import (DecisionSpace, ObjectiveSpec, _check_count, _check_fraction,
                          _check_history, _check_type, _is_number_tuple)
-from .threshold import ThresholdState, _check_floor, apply_threshold
+from .threshold import ThresholdState, apply_threshold
 
 # step_positions, retrieve_errant, scan_best, scan_worst, threshold.apply_threshold,
 # objectives.Benchmark and report.fmt are internal but keep their names:
@@ -436,16 +436,14 @@ def run_cfo(
     so a search makes exactly (n_steps + 1) * n_probes calls; a result that
     evaluate_batch refuses or that holds a NaN or +-inf raises ValueError
     naming the step. The optimizer only ever sees the fitness floored at
-    ``threshold``, a ThresholdState it only reads; the default -inf floors
-    nothing. Anything but a ThresholdState, or one whose
-    threshold is not a number, or is NaN or +inf, raises ValueError. So do
-    counts whose history would not fit one numpy array (see
+    ``threshold``, a ThresholdState, checked when it was built; the default
+    -inf floors nothing. Anything but a ThresholdState raises ValueError. So
+    do counts whose history would not fit one numpy array (see
     objectives._check_history), before anything is allocated.
     """
     _check_type("params", params, CfoParams)
     _check_type("objective", objective, ObjectiveSpec)
     _check_type("threshold", threshold, ThresholdState)
-    _check_floor(threshold.t_current)
     space = objective.space
     _check_history(params.n_probes, params.n_steps, space.n_dims)
     history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)

@@ -2,11 +2,12 @@
 
 Pass 1 searches the raw landscape, under a -inf threshold that floors
 nothing. After every pass the schedule's ``next_threshold`` sets the
-threshold from the fitness seen so far, and the probe count is doubled (to
-keep exploring the progressively flatter landscape). ``DtoConfig.ipd`` is
-the run's one start description: with ``ProbeLine`` each pass runs one search
-per gamma in its ``gammas``; with ``RandomUniform`` each pass is a single
-search, and every pass draws from one generator seeded once per run.
+threshold from the fitness seen so far, handed to it as plain numbers, and
+the probe count is doubled (to keep exploring the progressively flatter
+landscape). ``DtoConfig.ipd`` is the run's one start description: with
+``ProbeLine`` each pass runs one search per gamma in its ``gammas``; with
+``RandomUniform`` each pass is a single search, and every pass draws from one
+generator seeded once per run.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
 
 class _Schedule(Protocol):
     """What a run asks of its schedule: the threshold for pass k + 1 after
-    completed pass k of num_passes (threshold.LinearRamp is the shipped one)."""
+    completed pass k of num_passes, from the run's best and worst fitness so
+    far and the best of pass k (threshold.LinearRamp is the shipped one)."""
 
-    def next_threshold(self, k: int, num_passes: int, state: ThresholdState,
+    def next_threshold(self, k: int, num_passes: int, f_star: float, f_min: float,
                        pass_best: float) -> float: ...
 
 
@@ -60,8 +62,10 @@ class DtoConfig:
     def __post_init__(self):
         _check_count("num_passes", self.num_passes, 1)
         _check_type("probe_doubling", self.probe_doubling, bool)
-        if not callable(getattr(self.schedule, "next_threshold", None)):
-            raise ValueError("schedule must have a callable next_threshold, "
+        # a class has a callable next_threshold too, unbound, one argument short
+        if isinstance(self.schedule, type) or not callable(
+                getattr(self.schedule, "next_threshold", None)):
+            raise ValueError("schedule must be an object with a callable next_threshold, "
                              f"got {self.schedule!r}")
         _check_type("cfo", self.cfo, CfoParams)
         _check_type("objective", self.objective, ObjectiveSpec)
@@ -101,9 +105,11 @@ def run_dto(config: DtoConfig) -> RunReport:
     ends the run in ValueError naming the pass, the search (its gamma or
     seed) and the step. A schedule whose next threshold is not a number, or is
     NaN or +inf, ends it in ValueError naming the schedule's type and the pass.
+    A config that is not a DtoConfig raises ValueError naming it.
     """
+    _check_type("config", config, DtoConfig)
     objective = config.objective
-    state = ThresholdState()
+    state, f_star, f_min = ThresholdState(), -np.inf, np.inf
     # (start, label) per search of a pass; the label names it in errors
     if isinstance(config.ipd, ProbeLine):
         starts = [(gamma, f"gamma {gamma}") for gamma in config.ipd.gammas]
@@ -123,10 +129,10 @@ def run_dto(config: DtoConfig) -> RunReport:
                 result = run_cfo(params, objective, start, state)[0]
             except ValueError as exc:
                 raise ValueError(f"pass {pass_index}, search at {search}: {exc}") from exc
-            if result.worst_value <= state.f_min:
-                state.f_min = result.worst_value
-            if result.best_value >= state.f_star:
-                state.f_star = result.best_value
+            if result.worst_value <= f_min:
+                f_min = result.worst_value
+            if result.best_value >= f_star:
+                f_star = result.best_value
                 best_coords = result.best_coords.copy()
             pass_best = max(pass_best, result.best_value)
         passes.append(PassRecord(
@@ -136,19 +142,19 @@ def run_dto(config: DtoConfig) -> RunReport:
             cumulative_evals=objective.eval_count - evals_start,
         ))
         threshold = config.schedule.next_threshold(
-            pass_index, config.num_passes, state, pass_best)
+            pass_index, config.num_passes, f_star, f_min, pass_best)
         try:
             _check_floor(threshold)
         except ValueError as exc:
             raise ValueError(f"schedule {type(config.schedule).__name__} after pass "
                              f"{pass_index}: {exc}") from exc
-        state.t_current = threshold
+        state = ThresholdState(threshold)
         if config.probe_doubling:
             params = replace(params, n_probes=2 * params.n_probes)
 
     return RunReport(
         best_coords=best_coords,
-        best_value=state.f_star,
+        best_value=f_star,
         total_evals=objective.eval_count - evals_start,
         passes=passes,
     )

@@ -158,7 +158,9 @@ PROFILES = MappingProxyType({
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse ``key = value`` lines; blank lines and # comments are skipped."""
+    """Parse ``key = value`` lines; blank lines and # comments are skipped.
+    Text that is not a str raises ValueError naming it."""
+    _check_type("text", text, str)
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -183,7 +185,9 @@ def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfi
     """Build the executable run description; ``seed`` overrides the config's,
     which only ipd = random reads: with any other ipd it raises ConfigError.
     The objective's function answers a batch equal to its previous one from
-    that batch's result (see objectives._LastBatch); calls count as before."""
+    that batch's result (see objectives._LastBatch); calls count as before.
+    A config that is not an ExperimentConfig raises ValueError naming it."""
+    _check_type("config", config, ExperimentConfig)
     if seed is not None:
         if config.ipd != "random":
             raise ConfigError(f"seed applies only to ipd = random, not to ipd = {config.ipd}")
@@ -213,7 +217,9 @@ def fmt(x: float) -> str:
 
 
 def render_summary(report: RunReport) -> str:
-    """The fixed-layout summary; the -inf threshold of pass 1 reads ``none``."""
+    """The fixed-layout summary; the -inf threshold of pass 1 reads ``none``.
+    A report that is not a RunReport raises ValueError naming it."""
+    _check_type("report", report, RunReport)
     lines = [
         "RUN COMPLETED",
         "",
@@ -231,7 +237,9 @@ def render_summary(report: RunReport) -> str:
 
 
 def render_passes_csv(report: RunReport) -> str:
-    """One CSV row per pass; the -inf threshold of pass 1 is an empty field."""
+    """One CSV row per pass; the -inf threshold of pass 1 is an empty field.
+    A report that is not a RunReport raises ValueError naming it."""
+    _check_type("report", report, RunReport)
     lines = ["pass,threshold,best_fitness,cumulative_evals"]
     for rec in report.passes:
         threshold = "" if rec.threshold == -np.inf else fmt(rec.threshold)

@@ -5,12 +5,13 @@ removing local maxima from the searchable landscape while leaving everything
 above T untouched. T = -inf is no floor at all: the first pass searches the
 raw landscape under it. The shipped schedule is the paper's linear ramp over
 the observed fitness range; a run takes any object that computes the
-threshold for the next pass with ``next_threshold(k, num_passes, state,
-pass_best)`` (see driver.DtoConfig).
+threshold for the next pass from plain numbers with ``next_threshold(k,
+num_passes, f_star, f_min, pass_best)`` (see driver.DtoConfig).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,44 +30,43 @@ class LinearRamp:
     def __post_init__(self):
         _check_fraction("c_th", self.c_th, zero_ok=False)
 
-    def next_threshold(self, k: int, num_passes: int, state: ThresholdState,
+    def next_threshold(self, k: int, num_passes: int, f_star: float, f_min: float,
                        pass_best: float) -> float:
-        """Threshold after completed pass k of P = num_passes:
+        """Threshold after completed pass k of P = num_passes, from the best
+        and worst fitness F* = f_star and F_min = f_min seen so far:
         F_min + (c_th * k / P) * (F* - F_min).
 
-        The returned value governs pass k + 1. Requires at least one completed
-        pass so that f_star and f_min hold real, finite fitnesses. P must be
-        an integer >= 1 and k an integer in [1, P], which keeps the threshold
-        within c_th of the range above F_min; anything else raises ValueError
-        naming the argument. When the range F* - F_min overflows (it exceeds
-        about 1.8e308), the threshold is the convex combination
+        The returned value governs pass k + 1. P must be an integer >= 1, k an
+        integer in [1, P], which keeps the threshold within c_th of the range
+        above F_min, and f_star and f_min finite numbers; anything else raises
+        ValueError naming the argument. When the range F* - F_min overflows
+        (it exceeds about 1.8e308), the threshold is the convex combination
         F_min * (1 - c) + F* * c instead, which stays inside [F_min, F*].
         """
         _check_count("num_passes", num_passes, 1)
         if not (_is_integer(k) and 1 <= k <= num_passes):
             raise ValueError(f"pass index k must be an integer in [1, num_passes = {num_passes}], "
                              f"got {k!r}")
-        if not (np.isfinite(state.f_star) and np.isfinite(state.f_min)):
-            raise RuntimeError("threshold update before any completed pass")
+        for name, value in (("f_star", f_star), ("f_min", f_min)):
+            if not (_is_number(value) and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         fraction = self.c_th * k / num_passes
-        span = float(state.f_star) - float(state.f_min)  # Python floats overflow silently
+        span = float(f_star) - float(f_min)  # Python floats overflow silently
         if np.isfinite(span):
-            return state.f_min + fraction * span
-        return state.f_min * (1.0 - fraction) + state.f_star * fraction
+            return f_min + fraction * span
+        return f_min * (1.0 - fraction) + f_star * fraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdState:
-    """Mutable floor state, made by each run: run_dto raises it every pass.
-
-    The threshold starts at -inf, which floors nothing, so the first pass sees
-    the raw landscape. ``f_star`` and ``f_min`` track the best and worst
-    fitness observed over all passes so far, from -inf and +inf.
-    """
+    """The floor a search runs under, checked once, when it is built (see
+    _check_floor). The default -inf floors nothing, so the first pass sees
+    the raw landscape; run_dto builds each later pass's from its schedule."""
 
     t_current: float = -np.inf
-    f_star: float = -np.inf
-    f_min: float = np.inf
+
+    def __post_init__(self):
+        _check_floor(self.t_current, "t_current")
 
     @property
     def enabled(self) -> bool:
@@ -86,16 +86,16 @@ def apply_threshold(f_val, state: ThresholdState):
     return np.maximum(f_val, state.t_current)
 
 
-def _check_floor(t) -> None:
-    """Raise ValueError naming the threshold unless t is a number below +inf
+def _check_floor(t, name: str = "threshold") -> None:
+    """Raise ValueError naming ``name`` unless t is a number below +inf
     (-inf for no floor). numpy floors at an integer as at the float nearest
     to it, so an integer beyond the float range is no threshold either."""
     if not _is_number(t):
-        raise ValueError(f"threshold must be a number, got {t!r}")
+        raise ValueError(f"{name} must be a number, got {t!r}")
     try:
         value = float(t)
     except OverflowError:
-        raise ValueError("threshold must not be NaN or +inf (-inf is no floor), got a "
+        raise ValueError(f"{name} must not be NaN or +inf (-inf is no floor), got a "
                          "number beyond the float range") from None
     if np.isnan(value) or value == np.inf:
-        raise ValueError(f"threshold must not be NaN or +inf (-inf is no floor), got {t}")
+        raise ValueError(f"{name} must not be NaN or +inf (-inf is no floor), got {t}")

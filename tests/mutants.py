@@ -154,7 +154,8 @@ MUTANTS = (
            "step j retrieves with the factor of step j + 1",
            ("tests/test_cfo.py", "-k", "retriev")),
     Mutant("schedule handed the run's best", DRIVER,
-           "config.num_passes, state, pass_best)", "config.num_passes, state, state.f_star)",
+           "config.num_passes, f_star, f_min, pass_best)",
+           "config.num_passes, f_star, f_min, f_star)",
            "a schedule gets the best of the whole run so far, not of the pass just completed",
            ("tests/test_driver.py", "-k", "schedule")),
     Mutant("schedule threshold unchecked", DRIVER,
@@ -169,6 +170,10 @@ MUTANTS = (
            "@dataclass(frozen=True)\nclass LinearRamp:", "@dataclass\nclass LinearRamp:",
            "c_th = 7.0 on a built ramp floors far above the maximum: schwefel2d reported a "
            "best of 25,346,388", ("tests/test_input_rules.py", "-k", "frozen")),
+    Mutant("floor built without its check", THRESHOLD,
+           "        _check_floor(self.t_current, \"t_current\")\n", "        pass\n",
+           "a ThresholdState builds at a NaN, +inf or non-number floor, and a search runs "
+           "under it unchecked", ("tests/test_input_rules.py", "-k", "every_constructor")),
     Mutant("threshold rule takes +inf", THRESHOLD,
            "if np.isnan(value) or value == np.inf:", "if np.isnan(value):",
            "a +inf floor runs to an infinite best",
@@ -194,12 +199,12 @@ MUTANTS = (
            "each threshold is the one of the pass before, so pass 2 runs on a floor at F_min",
            PASS_LOOP_TESTS),
     Mutant("linear ramp overflow form with its weights swapped", THRESHOLD,
-           "return state.f_min * (1.0 - fraction) + state.f_star * fraction",
-           "return state.f_min * fraction + state.f_star * (1.0 - fraction)",
+           "return f_min * (1.0 - fraction) + f_star * fraction",
+           "return f_min * fraction + f_star * (1.0 - fraction)",
            "over a range beyond the largest float the ramp starts from F* and falls toward F_min",
            PASS_LOOP_TESTS),
     Mutant("run worst value kept on a tie", DRIVER,
-           "if result.worst_value <= state.f_min:", "if result.worst_value < state.f_min:",
+           "if result.worst_value <= f_min:", "if result.worst_value < f_min:",
            "equivalent: an equal worst value is the same number, so F_min differs at most in "
            "the sign of a zero, which floors the same fitnesses", PASS_LOOP_TESTS,
            must_die=False),

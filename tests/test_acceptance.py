@@ -85,10 +85,10 @@ def test_criterion_4_linear_ramp_spacing():
     failures = []
     # frozen range: successive thresholds differ by exactly c_th*(F*-F_min)/P
     ramp = LinearRamp(c_th=0.98)
-    state = ThresholdState(f_star=837.9658, f_min=-448.84)
-    thresholds = [ramp.next_threshold(k, 10, state, state.f_star) for k in range(1, 11)]
+    f_star, f_min = 837.9658, -448.84
+    thresholds = [ramp.next_threshold(k, 10, f_star, f_min, f_star) for k in range(1, 11)]
     diffs = np.diff(thresholds)
-    expected = 0.98 * (state.f_star - state.f_min) / 10
+    expected = 0.98 * (f_star - f_min) / 10
     if not np.all(np.abs(diffs - expected) <= 1e-12 * abs(expected)):
         failures.append("frozen-range differences not constant to 1e-12")
     # reference-run tail spacing is the same constant, about 126.1
@@ -96,8 +96,8 @@ def test_criterion_4_linear_ramp_spacing():
     if not np.all(np.abs(ref_diffs - 126.11) <= 0.05):
         failures.append(f"reference spacing {ref_diffs} not ~126.1")
     implied_range = float(np.mean(ref_diffs)) * 10 / 0.98
-    state = ThresholdState(f_star=implied_range / 2, f_min=-implied_range / 2)
-    model = np.diff([ramp.next_threshold(k, 10, state, state.f_star) for k in range(1, 11)])
+    f_star, f_min = implied_range / 2, -implied_range / 2
+    model = np.diff([ramp.next_threshold(k, 10, f_star, f_min, f_star) for k in range(1, 11)])
     if not np.all(np.abs(model - np.mean(ref_diffs)) <= 1e-9):
         failures.append("schedule does not reproduce the reference spacing")
     _criterion(4, "linear ramp spacing constant, ~126.1 on the reference range", failures)
@@ -147,11 +147,9 @@ def test_criterion_5_floor_invariant_suite():
     # apply_threshold is exactly max(f, T) on a million random pairs
     f_vals = rng.uniform(-1e9, 1e9, size=1_000_000)
     t_vals = rng.uniform(-1e9, 1e9, size=1_000_000)
-    state = ThresholdState()
     mismatches = 0
     for f, t in zip(f_vals, t_vals):
-        state.t_current = t
-        if apply_threshold(f, state) != max(f, t):
+        if apply_threshold(f, ThresholdState(t)) != max(f, t):
             mismatches += 1
     if mismatches:
         failures.append(f"{mismatches} apply_threshold mismatches")
@@ -160,7 +158,7 @@ def test_criterion_5_floor_invariant_suite():
     broken = 0
     for _ in range(1000):
         sample = rng.uniform(-1e3, 1e3, size=int(rng.integers(2, 40)))
-        state.t_current = sample.max() - float(rng.uniform(1e-9, 100.0))
+        state = ThresholdState(sample.max() - float(rng.uniform(1e-9, 100.0)))
         floored = apply_threshold(sample, state)
         if int(np.argmax(floored)) != int(np.argmax(sample)):
             broken += 1

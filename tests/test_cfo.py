@@ -1235,9 +1235,10 @@ def test_run_cfo_rejects_gamma_outside_unit_interval(gamma):
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_run_cfo_rejects_a_nan_or_plus_inf_threshold(t):
-    # before, NaN ran to a NaN best and +inf to an infinite one
+    # before, NaN ran to a NaN best and +inf to an infinite one; the floor is
+    # refused when its ThresholdState is built
     obj = make_objective("schwefel226", 2)
-    with pytest.raises(ValueError, match=r"^threshold must not be NaN or \+inf"):
+    with pytest.raises(ValueError, match=r"^t_current must not be NaN or \+inf"):
         run_cfo(CfoParams(n_probes=4, n_steps=2), obj, 0.5, ThresholdState(t_current=t))
     assert obj.eval_count == 0
 

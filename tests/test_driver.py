@@ -19,7 +19,7 @@ class _FollowBest:
     """A follow-the-best schedule, as README defines it: each threshold is the
     best fitness of the pass just completed."""
 
-    def next_threshold(self, k, num_passes, state, pass_best):
+    def next_threshold(self, k, num_passes, f_star, f_min, pass_best):
         return pass_best
 
 
@@ -50,9 +50,7 @@ def _checked_run(config):
     if isinstance(config.schedule, LinearRamp):
         schedule = dict(c_th=config.schedule.c_th)
     else:
-        schedule = dict(next_threshold=lambda k, num_passes, f_star, f_min, pass_best:
-                        config.schedule.next_threshold(
-                            k, num_passes, ThresholdState(f_star=f_star, f_min=f_min), pass_best))
+        schedule = dict(next_threshold=config.schedule.next_threshold)
     reference = ref.run_passes(search, starts, config.num_passes, config.cfo.n_probes,
                                doubling=config.probe_doubling, **schedule)
     assert repr(ref.as_run(report)) == repr(reference)
@@ -179,8 +177,8 @@ class _NoFloorRecorder:
     def __init__(self):
         self.calls = []
 
-    def next_threshold(self, k, num_passes, state, pass_best):
-        self.calls.append((k, num_passes, pass_best, state.f_star))
+    def next_threshold(self, k, num_passes, f_star, f_min, pass_best):
+        self.calls.append((k, num_passes, pass_best, f_star))
         return -np.inf
 
 
@@ -202,7 +200,7 @@ class _Returns:
     def __init__(self, value):
         self.value = value
 
-    def next_threshold(self, k, num_passes, state, pass_best):
+    def next_threshold(self, k, num_passes, f_star, f_min, pass_best):
         return self.value
 
 
@@ -219,6 +217,24 @@ def test_a_schedule_threshold_that_is_no_floor_is_refused_where_it_is_made(value
                                          rf"{re.escape(message)}$"):
         run_dto(config)
     assert config.objective.eval_count == expected_evals(3, 3, [2])
+
+
+class _Sneaky:
+    """A schedule that sets the best fitness of anything it is handed to 1e9."""
+
+    def next_threshold(self, *args):
+        for arg in args:
+            if hasattr(arg, "f_star"):
+                arg.f_star = 1e9
+        return -np.inf
+
+
+def test_a_schedule_cannot_change_the_run_record():
+    # before, a schedule got the run's mutable state, and one that set its
+    # f_star to 1e9 made the run report a best of 1e9 on a ramp whose maximum is 1
+    report = run_dto(DtoConfig(3, _Sneaky(), CfoParams(4, 2), make_objective("ramp"),
+                               ProbeLine((0.5,))))
+    assert report.best_value == max(p.best_fitness for p in report.passes) <= 1.0
 
 
 def test_an_equal_best_from_a_later_search_takes_best_coords():
@@ -286,15 +302,16 @@ _DUCK = SimpleNamespace(space=DecisionSpace.cube(2, -500.0, 500.0), eval_count=0
 
 
 @pytest.mark.parametrize("field, value", [
-    ("schedule", None), ("schedule", "linear"),
+    ("schedule", None), ("schedule", "linear"), ("schedule", LinearRamp),
     ("cfo", None), ("cfo", (4, 2)),
     ("objective", None), ("objective", schwefel226), ("objective", _DUCK),
     ("ipd", None), ("ipd", 0.5),
-], ids=["schedule_none", "schedule_str", "cfo_none", "cfo_tuple", "objective_none",
-        "objective_function", "objective_duck", "ipd_none", "ipd_float"])
+], ids=["schedule_none", "schedule_str", "schedule_class", "cfo_none", "cfo_tuple",
+        "objective_none", "objective_function", "objective_duck", "ipd_none", "ipd_float"])
 def test_dto_config_rejects_components_of_the_wrong_kind(field, value):
     # before, all but the duck built and the run ended in a bare
-    # AttributeError; the duck ran unchecked
+    # AttributeError; the duck ran unchecked, and a schedule class ran to a
+    # TypeError after pass 1, its next_threshold one argument short
     with pytest.raises(ValueError, match=f"^{field} must "):
         DtoConfig(**{**vars(_probe_line_config()), field: value})
 

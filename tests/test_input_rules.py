@@ -19,11 +19,12 @@ import pytest
 from dtopt import cli, floorscan
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, run_cfo
 from dtopt.cli import main
-from dtopt.driver import DtoConfig
+from dtopt.driver import DtoConfig, run_dto
 from dtopt.floorscan import halton_points, sample_threshold_floor
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, ramp
-from dtopt.report import PROFILES, ConfigError, ExperimentConfig, parse_config, to_dto_config
-from dtopt.threshold import LinearRamp
+from dtopt.report import (PROFILES, ConfigError, ExperimentConfig, parse_config,
+                          render_passes_csv, render_summary, to_dto_config)
+from dtopt.threshold import LinearRamp, ThresholdState
 
 
 def _integer(value):
@@ -113,6 +114,7 @@ FROZEN = {
     "RandomUniform": (lambda: RandomUniform(1), {"seed": -1}, {"seed": -1}),
     "LinearRamp": (lambda: to_dto_config(PROFILES["schwefel2d"], seed=1).schedule,
                    {"c_th": 7.0}, {"c_th": 7.0}),
+    "ThresholdState": (lambda: ThresholdState(0.5), {"t_current": 1e9}, {"t_current": math.nan}),
 }
 
 
@@ -146,11 +148,10 @@ WRONG = {"None": None, "'x'": "x", "True": True, "nan": math.nan, "inf": math.in
          "2-D array": np.zeros((2, 2))}
 
 # Per class: valid arguments, and the WRONG values each field legitimately
-# takes. Left out: ThresholdState, mutable run state that run_dto makes
-# and that run_cfo and LinearRamp check where they read it; the result
-# records (OptResult, PassRecord, RunReport, FloorStats), which the library
-# builds and never reads as input; and SwarmHistory.allocate, which run_cfo
-# calls with counts CfoParams and the history rule have already checked.
+# takes. Left out: the result records (OptResult, PassRecord, RunReport,
+# FloorStats), which the library builds and never reads as input; and
+# SwarmHistory.allocate, which run_cfo calls with counts CfoParams and the
+# history rule have already checked.
 CONSTRUCTORS = {
     DecisionSpace: (lambda: {"lower": np.zeros(2), "upper": np.ones(2)}, {}),
     ObjectiveSpec: (lambda: {"func": ramp, "space": UNIT_1D}, {}),
@@ -164,6 +165,7 @@ CONSTRUCTORS = {
                 {"probe_doubling": {"True"}}),
     ExperimentConfig: (dict, {"c_th": {"0.5"}, "seed": {"2**70"}, "probe_doubling": {"True"},
                               "output_dir": {"'x'"}}),
+    ThresholdState: (dict, {"t_current": {"-inf", "2**70", "-1", "0.5", "1.5"}}),
 }
 INIT_FIELDS = [(cls, field.name) for cls in CONSTRUCTORS
                for field in dataclasses.fields(cls) if field.init]
@@ -184,6 +186,30 @@ def test_every_constructor_argument_is_checked(cls, field):
             cls(**{**valid(), field: value})
         assert isinstance(info.value, ConfigError) is (cls is ExperimentConfig), name
         assert re.search(rf"\b{field}\b", str(info.value)), (name, str(info.value))
+
+
+# (the parameter, the call, the WRONG values it takes) of each public function
+# whose one required argument has one type
+FUNCTIONS = {
+    "run_dto": ("config", run_dto, ()),
+    "to_dto_config": ("config", to_dto_config, ()),
+    "render_summary": ("report", render_summary, ()),
+    "render_passes_csv": ("report", render_passes_csv, ()),
+    "parse_config": ("text", parse_config, {"'x'"}),
+}
+
+
+@pytest.mark.parametrize("function", sorted(FUNCTIONS))
+def test_every_function_names_an_argument_of_the_wrong_kind(function):
+    # before, each ended in a bare AttributeError, and parse_config(b"np0 = 4")
+    # in a TypeError
+    name, call, accepted = FUNCTIONS[function]
+    for label, value in {**WRONG, "b'np0 = 4'": b"np0 = 4"}.items():
+        if label in accepted:
+            continue
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value).startswith(f"{name} must be a "), (label, str(info.value))
 
 
 @pytest.mark.parametrize("n_dims", [2**60, 2**63, 10**400], ids=["2**60", "2**63", "10**400"])

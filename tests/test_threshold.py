@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -30,8 +31,7 @@ def test_apply_threshold_equals_max_on_random_pairs():
     for f, t in zip(f_vals[:2000], t_vals[:2000]):
         assert apply_threshold(f, ThresholdState(t_current=t)) == max(f, t)
     # vectorized form agrees too
-    state = ThresholdState(t_current=0.0)
-    state.t_current = 123.456
+    state = ThresholdState(t_current=123.456)
     assert np.array_equal(apply_threshold(f_vals, state), np.maximum(f_vals, 123.456))
 
 
@@ -45,92 +45,86 @@ def test_argmax_preserved_below_max():
         assert int(np.argmax(floored)) == int(np.argmax(sample))
 
 
-def _linear(c_th, k, num_passes, state):
+def _linear(c_th, k, num_passes, f_star, f_min):
     # LinearRamp ignores the pass best; pass one that would change any result
-    return LinearRamp(c_th).next_threshold(k, num_passes, state, pass_best=1e6)
+    return LinearRamp(c_th).next_threshold(k, num_passes, f_star, f_min, pass_best=1e6)
 
 
 def test_linear_update_examples():
-    state = ThresholdState(f_star=800.0, f_min=-1000.0)
-    assert _linear(0.98, 1, 10, state) == pytest.approx(-823.6, abs=1e-9)
-
-    state = ThresholdState(f_star=100.0, f_min=0.0)
-    assert _linear(0.6, 3, 6, state) == pytest.approx(30.0, abs=1e-12)
+    assert _linear(0.98, 1, 10, 800.0, -1000.0) == pytest.approx(-823.6, abs=1e-9)
+    assert _linear(0.6, 3, 6, 100.0, 0.0) == pytest.approx(30.0, abs=1e-12)
 
 
 def test_linear_update_over_a_range_beyond_the_largest_float():
     # F* - F_min overflows to +inf; the convex form stays inside [F_min, F*]
-    state = ThresholdState(f_star=1.5e308, f_min=-1.5e308)
-    thresholds = [_linear(0.6, k, 3, state) for k in (1, 2, 3)]
+    thresholds = [_linear(0.6, k, 3, 1.5e308, -1.5e308) for k in (1, 2, 3)]
     assert thresholds == pytest.approx([-9.0e307, -3.0e307, 3.0e307], rel=1e-12)
-    state = ThresholdState(f_star=np.finfo(float).max, f_min=-np.finfo(float).max)
-    assert _linear(1.0, 1, 1, state) == np.finfo(float).max
+    largest = np.finfo(float).max
+    assert _linear(1.0, 1, 1, largest, -largest) == largest
     # a finite range keeps the F_min + c * (F* - F_min) form bit for bit
-    state = ThresholdState(f_star=0.3, f_min=-0.7)
-    assert _linear(0.6, 1, 3, state) == -0.7 + (0.6 * 1 / 3) * (0.3 - -0.7)
+    assert _linear(0.6, 1, 3, 0.3, -0.7) == -0.7 + (0.6 * 1 / 3) * (0.3 - -0.7)
 
 
 def test_linear_update_zero_range_collapses():
-    state = ThresholdState(f_star=42.5, f_min=42.5)
     for k in range(1, 6):
-        assert _linear(0.7, k, 5, state) == 42.5
+        assert _linear(0.7, k, 5, 42.5, 42.5) == 42.5
 
 
 def test_linear_update_requires_completed_pass():
-    state = ThresholdState()
-    with pytest.raises(RuntimeError):
-        _linear(0.5, 1, 4, state)
-    state.f_star = 10.0  # f_min still at its +inf start
-    with pytest.raises(RuntimeError):
-        _linear(0.5, 1, 4, state)
-    state.f_min = 0.0
+    # Before a completed pass F* and F_min are at their -inf and +inf starts.
+    # Before, those raised RuntimeError, and None or "1" numpy's bare TypeError
+    for bad in (-np.inf, np.inf, np.nan, None, "1", True, 10**400):
+        got = re.escape(repr(bad))
+        for name, args in (("f_star", (bad, 0.0)), ("f_min", (10.0, bad))):
+            with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got {got}$"):
+                _linear(0.5, 1, 4, *args)
+    assert _linear(0.5, 1, 4, 10, np.float64(0.0)) == 1.25
     with pytest.raises(ValueError):
-        _linear(0.5, 0, 4, state)
+        _linear(0.5, 0, 4, 10.0, 0.0)
 
 
 @pytest.mark.parametrize("num_passes", [0, -1, 2.0, True, "4", None])
 def test_linear_update_rejects_a_pass_count_that_is_not_a_positive_integer(num_passes):
     # num_passes = 0 divided by zero, unnamed
-    state = ThresholdState(f_star=1.0, f_min=0.0)
     with pytest.raises(ValueError,
                        match=rf"^num_passes must be an integer >= 1, got {num_passes!r}$"):
-        _linear(0.5, 1, num_passes, state)
+        _linear(0.5, 1, num_passes, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("k", [0, 5, 3.0, True, None])
 def test_linear_update_rejects_a_pass_index_outside_the_passes(k):
     # k = 5 of 2 passes returned 1.25 at c_th 0.5, above F* = 1 and past the cap
-    state = ThresholdState(f_star=1.0, f_min=0.0)
     with pytest.raises(ValueError, match=r"^pass index k must be an integer in "
                                          rf"\[1, num_passes = 2\], got {k!r}$"):
-        _linear(0.5, k, 2, state)
-    assert _linear(0.5, 2, 2, state) == 0.5
+        _linear(0.5, k, 2, 1.0, 0.0)
+    assert _linear(0.5, 2, 2, 1.0, 0.0) == 0.5
 
 
 def test_linear_update_constant_spacing_when_frozen():
-    state = ThresholdState(f_star=837.9658, f_min=-574.94)
-    thresholds = [_linear(0.98, k, 10, state) for k in range(1, 11)]
+    f_star, f_min = 837.9658, -574.94
+    thresholds = [_linear(0.98, k, 10, f_star, f_min) for k in range(1, 11)]
     diffs = np.diff(thresholds)
-    expected = 0.98 * (state.f_star - state.f_min) / 10
+    expected = 0.98 * (f_star - f_min) / 10
     assert np.all(np.abs(diffs - expected) <= 1e-12 * abs(expected))
     assert np.all(diffs > 0)  # strictly increasing while f_star > f_min
 
 
 def test_linear_cap_below_peak():
     # with c_th < 1 the floor never reaches the best fitness
-    state = ThresholdState(f_star=837.9658, f_min=-962.0)
-    assert _linear(0.98, 10, 10, state) < state.f_star
+    assert _linear(0.98, 10, 10, 837.9658, -962.0) < 837.9658
 
 
 def test_initial_state():
+    # the floor is the state's one value; F* and F_min are the run's own
     state = ThresholdState()
-    assert [f.name for f in dataclasses.fields(ThresholdState)] == [
-        "t_current", "f_star", "f_min"]
-    assert (state.t_current, state.f_star, state.f_min) == (-np.inf, -np.inf, np.inf)
+    assert [f.name for f in dataclasses.fields(ThresholdState)] == ["t_current"]
+    assert state.t_current == -np.inf
     assert not state.enabled
     assert ThresholdState(t_current=-1e308).enabled
     with pytest.raises(AttributeError):
         state.enabled = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.t_current = 0.0
 
 
 def test_linear_ramp_validation():
@@ -149,6 +143,11 @@ def test_linear_ramp_rejects_a_c_th_that_is_not_a_number_in_range(c_th):
 
 # ----- the threshold check -----
 
+def _floor_name(entry):
+    # run_cfo's floor is refused when its ThresholdState is built, under its field
+    return "t_current" if entry == "run_cfo" else "threshold"
+
+
 @pytest.mark.parametrize("t", ["1", None])
 @pytest.mark.parametrize("entry", ["run_cfo", "sample_threshold_floor", "render_surface"])
 def test_a_threshold_that_is_not_a_number_is_named(entry, t):
@@ -160,7 +159,7 @@ def test_a_threshold_that_is_not_a_number_is_named(entry, t):
                                                                  t, 100),
         "render_surface": lambda: render_surface(objective.func, objective.space, t),
     }
-    with pytest.raises(ValueError, match=rf"^threshold must be a number, got {t!r}$"):
+    with pytest.raises(ValueError, match=rf"^{_floor_name(entry)} must be a number, got {t!r}$"):
         calls[entry]()
     assert objective.eval_count == 0
 
@@ -190,7 +189,8 @@ def test_an_integer_threshold_beyond_the_float_range_is_named(entry, t):
                                                                  t, 100),
         "render_surface": lambda: render_surface(objective.func, objective.space, t),
     }
-    with pytest.raises(ValueError, match=r"^threshold must not be NaN or \+inf \(-inf is no "
-                                         r"floor\), got a number beyond the float range$"):
+    with pytest.raises(ValueError, match=rf"^{_floor_name(entry)} must not be NaN or \+inf "
+                                         r"\(-inf is no floor\), got a number beyond the float "
+                                         r"range$"):
         calls[entry]()
     assert objective.eval_count == 0
