@@ -36,11 +36,12 @@ import numpy as np
 
 from .objectives import (DecisionSpace, ObjectiveSpec, _check_count, _check_fraction,
                          _check_history, _check_type, _is_number_tuple)
-from .threshold import ThresholdState, apply_threshold
+from .threshold import ThresholdState, _check_floor, apply_threshold
 
 # step_positions, retrieve_errant, scan_best, scan_worst, threshold.apply_threshold,
-# objectives.Benchmark and report.fmt are internal but keep their names:
-# bench/layers.py wraps the first five by name, and cli.py imports fmt.
+# threshold.ThresholdState, objectives.Benchmark and report.fmt are internal but keep
+# their names: bench/layers.py wraps the first five by name and reads the sixth's
+# fields, and cli.py imports fmt.
 __all__ = [
     "DEFAULT_GAMMA_SWEEP",
     "ProbeLine",
@@ -423,7 +424,7 @@ def run_cfo(
     params: CfoParams,
     objective: ObjectiveSpec,
     start: float | np.random.Generator,
-    threshold: ThresholdState = ThresholdState(),
+    threshold: float = -np.inf,
 ) -> tuple[OptResult, SwarmHistory]:
     """Run one CFO search over the objective's decision space.
 
@@ -436,14 +437,15 @@ def run_cfo(
     so a search makes exactly (n_steps + 1) * n_probes calls; a result that
     evaluate_batch refuses or that holds a NaN or +-inf raises ValueError
     naming the step. The optimizer only ever sees the fitness floored at
-    ``threshold``, a ThresholdState, checked when it was built; the default
-    -inf floors nothing. Anything but a ThresholdState raises ValueError. So
-    do counts whose history would not fit one numpy array (see
-    objectives._check_history), before anything is allocated.
+    ``threshold``, a number checked once per search by the threshold rule
+    (threshold._check_floor); the default -inf floors nothing. Counts whose
+    history would not fit one numpy array (see objectives._check_history)
+    raise ValueError too, before anything is allocated.
     """
     _check_type("params", params, CfoParams)
     _check_type("objective", objective, ObjectiveSpec)
-    _check_type("threshold", threshold, ThresholdState)
+    _check_floor(threshold)
+    state = ThresholdState(threshold)
     space = objective.space
     _check_history(params.n_probes, params.n_steps, space.n_dims)
     history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)
@@ -467,7 +469,7 @@ def run_cfo(
     raw = _evaluate(objective, history.positions[:, :, 0], 0)
     _check_values(raw, 0)
     checked = raw.tobytes()  # bytes, not the array: an objective may reuse it
-    history.fitness[:, 0] = apply_threshold(raw, threshold)
+    history.fitness[:, 0] = apply_threshold(raw, state)
     accels = np.zeros((params.n_probes, space.n_dims))
     resting = True  # step 0 does not accelerate; resting steps: see the module docstring
 
@@ -483,7 +485,7 @@ def run_cfo(
         else:
             _check_values(raw, j)
             checked = raw.tobytes()
-            history.fitness[:, j] = apply_threshold(raw, threshold)
+            history.fitness[:, j] = apply_threshold(raw, state)
         accels = compute_accelerations(history, j, params)
         resting = not accels.any()
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from .objectives import ObjectiveSpec, _check_calls, _check_count, _check_history, _check_type
-from .threshold import ThresholdState, _check_floor
+from .threshold import _check_floor
 
 __all__ = ["DtoConfig", "PassRecord", "RunReport", "run_dto"]
 
@@ -109,7 +109,7 @@ def run_dto(config: DtoConfig) -> RunReport:
     """
     _check_type("config", config, DtoConfig)
     objective = config.objective
-    state, f_star, f_min = ThresholdState(), -np.inf, np.inf
+    threshold, f_star, f_min = -np.inf, -np.inf, np.inf
     # (start, label) per search of a pass; the label names it in errors
     if isinstance(config.ipd, ProbeLine):
         starts = [(gamma, f"gamma {gamma}") for gamma in config.ipd.gammas]
@@ -121,12 +121,11 @@ def run_dto(config: DtoConfig) -> RunReport:
     evals_start = objective.eval_count
 
     for pass_index in range(1, config.num_passes + 1):
-        threshold_used = state.t_current
         pass_best = -np.inf
         for start, search in starts:
             try:
                 # the history goes at once: the next search's may be twice as large
-                result = run_cfo(params, objective, start, state)[0]
+                result = run_cfo(params, objective, start, threshold)[0]
             except ValueError as exc:
                 raise ValueError(f"pass {pass_index}, search at {search}: {exc}") from exc
             if result.worst_value <= f_min:
@@ -137,7 +136,7 @@ def run_dto(config: DtoConfig) -> RunReport:
             pass_best = max(pass_best, result.best_value)
         passes.append(PassRecord(
             pass_index=pass_index,
-            threshold=threshold_used,
+            threshold=threshold,
             best_fitness=pass_best,
             cumulative_evals=objective.eval_count - evals_start,
         ))
@@ -148,7 +147,6 @@ def run_dto(config: DtoConfig) -> RunReport:
         except ValueError as exc:
             raise ValueError(f"schedule {type(config.schedule).__name__} after pass "
                              f"{pass_index}: {exc}") from exc
-        state = ThresholdState(threshold)
         if config.probe_doubling:
             params = replace(params, n_probes=2 * params.n_probes)
 

@@ -117,7 +117,7 @@ def schwefel226(x):
     dimension at 420.9687 repeated. Works in one temporary the size of x and
     leaves x unmodified.
     """
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     y = np.abs(x)
     np.sqrt(y, out=y)
     np.sin(y, out=y)
@@ -131,26 +131,21 @@ def rastrigin_offset(x):
     Maximum is 10.123 at (-1.25, 3.25). The outer square on each term is
     deliberate and differs from the textbook Rastrigin function; see README.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2:
-        raise ValueError("rastrigin_offset is defined for 2-D points only")
-    y = x - np.array(RASTRIGIN_OFFSET_ARGMAX)
+    y = _points(x, 2) - np.array(RASTRIGIN_OFFSET_ARGMAX)
     terms = (y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0) ** 2
     return RASTRIGIN_OFFSET_MAX - terms.sum(axis=-1)
 
 
 def sgo(x):
     """SGO quartic test function; maximum ~130.8323226 near (-2.8362075, -2.8362075)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2:
-        raise ValueError("sgo is defined for 2-D points only")
+    x = _points(x, 2)
     t = x**4 - 16.0 * x**2 + 0.5 * x
     return -t.sum(axis=-1)
 
 
 def ramp(x):
     """1-D diagnostic f(x) = x, as a fresh array; its floor fraction at T is T on [0, 1]."""
-    return np.asarray(x, dtype=float)[..., 0].copy()
+    return _points(x, 1)[..., 0].copy()
 
 
 class _LastBatch:
@@ -302,6 +297,19 @@ def _real_numbers(name: str, values) -> np.ndarray:
     return values
 
 
+def _points(x, n_dims: int | None = None) -> np.ndarray:
+    """x as float64 points along its last axis, for a shipped function of
+    n_dims coordinates (None: any number from 1). Anything but real numbers
+    (see _real_numbers) on at least one axis, with that many coordinates,
+    raises ValueError naming x."""
+    x = _real_numbers("x", x)
+    size = x.shape[-1] if x.ndim else 0
+    if size == 0 or n_dims not in (None, size):
+        raise ValueError(f"x must hold points of {n_dims or 'at least 1'} coordinate(s) "
+                         f"along its last axis, got shape {x.shape}")
+    return x.astype(float, copy=False)
+
+
 def _one_value_per_point(values, n_points: int) -> np.ndarray:
     """A batch function's result as a float64 array of shape (n_points,).
 
@@ -322,22 +330,27 @@ class ObjectiveSpec:
 
     ``func`` maps an ``(m, n)`` batch to m fitnesses; any such callable
     works, and ``evaluate_batch`` is the one door to its values. Mutable:
-    only evaluate_batch moves ``eval_count``, from 0, by one per point, so
-    an instance equals only itself, and report.to_dto_config installs its
-    repeated-batch cache as ``func``; ``known_max_value`` is None unless
-    make_objective fills it in. One instance must not be shared across
-    concurrent runs. A ``func`` that is not callable, or a ``space`` that is
-    not a DecisionSpace, raises ValueError naming it.
+    only evaluate_batch moves the read-only ``eval_count``, from 0, by one
+    per point, so an instance equals only itself, and report.to_dto_config
+    installs its repeated-batch cache as ``func``; ``known_max_value`` is
+    None unless make_objective fills it in. One instance must not be shared
+    across concurrent runs. A ``func`` that is not callable, or a ``space``
+    that is not a DecisionSpace, raises ValueError naming it.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     space: DecisionSpace
     known_max_value: float | None = field(default=None, init=False)
-    eval_count: int = field(default=0, init=False)
+    _eval_count: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         _check_type("func", self.func, Callable)
         _check_type("space", self.space, DecisionSpace)
+
+    @property
+    def eval_count(self) -> int:
+        """Points evaluated so far, through evaluate_batch alone."""
+        return self._eval_count
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Raw fitness of an ``(m, n)`` batch as a float64 array of shape (m,);
@@ -348,7 +361,7 @@ class ObjectiveSpec:
         if points.ndim != 2 or points.shape[1] != self.space.n_dims:
             raise ValueError(f"points must be an (m, {self.space.n_dims}) batch, "
                              f"got shape {points.shape}")
-        self.eval_count += len(points)
+        self._eval_count += len(points)
         return _one_value_per_point(self.func(points), len(points))
 
 

@@ -101,7 +101,7 @@ class ExperimentConfig:
     output_dir: str = "."
 
     # Not a field, a key or a setting: bench/workloads.closed_form_calls reads
-    # it, and it goes when that read does (ROADMAP item 1c).
+    # it, and it goes when that read does (ROADMAP item 9).
     floor_repositioning = False
 
     def __post_init__(self):

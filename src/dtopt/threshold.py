@@ -18,7 +18,7 @@ import numpy as np
 
 from .objectives import _check_count, _check_fraction, _is_integer, _is_number
 
-__all__ = ["LinearRamp", "ThresholdState"]
+__all__ = ["LinearRamp"]
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ class LinearRamp:
 
 @dataclass(frozen=True)
 class ThresholdState:
-    """The floor a search runs under, checked once, when it is built (see
-    _check_floor). The default -inf floors nothing, so the first pass sees
-    the raw landscape; run_dto builds each later pass's from its schedule."""
+    """apply_threshold's floor, checked when it is built (see _check_floor)
+    under its field's name: run_cfo builds one per search from its checked
+    threshold. The default -inf floors nothing."""
 
     t_current: float = -np.inf
 

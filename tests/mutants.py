@@ -125,9 +125,21 @@ MUTANTS = (
            "an ObjectiveSpec builds over a func of None and fails in its first search",
            ("tests/test_objectives.py", "-k", "wrong_kind")),
     Mutant("call counter back in the constructor", OBJECTIVES,
-           "eval_count: int = field(default=0, init=False)", "eval_count: int = 0",
+           "_eval_count: int = field(default=0, init=False, repr=False)", "_eval_count: int = 0",
            "a caller seeds the count a run reports: eval_count = 1.5 wrote \"using 48.0 "
            "function calls\"", ("tests/test_input_rules.py", "-k", "every_constructor")),
+    Mutant("call counter settable", OBJECTIVES,
+           "        return self._eval_count\n",
+           "        return self._eval_count\n\n    @eval_count.setter\n"
+           "    def eval_count(self, value):\n        self._eval_count = value\n",
+           "an assignment seeds the count a run reports: eval_count = 1.5 on schwefel30d's "
+           "objective wrote \"using 44352.0 function calls\"",
+           ("tests/test_objectives.py", "-k", "eval_count")),
+    Mutant("shipped objectives without their point check", OBJECTIVES,
+           "if size == 0 or n_dims not in (None, size):", "if False:",
+           "a number or a point of the wrong length reaches the formula: ramp(0.5) ends in a "
+           "bare IndexError, schwefel226(0.5) in a bare TypeError",
+           ("tests/test_input_rules.py", "-k", "every_function")),
     Mutant("repeated-batch key without the layout", OBJECTIVES,
            "if layout == self._layout and data == self._points:",
            "if data == self._points:",
@@ -174,6 +186,10 @@ MUTANTS = (
            "        _check_floor(self.t_current, \"t_current\")\n", "        pass\n",
            "a ThresholdState builds at a NaN, +inf or non-number floor, and a search runs "
            "under it unchecked", ("tests/test_input_rules.py", "-k", "every_constructor")),
+    Mutant("run_cfo floor checked only as t_current", CFO,
+           "    _check_floor(threshold)\n", "",
+           "run_cfo refuses a wrong floor under t_current, a name its caller never passed",
+           ("tests/test_threshold.py", "-k", "not_a_number")),
     Mutant("threshold rule takes +inf", THRESHOLD,
            "if np.isnan(value) or value == np.inf:", "if np.isnan(value):",
            "a +inf floor runs to an infinite best",

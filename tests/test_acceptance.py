@@ -131,8 +131,7 @@ def test_criterion_5_floor_invariant_suite():
         def search(n_probes, start, threshold):
             nonlocal violations
             result, history = run_cfo(replace(config.cfo, n_probes=n_probes),
-                                      make_objective("schwefel226", n_dims), start,
-                                      ThresholdState(threshold))
+                                      make_objective("schwefel226", n_dims), start, threshold)
             violations += bool(history.fitness.min() < threshold)
             return result.best_value, result.best_coords, result.worst_value, result.evals_used
 
@@ -144,13 +143,16 @@ def test_criterion_5_floor_invariant_suite():
     if differing:
         failures.append(f"{differing} fuzzed runs differ from the reference pass loop")
 
-    # apply_threshold is exactly max(f, T) on a million random pairs
-    f_vals = rng.uniform(-1e9, 1e9, size=1_000_000)
-    t_vals = rng.uniform(-1e9, 1e9, size=1_000_000)
+    # apply_threshold is exactly max(f, T) on a million random pairs: a
+    # thousand batches of a thousand values, each floored under one T as
+    # run_cfo floors a step's batch, and a scalar from each batch
+    f_vals = rng.uniform(-1e9, 1e9, size=(1000, 1000))
+    t_vals = rng.uniform(-1e9, 1e9, size=1000)
     mismatches = 0
     for f, t in zip(f_vals, t_vals):
-        if apply_threshold(f, ThresholdState(t)) != max(f, t):
-            mismatches += 1
+        state = ThresholdState(t)
+        mismatches += np.count_nonzero(apply_threshold(f, state) != np.where(t > f, t, f))
+        mismatches += apply_threshold(f[0], state) != max(f[0], t)
     if mismatches:
         failures.append(f"{mismatches} apply_threshold mismatches")
 

@@ -26,7 +26,7 @@ from dtopt.cfo import (
 )
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
-from dtopt.threshold import LinearRamp, ThresholdState
+from dtopt.threshold import LinearRamp
 
 
 def _params(n_probes=4, n_steps=5):
@@ -65,7 +65,7 @@ def _checked_search(params, space, func, begin, floor=-np.inf):
         return values
 
     objective = ObjectiveSpec(recording, space)
-    result, history = run_cfo(params, objective, _begin(begin), ThresholdState(floor))
+    result, history = run_cfo(params, objective, _begin(begin), floor)
     lower, upper = space.lower.tolist(), space.upper.tolist()
     n_probes, n_steps = params.n_probes, params.n_steps
     positions = [history.positions[:, :, j].tolist() for j in range(n_steps + 1)]
@@ -1015,7 +1015,7 @@ def test_every_step_and_resting_step_of_a_drawn_search_matches_a_reference_step(
         _checked_search(params, space, func, start, floor)
         return
     with pytest.raises(ValueError, match=f"^step {bump_call}: "):
-        run_cfo(params, ObjectiveSpec(func, space), _begin(start), ThresholdState(floor))
+        run_cfo(params, ObjectiveSpec(func, space), _begin(start), floor)
     _, history = _checked_search(params, space, schwefel226, start, floor)
     assert ([batch.tobytes() for batch in batches]
             == [history.positions[:, :, j].tobytes() for j in range(bump_call + 1)])
@@ -1135,13 +1135,12 @@ def test_floored_search_stays_above_the_floor_in_bounds_and_repeats(start):
     # once, a probe-line search draws nothing, and a random search draws only
     # its start, so two searches from the same start repeat every value
     params = CfoParams(n_probes=8, n_steps=6)
-    state = ThresholdState(t_current=0.0)
     space = DecisionSpace.cube(2, -500.0, 500.0)
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(8)
         result, hist = run_cfo(params, make_objective("schwefel226", 2),
-                               0.5 if start == 0.5 else rng, state)
+                               0.5 if start == 0.5 else rng, 0.0)
         assert result.evals_used == 7 * 8
         assert np.all(hist.fitness >= 0.0) and np.any(hist.fitness == 0.0)
         assert np.all((hist.positions >= space.lower[None, :, None])
@@ -1235,20 +1234,10 @@ def test_run_cfo_rejects_gamma_outside_unit_interval(gamma):
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_run_cfo_rejects_a_nan_or_plus_inf_threshold(t):
-    # before, NaN ran to a NaN best and +inf to an infinite one; the floor is
-    # refused when its ThresholdState is built
+    # before, NaN ran to a NaN best and +inf to an infinite one
     obj = make_objective("schwefel226", 2)
-    with pytest.raises(ValueError, match=r"^t_current must not be NaN or \+inf"):
-        run_cfo(CfoParams(n_probes=4, n_steps=2), obj, 0.5, ThresholdState(t_current=t))
-    assert obj.eval_count == 0
-
-
-@pytest.mark.parametrize("threshold", [0.5, -np.inf, None], ids=["float", "minus_inf", "none"])
-def test_run_cfo_rejects_a_threshold_that_is_not_a_threshold_state(threshold):
-    # before, each ended in AttributeError: no attribute 't_current'
-    obj = make_objective("schwefel226", 2)
-    with pytest.raises(ValueError, match=r"^threshold must be a ThresholdState, got "):
-        run_cfo(CfoParams(n_probes=4, n_steps=2), obj, 0.5, threshold)
+    with pytest.raises(ValueError, match=r"^threshold must not be NaN or \+inf"):
+        run_cfo(CfoParams(n_probes=4, n_steps=2), obj, 0.5, t)
     assert obj.eval_count == 0
 
 

@@ -12,7 +12,7 @@ from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
 from dtopt.report import ExperimentConfig, render_passes_csv, render_summary, to_dto_config
-from dtopt.threshold import LinearRamp, ThresholdState
+from dtopt.threshold import LinearRamp
 
 
 class _FollowBest:
@@ -39,7 +39,7 @@ def _checked_run(config):
 
     def search(n_probes, start, threshold):
         result, history = run_cfo(replace(config.cfo, n_probes=n_probes), objective, start,
-                                  ThresholdState(threshold))
+                                  threshold)
         searches.append((threshold, result, history))
         return result.best_value, result.best_coords, result.worst_value, result.evals_used
 

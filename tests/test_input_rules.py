@@ -21,9 +21,11 @@ from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, run_cfo
 from dtopt.cli import main
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.floorscan import halton_points, sample_threshold_floor
-from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, ramp
-from dtopt.report import (PROFILES, ConfigError, ExperimentConfig, parse_config,
-                          render_passes_csv, render_summary, to_dto_config)
+from dtopt.objectives import (DecisionSpace, ObjectiveSpec, make_objective, ramp,
+                              rastrigin_offset, schwefel226, sgo)
+from dtopt.report import (PROFILES, ConfigError, ExperimentConfig, average_distance_to_best,
+                          parse_config, render_passes_csv, render_summary, render_surface,
+                          to_dto_config)
 from dtopt.threshold import LinearRamp, ThresholdState
 
 
@@ -188,28 +190,50 @@ def test_every_constructor_argument_is_checked(cls, field):
         assert re.search(rf"\b{field}\b", str(info.value)), (name, str(info.value))
 
 
-# (the parameter, the call, the WRONG values it takes) of each public function
-# whose one required argument has one type
+FLOORS = {"-inf", "2**70", "-1", "0.5", "1.5"}  # the WRONG values a threshold takes
+
+# Per public function: how its message starts when it names one parameter,
+# the call with that parameter's value and every other argument valid, and
+# the WRONG values the parameter takes. make_objective names its name as the
+# benchmark.
 FUNCTIONS = {
-    "run_dto": ("config", run_dto, ()),
-    "to_dto_config": ("config", to_dto_config, ()),
-    "render_summary": ("report", render_summary, ()),
-    "render_passes_csv": ("report", render_passes_csv, ()),
-    "parse_config": ("text", parse_config, {"'x'"}),
+    "run_dto": ("config must be a ", run_dto, ()),
+    "to_dto_config": ("config must be a ", to_dto_config, ()),
+    "render_summary": ("report must be a ", render_summary, ()),
+    "render_passes_csv": ("report must be a ", render_passes_csv, ()),
+    "parse_config": ("text must be a ", parse_config, {"'x'"}),
+    "schwefel226": ("x must hold ", schwefel226, {"2-D array"}),
+    "rastrigin_offset": ("x must hold ", rastrigin_offset, {"2-D array"}),
+    "sgo": ("x must hold ", sgo, {"2-D array"}),
+    "ramp": ("x must hold ", ramp, ()),
+    "run_cfo": ("threshold must ",
+                lambda v: run_cfo(CfoParams(2, 1), make_objective("ramp"), 0.5, v), FLOORS),
+    "halton_points": ("n_dims must be ", lambda v: halton_points(1, v), ()),
+    "sample_threshold_floor": ("threshold must ",
+                               lambda v: sample_threshold_floor(ramp, UNIT_1D, v, 10), FLOORS),
+    "render_surface": ("threshold must ",
+                       lambda v: render_surface(sgo, DecisionSpace.cube(2, -1.0, 1.0), v),
+                       FLOORS),
+    "average_distance_to_best": ("history must be a ",
+                                 lambda v: average_distance_to_best(v, UNIT_1D), ()),
+    "make_objective": ("unknown benchmark ", make_objective, ()),
 }
 
 
 @pytest.mark.parametrize("function", sorted(FUNCTIONS))
 def test_every_function_names_an_argument_of_the_wrong_kind(function):
-    # before, each ended in a bare AttributeError, and parse_config(b"np0 = 4")
-    # in a TypeError
-    name, call, accepted = FUNCTIONS[function]
+    # before, the first five ended in a bare AttributeError and
+    # parse_config(b"np0 = 4") in a TypeError; the shipped objectives ended in
+    # a bare TypeError or IndexError for 11 to 13 of these values:
+    # schwefel226(0.5) in "return arrays must be of ArrayType", ramp(0.5) in
+    # "too many indices"
+    start, call, accepted = FUNCTIONS[function]
     for label, value in {**WRONG, "b'np0 = 4'": b"np0 = 4"}.items():
         if label in accepted:
             continue
         with pytest.raises(ValueError) as info:
             call(value)
-        assert str(info.value).startswith(f"{name} must be a "), (label, str(info.value))
+        assert str(info.value).startswith(start), (label, str(info.value))
 
 
 @pytest.mark.parametrize("n_dims", [2**60, 2**63, 10**400], ids=["2**60", "2**63", "10**400"])

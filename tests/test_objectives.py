@@ -224,6 +224,18 @@ def test_objective_spec_takes_only_a_function_and_a_space():
     assert (obj.eval_count, obj.known_max_value) == (0, None)
 
 
+def test_eval_count_moves_only_through_evaluate_batch():
+    # before, an assignment seeded the count a run reports: eval_count = 1.5
+    # on schwefel30d's objective wrote "using 44352.0 function calls"
+    obj = make_objective("schwefel226", 2)
+    obj.evaluate_batch(np.zeros((3, 2)))
+    for change in (lambda: setattr(obj, "eval_count", 1.5),
+                   lambda: delattr(obj, "eval_count")):
+        with pytest.raises(AttributeError):
+            change()
+    assert obj.eval_count == 3
+
+
 @pytest.mark.parametrize("name, n_dims, expected", [
     ("schwefel226", None, 418.9829 * 2), ("schwefel226", 2, 418.9829 * 2),
     ("schwefel226", 30, 418.9829 * 30), ("rastrigin_offset", None, 10.123),

@@ -143,54 +143,41 @@ def test_linear_ramp_rejects_a_c_th_that_is_not_a_number_in_range(c_th):
 
 # ----- the threshold check -----
 
-def _floor_name(entry):
-    # run_cfo's floor is refused when its ThresholdState is built, under its field
-    return "t_current" if entry == "run_cfo" else "threshold"
+ENTRIES = ["run_cfo", "sample_threshold_floor", "render_surface"]
+
+
+def _floored(entry, objective, t):
+    """What ``entry`` makes of 2-D Schwefel floored at threshold t."""
+    if entry == "run_cfo":
+        return run_cfo(CfoParams(4, 2), objective, 0.5, t)[0].best_value
+    if entry == "sample_threshold_floor":
+        return sample_threshold_floor(objective.func, objective.space, t, 10).n_on_floor
+    return render_surface(objective.func, objective.space, t)
 
 
 @pytest.mark.parametrize("t", ["1", None])
-@pytest.mark.parametrize("entry", ["run_cfo", "sample_threshold_floor", "render_surface"])
+@pytest.mark.parametrize("entry", ENTRIES)
 def test_a_threshold_that_is_not_a_number_is_named(entry, t):
     # before, each entry point ended in numpy's bare TypeError from isnan
     objective = make_objective("schwefel226", 2)
-    calls = {
-        "run_cfo": lambda: run_cfo(CfoParams(4, 2), objective, 0.5, ThresholdState(t_current=t)),
-        "sample_threshold_floor": lambda: sample_threshold_floor(objective.func, objective.space,
-                                                                 t, 100),
-        "render_surface": lambda: render_surface(objective.func, objective.space, t),
-    }
-    with pytest.raises(ValueError, match=rf"^{_floor_name(entry)} must be a number, got {t!r}$"):
-        calls[entry]()
+    with pytest.raises(ValueError, match=rf"^threshold must be a number, got {t!r}$"):
+        _floored(entry, objective, t)
     assert objective.eval_count == 0
 
 
-@pytest.mark.parametrize("entry", ["run_cfo", "sample_threshold_floor", "render_surface"])
+@pytest.mark.parametrize("entry", ENTRIES)
 def test_an_integer_threshold_floors_as_its_float(entry):
     # numpy floors at 10**30 as at 1e30; before, the check ended in numpy's
     # bare TypeError from isnan
     objective = make_objective("schwefel226", 2)
-    calls = {
-        "run_cfo": lambda t: run_cfo(CfoParams(4, 2), objective, 0.5,
-                                     ThresholdState(t_current=t))[0].best_value,
-        "sample_threshold_floor": lambda t: sample_threshold_floor(
-            objective.func, objective.space, t, 10).n_on_floor,
-        "render_surface": lambda t: render_surface(objective.func, objective.space, t),
-    }
-    assert calls[entry](10**30) == calls[entry](1e30)
+    assert _floored(entry, objective, 10**30) == _floored(entry, objective, 1e30)
 
 
 @pytest.mark.parametrize("t", [10**400, -10**400], ids=["10**400", "-10**400"])
-@pytest.mark.parametrize("entry", ["run_cfo", "sample_threshold_floor", "render_surface"])
+@pytest.mark.parametrize("entry", ENTRIES)
 def test_an_integer_threshold_beyond_the_float_range_is_named(entry, t):
     objective = make_objective("schwefel226", 2)
-    calls = {
-        "run_cfo": lambda: run_cfo(CfoParams(4, 2), objective, 0.5, ThresholdState(t_current=t)),
-        "sample_threshold_floor": lambda: sample_threshold_floor(objective.func, objective.space,
-                                                                 t, 100),
-        "render_surface": lambda: render_surface(objective.func, objective.space, t),
-    }
-    with pytest.raises(ValueError, match=rf"^{_floor_name(entry)} must not be NaN or \+inf "
-                                         r"\(-inf is no floor\), got a number beyond the float "
-                                         r"range$"):
-        calls[entry]()
+    with pytest.raises(ValueError, match=r"^threshold must not be NaN or \+inf \(-inf is no "
+                                         r"floor\), got a number beyond the float range$"):
+        _floored(entry, objective, t)
     assert objective.eval_count == 0
