@@ -1,12 +1,15 @@
 """Simplified parameter-free central force optimization.
 
 Probes accelerate under a gravity-like pull toward higher-fitness probes.
-The full position/fitness history of a search is kept because the best and
-worst scans range over every time step; accelerations are needed only one
-step back, so only the latest (N, D) array is kept. A search is strictly
-sequential. It starts either from a probe line at one diagonal fraction
-gamma, with no randomness at all, or from uniform random positions drawn
-from a generator the caller passes in.
+A step reads only the step before it, so a search keeps two steps of
+positions and fitness, 8 * N * (D + 1) * 2 bytes at any step count, and
+keeps its best and worst as it goes, by the step-major, later-ties-win rule
+of a scan over every step; a caller that wants every step hands run_cfo a
+history to record them in. Accelerations are needed only one step back, so
+only the latest (N, D) array is kept. A search is strictly sequential. It
+starts either from a probe line at one diagonal fraction gamma, with no
+randomness at all, or from uniform random positions drawn from a generator
+the caller passes in.
 
 The update cycle per time step: move probes ballistically from the previous
 step's accelerations, pull coordinates that left the domain back inside
@@ -41,7 +44,9 @@ from .threshold import ThresholdState, _check_floor, apply_threshold
 # step_positions, retrieve_errant, scan_best, scan_worst, threshold.apply_threshold,
 # threshold.ThresholdState, objectives.Benchmark and report.fmt are internal but keep
 # their names: bench/layers.py wraps the first five by name and reads the sixth's
-# fields, and cli.py imports fmt.
+# fields, and cli.py imports fmt. run_cfo no longer calls scan_best or scan_worst (it
+# keeps its best and worst as it goes); they stay only because bench/layers.py wraps
+# them by name, until the benchmark reads the library's records (ROADMAP item 9).
 __all__ = [
     "DEFAULT_GAMMA_SWEEP",
     "ProbeLine",
@@ -115,9 +120,10 @@ class CfoParams:
 
 @dataclass
 class SwarmHistory:
-    """Run history: positions are a (probe, dim, step) array, fitness is
+    """A search's steps: positions are a (probe, dim, step) array, fitness is
     (probe, step), steps 0..n_steps inclusive: 8 * N * (D + 1) * (n_steps + 1)
-    bytes.
+    bytes. run_cfo keeps two steps in one of n_steps = 1, or records every
+    step in one its caller hands it.
 
     ``allocate`` stores both step-major, as transposed views of (step, probe,
     dim) and (step, probe) buffers, so one step's ``positions[:, :, j]`` and
@@ -425,7 +431,8 @@ def run_cfo(
     objective: ObjectiveSpec,
     start: float | np.random.Generator,
     threshold: float = -np.inf,
-) -> tuple[OptResult, SwarmHistory]:
+    history: SwarmHistory | None = None,
+) -> tuple[OptResult, SwarmHistory | None]:
     """Run one CFO search over the objective's decision space.
 
     ``params`` must be a CfoParams and ``objective`` an ObjectiveSpec;
@@ -441,22 +448,37 @@ def run_cfo(
     (threshold._check_floor); the default -inf floors nothing. Counts whose
     history would not fit one numpy array (see objectives._check_history)
     raise ValueError too, before anything is allocated.
+
+    The search keeps two steps, 8 * N * (D + 1) * 2 bytes: step j works in
+    slot j % 2 and reads step j - 1 from the other. The best and the worst
+    are kept as the search goes, under the step-major, later-ties-win rule
+    of scan_best and scan_worst. A caller that needs every step passes
+    ``history``, a SwarmHistory of n_steps + 1 steps, as
+    SwarmHistory.allocate(n_probes, n_dims, n_steps) gives it: the same loop
+    then fills it, step j in slot j, and returns it. Any other value but
+    None raises ValueError naming it, before anything is allocated or
+    evaluated. Without it the second value returned is None.
     """
     _check_type("params", params, CfoParams)
     _check_type("objective", objective, ObjectiveSpec)
     _check_floor(threshold)
-    state = ThresholdState(threshold)
     space = objective.space
     _check_history(params.n_probes, params.n_steps, space.n_dims)
-    history = SwarmHistory.allocate(params.n_probes, space.n_dims, params.n_steps)
+    if history is not None:
+        _check_recorded(history, params.n_probes, space.n_dims, params.n_steps)
+    if not isinstance(start, np.random.Generator):
+        _check_fraction("gamma", start)
+    state = ThresholdState(threshold)
+    swarm = history if history is not None else SwarmHistory.allocate(
+        params.n_probes, space.n_dims, 1)
+    depth = swarm.positions.shape[2]  # steps held: slot j % depth is step j's
     evals_before = objective.eval_count
 
+    positions = swarm.positions[:, :, 0]
     if isinstance(start, np.random.Generator):
-        history.positions[:, :, 0] = start.uniform(space.lower, space.upper,
-                                                   size=(params.n_probes, space.n_dims))
+        positions[:] = start.uniform(space.lower, space.upper,
+                                     size=(params.n_probes, space.n_dims))
     else:
-        _check_fraction("gamma", start)
-        positions = history.positions[:, :, 0]
         positions[:] = np.minimum(space.lower + start * (space.upper - space.lower),
                                   space.upper)
         per_axis = params.n_probes // space.n_dims
@@ -465,38 +487,67 @@ def run_cfo(
             step = (space.upper - space.lower) / (per_axis - 1)
             positions[slots + per_axis * axes, axes] = np.minimum(space.lower + slots * step,
                                                                   space.upper)
-    # the start lies inside the bounds, which are finite: its points need no check
-    raw = _evaluate(objective, history.positions[:, :, 0], 0)
-    _check_values(raw, 0)
-    checked = raw.tobytes()  # bytes, not the array: an objective may reuse it
-    history.fitness[:, 0] = apply_threshold(raw, state)
     accels = np.zeros((params.n_probes, space.n_dims))
     resting = True  # step 0 does not accelerate; resting steps: see the module docstring
+    checked = None  # bytes of the last checked result, not the array: an objective may reuse it
+    best_value, worst_value = -np.inf, np.inf
 
-    for j in range(1, params.n_steps + 1):
-        step_positions(history, j, accels)
-        points = history.positions[:, :, j]
-        if not resting:
-            retrieve_errant(history, j, _FREP[(j - 1) % len(_FREP)], space)
-            _check_points(points, j)
+    for j in range(params.n_steps + 1):
+        slot = j % depth
+        points = swarm.positions[:, :, slot]
+        fitness = swarm.fitness[:, slot]
+        if j:  # the start lies inside the finite bounds: its points need no check
+            step_positions(swarm, slot, accels)
+            if not resting:
+                retrieve_errant(swarm, slot, _FREP[(j - 1) % len(_FREP)], space)
+                _check_points(points, j)
         raw = _evaluate(objective, points, j)
         if resting and raw.tobytes() == checked:
-            history.fitness[:, j] = history.fitness[:, j - 1]
+            # the previous row again: its extremes, and its best at this step
+            fitness[:] = swarm.fitness[:, slot - 1]
+            if high >= best_value:
+                best_step, best_coords = j, points[best_probe].copy()
         else:
             _check_values(raw, j)
             checked = raw.tobytes()
-            history.fitness[:, j] = apply_threshold(raw, state)
-        accels = compute_accelerations(history, j, params)
-        resting = not accels.any()
+            fitness[:] = apply_threshold(raw, state)
+            # an index and a lookup: about a quarter of the time of .max() at N <= 2048
+            high, low = fitness[fitness.argmax()], fitness[fitness.argmin()]
+            if high >= best_value:  # the row's last index of its max: a later tie wins
+                best_probe = fitness.size - 1 - int(fitness[::-1].argmax())
+                best_value, best_step = fitness[best_probe], j
+                best_coords = points[best_probe].copy()
+            if low <= worst_value:  # a zero takes the sign of the row's last one
+                worst_value = low if low else fitness[fitness.size - 1 - fitness[::-1].argmin()]
+        if j:
+            accels = compute_accelerations(swarm, slot, params)
+            resting = not accels.any()
 
-    best_value, best_probe, best_step = scan_best(history, params.n_steps)
-    worst_value, _, _ = scan_worst(history, params.n_steps)
     result = OptResult(
-        best_coords=history.positions[best_probe, :, best_step].copy(),
-        best_value=best_value,
-        worst_value=worst_value,
+        best_coords=best_coords,
+        best_value=float(best_value),
+        worst_value=float(worst_value),
         best_probe=best_probe,
         best_step=best_step,
         evals_used=objective.eval_count - evals_before,
     )
     return result, history
+
+
+def _check_recorded(history, n_probes: int, n_dims: int, n_steps: int) -> None:
+    """Raise ValueError naming ``history`` unless it is a SwarmHistory of
+    writable float64 positions (n_probes, n_dims, n_steps + 1) and fitness
+    (n_probes, n_steps + 1)."""
+    shapes = ((n_probes, n_dims, n_steps + 1), (n_probes, n_steps + 1))
+    if isinstance(history, SwarmHistory):
+        arrays = (history.positions, history.fitness)
+        if all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
+               and a.flags.writeable for a, shape in zip(arrays, shapes)):
+            return
+        got = " and ".join(f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray)
+                           else type(a).__name__ for a in arrays)
+    else:
+        got = repr(history)
+    raise ValueError(f"history must be a SwarmHistory of writable float64 positions "
+                     f"{shapes[0]} and fitness {shapes[1]}, as SwarmHistory.allocate("
+                     f"{n_probes}, {n_dims}, {n_steps}) gives, got {got}")

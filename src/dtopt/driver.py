@@ -124,8 +124,7 @@ def run_dto(config: DtoConfig) -> RunReport:
         pass_best = -np.inf
         for start, search in starts:
             try:
-                # the history goes at once: the next search's may be twice as large
-                result = run_cfo(params, objective, start, threshold)[0]
+                result = run_cfo(params, objective, start, threshold)[0]  # no history
             except ValueError as exc:
                 raise ValueError(f"pass {pass_index}, search at {search}: {exc}") from exc
             if result.worst_value <= f_min:

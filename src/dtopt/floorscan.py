@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import (DecisionSpace, _check_calls, _check_count, _check_dims, _check_type,
-                         _is_number, _one_value_per_point)
+from .objectives import (_MAX_VALUES, DecisionSpace, _check_calls, _check_count, _check_dims,
+                         _check_type, _is_number, _one_value_per_point)
 from .threshold import _check_floor
 
 __all__ = ["FLOOR_MARGIN", "FloorStats", "halton_points", "sample_threshold_floor"]
@@ -204,12 +204,17 @@ def halton_points(n_points: int, n_dims: int, start: int = 0) -> np.ndarray:
     division runs only over the rows.
 
     ``n_points`` and ``start`` must be integers >= 0 and ``n_dims`` one from 1
-    to the most float64 values one numpy array holds; anything else raises
-    ValueError naming it.
+    to the most float64 values one numpy array holds, and so must the
+    n_points * n_dims coordinates; anything else raises ValueError naming it,
+    before anything is allocated.
     """
     _check_count("n_points", n_points, 0)
     _check_dims(n_dims)
     _check_count("start", start, 0)
+    if n_points * n_dims > _MAX_VALUES:
+        raise ValueError(f"n_points must give at most {_MAX_VALUES} coordinates, n_points * "
+                         f"n_dims, the most float64 values one numpy array holds, got "
+                         f"{n_points!r} at n_dims {n_dims!r}")
     points = np.empty((n_points, n_dims), order="F")
     if n_points:
         rows = _table_rows(n_dims)

@@ -211,7 +211,7 @@ def _benchmark_dims(name: str, n_dims: int | None = None) -> int:
     is allocated.
     """
     if not (isinstance(name, str) and name in BENCHMARKS):
-        raise ValueError(f"unknown benchmark {name!r}; expected one of {tuple(BENCHMARKS)}")
+        raise ValueError(f"name must be one of {tuple(BENCHMARKS)}, got {name!r}")
     if n_dims is not None:
         _check_dims(n_dims)
     fixed = BENCHMARKS[name].n_dims

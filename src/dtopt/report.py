@@ -289,6 +289,7 @@ def render_surface_command(data_filename: str) -> str:
 def average_distance_to_best(history: SwarmHistory, space: DecisionSpace) -> np.ndarray:
     """Per-step mean probe distance to that step's best probe, normalized by
     the decision-space diagonal; the best probe itself contributes zero.
+    ``history`` is one run_cfo recorded every step in (its ``history``).
     Anything but a SwarmHistory and a DecisionSpace of its dimension raises ValueError."""
     _check_type("history", history, SwarmHistory)
     _check_type("space", space, DecisionSpace)

@@ -161,6 +161,24 @@ MUTANTS = (
            "idx = flat.size - 1 - int(arg_extreme(flat[::-1]))", "idx = int(arg_extreme(flat))",
            "the first of equal fitnesses takes the best and worst indices, not the last",
            ("tests/test_cfo.py", "-k", "scan")),
+    Mutant("running best keeps the earlier tie", CFO,
+           "if high >= best_value:  # the row's last index of its max",
+           "if high > best_value:  # the row's last index of its max",
+           "a later step whose best ties the best so far does not take it, against the "
+           "step-major, later-ties-win scan", ("tests/test_cfo.py", "-k", "later_tie")),
+    Mutant("copied row does not move the best", CFO,
+           "                best_step, best_coords = j, points[best_probe].copy()\n",
+           "                pass\n",
+           "a resting step that copies the row holding the best leaves best_step at the step "
+           "it copied", ("tests/test_cfo.py", "-k", "flat_field")),
+    Mutant("two-slot rule for a recorded history", CFO,
+           "slot = j % depth", "slot = j & 1",
+           "a recorded history gets every step in slots 0 and 1, and the steps after them "
+           "stay zero", ("tests/test_cfo.py", "-k", "retrieval_factor")),
+    Mutant("running worst keeps the earlier tie", CFO,
+           "if low <= worst_value:", "if low < worst_value:",
+           "a later zero of the other sign does not take the worst: the scan's -0.0 reads "
+           "+0.0", ("tests/test_cfo.py", "-k", "later_tie")),
     Mutant("retrieval factor one step ahead", CFO,
            "_FREP[(j - 1) % len(_FREP)]", "_FREP[j % len(_FREP)]",
            "step j retrieves with the factor of step j + 1",

@@ -39,6 +39,14 @@ def _flat(x):
 
 # ----- every step against the reference -----
 
+def _recorded(params, objective, start, floor=-np.inf):
+    """run_cfo's result and the history of every step it records."""
+    history = SwarmHistory.allocate(params.n_probes, objective.space.n_dims, params.n_steps)
+    result, returned = run_cfo(params, objective, start, floor, history)
+    assert returned is history
+    return result, history
+
+
 def _checked_search(params, space, func, begin, floor=-np.inf):
     """run_cfo's search of ``func`` over ``space`` from ``begin``, a gamma or
     an integer seed, under a floor at ``floor``: (result, history), with
@@ -65,7 +73,7 @@ def _checked_search(params, space, func, begin, floor=-np.inf):
         return values
 
     objective = ObjectiveSpec(recording, space)
-    result, history = run_cfo(params, objective, _begin(begin), floor)
+    result, history = _recorded(params, objective, _begin(begin), floor)
     lower, upper = space.lower.tolist(), space.upper.tolist()
     n_probes, n_steps = params.n_probes, params.n_steps
     positions = [history.positions[:, :, j].tolist() for j in range(n_steps + 1)]
@@ -99,6 +107,12 @@ def _checked_search(params, space, func, begin, floor=-np.inf):
     assert _bits(result.best_coords.tolist()) == _bits(positions[step][probe])
     assert result.evals_used == (n_steps + 1) * n_probes
     return result, history
+
+
+def _result_bits(result):
+    """An OptResult as bytes and integers: a comparison that tells -0.0 from 0.0."""
+    return (result.best_coords.tobytes(), _bits([result.best_value, result.worst_value]),
+            result.best_probe, result.best_step, result.evals_used)
 
 
 def _begin(begin):
@@ -824,13 +838,13 @@ def test_acceleration_memory_is_bounded_on_a_floor_plateau(n, n_floor):
 
 
 def test_run_holds_one_history_and_one_kernel_workspace_at_a_time():
-    # Probe doubling makes the last pass's history the largest; the one
-    # before it is half as large and must be gone by then.
+    # Probe doubling makes the last pass's searches the largest; a search
+    # keeps two steps, and the one before it must be gone by then.
     config = DtoConfig(num_passes=4, schedule=LinearRamp(c_th=0.9),
                        cfo=CfoParams(n_probes=256, n_steps=20),
                        objective=make_objective("schwefel226", 2), ipd=ProbeLine((0.5,)))
     n_last = 256 * 2**3
-    last_history = (20 + 1) * n_last * (2 + 1) * 8  # positions and fitness, float64
+    last_history = 2 * n_last * (2 + 1) * 8  # two steps' positions and fitness, float64
     run_dto(dataclasses.replace(config, num_passes=1))  # numpy's lazy set-up, untraced
     tracemalloc.start()
     try:
@@ -839,6 +853,26 @@ def test_run_holds_one_history_and_one_kernel_workspace_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < last_history + _kernel_bound_bytes(n_last)
+
+
+def test_a_search_without_a_history_holds_two_steps():
+    # 64 probes at D = 100 over 400 steps: a history of every step would take
+    # 20.7 MB. A search holds two steps, 8 * N * (D + 1) * 2 bytes, and beside
+    # them one kernel call's workspace: its two tile buffers, 2 * 64 * N
+    # values, and at most 8 * N * D values of sorted, centred and result
+    # arrays and the previous step's accelerations: 0.58 MB in all. The
+    # peak was 0.49 MB with numpy 2.4.6.
+    n, d, nt = 64, 100, 400
+    objective = make_objective("schwefel226", d)
+    run_cfo(CfoParams(n, 2), objective, np.random.default_rng(1))  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        result, history = run_cfo(CfoParams(n, nt), objective, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history is None and result.evals_used == (nt + 1) * n
+    assert peak < 8 * (2 * n * (d + 1) + 2 * 64 * n + 8 * n * d)
 
 
 def test_acceleration_memory_is_bounded_in_gram_form():
@@ -872,7 +906,8 @@ def _retrieval_factors(monkeypatch, n_steps):
         retrieve(history, j, frep, space)
 
     monkeypatch.setattr(dtopt.cfo, "retrieve_errant", recording_retrieve)
-    _, hist = run_cfo(_params(n_probes=2, n_steps=n_steps), _pulled_pair(), 0.5)
+    # a recorded history hands each step to retrieve_errant as its own slot
+    _, hist = _recorded(_params(n_probes=2, n_steps=n_steps), _pulled_pair(), 0.5)
     assert (np.diff(hist.positions[0, 0, 1:]) > 0).all()  # the worse probe moves from step 2 on
     return factors
 
@@ -925,9 +960,11 @@ def test_a_flat_field_search_never_retrieves_and_evaluates_and_accelerates_every
     batches = []
     flat = ObjectiveSpec(lambda x: batches.append(x.copy()) or np.zeros(len(x)),
                          DecisionSpace.cube(2, -500.0, 500.0))
-    result, hist = run_cfo(CfoParams(n_probes=6, n_steps=9), flat, np.random.default_rng(3))
+    result, hist = _recorded(CfoParams(n_probes=6, n_steps=9), flat, np.random.default_rng(3))
     assert calls == {"retrieve_errant": 0, "compute_accelerations": 9}
     assert len(batches) == 10 and result.evals_used == flat.eval_count == 60
+    # each copied row ties the best, so the last step's last probe holds it
+    assert (result.best_probe, result.best_step) == (5, 9)
     assert all(batch.tobytes() == batches[0].tobytes() for batch in batches)
     assert not hist.fitness.any()
 
@@ -1002,7 +1039,8 @@ def test_every_step_and_resting_step_of_a_drawn_search_matches_a_reference_step(
     # with N < 2D puts every probe on one point, so every step from 2 on
     # rests. From D = 8 the kernel takes the Gram form. A NaN or a column
     # answer ends the search at its step, after batches that a Schwefel
-    # search's steps match.
+    # search's steps match. A search that keeps two steps, without a
+    # recorded history, gives the recorded search's result bit for bit.
     if space_kind == "per-axis":
         lower = -np.arange(1.0, n_dims + 1)
         space = DecisionSpace(lower, lower + 2.0 * np.arange(1, n_dims + 1))
@@ -1012,7 +1050,10 @@ def test_every_step_and_resting_step_of_a_drawn_search_matches_a_reference_step(
     params = CfoParams(n_probes, n_steps)
     func, batches = _drawn_objective(kind, bump_call)
     if kind not in ("nan", "column") or bump_call > n_steps:
-        _checked_search(params, space, func, start, floor)
+        result, _ = _checked_search(params, space, func, start, floor)
+        streamed, history = run_cfo(params, ObjectiveSpec(_drawn_objective(kind, bump_call)[0],
+                                                          space), _begin(start), floor)
+        assert history is None and _result_bits(streamed) == _result_bits(result)
         return
     with pytest.raises(ValueError, match=f"^step {bump_call}: "):
         run_cfo(params, ObjectiveSpec(func, space), _begin(start), floor)
@@ -1054,6 +1095,21 @@ def test_scan_order_is_step_major():
     assert scan_best(hist, 1) == (9.0, 0, 1)
 
 
+def test_a_search_keeps_the_later_tie_and_the_sign_of_the_last_zero():
+    # Step 1's best ties step 0's, and each row's worst is a zero: the
+    # step-major scans take the later tie and the last zero's sign. np.min
+    # need not give that sign: of step 1's nine values it gave +0.0 on a
+    # 2-vCPU Xeon with numpy 2.4.6
+    rows = [[0.0] * 8 + [2.0], [2.0] + [0.0] * 7 + [-0.0]]
+    answers = iter(np.array(row) for row in rows)
+    objective = ObjectiveSpec(lambda x: next(answers), DecisionSpace.cube(1, -1.0, 1.0))
+    result, _ = run_cfo(CfoParams(9, 1), objective, 0.5)
+    best, probe, step = ref.scan_best(rows)
+    assert (result.best_probe, result.best_step) == (probe, step) == (0, 1)
+    assert (_bits([result.best_value, result.worst_value])
+            == _bits([best, ref.scan_worst(rows)[0]]) == _bits([2.0, -0.0]))
+
+
 # ----- whole runs -----
 
 def test_run_cfo_eval_count():
@@ -1077,7 +1133,7 @@ def test_run_cfo_eval_count_random_configs():
 def test_run_cfo_zero_steps_returns_ipd_best():
     obj = make_objective("schwefel226", 2)
     params = CfoParams(n_probes=4, n_steps=0)
-    result, hist = run_cfo(params, obj, 0.5)
+    result, hist = _recorded(params, obj, 0.5)
     expected = obj.evaluate_batch(_HAND_TRACE_2D)
     assert result.best_value == expected.max()
     assert result.evals_used == 4
@@ -1086,8 +1142,8 @@ def test_run_cfo_zero_steps_returns_ipd_best():
 
 def test_run_cfo_probe_line_bit_reproducible():
     params = CfoParams(n_probes=6, n_steps=12)
-    result_a, hist_a = run_cfo(params, make_objective("schwefel226", 2), 0.3)
-    result_b, hist_b = run_cfo(params, make_objective("schwefel226", 2), 0.3)
+    result_a, hist_a = _recorded(params, make_objective("schwefel226", 2), 0.3)
+    result_b, hist_b = _recorded(params, make_objective("schwefel226", 2), 0.3)
     assert np.array_equal(hist_a.positions, hist_b.positions)
     assert np.array_equal(hist_a.fitness, hist_b.fitness)
     assert np.array_equal(result_a.best_coords, result_b.best_coords)
@@ -1108,7 +1164,7 @@ def test_probe_line_search_without_spread_never_moves(monkeypatch):
         return accels[-1]
 
     monkeypatch.setattr(dtopt.cfo, "compute_accelerations", recording_kernel)
-    _, hist = run_cfo(CfoParams(n_probes=40, n_steps=6), make_objective("schwefel226", 30), 0.3)
+    _, hist = _recorded(CfoParams(n_probes=40, n_steps=6), make_objective("schwefel226", 30), 0.3)
     assert len(accels) == 6
     for accel in accels:
         assert accel.shape == (40, 30) and accel.dtype == np.float64
@@ -1121,8 +1177,8 @@ def test_probe_line_search_without_spread_never_moves(monkeypatch):
 
 def test_run_cfo_random_seed_reproducible():
     params = CfoParams(n_probes=5, n_steps=10)
-    _, hist_a = run_cfo(params, make_objective("schwefel226", 2), np.random.default_rng(77))
-    _, hist_b = run_cfo(params, make_objective("schwefel226", 2), np.random.default_rng(77))
+    _, hist_a = _recorded(params, make_objective("schwefel226", 2), np.random.default_rng(77))
+    _, hist_b = _recorded(params, make_objective("schwefel226", 2), np.random.default_rng(77))
     assert np.array_equal(hist_a.positions, hist_b.positions)
     assert np.array_equal(hist_a.fitness, hist_b.fitness)
     start = ref.start(5, [-500.0] * 2, [500.0] * 2, np.random.default_rng(77))
@@ -1139,8 +1195,8 @@ def test_floored_search_stays_above_the_floor_in_bounds_and_repeats(start):
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(8)
-        result, hist = run_cfo(params, make_objective("schwefel226", 2),
-                               0.5 if start == 0.5 else rng, 0.0)
+        result, hist = _recorded(params, make_objective("schwefel226", 2),
+                                 0.5 if start == 0.5 else rng, 0.0)
         assert result.evals_used == 7 * 8
         assert np.all(hist.fitness >= 0.0) and np.any(hist.fitness == 0.0)
         assert np.all((hist.positions >= space.lower[None, :, None])
@@ -1161,7 +1217,7 @@ def test_run_cfo_history_stays_in_bounds():
         n_dims = int(rng.integers(1, 4))
         obj = make_objective("schwefel226", n_dims)
         params = CfoParams(n_probes=int(rng.integers(2, 7)), n_steps=int(rng.integers(1, 9)))
-        _, hist = run_cfo(params, obj, np.random.default_rng(int(rng.integers(0, 2**32))))
+        _, hist = _recorded(params, obj, np.random.default_rng(int(rng.integers(0, 2**32))))
         assert np.all(hist.positions >= obj.space.lower[None, :, None])
         assert np.all(hist.positions <= obj.space.upper[None, :, None])
 
@@ -1169,7 +1225,7 @@ def test_run_cfo_history_stays_in_bounds():
 def test_run_cfo_result_provenance():
     obj = make_objective("schwefel226", 2)
     params = CfoParams(n_probes=4, n_steps=8)
-    result, hist = run_cfo(params, obj, 0.7)
+    result, hist = _recorded(params, obj, 0.7)
     assert result.best_value == hist.fitness[result.best_probe, result.best_step]
     assert result.worst_value == hist.fitness.min()
     assert result.best_value >= result.worst_value
@@ -1259,6 +1315,34 @@ def test_run_cfo_rejects_params_and_objectives_of_the_wrong_kind(params, objecti
     # and the duck ran unchecked
     with pytest.raises(ValueError, match=f"^{field} must be a "):
         run_cfo(params, objective, 0.5)
+
+
+def _read_only():
+    history = SwarmHistory.allocate(3, 2, 4)
+    history.fitness.flags.writeable = False
+    return history
+
+
+@pytest.mark.parametrize("history, got", [
+    (SwarmHistory.allocate(3, 2, 3), "float64 (3, 2, 4) and float64 (3, 4)"),
+    (SwarmHistory.allocate(4, 2, 4), "float64 (4, 2, 5) and float64 (4, 5)"),
+    (SwarmHistory.allocate(3, 1, 4), "float64 (3, 1, 5) and float64 (3, 5)"),
+    (SwarmHistory(np.zeros((3, 2, 5), np.float32), np.zeros((3, 5))),
+     "float32 (3, 2, 5) and float64 (3, 5)"),
+    (SwarmHistory(np.zeros((3, 2, 5)).tolist(), np.zeros((3, 5))), "list and float64 (3, 5)"),
+    (_read_only(), "float64 (3, 2, 5) and float64 (3, 5)"),
+    (np.zeros((3, 2, 5)), "array("),
+], ids=["steps", "probes", "dims", "float32", "list", "read-only", "array"])
+def test_run_cfo_refuses_a_history_of_another_shape_before_it_evaluates(history, got):
+    seen = []
+    objective = ObjectiveSpec(lambda x: seen.append(x) or schwefel226(x),
+                              DecisionSpace.cube(2, -500.0, 500.0))
+    message = ("history must be a SwarmHistory of writable float64 positions (3, 2, 5) and "
+               "fitness (3, 5), as SwarmHistory.allocate(3, 2, 4) gives, got ")
+    with pytest.raises(ValueError) as info:
+        run_cfo(CfoParams(3, 4), objective, 0.5, history=history)
+    assert str(info.value).startswith(message + got)
+    assert not seen and objective.eval_count == 0
 
 
 def test_nan_probe_positions_raise_before_the_objective_sees_them():

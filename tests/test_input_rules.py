@@ -194,8 +194,8 @@ FLOORS = {"-inf", "2**70", "-1", "0.5", "1.5"}  # the WRONG values a threshold t
 
 # Per public function: how its message starts when it names one parameter,
 # the call with that parameter's value and every other argument valid, and
-# the WRONG values the parameter takes. make_objective names its name as the
-# benchmark.
+# the WRONG values the parameter takes. A function with a second checked
+# parameter has a second entry, "function.parameter".
 FUNCTIONS = {
     "run_dto": ("config must be a ", run_dto, ()),
     "to_dto_config": ("config must be a ", to_dto_config, ()),
@@ -208,7 +208,11 @@ FUNCTIONS = {
     "ramp": ("x must hold ", ramp, ()),
     "run_cfo": ("threshold must ",
                 lambda v: run_cfo(CfoParams(2, 1), make_objective("ramp"), 0.5, v), FLOORS),
+    "run_cfo.history": ("history must be a ",
+                        lambda v: run_cfo(CfoParams(2, 1), make_objective("ramp"), 0.5, history=v),
+                        {"None"}),
     "halton_points": ("n_dims must be ", lambda v: halton_points(1, v), ()),
+    "halton_points.n_points": ("n_points must ", lambda v: halton_points(v, 2), ()),
     "sample_threshold_floor": ("threshold must ",
                                lambda v: sample_threshold_floor(ramp, UNIT_1D, v, 10), FLOORS),
     "render_surface": ("threshold must ",
@@ -216,7 +220,7 @@ FUNCTIONS = {
                        FLOORS),
     "average_distance_to_best": ("history must be a ",
                                  lambda v: average_distance_to_best(v, UNIT_1D), ()),
-    "make_objective": ("unknown benchmark ", make_objective, ()),
+    "make_objective": ("name must be one of ", make_objective, ()),
 }
 
 
@@ -226,7 +230,8 @@ def test_every_function_names_an_argument_of_the_wrong_kind(function):
     # parse_config(b"np0 = 4") in a TypeError; the shipped objectives ended in
     # a bare TypeError or IndexError for 11 to 13 of these values:
     # schwefel226(0.5) in "return arrays must be of ArrayType", ramp(0.5) in
-    # "too many indices"
+    # "too many indices"; halton_points(2**70, 2) in numpy's "Maximum allowed
+    # dimension exceeded"
     start, call, accepted = FUNCTIONS[function]
     for label, value in {**WRONG, "b'np0 = 4'": b"np0 = 4"}.items():
         if label in accepted:
@@ -251,6 +256,19 @@ def test_n_dims_beyond_one_numpy_array_is_named(capsys, n_dims):
     code, out, err = _cli(["floorscan", "--function", "schwefel226", "--threshold", "0",
                            "--samples", "10", "--dims", str(n_dims)], capsys)
     assert (code, out, err) == (2, "", f"error: --dims: {message}\n")
+
+
+@pytest.mark.parametrize("n_points, n_dims", [(2**70, 2), (2**59, 2), (2**60, 1)],
+                         ids=["2**70 at 2", "2**59 at 2", "2**60 at 1"])
+def test_halton_points_beyond_one_numpy_array_are_named(n_points, n_dims):
+    # before, each ended in numpy's "Maximum allowed dimension exceeded" or
+    # "array is too big", which name no argument; (2**59 - 1) * 2 values fit
+    message = (f"n_points must give at most {2**60 - 1} coordinates, n_points * n_dims, the "
+               f"most float64 values one numpy array holds, got {n_points!r} at n_dims "
+               f"{n_dims!r}")
+    with pytest.raises(ValueError) as info:
+        halton_points(n_points, n_dims)
+    assert str(info.value) == message
 
 
 def _history_message(names):

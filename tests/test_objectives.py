@@ -433,7 +433,7 @@ def test_make_objective_rejects_an_n_dims_that_is_not_an_integer(n_dims):
 @pytest.mark.parametrize("name", ["rosenbrock", [1], None], ids=["str", "list", "none"])
 def test_an_unknown_benchmark_is_named(name):
     # before, [1] ended in TypeError: unhashable type
-    message = rf"^unknown benchmark {re.escape(repr(name))}; expected one of "
+    message = rf"^name must be one of \('schwefel226', .*\), got {re.escape(repr(name))}$"
     with pytest.raises(ValueError, match=message):
         make_objective(name)
     with pytest.raises(ValueError, match=message):
