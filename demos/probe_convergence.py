@@ -10,7 +10,7 @@ per time step.
 
 import os
 
-from dtopt.cfo import CfoParams, SwarmHistory, run_cfo
+from dtopt.cfo import CfoParams, run_cfo
 from dtopt.objectives import make_objective
 from dtopt.report import average_distance_to_best, render_davg, write_text
 
@@ -19,9 +19,8 @@ os.makedirs(out_dir, exist_ok=True)
 
 objective = make_objective("schwefel226", 2)
 params = CfoParams(n_probes=16, n_steps=25)
-# a search keeps two steps unless it is handed a history of every step to record
-history = SwarmHistory.allocate(params.n_probes, objective.space.n_dims, params.n_steps)
-result, _ = run_cfo(params, objective, 0.5, history=history)  # probe-line start, gamma 0.5
+# a search keeps two steps unless it is asked to record every step
+result, history = run_cfo(params, objective, 0.5, record=True)  # probe-line start, gamma 0.5
 
 print(f"best fitness {result.best_value:.5f} from probe {result.best_probe}"
       f" at step {result.best_step} ({result.evals_used} calls)")

@@ -4,8 +4,8 @@ Probes accelerate under a gravity-like pull toward higher-fitness probes.
 A step reads only the step before it, so a search keeps two steps of
 positions and fitness, 8 * N * (D + 1) * 2 bytes at any step count, and
 keeps its best and worst as it goes, by the step-major, later-ties-win rule
-of a scan over every step; a caller that wants every step hands run_cfo a
-history to record them in. Accelerations are needed only one step back, so
+of a scan over every step; a caller that wants every step asks run_cfo to
+record them (record=True). Accelerations are needed only one step back, so
 only the latest (N, D) array is kept. A search is strictly sequential. It
 starts either from a probe line at one diagonal fraction gamma, with no
 randomness at all, or from uniform random positions drawn from a generator
@@ -41,12 +41,14 @@ from .objectives import (DecisionSpace, ObjectiveSpec, _check_count, _check_frac
                          _check_history, _check_type, _is_number_tuple)
 from .threshold import ThresholdState, _check_floor, apply_threshold
 
-# step_positions, retrieve_errant, scan_best, scan_worst, threshold.apply_threshold,
-# threshold.ThresholdState, objectives.Benchmark and report.fmt are internal but keep
-# their names: bench/layers.py wraps the first five by name and reads the sixth's
-# fields, and cli.py imports fmt. run_cfo no longer calls scan_best or scan_worst (it
-# keeps its best and worst as it goes); they stay only because bench/layers.py wraps
-# them by name, until the benchmark reads the library's records (ROADMAP item 9).
+# step_positions, retrieve_errant, compute_accelerations, scan_best, scan_worst,
+# threshold.apply_threshold, threshold.ThresholdState, objectives.Benchmark and
+# report.fmt are internal but keep their names: bench/layers.py wraps the first six
+# by name and reads the seventh's fields, and cli.py imports fmt. The three step
+# functions check no input: they run every step, on the history run_cfo built. run_cfo
+# no longer calls scan_best or scan_worst (it keeps its best and worst as it goes);
+# they stay only because bench/layers.py wraps them by name, until the benchmark
+# reads the library's records (ROADMAP item 9).
 __all__ = [
     "DEFAULT_GAMMA_SWEEP",
     "ProbeLine",
@@ -54,7 +56,6 @@ __all__ = [
     "CfoParams",
     "SwarmHistory",
     "OptResult",
-    "compute_accelerations",
     "run_cfo",
 ]
 
@@ -122,8 +123,8 @@ class CfoParams:
 class SwarmHistory:
     """A search's steps: positions are a (probe, dim, step) array, fitness is
     (probe, step), steps 0..n_steps inclusive: 8 * N * (D + 1) * (n_steps + 1)
-    bytes. run_cfo keeps two steps in one of n_steps = 1, or records every
-    step in one its caller hands it.
+    bytes. run_cfo keeps two steps in one of n_steps = 1, or with
+    record=True every step in one of n_steps.
 
     ``allocate`` stores both step-major, as transposed views of (step, probe,
     dim) and (step, probe) buffers, so one step's ``positions[:, :, j]`` and
@@ -431,7 +432,7 @@ def run_cfo(
     objective: ObjectiveSpec,
     start: float | np.random.Generator,
     threshold: float = -np.inf,
-    history: SwarmHistory | None = None,
+    record: bool = False,
 ) -> tuple[OptResult, SwarmHistory | None]:
     """Run one CFO search over the objective's decision space.
 
@@ -452,25 +453,23 @@ def run_cfo(
     The search keeps two steps, 8 * N * (D + 1) * 2 bytes: step j works in
     slot j % 2 and reads step j - 1 from the other. The best and the worst
     are kept as the search goes, under the step-major, later-ties-win rule
-    of scan_best and scan_worst. A caller that needs every step passes
-    ``history``, a SwarmHistory of n_steps + 1 steps, as
-    SwarmHistory.allocate(n_probes, n_dims, n_steps) gives it: the same loop
-    then fills it, step j in slot j, and returns it. Any other value but
-    None raises ValueError naming it, before anything is allocated or
-    evaluated. Without it the second value returned is None.
+    of scan_best and scan_worst. With ``record`` true the same loop keeps
+    every step instead, step j in slot j of a SwarmHistory of n_steps + 1
+    steps, and returns it; otherwise the second value returned is None.
+    A ``record`` that is not a bool raises ValueError naming it, before
+    anything is allocated or evaluated.
     """
     _check_type("params", params, CfoParams)
     _check_type("objective", objective, ObjectiveSpec)
     _check_floor(threshold)
     space = objective.space
     _check_history(params.n_probes, params.n_steps, space.n_dims)
-    if history is not None:
-        _check_recorded(history, params.n_probes, space.n_dims, params.n_steps)
+    _check_type("record", record, bool)
     if not isinstance(start, np.random.Generator):
         _check_fraction("gamma", start)
     state = ThresholdState(threshold)
-    swarm = history if history is not None else SwarmHistory.allocate(
-        params.n_probes, space.n_dims, 1)
+    swarm = SwarmHistory.allocate(params.n_probes, space.n_dims,
+                                  params.n_steps if record else 1)
     depth = swarm.positions.shape[2]  # steps held: slot j % depth is step j's
     evals_before = objective.eval_count
 
@@ -531,23 +530,4 @@ def run_cfo(
         best_step=best_step,
         evals_used=objective.eval_count - evals_before,
     )
-    return result, history
-
-
-def _check_recorded(history, n_probes: int, n_dims: int, n_steps: int) -> None:
-    """Raise ValueError naming ``history`` unless it is a SwarmHistory of
-    writable float64 positions (n_probes, n_dims, n_steps + 1) and fitness
-    (n_probes, n_steps + 1)."""
-    shapes = ((n_probes, n_dims, n_steps + 1), (n_probes, n_steps + 1))
-    if isinstance(history, SwarmHistory):
-        arrays = (history.positions, history.fitness)
-        if all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
-               and a.flags.writeable for a, shape in zip(arrays, shapes)):
-            return
-        got = " and ".join(f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray)
-                           else type(a).__name__ for a in arrays)
-    else:
-        got = repr(history)
-    raise ValueError(f"history must be a SwarmHistory of writable float64 positions "
-                     f"{shapes[0]} and fitness {shapes[1]}, as SwarmHistory.allocate("
-                     f"{n_probes}, {n_dims}, {n_steps}) gives, got {got}")
+    return result, swarm if record else None

@@ -49,6 +49,8 @@ def _load_config(args) -> ExperimentConfig:
 
 def _resolve_out_dir(args, config: ExperimentConfig) -> str:
     if args.out is not None:
+        if not args.out:
+            raise ConfigError("--out must be a non-empty path, got ''")
         return args.out
     env = os.environ.get(OUTPUT_DIR_ENV)
     if env:

@@ -109,6 +109,8 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not kind.accepts(value):
                 raise ConfigError(f"{key} must be {kind.noun}, got {value!r}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must be a non-empty path, got ''")
         for key, names in (("function", BENCHMARKS), ("ipd", ("probe_line", "random"))):
             if getattr(self, key) not in names:
                 raise ConfigError(f"{key} must be one of {tuple(names)}")
@@ -206,7 +208,10 @@ def to_dto_config(config: ExperimentConfig, seed: int | None = None) -> DtoConfi
 
 
 def write_text(path, text: str) -> None:
-    """Write a rendered output file with LF newlines on every platform."""
+    """Write a rendered output file with LF newlines on every platform.
+    Text that is not a str raises ValueError naming it, before the file is
+    opened."""
+    _check_type("text", text, str)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
@@ -277,7 +282,13 @@ def render_surface(func, space: DecisionSpace, threshold: float) -> str:
 
 
 def render_surface_command(data_filename: str) -> str:
-    """Plot command file that renders the emitted grid with gnuplot."""
+    """Plot command file that renders the emitted grid with gnuplot. A
+    ``data_filename`` that is not a non-empty str, or that holds a '"' or a
+    line break, which would end its quoted name, raises ValueError naming it."""
+    if not (isinstance(data_filename, str) and data_filename
+            and not set(data_filename) & set('"\n\r')):
+        raise ValueError("data_filename must be a non-empty str without '\"' or a line "
+                         f"break, got {data_filename!r}")
     return (
         "set pm3d\n"
         "set hidden3d\n"
@@ -289,7 +300,7 @@ def render_surface_command(data_filename: str) -> str:
 def average_distance_to_best(history: SwarmHistory, space: DecisionSpace) -> np.ndarray:
     """Per-step mean probe distance to that step's best probe, normalized by
     the decision-space diagonal; the best probe itself contributes zero.
-    ``history`` is one run_cfo recorded every step in (its ``history``).
+    ``history`` is one that run_cfo returns with record=True.
     Anything but a SwarmHistory and a DecisionSpace of its dimension raises ValueError."""
     _check_type("history", history, SwarmHistory)
     _check_type("space", space, DecisionSpace)

@@ -47,6 +47,7 @@ THRESHOLD, FLOORSCAN = "src/dtopt/threshold.py", "src/dtopt/floorscan.py"
 REPORT = "src/dtopt/report.py"
 KERNEL_TESTS = ("tests/test_cfo.py", "-k", "acceleration")
 LIBRARY_RULES = ("tests/test_input_rules.py", "-k", "library_entry_points")
+FUNCTION_RULES = ("tests/test_input_rules.py", "-k", "every_function")
 PASS_LOOP_TESTS = ("tests/test_driver.py", "-k", "reference_pass_loop")
 
 MUTANTS = (
@@ -123,7 +124,7 @@ MUTANTS = (
     Mutant("type rule accepts anything", OBJECTIVES,
            "if not isinstance(value, kinds):", "if False:",
            "an ObjectiveSpec builds over a func of None and fails in its first search",
-           ("tests/test_objectives.py", "-k", "wrong_kind")),
+           FUNCTION_RULES),
     Mutant("call counter back in the constructor", OBJECTIVES,
            "_eval_count: int = field(default=0, init=False, repr=False)", "_eval_count: int = 0",
            "a caller seeds the count a run reports: eval_count = 1.5 wrote \"using 48.0 "
@@ -139,7 +140,7 @@ MUTANTS = (
            "if size == 0 or n_dims not in (None, size):", "if False:",
            "a number or a point of the wrong length reaches the formula: ramp(0.5) ends in a "
            "bare IndexError, schwefel226(0.5) in a bare TypeError",
-           ("tests/test_input_rules.py", "-k", "every_function")),
+           FUNCTION_RULES),
     Mutant("repeated-batch key without the layout", OBJECTIVES,
            "if layout == self._layout and data == self._points:",
            "if data == self._points:",
@@ -175,6 +176,10 @@ MUTANTS = (
            "slot = j % depth", "slot = j & 1",
            "a recorded history gets every step in slots 0 and 1, and the steps after them "
            "stay zero", ("tests/test_cfo.py", "-k", "retrieval_factor")),
+    Mutant("record ignored", CFO,
+           "params.n_steps if record else 1)", "1)",
+           "run_cfo(..., record=True) returns a history of two steps, the last two, not "
+           "one of every step", ("tests/test_cfo.py", "-k", "retrieval_factor")),
     Mutant("running worst keeps the earlier tie", CFO,
            "if low <= worst_value:", "if low < worst_value:",
            "a later zero of the other sign does not take the worst: the scan's -0.0 reads "
@@ -207,11 +212,11 @@ MUTANTS = (
     Mutant("run_cfo floor checked only as t_current", CFO,
            "    _check_floor(threshold)\n", "",
            "run_cfo refuses a wrong floor under t_current, a name its caller never passed",
-           ("tests/test_threshold.py", "-k", "not_a_number")),
+           FUNCTION_RULES),
     Mutant("threshold rule takes +inf", THRESHOLD,
            "if np.isnan(value) or value == np.inf:", "if np.isnan(value):",
            "a +inf floor runs to an infinite best",
-           ("tests/test_cfo.py", "-k", "plus_inf_threshold")),
+           FUNCTION_RULES),
     Mutant("margin rule without its upper bound", FLOORSCAN,
            "0.0 <= margin <= sys.float_info.max", "0.0 <= margin",
            "an infinite margin counts every sample on the floor", LIBRARY_RULES),

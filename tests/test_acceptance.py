@@ -130,9 +130,9 @@ def test_criterion_5_floor_invariant_suite():
 
         def search(n_probes, start, threshold):
             nonlocal violations
-            history = SwarmHistory.allocate(n_probes, n_dims, config.cfo.n_steps)
-            result, _ = run_cfo(replace(config.cfo, n_probes=n_probes),
-                                make_objective("schwefel226", n_dims), start, threshold, history)
+            result, history = run_cfo(replace(config.cfo, n_probes=n_probes),
+                                      make_objective("schwefel226", n_dims), start, threshold,
+                                      record=True)
             violations += bool(history.fitness.min() < threshold)
             return result.best_value, result.best_coords, result.worst_value, result.evals_used
 
@@ -205,8 +205,7 @@ def test_criterion_6_cfo_micro_oracles(monkeypatch: pytest.MonkeyPatch):
 
     monkeypatch.setattr(dtopt.cfo, "retrieve_errant", recording_retrieve)
     pulled = ObjectiveSpec(lambda x: 0.5 * x[:, 0], DecisionSpace.cube(1, 0.0, 1.0))
-    run_cfo(CfoParams(n_probes=2, n_steps=45), pulled, 0.5,
-            history=SwarmHistory.allocate(2, 1, 45))
+    run_cfo(CfoParams(n_probes=2, n_steps=45), pulled, 0.5, record=True)
     if (list(values) != list(range(2, 46))
             or [values[j] for j in range(2, 12)] != [k / 20 for k in range(11, 21)]
             or values[12] != 0.05 or values[21] != 0.5
@@ -216,8 +215,7 @@ def test_criterion_6_cfo_micro_oracles(monkeypatch: pytest.MonkeyPatch):
 
     # probe-line layout hand trace
     flat = ObjectiveSpec(lambda x: np.zeros(len(x)), DecisionSpace.cube(2, -500.0, 500.0))
-    layout = SwarmHistory.allocate(4, 2, 0)
-    run_cfo(CfoParams(4, 0), flat, 0.5, history=layout)
+    _, layout = run_cfo(CfoParams(4, 0), flat, 0.5, record=True)
     expected = np.array([[-500.0, 0.0], [500.0, 0.0], [0.0, -500.0], [0.0, 500.0]])
     if not np.array_equal(layout.positions[:, :, 0], expected):
         failures.append("probe-line layout mismatch")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, run_cfo
+from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, run_cfo
 from dtopt.driver import DtoConfig, run_dto
 from dtopt.objectives import DecisionSpace, ObjectiveSpec, make_objective, schwefel226
 from dtopt.report import ExperimentConfig, render_passes_csv, render_summary, to_dto_config
@@ -38,9 +38,8 @@ def _checked_run(config):
     searches = []
 
     def search(n_probes, start, threshold):
-        history = SwarmHistory.allocate(n_probes, objective.space.n_dims, config.cfo.n_steps)
-        result, _ = run_cfo(replace(config.cfo, n_probes=n_probes), objective, start, threshold,
-                            history)
+        result, history = run_cfo(replace(config.cfo, n_probes=n_probes), objective, start,
+                                  threshold, record=True)
         searches.append((threshold, result, history))
         return result.best_value, result.best_coords, result.worst_value, result.evals_used
 
@@ -330,9 +329,8 @@ def test_probe_line_runs_exactly_its_gammas():
     report, searches = _checked_run(config)
     assert len(searches) == 3
     assert report.total_evals == expected_evals(1, 3, [4, 4, 4])
-    history = SwarmHistory.allocate(4, 2, 3)
-    result, _ = run_cfo(CfoParams(n_probes=4, n_steps=3), make_objective("schwefel226", 2), 0.3,
-                        history=history)
+    result, history = run_cfo(CfoParams(n_probes=4, n_steps=3), make_objective("schwefel226", 2),
+                              0.3, record=True)
     _assert_same_search(searches[0], (result, history))
 
 

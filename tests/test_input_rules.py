@@ -11,12 +11,13 @@ import dataclasses
 import math
 import numbers
 import re
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from dtopt import cli, floorscan
+from dtopt import cfo, cli, driver, floorscan, objectives, report, threshold
 from dtopt.cfo import CfoParams, ProbeLine, RandomUniform, SwarmHistory, run_cfo
 from dtopt.cli import main
 from dtopt.driver import DtoConfig, run_dto
@@ -24,8 +25,8 @@ from dtopt.floorscan import halton_points, sample_threshold_floor
 from dtopt.objectives import (DecisionSpace, ObjectiveSpec, make_objective, ramp,
                               rastrigin_offset, schwefel226, sgo)
 from dtopt.report import (PROFILES, ConfigError, ExperimentConfig, average_distance_to_best,
-                          parse_config, render_passes_csv, render_summary, render_surface,
-                          to_dto_config)
+                          parse_config, render_davg, render_passes_csv, render_summary,
+                          render_surface, render_surface_command, to_dto_config, write_text)
 from dtopt.threshold import LinearRamp, ThresholdState
 
 
@@ -56,11 +57,23 @@ FRACTION_ABOVE_0 = Rule(_number, "a number", lambda v: 0 < v <= 1,
 MARGIN = Rule(_number, "a number", lambda v: math.isfinite(v) and v >= 0,
               "must be finite and >= 0", float)
 
-VALUES = [0, -1, 1.5, math.nan, math.inf, -math.inf, True, None, "1",
+VALUES = [0, 0.0, -1, 1.5, math.nan, math.inf, -math.inf, True, False, None, "1",
           np.int64(3), np.float64(0.5), np.float64(1.5)]
 TEXTS = ["0", "-1", "1.5", "nan", "inf", "-inf", "True", "None", "1"]
 
 UNIT_1D = DecisionSpace.cube(1, 0.0, 1.0)
+
+EVALUATED = []  # every batch a watched function was handed: a refusal hands it none
+
+
+def _watched(func):
+    def watched(x):
+        EVALUATED.append(x)
+        return func(x)
+    return watched
+
+
+WATCHED_RAMP = ObjectiveSpec(_watched(ramp), UNIT_1D)
 
 
 def _message(name, rule, value):
@@ -74,15 +87,16 @@ def _message(name, rule, value):
 LIBRARY = {
     "CfoParams.n_probes": ("n_probes", COUNT_1, lambda v: CfoParams(v, 1)),
     "CfoParams.n_steps": ("n_steps", COUNT_0, lambda v: CfoParams(2, v)),
+    "RandomUniform.seed": ("seed", COUNT_0, RandomUniform),
     "make_objective.n_dims": ("n_dims", COUNT_1, lambda v: make_objective("schwefel226", v)),
     "sample_threshold_floor.n_samples": (
-        "n_samples", COUNT_1, lambda v: sample_threshold_floor(ramp, UNIT_1D, 0.5, v)),
+        "n_samples", COUNT_1,
+        lambda v: sample_threshold_floor(_watched(ramp), UNIT_1D, 0.5, v)),
     "sample_threshold_floor.margin": (
-        "margin", MARGIN, lambda v: sample_threshold_floor(ramp, UNIT_1D, 0.5, 10, v)),
+        "margin", MARGIN, lambda v: sample_threshold_floor(_watched(ramp), UNIT_1D, 0.5, 10, v)),
     "LinearRamp.c_th": ("c_th", FRACTION_ABOVE_0, LinearRamp),
     "ProbeLine.gammas": ("gammas[1]", FRACTION, lambda v: ProbeLine((0.5, v))),
-    "run_cfo.start": ("gamma", FRACTION,
-                      lambda v: run_cfo(CfoParams(2, 1), make_objective("ramp"), v)),
+    "run_cfo.start": ("gamma", FRACTION, lambda v: run_cfo(CfoParams(2, 1), WATCHED_RAMP, v)),
 }
 
 
@@ -93,8 +107,10 @@ def test_library_entry_points_apply_each_rule(entry):
         if rule.accepts(value) or (entry == "make_objective.n_dims" and value is None):
             call(value)
             continue
+        EVALUATED.clear()
         with pytest.raises(ValueError) as info:
             call(value)
+        assert not EVALUATED, value
         assert not isinstance(info.value, ConfigError), value
         if entry == "ProbeLine.gammas" and not rule.kind(value):
             expected = f"gammas must be a tuple of numbers, got (0.5, {value!r})"
@@ -191,11 +207,23 @@ def test_every_constructor_argument_is_checked(cls, field):
 
 
 FLOORS = {"-inf", "2**70", "-1", "0.5", "1.5"}  # the WRONG values a threshold takes
+BEYOND = {"10**400": 10**400, "-10**400": -10**400}  # integers no float holds
 
-# Per public function: how its message starts when it names one parameter,
-# the call with that parameter's value and every other argument valid, and
-# the WRONG values the parameter takes. A function with a second checked
-# parameter has a second entry, "function.parameter".
+
+def _floor_message(t):
+    """The threshold rule's whole message for a value it refuses."""
+    if not _number(t):
+        return f"threshold must be a number, got {t!r}"
+    beyond = _integer(t) and abs(t) > sys.float_info.max
+    got = "a number beyond the float range" if beyond else t
+    return f"threshold must not be NaN or +inf (-inf is no floor), got {got}"
+
+
+# Per public function: how its message starts when it names one parameter
+# (or the whole message, as a function of the value), the call with that
+# parameter's value and every other argument valid, the WRONG values the
+# parameter takes and, if any, more values it refuses. A function with a
+# second checked parameter has a second entry, "function.parameter".
 FUNCTIONS = {
     "run_dto": ("config must be a ", run_dto, ()),
     "to_dto_config": ("config must be a ", to_dto_config, ()),
@@ -206,39 +234,74 @@ FUNCTIONS = {
     "rastrigin_offset": ("x must hold ", rastrigin_offset, {"2-D array"}),
     "sgo": ("x must hold ", sgo, {"2-D array"}),
     "ramp": ("x must hold ", ramp, ()),
-    "run_cfo": ("threshold must ",
-                lambda v: run_cfo(CfoParams(2, 1), make_objective("ramp"), 0.5, v), FLOORS),
-    "run_cfo.history": ("history must be a ",
-                        lambda v: run_cfo(CfoParams(2, 1), make_objective("ramp"), 0.5, history=v),
-                        {"None"}),
+    "run_cfo": (_floor_message, lambda v: run_cfo(CfoParams(2, 1), WATCHED_RAMP, 0.5, v),
+                FLOORS, BEYOND),
+    "run_cfo.record": ("record must be a ",
+                       lambda v: run_cfo(CfoParams(2, 1), WATCHED_RAMP, 0.5, record=v), {"True"}),
     "halton_points": ("n_dims must be ", lambda v: halton_points(1, v), ()),
     "halton_points.n_points": ("n_points must ", lambda v: halton_points(v, 2), ()),
-    "sample_threshold_floor": ("threshold must ",
-                               lambda v: sample_threshold_floor(ramp, UNIT_1D, v, 10), FLOORS),
-    "render_surface": ("threshold must ",
-                       lambda v: render_surface(sgo, DecisionSpace.cube(2, -1.0, 1.0), v),
-                       FLOORS),
+    "sample_threshold_floor": (_floor_message,
+                               lambda v: sample_threshold_floor(_watched(ramp), UNIT_1D, v, 10),
+                               FLOORS, BEYOND),
+    "render_surface": (_floor_message,
+                       lambda v: render_surface(_watched(sgo), DecisionSpace.cube(2, -1.0, 1.0),
+                                                v),
+                       FLOORS, BEYOND),
     "average_distance_to_best": ("history must be a ",
                                  lambda v: average_distance_to_best(v, UNIT_1D), ()),
+    "render_davg": ("history must be a ", lambda v: render_davg(v, UNIT_1D), ()),
     "make_objective": ("name must be one of ", make_objective, ()),
+    # before, write_text(path, 5) left path truncated to 0 bytes, then raised
+    # write()'s bare TypeError
+    "write_text": ("text must be a ", lambda v: write_text("out.txt", v), {"'x'"}),
+    # before, None wrote splot "None", and a '"' or a line break a broken command
+    "render_surface_command": ("data_filename must be a ", render_surface_command, {"'x'"},
+                               {"''": "", "'a\"b'": 'a"b', "'a\\nb'": "a\nb",
+                                "'a\\rb'": "a\rb"}),
 }
 
 
 @pytest.mark.parametrize("function", sorted(FUNCTIONS))
-def test_every_function_names_an_argument_of_the_wrong_kind(function):
+def test_every_function_names_an_argument_of_the_wrong_kind(tmp_path, monkeypatch, function):
     # before, the first five ended in a bare AttributeError and
     # parse_config(b"np0 = 4") in a TypeError; the shipped objectives ended in
     # a bare TypeError or IndexError for 11 to 13 of these values:
     # schwefel226(0.5) in "return arrays must be of ArrayType", ramp(0.5) in
     # "too many indices"; halton_points(2**70, 2) in numpy's "Maximum allowed
-    # dimension exceeded"
-    start, call, accepted = FUNCTIONS[function]
-    for label, value in {**WRONG, "b'np0 = 4'": b"np0 = 4"}.items():
+    # dimension exceeded". A refusal evaluates nothing and writes nothing.
+    monkeypatch.chdir(tmp_path)
+    message, call, accepted, *more = FUNCTIONS[function]
+    for label, value in {**WRONG, "b'np0 = 4'": b"np0 = 4", **dict(*more)}.items():
         if label in accepted:
             continue
+        EVALUATED.clear()
         with pytest.raises(ValueError) as info:
             call(value)
-        assert str(info.value).startswith(start), (label, str(info.value))
+        if callable(message):
+            assert str(info.value) == message(value), label
+        else:
+            assert str(info.value).startswith(message), (label, str(info.value))
+        assert not EVALUATED and not any(tmp_path.iterdir()), label
+
+
+# Public callables without a row above, each with its reason
+RECORD = "a result record: the library builds it and never reads it as input"
+NO_ROW = {
+    "OptResult": RECORD, "SwarmHistory": RECORD, "PassRecord": RECORD, "RunReport": RECORD,
+    "FloorStats": RECORD, "ConfigError": "the error class",
+    "main": "the CLI's entry point: the CLI tables below cover its argv",
+}
+
+
+def test_every_public_callable_has_a_rule_row():
+    # before, write_text, render_surface_command, render_davg and
+    # compute_accelerations had none
+    rows = {*(entry.split(".")[0] for entry in (*LIBRARY, *FUNCTIONS)),
+            *(cls.__name__ for cls in CONSTRUCTORS)}
+    for module in (cfo, cli, driver, floorscan, objectives, report, threshold):
+        public = {name for name in module.__all__ if callable(getattr(module, name))}
+        missing = public - rows - NO_ROW.keys()
+        assert not missing, (module.__name__, missing)
 
 
 @pytest.mark.parametrize("n_dims", [2**60, 2**63, 10**400], ids=["2**60", "2**63", "10**400"])
@@ -531,6 +594,26 @@ def test_run_config_applies_each_rule(tmp_path, capsys, key):
         assert code == 2, text
         assert re.fullmatch(f"error: {message}\n", err), (text, err)
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("where", ["--out", "output_dir", "neither"])
+def test_an_empty_output_directory_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                             where):
+    # before, --out "" and "output_dir =" each ended in exit 1 and "error:
+    # [Errno 2] No such file or directory: ''"; an empty DTO_OUTPUT_DIR
+    # still counts as unset
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, "")
+    lines = [f"{k} = {v}" for k, v in SMALL_RUN.items()]
+    lines.append("output_dir =" if where == "output_dir" else "output_dir = out")
+    (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+    argv = ["run", "--config", "run.cfg", *(["--out", ""] if where == "--out" else [])]
+    code, out, err = _cli(argv, capsys)
+    if where == "neither":
+        assert (code, err) == (0, "") and (tmp_path / "out" / "passes.csv").exists()
+        return
+    assert (code, out, err) == (2, "", f"error: {where} must be a non-empty path, got ''\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
 
 # (rule, how the message names the flag)

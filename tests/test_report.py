@@ -405,9 +405,8 @@ def test_davg_rejects_a_space_that_is_not_a_decision_space(render, space):
 @pytest.mark.parametrize("render", [average_distance_to_best, render_davg])
 def test_davg_rejects_a_space_of_another_dimension(render):
     # before, a 2-D history over a 3-D cube gave values around 232 instead of below 1
-    history = SwarmHistory.allocate(8, 2, 3)
-    run_cfo(CfoParams(n_probes=8, n_steps=3), make_objective("schwefel226", 2), 0.5,
-            history=history)
+    _, history = run_cfo(CfoParams(n_probes=8, n_steps=3), make_objective("schwefel226", 2), 0.5,
+                         record=True)
     for n_dims in (1, 3):
         message = rf"^space must have the history's 2 dimension\(s\), got {n_dims}$"
         with pytest.raises(ValueError, match=message):
